@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import VerificationError
 from .rational import parse_rational
 
 CERT_TOLERANCE = 1e-10
@@ -153,7 +154,9 @@ def face_condition(w: WeightedCHSH) -> FaceVerdict:
         return FaceVerdict("NontrivialFace", p4 == 0, lhs, rhs,
                            w.classical_game_value, w.correlator_bound)
     # condition holds with a tie: forces p4 == tied weight == 0
-    assert p4 == 0 and min(p1, p2, p3) == 0
+    if not (p4 == 0 and min(p1, p2, p3) == 0):
+        raise VerificationError(
+            f"supporting tie with nonzero weights p = {tuple(map(str, w.p))}")
     return FaceVerdict("Trivial", True, lhs, rhs,
                        w.classical_game_value, w.correlator_bound)
 

@@ -109,8 +109,9 @@ def parse_game_text(raw: str):
                 if not 0 <= v < d:
                     raise ParseError(f"f entry {v} outside Z_{d}",
                                      line=_line_of(raw, str(v)))
+        n = _int_at(data.get("n", 1), raw, "n")
         try:
-            return LinearGame(d, ma, mb, q, f, n=data.get("n", 1))
+            return LinearGame(d, ma, mb, q, f, n=n)
         except ValueError as e:
             raise ParseError(str(e), line=1) from None
     if kind == "unique3":

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
-import networkx as nx
-
 from .errors import BudgetExceededError, VerificationError
 from .exactrank import affine_rank
 
@@ -28,9 +26,14 @@ CUT_ENUM_MAX_VERTICES = 20
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph on vertices 0..n-1 with no self-loops."""
+    """Undirected graph on vertices 0..n-1 with no self-loops.
+
+    sorted_edges fixes the coordinate order of cut vectors; edge_index maps
+    each edge to its coordinate. Both are derived from edges once, here."""
     n: int
     edges: frozenset
+    sorted_edges: Tuple[Tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    edge_index: Mapping = field(init=False, compare=False, repr=False)
 
     def __init__(self, n: int, edges):
         object.__setattr__(self, "n", int(n))
@@ -43,6 +46,9 @@ class Graph:
                 raise ValueError(f"edge ({i}, {j}) references a missing vertex")
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "sorted_edges", tuple(sorted(norm)))
+        object.__setattr__(self, "edge_index",
+                           {e: k for k, e in enumerate(self.sorted_edges)})
 
     @staticmethod
     def complete(n: int) -> "Graph":
@@ -51,10 +57,6 @@ class Graph:
     @property
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
-
-    @property
-    def sorted_edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
 
 
 def suspension(g: Graph) -> Graph:
@@ -125,7 +127,10 @@ class CutVector:
         return cv
 
     def bit(self, i: int, j: int) -> int:
-        return self.bits[self.graph.sorted_edges.index((min(i, j), max(i, j)))]
+        try:
+            return self.bits[self.graph.edge_index[(min(i, j), max(i, j))]]
+        except KeyError:
+            raise ValueError(f"({i}, {j}) is not an edge of the graph") from None
 
 
 def enumerate_cuts(g: Graph):
@@ -438,6 +443,26 @@ def _classify_maximal(events):
     return None
 
 
+def _maximal_cliques(adj):
+    """Every maximal clique of the graph {vertex: set of neighbours}, by
+    Bron-Kerbosch with Tomita pivoting: each call branches only on the
+    candidates not adjacent to a pivot chosen to cover most candidates."""
+    cliques = []
+
+    def expand(clique, cand, excluded):
+        if not cand and not excluded:
+            cliques.append(clique)
+            return
+        pivot = max(cand | excluded, key=lambda u: len(cand & adj[u]))
+        for v in cand - adj[pivot]:
+            expand(clique + [v], cand & adj[v], excluded & adj[v])
+            cand = cand - {v}
+            excluded = excluded | {v}
+
+    expand([], set(adj), set())
+    return cliques
+
+
 def maximal_orthogonal_sets(n: int) -> OrthogonalSetCensus:
     """Enumerate every maximal set of mutually exclusive events and sort them
     into the three families that exist in this scenario; any unclassifiable
@@ -445,13 +470,13 @@ def maximal_orthogonal_sets(n: int) -> OrthogonalSetCensus:
     if not 3 <= n <= 6:
         raise BudgetExceededError("event census supported for 3 <= n <= 6")
     evs = _events(n)
-    gx = nx.Graph()
-    gx.add_nodes_from(range(len(evs)))
+    adj = {x: set() for x in range(len(evs))}
     for x, y in itertools.combinations(range(len(evs)), 2):
         if _orthogonal(evs[x], evs[y]):
-            gx.add_edge(x, y)
+            adj[x].add(y)
+            adj[y].add(x)
     buckets = {"normalization": [], "protocol": [], "triple": []}
-    for clique in nx.find_cliques(gx):
+    for clique in _maximal_cliques(adj):
         members = tuple(sorted((evs[x] for x in clique),
                                key=lambda e: (e.i, e.j, e.a, e.b)))
         kind = _classify_maximal(members)

@@ -15,7 +15,7 @@ def parse_rational(value, where=""):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        if value != int(value):
+        if not value.is_integer():  # also rejects inf and nan
             raise ParseError(f"{where}: float {value!r} rejected, use \"num/den\"")
         return Fraction(int(value))
     if isinstance(value, str):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import BudgetExceededError, VerificationError
 from .exactrank import affine_rank
@@ -294,6 +293,15 @@ def _block_indices(g, first_dit):
     return range(first_dit * half, (first_dit + 1) * half)
 
 
+def _sylvester_hadamard(m: int) -> np.ndarray:
+    """Sylvester-Hadamard matrix of order m (a power of two) in natural
+    binary ordering: H[i, j] = (-1)^popcount(i & j)."""
+    H = np.ones((1, 1), dtype=np.int64)
+    while H.shape[0] < m:
+        H = np.kron(np.array([[1, 1], [1, -1]], dtype=np.int64), H)
+    return H
+
+
 def hadamard_diagonal_check(g: LinearGame, j: int, k: int, tol: float = HADAMARD_TOL) -> bool:
     """True iff the (x1=j, y1=k) block of the game matrix is diagonal in the
     normalized Sylvester-Hadamard basis of order 2^(n-1), natural binary
@@ -305,7 +313,7 @@ def hadamard_diagonal_check(g: LinearGame, j: int, k: int, tol: float = HADAMARD
         raise ValueError("block selectors are bits")
     m = g.ma // 2
     block = game_matrix(g, 1).block(list(_block_indices(g, j)), list(_block_indices(g, k)))
-    H = hadamard(m) / np.sqrt(m)
+    H = _sylvester_hadamard(m) / np.sqrt(m)
     D = H.conj().T @ block @ H
     off = D - np.diag(np.diag(D))
     return bool(np.max(np.abs(off)) <= tol)

@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from bellpoly import VerificationError
 from bellpoly.chsh import (
     WeightedCHSH,
     canonicalize,
@@ -155,6 +157,15 @@ def test_boundary_equality_counts_as_face():
     w = WeightedCHSH((F(1, 2), F(1, 4), F(1, 4), F(0)))
     v = face_condition(w)
     assert v.verdict == "NontrivialFace"
+
+
+def test_supporting_tie_with_nonzero_weights_is_a_verification_failure():
+    # weights outside the canonical (nonnegative) range reach the tie branch
+    # with lhs == rhs == 9 and p4 == p1 == -2; the check must raise, not
+    # rely on an assert that python -O strips
+    w = SimpleNamespace(p=(F(-2), F(1), F(-1), F(-2)), trivial_even=False)
+    with pytest.raises(VerificationError, match="-2"):
+        face_condition(w)
 
 
 # ----------------------------------------------------- sigma/lambda certificate

@@ -128,6 +128,20 @@ def test_bad_weight_value_reports_line(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "linear", "d": 2, "mA": 1, "mB": 1, "q": [[Infinity]], "f": [[0]]}',
+    '{"kind": "linear", "d": 2, "mA": 1, "mB": 1, "q": [[NaN]], "f": [[0]]}',
+    '{"kind": "linear", "d": 2, "mA": 1, "mB": 1, "q": [[1]], "f": [[0]], "n": "x"}',
+])
+def test_malformed_linear_game_is_exit_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "analyze-game", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bellpoly: parse error") and "Traceback" not in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     path = write_game(tmp_path, make_phi_ex_game())
     code, _, err = run_cli(capsys, "analyze-game", path, "--budget", "10")

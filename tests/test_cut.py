@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from bellpoly.cut import (
     Event,
     Graph,
     NCBehaviour,
+    _maximal_cliques,
     behaviour_to_cut,
     ce1_from_triple_set,
     ce1_inequalities,
@@ -81,6 +83,12 @@ def test_cut_vector_bits_follow_sorted_edges():
     cv = CutVector(g, (1,))
     assert cv.bits == (1, 0, 1)  # edges (0,1), (0,2), (1,2)
     assert cv.bit(0, 1) == 1 and cv.bit(2, 0) == 0 and cv.bit(2, 1) == 1
+
+
+def test_cut_vector_bit_rejects_non_edge():
+    cv = CutVector(Graph(3, [(0, 1)]), (1,))
+    with pytest.raises(ValueError):
+        cv.bit(0, 2)
 
 
 def test_cut_subset_canonical_excludes_vertex_zero():
@@ -198,12 +206,39 @@ def test_census_counts_n4():
 
 
 def test_census_scaling_formulas():
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         c = maximal_orthogonal_sets(n)
         pairs = n * (n - 1) // 2
         assert len(c.normalization) == pairs
         assert len(c.protocol) == n * (n - 1) * (n - 2)
         assert len(c.triples) == 8 * (n * (n - 1) * (n - 2) // 6)
+
+
+def _brute_force_maximal_cliques(adj):
+    def is_clique(s):
+        return all(y in adj[x] for x, y in itertools.combinations(s, 2))
+    cliques = [frozenset(s) for r in range(len(adj) + 1)
+               for s in itertools.combinations(adj, r) if is_clique(s)]
+    return {c for c in cliques if not any(c < d for d in cliques)}
+
+
+def test_maximal_cliques_match_brute_force():
+    rng = random.Random(20160719)
+    graphs = [{}, {v: set() for v in range(5)},
+              {v: set(range(7)) - {v} for v in range(7)}]
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        adj = {v: set() for v in range(n)}
+        for x, y in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                adj[x].add(y)
+                adj[y].add(x)
+        graphs.append(adj)
+    for adj in graphs:
+        found = [frozenset(c) for c in _maximal_cliques(adj)]
+        assert len(found) == len(set(found))
+        assert set(found) == _brute_force_maximal_cliques(adj)
 
 
 def test_census_size_bounds():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bellpoly import (
@@ -22,7 +23,7 @@ from bellpoly import (
     to_bell_inequality,
     to_correlator_inequality,
 )
-from bellpoly.tightness import LambdaProfile
+from bellpoly.tightness import LambdaProfile, _sylvester_hadamard
 from bellpoly.values import classical_value
 
 F = Fraction
@@ -146,6 +147,16 @@ def test_nlc2_hadamard_diagonal(nlc2_and, nlc2_xor):
         for j in range(2):
             for k in range(2):
                 assert hadamard_diagonal_check(g, j, k)
+
+
+def test_sylvester_hadamard_closed_form():
+    for m in (1, 2, 4, 8, 16, 32, 64):
+        H = _sylvester_hadamard(m)
+        closed = np.array([[(-1) ** bin(i & j).count("1") for j in range(m)]
+                           for i in range(m)])
+        assert H.shape == (m, m)
+        assert np.array_equal(H, closed)
+        assert np.array_equal(H @ H.T, m * np.eye(m, dtype=H.dtype))
 
 
 def test_nlc2_block_symmetry(nlc2_and, nlc2_xor):
