@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Optional, Tuple
 
 from .errors import BudgetExceededError, VerificationError
@@ -279,15 +281,26 @@ class CutInequality:
         return CutInequality("correlator", n, pair_coeffs=pairs,
                              single_coeffs=singles, bound=Fraction(bound))
 
-    def evaluate_cut(self, cv: CutVector) -> Fraction:
+    @cached_property
+    def _cut_terms(self):
+        """(edge, integer coefficient) pairs and their common denominator."""
         if self.form == "hypermetric":
-            return sum((Fraction(self.b[i] * self.b[j]) * cv.bit(i, j)
-                        for i, j in itertools.combinations(range(self.n), 2)),
-                       Fraction(0))
-        if self.form == "cut":
-            return sum((c * cv.bit(i, j) for (i, j), c in self.edge_coeffs.items()),
-                       Fraction(0))
-        raise ValueError("correlator-form inequalities evaluate on behaviours")
+            return tuple(((i, j), self.b[i] * self.b[j])
+                         for i, j in itertools.combinations(range(self.n), 2)), 1
+        den = lcm(*(c.denominator for c in self.edge_coeffs.values()))
+        return tuple(((min(i, j), max(i, j)), int(c * den))
+                     for (i, j), c in self.edge_coeffs.items()), den
+
+    def evaluate_cut(self, cv: CutVector) -> Fraction:
+        if self.form not in ("hypermetric", "cut"):
+            raise ValueError("correlator-form inequalities evaluate on behaviours")
+        terms, den = self._cut_terms
+        bits, index = cv.bits, cv.graph.edge_index
+        try:
+            total = sum(c for e, c in terms if bits[index[e]])
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]} is not an edge of the graph") from None
+        return Fraction(total, den)
 
     def evaluate_behaviour(self, nc: NCBehaviour) -> Fraction:
         if self.form != "correlator":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -63,19 +63,29 @@ class LambdaProfile:
 # ---------------------------------------------------------------------------
 
 def _scaled_int_coeffs(ineq):
-    den = ineq.bound.denominator
-    total = abs(ineq.bound)
-    for block in ineq.coeffs:
-        for row in block:
-            for cell in row:
-                for v in cell:
-                    den = den * v.denominator // gcd(den, v.denominator)
-                    total += abs(v)
+    vals = [v for block in ineq.coeffs for row in block for cell in row for v in cell]
+    bound = ineq.bound
+    den = lcm(bound.denominator, *(v.denominator for v in vals))
+    scaled = [v.numerator * (den // v.denominator) for v in vals]
+    target = bound.numerator * (den // bound.denominator)
     # int64 fast path only while partial sums cannot overflow
-    dtype = np.int64 if den * total < 2 ** 62 else object
-    C = np.array([[[[int(v * den) for v in cell] for cell in row] for row in block]
-                  for block in ineq.coeffs], dtype=dtype)
-    return C, int(ineq.bound * den)
+    dtype = np.int64 if abs(target) + sum(map(abs, scaled)) < 2 ** 62 else object
+    s = ineq.scenario
+    return np.array(scaled, dtype=dtype).reshape(s.ma, s.mb, s.da, s.db), target
+
+
+def _alice_table(ineq: BellInequality):
+    """The Alice and Bob maps in lexicographic order, T[ai, y, b] =
+    sum_x C[x, y, a_map[x], b] for every Alice map, and the bound, all
+    integer-scaled."""
+    s = ineq.scenario
+    C, target = _scaled_int_coeffs(ineq)
+    a_maps = np.array(list(itertools.product(range(s.da), repeat=s.ma)), dtype=np.int64)
+    b_maps = np.array(list(itertools.product(range(s.db), repeat=s.mb)), dtype=np.int64)
+    T = np.zeros((len(a_maps), s.mb, s.db), dtype=C.dtype)
+    for x in range(s.ma):
+        T += C[x].transpose(1, 0, 2)[a_maps[:, x]]
+    return a_maps, b_maps, T, target
 
 
 def saturating_boxes(ineq: BellInequality, budget: int = DEFAULT_BOX_BUDGET):
@@ -86,14 +96,7 @@ def saturating_boxes(ineq: BellInequality, budget: int = DEFAULT_BOX_BUDGET):
     if s.box_count > budget:
         raise BudgetExceededError(
             f"{s.box_count} boxes exceed the enumeration budget of {budget}")
-    C, target = _scaled_int_coeffs(ineq)
-
-    a_maps = np.array(list(itertools.product(range(s.da), repeat=s.ma)), dtype=np.int64)
-    b_maps = np.array(list(itertools.product(range(s.db), repeat=s.mb)), dtype=np.int64)
-    # T[ai, y, b] = sum_x C[x, y, a_map[x], b]
-    T = np.zeros((len(a_maps), s.mb, s.db), dtype=C.dtype)
-    for x in range(s.ma):
-        T += C[x].transpose(1, 0, 2)[a_maps[:, x]]
+    a_maps, b_maps, T, target = _alice_table(ineq)
 
     hits = []
     chunk = max(1, (1 << 22) // max(1, len(a_maps) * s.mb))
@@ -108,6 +111,19 @@ def saturating_boxes(ineq: BellInequality, budget: int = DEFAULT_BOX_BUDGET):
     return [DeterministicBox(s, tuple(int(v) for v in a_maps[ai]),
                              tuple(int(v) for v in b_maps[bi]))
             for ai, bi in hits]
+
+
+def _violating_box(ineq: BellInequality):
+    """A deterministic box of largest value when that value exceeds the
+    bound, else None. Bob answers each input alone, so the largest value
+    over boxes is the max over Alice maps of sum_y max_b T[ai, y, b]."""
+    a_maps, _, T, target = _alice_table(ineq)
+    best = T.max(axis=2).sum(axis=1)
+    ai = int(np.argmax(best))
+    if best[ai] <= target:
+        return None
+    return DeterministicBox(ineq.scenario, tuple(int(v) for v in a_maps[ai]),
+                            tuple(int(v) for v in T[ai].argmax(axis=1)))
 
 
 def _is_positivity_form(ineq):
@@ -139,6 +155,11 @@ def facet_test(ineq: BellInequality, kind: str, budget: int = DEFAULT_BOX_BUDGET
         raise ValueError(f"unknown polytope kind {kind!r}")
 
     sat = saturating_boxes(ineq, budget=budget)
+    violator = _violating_box(ineq)
+    if violator is not None:
+        raise ValueError(
+            f"inequality is violated by the deterministic box with a_map "
+            f"{violator.a_map} and b_map {violator.b_map}")
     if sat:
         dim = affine_rank([project(b) for b in sat])
     else:

@@ -5,7 +5,7 @@ import pytest
 
 from bellpoly import cli
 from bellpoly.cut import CutInequality, Graph
-from bellpoly.scenario import Scenario
+from bellpoly.scenario import Scenario, correlator_inequality
 from tests.conftest import (
     make_chsh_game,
     make_nlc2_and,
@@ -209,6 +209,17 @@ def test_facet_test_inequality_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "facet-test", str(path), "--polytope", "bell")
     assert code == 0
     assert json.loads(out)["results"]["is_facet"] is True
+
+
+def test_facet_test_rejects_invalid_inequality_file(tmp_path, capsys):
+    ineq = correlator_inequality(Scenario(2, 2, 2, 2), ((1, 1), (1, -1)), -2)
+    path = tmp_path / "chsh_minus2.json"
+    path.write_text(cli.serialize_inequality(ineq))
+    code, out, err = run_cli(capsys, "facet-test", str(path), "--polytope", "correlation")
+    assert code == 2
+    assert out == ""
+    assert "violated by the deterministic box" in err
+    assert "Traceback" not in err
 
 
 def test_facet_test_rejects_cut_space_file(tmp_path, capsys):

@@ -314,6 +314,37 @@ def test_hypermetric_cut_value_formula():
         assert ineq.evaluate_cut(cv) == s * (1 - s)
 
 
+def _evaluate_cut_per_edge(ineq, cv):
+    """One Fraction per edge: the sum evaluate_cut must reproduce exactly."""
+    if ineq.form == "hypermetric":
+        return sum((Fraction(ineq.b[i] * ineq.b[j]) * cv.bit(i, j)
+                    for i, j in itertools.combinations(range(ineq.n), 2)), Fraction(0))
+    return sum((c * cv.bit(i, j) for (i, j), c in ineq.edge_coeffs.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_evaluate_cut_matches_per_edge_sum(n):
+    rng = random.Random(n)
+    g = Graph.complete(n)
+    b = [rng.randint(-2, 2) for _ in range(n - 1)]
+    hyper = CutInequality.hypermetric(b + [1 - sum(b)])
+    space = CutInequality.cut_space(
+        n, {e: F(rng.randint(-9, 9), rng.randint(1, 12)) for e in g.sorted_edges}, F(1, 3))
+    for ineq in (hyper, hyper.to_cut_form(), space):
+        for cv in enumerate_cuts(g):
+            value = ineq.evaluate_cut(cv)
+            assert type(value) is Fraction
+            assert value == _evaluate_cut_per_edge(ineq, cv)
+
+
+def test_evaluate_cut_rejects_missing_edge_and_correlator_form():
+    cv = CutVector(Graph(3, [(0, 1)]), {1})
+    with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge"):
+        CutInequality.hypermetric((1, 1, -1)).evaluate_cut(cv)
+    with pytest.raises(ValueError, match="behaviours"):
+        CutInequality.correlator(2, {(0, 1): 1}, (0, 0), 1).evaluate_cut(cv)
+
+
 # ---------------------------------------------------------------- facet tests
 
 def test_triangle_is_facet_of_cut_k4():

@@ -1,0 +1,92 @@
+"""Facet verdicts of the certified rank against a Bareiss reference.
+
+Each case runs the facet test twice: as shipped, and with the affine rank
+replaced by Bareiss elimination on the difference vectors. The two reports
+must be equal field by field.
+"""
+from fractions import Fraction
+
+import pytest
+
+from bellpoly import (BellInequality, NLCSpec, Scenario, build_nlc2, cut, facet_test,
+                      integer_rank, tightness, to_bell_inequality, to_correlator_inequality)
+from bellpoly.cut import CutInequality, Graph, cut_facet_test
+from tests.conftest import make_chsh_game, make_nlc2_and, make_nlc2_xor
+
+F = Fraction
+
+
+def bareiss_affine_rank(points):
+    pts = [list(p) for p in points]
+    return integer_rank([[v - b for v, b in zip(p, pts[0])] for p in pts[1:]])
+
+
+def with_bareiss(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(tightness, "affine_rank", bareiss_affine_rank)
+        m.setattr(cut, "affine_rank", bareiss_affine_rank)
+        return run()
+
+
+def positivity(m, cell=(0, 0, 0, 0)):
+    """Single-cell positivity -P(a, b | x, y) <= 0 on the m x m binary scenario."""
+    coeffs = tuple(
+        tuple(tuple(tuple(F(-1) if (x, y, a, b) == cell else F(0) for b in range(2))
+                    for a in range(2)) for y in range(m)) for x in range(m))
+    return BellInequality(Scenario(m, m, 2, 2), coeffs, F(0))
+
+
+def nlc3(table):
+    return build_nlc2(NLCSpec(2, 3, table, (F(1, 8),) * 8))
+
+
+@pytest.mark.parametrize("m,cell,dim", [
+    (3, (0, 0, 0, 0), 14), (3, (2, 1, 1, 0), 14), (4, (0, 0, 0, 0), 23),
+    (4, (3, 2, 0, 1), 23), (5, (0, 0, 0, 0), 34), (6, (0, 0, 0, 0), 47)])
+def test_positivity_verdicts_match_bareiss(monkeypatch, m, cell, dim):
+    ineq = positivity(m, cell)
+    rep = facet_test(ineq, "bell")
+    assert rep == with_bareiss(monkeypatch, lambda: facet_test(ineq, "bell"))
+    assert (rep.saturating_count, rep.saturating_affine_dim) == (3 * 4 ** (m - 1), dim)
+    assert rep.is_facet and rep.trivial_facet_class
+
+
+@pytest.mark.parametrize("b", [
+    (1, 1, 1, -1, -1), (1, 1, 1, -1, -1, 0), (1, 1, 1, 1, -1, -2),
+    (1, 1, 1, 1, 1, -1, -3), (2, 1, 1, -1, -1, -1, 0, 0), (1,) * 7 + (-1, -5)])
+def test_hypermetric_verdicts_match_bareiss(monkeypatch, b):
+    ineq, g = CutInequality.hypermetric(b), Graph.complete(len(b))
+    rep = cut_facet_test(ineq, g)
+    assert rep == with_bareiss(monkeypatch, lambda: cut_facet_test(ineq, g))
+    assert rep.saturating_count > 0
+
+
+GAMES = {
+    "chsh": make_chsh_game,
+    "chsh-weighted": lambda: make_chsh_game((F(9, 20), F(5, 20), F(5, 20), F(1, 20))),
+    "nlc2-and": make_nlc2_and,
+    "nlc2-xor": make_nlc2_xor,
+    "nlc3-majority": lambda: nlc3((0, 0, 0, 1, 0, 1, 1, 1)),
+    "nlc3-and": lambda: nlc3((0, 0, 0, 0, 0, 0, 0, 1)),
+    "nlc3-parity": lambda: nlc3((0, 1, 1, 0, 1, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+@pytest.mark.parametrize("kind", ["bell", "correlation"])
+def test_game_verdicts_match_bareiss(monkeypatch, name, kind):
+    g = GAMES[name]()
+    ineq = to_bell_inequality(g) if kind == "bell" else to_correlator_inequality(g)
+    rep = facet_test(ineq, kind)
+    assert rep == with_bareiss(monkeypatch, lambda: facet_test(ineq, kind))
+    if name == "chsh":
+        assert rep.is_facet
+
+
+def test_positivity_7x7_is_facet():
+    # 12288 x 63 differences; Bareiss alone takes about 10 s on them, so
+    # this case has no Bareiss reference
+    rep = facet_test(positivity(7, (3, 5, 1, 0)), "bell")
+    assert (rep.ambient_dim, rep.saturating_count, rep.saturating_affine_dim) \
+        == (63, 12288, 62)
+    assert rep.is_facet

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from bellpoly import (
     Scenario,
     VerificationError,
     build_nlcd,
+    correlator_inequality,
     enumerate_deterministic_boxes,
     facet_test,
     hadamard_diagonal_check,
@@ -23,7 +25,7 @@ from bellpoly import (
     to_bell_inequality,
     to_correlator_inequality,
 )
-from bellpoly.tightness import LambdaProfile, _sylvester_hadamard
+from bellpoly.tightness import LambdaProfile, _sylvester_hadamard, _violating_box
 from bellpoly.values import classical_value
 
 F = Fraction
@@ -88,6 +90,43 @@ def test_positivity_flagged_trivial():
     rep = facet_test(BellInequality(s, coeffs, F(0)), "bell")
     assert rep.trivial_facet_class
     assert rep.is_facet  # positivity supports a facet of the local polytope
+
+
+def test_facet_test_rejects_invalid_inequality():
+    # local boxes reach +2 on CHSH, so CHSH <= -2 is not valid
+    s = Scenario(2, 2, 2, 2)
+    ineq = correlator_inequality(s, ((1, 1), (1, -1)), -2)
+    with pytest.raises(ValueError, match=r"violated by the deterministic box with a_map "
+                                         r"\(0, 0\) and b_map \(0, 0\)"):
+        facet_test(ineq, "correlation")
+    bell = BellInequality(s, ineq.coeffs, ineq.bound)
+    with pytest.raises(ValueError, match="violated"):
+        facet_test(bell, "bell")
+    # saturating_boxes itself lists the boxes without judging validity
+    assert len(saturating_boxes(ineq)) == 8
+    assert facet_test(correlator_inequality(s, ((1, 1), (1, -1)), 2), "correlation").is_facet
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_violating_box_is_a_maximum(seed):
+    rng = random.Random(seed)
+    s = Scenario(rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 3), rng.randint(2, 3))
+    coeffs = tuple(tuple(tuple(tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                                     for _ in range(s.db)) for _ in range(s.da))
+                         for _ in range(s.mb)) for _ in range(s.ma))
+    probe = BellInequality(s, coeffs, F(0))
+    top = max(probe.evaluate_box(b) for b in enumerate_deterministic_boxes(s))
+    assert _violating_box(BellInequality(s, coeffs, top)) is None
+    box = _violating_box(BellInequality(s, coeffs, top - F(1, 7)))
+    assert probe.evaluate_box(box) == top
+    with pytest.raises(ValueError, match="violated"):
+        facet_test(BellInequality(s, coeffs, top - F(1, 7)), "bell")
+
+
+def test_facet_test_accepts_bound_above_maximum():
+    s = Scenario(2, 2, 2, 2)
+    rep = facet_test(correlator_inequality(s, ((1, 1), (1, -1)), 3), "correlation")
+    assert (rep.saturating_count, rep.saturating_affine_dim, rep.is_facet) == (0, -1, False)
 
 
 def test_correlation_facet_requires_correlator_space(chsh_game):
