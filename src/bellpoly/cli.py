@@ -3,7 +3,8 @@
 Reports are canonical JSON: two-space indent, sorted keys, trailing newline.
 Exact quantities appear as "num/den" strings; floating-point quantities are
 objects {"value": ..., "precision": ...} so the printed digits carry their
-own error bar. Exit codes: 0 success, 2 malformed input, 3 enumeration
+own error bar; a float that is infinite or undefined prints as null, so every
+report is strict JSON. Exit codes: 0 success, 2 malformed input, 3 enumeration
 budget exceeded, 4 internal cross-check failure (a computed certificate
 contradicted an exact recomputation; deliberately loud).
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -35,15 +37,21 @@ from .values import DEFAULT_STRATEGY_BUDGET, value_report
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _finite(x: float):
+    # strict JSON has no Infinity or NaN; a non-finite float is reported as null
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _float_field(value: float, precision: float) -> dict:
-    return {"value": float(value), "precision": float(precision)}
+    return {"value": _finite(value), "precision": _finite(precision)}
 
 
 def _line_of(raw: str, needle: str) -> int:
@@ -268,9 +276,8 @@ def _cmd_analyze_game(args):
     if args.bound or everything:
         results["quantum_upper_bound"] = _float_field(rep.quantum_upper_bound,
                                                       rep.bound_error)
-        if isinstance(g, UniqueGame3):
-            from .values import norm_bound_unique3_report
-            u = norm_bound_unique3_report(g)
+        u = rep.unique3_bound
+        if u is not None:
             results["bound_certified"] = u.certified
             results["bound_converged"] = u.converged
             results["joint_norms"] = [_float_field(v, 1e-9) for v in u.joint_norms]

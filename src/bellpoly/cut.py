@@ -4,11 +4,13 @@ Dichotomic measurements with a compatibility graph G have a noncontextual
 polytope that is affinely isomorphic to the cut polytope of the suspension
 graph of G (one apex adjacent to everything): single correlators map to apex
 edges via <M_i> = 1 - 2 x_{iO} and pair correlators to ordinary edges via
-<M_i M_j> = 1 - 2 x_{ij}. This module keeps both pictures exact: cuts and
-their incidence vectors over integers, behaviours and inequalities over
-rationals, plus the exclusivity (sum over mutually exclusive events <= 1)
-inequalities for the pairwise-measurement scenario and the pentagonal
-inequality that separates them from the noncontextual set.
+<M_i M_j> = 1 - 2 x_{ij}. This module keeps both pictures exact: cuts as
+integer arrays of edge incidence rows, which cut facet tests evaluate in bulk
+on the engine they share with Bell inequalities (`tightness._facet_report`),
+behaviours and inequalities over rationals, plus the exclusivity (sum over
+mutually exclusive events <= 1) inequalities for the pairwise-measurement
+scenario and the pentagonal inequality that separates them from the
+noncontextual set.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Mapping, Optional, Tuple
 
+import numpy as np
+
 from .errors import BudgetExceededError, VerificationError
-from .exactrank import affine_rank
+from .tightness import _CHUNK_CELLS, _facet_report, _int_scaled, _scan
 
 CUT_ENUM_MAX_VERTICES = 20
 
@@ -31,11 +34,13 @@ class Graph:
     """Undirected graph on vertices 0..n-1 with no self-loops.
 
     sorted_edges fixes the coordinate order of cut vectors; edge_index maps
-    each edge to its coordinate. Both are derived from edges once, here."""
+    each edge to its coordinate; edge_ends holds the sorted edges as an E x 2
+    integer array. All three are derived from edges once, here."""
     n: int
     edges: frozenset
     sorted_edges: Tuple[Tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     edge_index: Mapping = field(init=False, compare=False, repr=False)
+    edge_ends: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __init__(self, n: int, edges):
         object.__setattr__(self, "n", int(n))
@@ -51,6 +56,7 @@ class Graph:
         object.__setattr__(self, "sorted_edges", tuple(sorted(norm)))
         object.__setattr__(self, "edge_index",
                            {e: k for k, e in enumerate(self.sorted_edges)})
+        object.__setattr__(self, "edge_ends", np.array(self.sorted_edges, dtype=int).reshape(-1, 2))
 
     @staticmethod
     def complete(n: int) -> "Graph":
@@ -98,6 +104,22 @@ def _two_coloring(g: Graph, bits):
     return frozenset(v for v in range(g.n) if color[v] == 1)
 
 
+def _cut_masks(g: Graph):
+    """Every cut of g as a vertex bitmask (bit v for vertex v), vertex 0
+    outside, in bitmask order over vertices 1..n-1."""
+    if g.n > CUT_ENUM_MAX_VERTICES:
+        raise BudgetExceededError(
+            f"{g.n} vertices exceed the cut enumeration limit of {CUT_ENUM_MAX_VERTICES}")
+    return 2 * np.arange(1 << max(0, g.n - 1), dtype=np.int64)
+
+
+def _cut_rows(g: Graph, masks):
+    """Edge incidence rows, in g's edge order, of the cuts with these vertex
+    bitmasks: an edge is cut when the bits of its ends differ."""
+    m = np.asarray(masks, dtype=np.int64 if g.n < 64 else object)[:, None]
+    return (((m >> g.edge_ends[:, 0]) ^ (m >> g.edge_ends[:, 1])) & 1).astype(np.int8)
+
+
 @dataclass(frozen=True)
 class CutVector:
     """Edge incidence vector of a vertex subset. The stored subset is the
@@ -113,10 +135,10 @@ class CutVector:
             raise ValueError("subset references a missing vertex")
         if 0 in s:
             s = frozenset(range(graph.n)) - s
-        bits = tuple(1 if (i in s) != (j in s) else 0 for i, j in graph.sorted_edges)
+        mask = sum(1 << v for v in s)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "subset", s)
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", tuple(_cut_rows(graph, [mask])[0].tolist()))
 
     @staticmethod
     def from_bits(graph: Graph, bits) -> "CutVector":
@@ -135,20 +157,29 @@ class CutVector:
             raise ValueError(f"({i}, {j}) is not an edge of the graph") from None
 
 
+def _mask_subset(mask: int, n: int) -> frozenset:
+    return frozenset(v for v in range(n) if (mask >> v) & 1)
+
+
 def enumerate_cuts(g: Graph):
     """All distinct cut vectors, deduplicated across subsets that cut the
     same edges (relevant for disconnected graphs), in subset bitmask order
     over vertices 1..n-1."""
-    if g.n > CUT_ENUM_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceed the cut enumeration limit of {CUT_ENUM_MAX_VERTICES}")
-    seen = {}
-    for mask in range(1 << max(0, g.n - 1)):
-        s = frozenset(i + 1 for i in range(g.n - 1) if (mask >> i) & 1)
-        cv = CutVector(g, s)
-        if cv.bits not in seen:
-            seen[cv.bits] = cv
-    return list(seen.values())
+    first = {}
+    for mask in _cut_masks(g).tolist():
+        cv = CutVector(g, _mask_subset(mask, g.n))
+        first.setdefault(cv.bits, cv)
+    return list(first.values())
+
+
+def _cut_values(ineq: "CutInequality", g: Graph):
+    """The bitmasks of all cuts of g, the integer-scaled bound, and ineq's
+    integer-scaled values on the cuts in chunks; the vertex limit goes first."""
+    masks = _cut_masks(g)
+    w, target, _ = ineq._scaled_weights(g)
+    step = max(1, _CHUNK_CELLS // max(1, len(w)))
+    return masks, (_cut_rows(g, masks[lo:lo + step]) @ w
+                   for lo in range(0, len(masks), step)), target
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +202,9 @@ class NCBehaviour:
             raise ValueError("one single correlator per vertex required")
         if set(fulls) != set(graph.sorted_edges):
             raise ValueError("one full correlator per edge required")
-        for (i, j), c in fulls.items():
-            for a in (1, -1):
-                for b in (1, -1):
-                    if 1 + a * singles[i] + b * singles[j] + a * b * c < 0:
-                        raise ValueError(
-                            f"joint distribution of ({i}, {j}) has a negative entry")
+        for (i, j), entry in _joint_entries(singles, fulls):
+            if entry < 0:
+                raise ValueError(f"joint distribution of ({i}, {j}) has a negative entry")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "singles", singles)
         object.__setattr__(self, "fulls", fulls)
@@ -196,14 +224,16 @@ class NCBehaviour:
                         for (i, j), c in self.fulls.items()))
 
     def pairwise_positivity_min(self) -> Fraction:
-        worst = Fraction(2)
-        for (i, j), c in self.fulls.items():
-            for a in (1, -1):
-                for b in (1, -1):
-                    worst = min(worst,
-                                (1 + a * self.singles[i] + b * self.singles[j] + a * b * c)
-                                / 4)
-        return worst
+        entries = (entry / 4 for _, entry in _joint_entries(self.singles, self.fulls))
+        return min(entries, default=Fraction(2))
+
+
+def _joint_entries(singles, fulls):
+    """(edge, 4 P(a, b)) for every edge (i, j) and signs a, b of the pair's
+    joint distribution, 1 + a<M_i> + b<M_j> + ab<M_iM_j>."""
+    for (i, j), c in fulls.items():
+        for a, b in itertools.product((1, -1), repeat=2):
+            yield (i, j), 1 + a * singles[i] + b * singles[j] + a * b * c
 
 
 def behaviour_to_cut(b: NCBehaviour) -> CutVector:
@@ -282,25 +312,26 @@ class CutInequality:
                              single_coeffs=singles, bound=Fraction(bound))
 
     @cached_property
-    def _cut_terms(self):
-        """(edge, integer coefficient) pairs and their common denominator."""
-        if self.form == "hypermetric":
-            return tuple(((i, j), self.b[i] * self.b[j])
-                         for i, j in itertools.combinations(range(self.n), 2)), 1
-        den = lcm(*(c.denominator for c in self.edge_coeffs.values()))
-        return tuple(((min(i, j), max(i, j)), int(c * den))
-                     for (i, j), c in self.edge_coeffs.items()), den
+    def _scaled_by_graph(self) -> dict:
+        return {}
+
+    def _scaled_weights(self, g: Graph):
+        """The cut-form coefficients on g's edges in g's edge order, and the
+        bound, integer-scaled together (tightness._int_scaled); once per g."""
+        if g not in self._scaled_by_graph:
+            coeffs = self.to_cut_form().edge_coeffs
+            missing = [e for e in coeffs if e not in g.edge_index]
+            if missing:
+                raise ValueError(f"{missing[0]} is not an edge of the graph")
+            self._scaled_by_graph[g] = _int_scaled(
+                [coeffs.get(e, Fraction(0)) for e in g.sorted_edges], self.bound)
+        return self._scaled_by_graph[g]
 
     def evaluate_cut(self, cv: CutVector) -> Fraction:
         if self.form not in ("hypermetric", "cut"):
             raise ValueError("correlator-form inequalities evaluate on behaviours")
-        terms, den = self._cut_terms
-        bits, index = cv.bits, cv.graph.edge_index
-        try:
-            total = sum(c for e, c in terms if bits[index[e]])
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]} is not an edge of the graph") from None
-        return Fraction(total, den)
+        w, _, den = self._scaled_weights(cv.graph)
+        return Fraction(int(np.dot(cv.bits, w)), den)
 
     def evaluate_behaviour(self, nc: NCBehaviour) -> Fraction:
         if self.form != "correlator":
@@ -337,16 +368,14 @@ def hypermetric_valid(b, g: Graph) -> bool:
     if sum(b) != 1:
         raise ValueError(f"coefficient sum is {sum(b)}, hypermetric form needs 1")
     restricted = {(i, j): Fraction(b[i] * b[j]) for i, j in g.sorted_edges}
-    check = CutInequality.cut_space(g.n, restricted, 0)
-    return all(check.evaluate_cut(cv) <= 0 for cv in enumerate_cuts(g))
+    _, values, target = _cut_values(CutInequality.cut_space(g.n, restricted, 0), g)
+    return bool(_scan(values, target)[1] <= target)
 
 
 def cut_facet_test(ineq: CutInequality, g: Graph):
     """Exact facet test against the cut polytope of a complete graph: the
     inequality must be valid everywhere; its roots (cuts meeting the bound)
     must affinely span one dimension below the edge count."""
-    from .tightness import FacetReport  # shared report shape
-
     if not g.is_complete:
         raise ValueError("cut facet tests are run on complete graphs")
     if ineq.form == "correlator":
@@ -354,24 +383,11 @@ def cut_facet_test(ineq: CutInequality, g: Graph):
     cform = ineq.to_cut_form()
     if cform.n != g.n:
         raise ValueError("inequality and graph vertex counts differ")
-    cuts = enumerate_cuts(g)
-    roots = []
-    for cv in cuts:
-        val = cform.evaluate_cut(cv)
-        if val > cform.bound:
-            raise ValueError(
-                f"inequality is violated at the cut with subset {sorted(cv.subset)}")
-        if val == cform.bound:
-            roots.append(cv)
-    ambient = len(g.sorted_edges)
-    dim = affine_rank([cv.bits for cv in roots]) if roots else -1
-    return FacetReport(
-        polytope_kind="cut",
-        ambient_dim=ambient,
-        saturating_count=len(roots),
-        saturating_affine_dim=dim,
-        is_facet=(dim == ambient - 1),
-    )
+    masks, values, target = _cut_values(cform, g)
+    return _facet_report(
+        "cut", len(g.sorted_edges), values, target,
+        lambda k: _cut_rows(g, masks[k]),
+        lambda k: f"at the cut with subset {sorted(_mask_subset(int(masks[k]), g.n))}")
 
 
 # ---------------------------------------------------------------------------

@@ -344,16 +344,20 @@ def to_bell_inequality(g) -> BellInequality:
     classical value: sum q(x,y) P(win|x,y) <= omega_c."""
     from .values import classical_value  # deferred: values depends on games
 
+    return BellInequality(g.scenario, _win_coeffs(g), classical_value(g).value)
+
+
+def _win_coeffs(g) -> tuple:
+    """The game functional's coefficients q(x,y) [b wins against a at (x,y)],
+    indexed [x][y][a][b]."""
     s = g.scenario
     zero = Fraction(0)
-    coeffs = tuple(
+    return tuple(
         tuple(
             tuple(tuple(g.q[x][y] if g.win(a, b, x, y) else zero for b in range(s.db))
                   for a in range(s.da))
             for y in range(s.mb))
         for x in range(s.ma))
-    bound = classical_value(g).value
-    return BellInequality(s, coeffs, bound)
 
 
 def to_correlator_inequality(g: LinearGame) -> BellInequality:

@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .exactrank import affine_rank
 
@@ -65,17 +67,8 @@ class DeterministicBox:
             raise ValueError("response map values out of range")
 
     def behaviour(self) -> "Behaviour":
-        s = self.scenario
-        one, zero = Fraction(1), Fraction(0)
-        table = tuple(
-            tuple(
-                tuple(
-                    tuple(one if (a == self.a_map[x] and b == self.b_map[y]) else zero
-                          for b in range(s.db))
-                    for a in range(s.da))
-                for y in range(s.mb))
-            for x in range(s.ma))
-        return Behaviour(s, table)
+        table = _table(self.scenario, map(Fraction, self.probability_vector()))
+        return Behaviour(self.scenario, table)
 
     def probability_vector(self) -> tuple:
         """Flat 0/1 vector of P(a, b | x, y) in x, y, a, b order."""
@@ -88,21 +81,35 @@ class DeterministicBox:
         """Minimal no-signaling coordinates: Alice marginals for a < da-1, Bob
         marginals for b < db-1, and the joint block for a < da-1, b < db-1.
         The length equals ns_polytope_dimension(scenario)."""
-        s = self.scenario
-        v = [1 if self.a_map[x] == a else 0 for x in range(s.ma) for a in range(s.da - 1)]
-        v += [1 if self.b_map[y] == b else 0 for y in range(s.mb) for b in range(s.db - 1)]
-        v += [1 if (self.a_map[x] == a and self.b_map[y] == b) else 0
-              for x in range(s.ma) for y in range(s.mb)
-              for a in range(s.da - 1) for b in range(s.db - 1)]
-        return tuple(v)
+        A, B = np.array([self.a_map]), np.array([self.b_map])
+        return tuple(_reduced_rows(self.scenario, A, B)[0].tolist())
 
     def correlator_vector(self) -> tuple:
         """(+1/-1)^{ma*mb} vector of <A_x B_y>; binary outputs only."""
         s = self.scenario
         if s.da != 2 or s.db != 2:
             raise ValueError("correlators need binary outputs")
-        return tuple(1 if self.a_map[x] == self.b_map[y] else -1
-                     for x in range(s.ma) for y in range(s.mb))
+        A, B = np.array([self.a_map]), np.array([self.b_map])
+        return tuple(_correlator_rows(s, A, B)[0].tolist())
+
+
+def _response_maps(d: int, m: int) -> np.ndarray:
+    """Every map from m inputs to d outputs, one per row, in lexicographic order."""
+    return np.stack(np.unravel_index(np.arange(d ** m), (d,) * m), axis=1)
+
+
+def _reduced_rows(s: Scenario, A, B) -> np.ndarray:
+    """reduced_vector of the boxes (A[k], B[k]), one integer row each; A and
+    B hold the Alice and Bob maps as rows."""
+    alice = A[:, :, None] == np.arange(s.da - 1)
+    bob = B[:, :, None] == np.arange(s.db - 1)
+    joint = alice[:, :, None, :, None] & bob[:, None, :, None, :]
+    return np.hstack([m.reshape(len(A), -1) for m in (alice, bob, joint)]).astype(np.int64)
+
+
+def _correlator_rows(s: Scenario, A, B) -> np.ndarray:
+    """correlator_vector of the boxes (A[k], B[k]), one integer row each."""
+    return np.where(A[:, :, None] == B[:, None, :], 1, -1).reshape(len(A), s.ma * s.mb)
 
 
 def enumerate_deterministic_boxes(s: Scenario, budget: int = DEFAULT_BOX_BUDGET) -> list:
@@ -116,6 +123,12 @@ def enumerate_deterministic_boxes(s: Scenario, budget: int = DEFAULT_BOX_BUDGET)
     return [DeterministicBox(s, am, bm)
             for am in itertools.product(range(s.da), repeat=s.ma)
             for bm in itertools.product(range(s.db), repeat=s.mb)]
+
+
+def _table(s: Scenario, values) -> tuple:
+    """Nested tuples [x][y][a][b] of values given in x, y, a, b order."""
+    t = np.array(list(values), dtype=object).reshape(s.ma, s.mb, s.da, s.db)
+    return tuple(tuple(tuple(tuple(cell) for cell in row) for row in block) for block in t)
 
 
 @dataclass(frozen=True)
@@ -161,16 +174,9 @@ def mix(behaviours, weights) -> Behaviour:
     s = behaviours[0].scenario
     if any(b.scenario != s for b in behaviours):
         raise ValueError("behaviours live in different scenarios")
-    table = tuple(
-        tuple(
-            tuple(
-                tuple(sum((w * b.table[x][y][a][bb] for w, b in zip(weights, behaviours)),
-                          Fraction(0))
-                      for bb in range(s.db))
-                for a in range(s.da))
-            for y in range(s.mb))
-        for x in range(s.ma))
-    return Behaviour(s, table)
+    total = sum(w * np.array(b.probability_vector(), dtype=object)
+                for w, b in zip(weights, behaviours))
+    return Behaviour(s, _table(s, total))
 
 
 def is_no_signaling(b: Behaviour) -> bool:
@@ -248,9 +254,7 @@ def evaluate(ineq: BellInequality, b) -> Fraction:
 def affine_dimension(boxes) -> int:
     """Exact affine dimension of a set of boxes/behaviours (full probability
     coordinates; the value is embedding-independent). Raises on empty input."""
-    pts = []
-    for b in boxes:
-        pts.append(b.probability_vector())
+    pts = [b.probability_vector() for b in boxes]
     if not pts:
         raise ValueError("affine dimension of an empty set")
     return affine_rank(pts)

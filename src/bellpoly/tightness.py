@@ -1,18 +1,19 @@
 """Facet testing and the non-tightness decompositions for NLC-style games.
 
-A game inequality is a facet of the local polytope iff its saturating
-deterministic boxes span an affine subspace of dimension one below the
-polytope dimension; everything here is decided in exact arithmetic on the
-saturating set. Decompositions write the game inequality as a cell-wise sum
-of two or more valid fragment inequalities whose faces differ, which rules
-out facet-ness without any rank computation (intersections of distinct faces
-are lower-dimensional faces).
+Every facet test (Bell and correlation inequalities here, cut inequalities
+in `cut`) runs on one engine, `_facet_report`, fed with the integer-scaled
+functional's value on each vertex of the polytope: it rejects an inequality
+that a vertex violates, and decides facet-ness exactly by the affine rank of
+the vertices meeting the bound. Decompositions write the game inequality as
+a cell-wise sum of two or more valid fragment inequalities whose faces
+differ, which rules out facet-ness without any rank computation
+(intersections of distinct faces are lower-dimensional faces).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -20,8 +21,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .exactrank import affine_rank
-from .games import LinearGame, game_matrix, subgame_restrict
+from .games import LinearGame, _win_coeffs, game_matrix, input_dits, subgame_restrict
 from .scenario import (DEFAULT_BOX_BUDGET, BellInequality, DeterministicBox,
+                       _correlator_rows, _reduced_rows, _response_maps,
                        ns_polytope_dimension)
 from .values import classical_value
 
@@ -62,68 +64,81 @@ class LambdaProfile:
 # saturating boxes and facet tests
 # ---------------------------------------------------------------------------
 
-def _scaled_int_coeffs(ineq):
-    vals = [v for block in ineq.coeffs for row in block for cell in row for v in cell]
-    bound = ineq.bound
-    den = lcm(bound.denominator, *(v.denominator for v in vals))
-    scaled = [v.numerator * (den // v.denominator) for v in vals]
+_CHUNK_CELLS = 1 << 20  # values per chunk of a vertex scan, to bound its memory
+
+
+def _int_scaled(values, bound):
+    """The values and bound times their common denominator: an integer array
+    (int64 unless a sum could overflow), the integer bound, the denominator."""
+    den = lcm(bound.denominator, *(v.denominator for v in values))
+    scaled = [v.numerator * (den // v.denominator) for v in values]
     target = bound.numerator * (den // bound.denominator)
-    # int64 fast path only while partial sums cannot overflow
     dtype = np.int64 if abs(target) + sum(map(abs, scaled)) < 2 ** 62 else object
-    s = ineq.scenario
-    return np.array(scaled, dtype=dtype).reshape(s.ma, s.mb, s.da, s.db), target
+    return np.array(scaled, dtype=dtype), target, den
 
 
-def _alice_table(ineq: BellInequality):
-    """The Alice and Bob maps in lexicographic order, T[ai, y, b] =
-    sum_x C[x, y, a_map[x], b] for every Alice map, and the bound, all
-    integer-scaled."""
+def _scan(values, target):
+    """Over integer values given in chunks, in vertex order: the indices equal
+    to target, the largest value, and the index of its first occurrence."""
+    roots, top, first, offset = [], None, -1, 0
+    for v in values:
+        k = int(np.argmax(v))
+        if top is None or v[k] > top:
+            top, first = v[k], offset + k
+        roots.append(np.flatnonzero(v == target) + offset)
+        offset += len(v)
+    return np.concatenate(roots), top, first
+
+
+def _facet_report(kind, ambient, values, target, rows, violation, trivial=False):
+    """The facet-test engine. `values` yields the integer-scaled functional on
+    the polytope's vertices, chunk by chunk in vertex order; `rows(indices)`
+    gives those vertices' integer coordinate rows; `violation(index)` names
+    the vertex in the ValueError raised when the first vertex of largest
+    value exceeds the bound. A facet's roots span ambient - 1 dimensions."""
+    roots, top, first = _scan(values, target)
+    if top > target:
+        raise ValueError(f"inequality is violated {violation(first)}")
+    dim = affine_rank(rows(roots)) if len(roots) else -1
+    return FacetReport(kind, ambient, len(roots), dim, dim == ambient - 1,
+                       trivial_facet_class=trivial)
+
+
+def _box_values(ineq: BellInequality, budget: int):
+    """The integer-scaled values of all deterministic boxes, lexicographic in
+    (a_map, b_map) and chunked by Alice map; the integer-scaled bound; and
+    `boxes`, from box numbers to their map rows. The budget is checked first."""
     s = ineq.scenario
-    C, target = _scaled_int_coeffs(ineq)
-    a_maps = np.array(list(itertools.product(range(s.da), repeat=s.ma)), dtype=np.int64)
-    b_maps = np.array(list(itertools.product(range(s.db), repeat=s.mb)), dtype=np.int64)
-    T = np.zeros((len(a_maps), s.mb, s.db), dtype=C.dtype)
-    for x in range(s.ma):
-        T += C[x].transpose(1, 0, 2)[a_maps[:, x]]
-    return a_maps, b_maps, T, target
+    if s.box_count > budget:
+        raise BudgetExceededError(
+            f"{s.box_count} boxes exceed the enumeration budget of {budget}")
+    flat = [v for block in ineq.coeffs for row in block for cell in row for v in cell]
+    C, target, _ = _int_scaled(flat, ineq.bound)
+    C = C.reshape(s.ma, s.mb, s.da, s.db)
+    a_maps, b_maps = _response_maps(s.da, s.ma), _response_maps(s.db, s.mb)
+    # T[ai, y, b] = sum_x C[x, y, a_maps[ai, x], b]
+    T = sum(C[x].transpose(1, 0, 2)[a_maps[:, x]] for x in range(s.ma))
+    step = max(1, _CHUNK_CELLS // (len(b_maps) * s.mb))
+
+    def values():
+        for lo in range(0, len(a_maps), step):
+            # V[ai, bi] = sum_y T[ai, y, b_maps[bi, y]]
+            yield sum(T[lo:lo + step, y][:, b_maps[:, y]] for y in range(s.mb)).ravel()
+
+    def boxes(k):
+        ai, bi = np.divmod(k, len(b_maps))
+        return a_maps[ai], b_maps[bi]
+    return values(), target, boxes
 
 
 def saturating_boxes(ineq: BellInequality, budget: int = DEFAULT_BOX_BUDGET):
     """All deterministic boxes achieving the bound exactly, in lexicographic
     order on (a_map, b_map). Exact: weights are integer-scaled once and every
     hit is an integer equality."""
-    s = ineq.scenario
-    if s.box_count > budget:
-        raise BudgetExceededError(
-            f"{s.box_count} boxes exceed the enumeration budget of {budget}")
-    a_maps, b_maps, T, target = _alice_table(ineq)
-
-    hits = []
-    chunk = max(1, (1 << 22) // max(1, len(a_maps) * s.mb))
-    for lo in range(0, len(b_maps), chunk):
-        B = b_maps[lo:lo + chunk]
-        # V[ai, bi] = sum_y T[ai, y, B[bi, y]]
-        V = np.take_along_axis(T[:, None, :, :],
-                               B[None, :, :, None], axis=3)[..., 0].sum(axis=2)
-        for ai, bi in zip(*np.nonzero(V == target)):
-            hits.append((int(ai), lo + int(bi)))
-    hits.sort()
-    return [DeterministicBox(s, tuple(int(v) for v in a_maps[ai]),
-                             tuple(int(v) for v in b_maps[bi]))
-            for ai, bi in hits]
-
-
-def _violating_box(ineq: BellInequality):
-    """A deterministic box of largest value when that value exceeds the
-    bound, else None. Bob answers each input alone, so the largest value
-    over boxes is the max over Alice maps of sum_y max_b T[ai, y, b]."""
-    a_maps, _, T, target = _alice_table(ineq)
-    best = T.max(axis=2).sum(axis=1)
-    ai = int(np.argmax(best))
-    if best[ai] <= target:
-        return None
-    return DeterministicBox(ineq.scenario, tuple(int(v) for v in a_maps[ai]),
-                            tuple(int(v) for v in T[ai].argmax(axis=1)))
+    values, target, boxes = _box_values(ineq, budget)
+    A, B = boxes(_scan(values, target)[0])
+    return [DeterministicBox(ineq.scenario, tuple(a_map), tuple(b_map))
+            for a_map, b_map in zip(A.tolist(), B.tolist())]
 
 
 def _is_positivity_form(ineq):
@@ -142,66 +157,36 @@ def facet_test(ineq: BellInequality, kind: str, budget: int = DEFAULT_BOX_BUDGET
     """
     s = ineq.scenario
     if kind == "bell":
-        ambient = ns_polytope_dimension(s)
-        project = DeterministicBox.reduced_vector
+        ambient, project = ns_polytope_dimension(s), _reduced_rows
     elif kind == "correlation":
         if s.da != 2 or s.db != 2:
             raise ValueError("correlation polytope needs binary outputs")
         if ineq.space != "correlator":
             raise ValueError("correlation facet test needs a correlator-space inequality")
-        ambient = s.ma * s.mb
-        project = DeterministicBox.correlator_vector
+        ambient, project = s.ma * s.mb, _correlator_rows
     else:
         raise ValueError(f"unknown polytope kind {kind!r}")
+    values, target, boxes = _box_values(ineq, budget)
 
-    sat = saturating_boxes(ineq, budget=budget)
-    violator = _violating_box(ineq)
-    if violator is not None:
-        raise ValueError(
-            f"inequality is violated by the deterministic box with a_map "
-            f"{violator.a_map} and b_map {violator.b_map}")
-    if sat:
-        dim = affine_rank([project(b) for b in sat])
-    else:
-        dim = -1
-    return FacetReport(
-        polytope_kind=kind,
-        ambient_dim=ambient,
-        saturating_count=len(sat),
-        saturating_affine_dim=dim,
-        is_facet=(dim == ambient - 1),
-        trivial_facet_class=_is_positivity_form(ineq),
-    )
+    def violation(k):
+        a_map, b_map = boxes(k)
+        return (f"by the deterministic box with a_map {tuple(a_map.tolist())} "
+                f"and b_map {tuple(b_map.tolist())}")
+    return _facet_report(kind, ambient, values, target, lambda k: project(s, *boxes(k)),
+                         violation, trivial=_is_positivity_form(ineq))
 
 
 # ---------------------------------------------------------------------------
 # decomposition machinery
 # ---------------------------------------------------------------------------
 
-def _fragment_inequality(frag, bound):
-    s = frag.scenario
-    zero = Fraction(0)
-    coeffs = tuple(
-        tuple(
-            tuple(tuple(frag.q[x][y] if frag.win(a, b, x, y) else zero
-                        for b in range(s.db)) for a in range(s.da))
-            for y in range(s.mb))
-        for x in range(s.ma))
-    return BellInequality(s, coeffs, bound)
-
-
 def _assert_coefficient_additivity(full_ineq, fragment_ineqs):
     s = full_ineq.scenario
-    for x in range(s.ma):
-        for y in range(s.mb):
-            for a in range(s.da):
-                for b in range(s.db):
-                    total = sum((fr.coeffs[x][y][a][b] for fr in fragment_ineqs),
-                                Fraction(0))
-                    if total != full_ineq.coeffs[x][y][a][b]:
-                        raise VerificationError(
-                            f"fragment coefficients do not sum to the original at "
-                            f"({x},{y},{a},{b})")
+    for x, y, a, b in itertools.product(range(s.ma), range(s.mb), range(s.da), range(s.db)):
+        total = sum((fr.coeffs[x][y][a][b] for fr in fragment_ineqs), Fraction(0))
+        if total != full_ineq.coeffs[x][y][a][b]:
+            raise VerificationError(
+                f"fragment coefficients do not sum to the original at ({x},{y},{a},{b})")
     if sum((fr.bound for fr in fragment_ineqs), Fraction(0)) != full_ineq.bound:
         raise VerificationError("fragment bounds do not sum to the original bound")
 
@@ -283,10 +268,10 @@ def nlc2_decompose(g: LinearGame, compute_polytope_stats: bool = True,
         if cv.value != half:
             raise VerificationError(
                 f"fragment x1={j} has classical value {cv.value}, expected {half}")
-        fragment_ineqs.append(_fragment_inequality(frag, cv.value))
+        fragment_ineqs.append(BellInequality(frag.scenario, _win_coeffs(frag), cv.value))
         witnesses.append(DeterministicBox(g.scenario, cv.a_map, cv.b_map))
 
-    full_ineq = _fragment_inequality(g, full_cv.value)
+    full_ineq = BellInequality(g.scenario, _win_coeffs(g), full_cv.value)
     _assert_coefficient_additivity(full_ineq, fragment_ineqs)
     _assert_distinct_faces(g.d, fragment_ineqs, witnesses)
 
@@ -296,9 +281,7 @@ def nlc2_decompose(g: LinearGame, compute_polytope_stats: bool = True,
         if stats.is_facet:
             raise VerificationError(
                 "decomposition succeeded yet the saturating set spans a facet")
-        return FacetReport("bell", stats.ambient_dim, stats.saturating_count,
-                           stats.saturating_affine_dim, False,
-                           decomposition=tuple(fragment_ineqs), notes=notes)
+        return replace(stats, decomposition=tuple(fragment_ineqs), notes=notes)
     ambient = ns_polytope_dimension(g.scenario)
     return FacetReport("bell", ambient, -1, -1, False,
                        decomposition=tuple(fragment_ineqs),
@@ -346,17 +329,13 @@ def nlc2_block_symmetry(g: LinearGame) -> bool:
     if g.d != 2 or g.n < 2:
         raise ValueError("block symmetry needs a binary game with n >= 2 input bits")
     gm = game_matrix(g, 1)
-    half = g.ma // 2
-    for j in (0, 1):
-        for k in (0, 1):
-            for r in range(half):
-                for c in range(half):
-                    x1, y1 = j * half + r, k * half + c
-                    x2, y2 = (j ^ 1) * half + r, (k ^ 1) * half + c
-                    if gm.weights[x1][y1] != gm.weights[x2][y2]:
-                        return False
-                    if gm.weights[x1][y1] != 0 and gm.phases[x1][y1] != gm.phases[x2][y2]:
-                        return False
+    half = g.ma // 2  # adding half flips the first input bit: block j <-> j xor 1
+    for x, y in itertools.product(range(g.ma), range(g.mb)):
+        x2, y2 = (x + half) % g.ma, (y + half) % g.mb
+        if gm.weights[x][y] != gm.weights[x2][y2]:
+            return False
+        if gm.weights[x][y] != 0 and gm.phases[x][y] != gm.phases[x2][y2]:
+            return False
     return True
 
 
@@ -422,7 +401,6 @@ def nlcd_nonfacet_check(g: LinearGame) -> FacetReport:
 
     fragment_ineqs = []
     witnesses = []
-    from .games import input_dits
     for s_idx in range(d ** (n - 1)):
         fixes = dict(enumerate(input_dits(s_idx, d, n - 1)))
         frag = subgame_restrict(g, fix_a=fixes)
@@ -435,10 +413,10 @@ def nlcd_nonfacet_check(g: LinearGame) -> FacetReport:
             bound, witness = cv.value, DeterministicBox(g.scenario, cv.a_map, cv.b_map)
         else:
             bound, witness = expected, None
-        fragment_ineqs.append(_fragment_inequality(frag, bound))
+        fragment_ineqs.append(BellInequality(frag.scenario, _win_coeffs(frag), bound))
         witnesses.append(witness)
 
-    full_ineq = _fragment_inequality(g, nlcd_classical_formula(g))
+    full_ineq = BellInequality(g.scenario, _win_coeffs(g), nlcd_classical_formula(g))
     _assert_coefficient_additivity(full_ineq, fragment_ineqs)
     if enumerate_fragments:
         _assert_distinct_faces(g.d, fragment_ineqs, witnesses)

@@ -59,6 +59,7 @@ class ValueReport:
     bound_error: float
     witness: tuple
     no_advantage: NoAdvantageVerdict = None
+    unique3_bound: Unique3Bound = None  # the joint-norm bound of a unique3 game
 
 
 def strategy_value(g, a_map, b_map) -> Fraction:
@@ -111,7 +112,7 @@ def _classical_value_fractions(g, n_maps):
 def _scan_chunk(lo, hi, d, ma, mb, powers, bwin_t, Q):
     idx = np.arange(lo, hi, dtype=np.int64)
     maps = (idx[:, None] // powers[None, :]) % d
-    w = np.empty((hi - lo, ma, mb), dtype=np.int8)
+    w = np.empty((hi - lo, ma, mb), dtype=bwin_t[0].dtype)
     for x in range(ma):
         w[:, x, :] = bwin_t[x][maps[:, x]]
     best = None
@@ -146,7 +147,7 @@ def classical_value(g, budget: int = DEFAULT_STRATEGY_BUDGET, workers: int = Non
 
     Q = np.array([[int(v * den) for v in row] for row in g.q], dtype=np.int64)
     bwin_t = [np.array([[g.winning_b(a, x, y) for y in range(mb)] for a in range(d)],
-                       dtype=np.int8) for x in range(ma)]
+                       dtype=np.min_scalar_type(d - 1)) for x in range(ma)]
     powers = np.array([d ** (ma - 1 - x) for x in range(ma)], dtype=np.int64)
 
     chunk = 1 << 13
@@ -193,8 +194,16 @@ def norm_bound_linear(g: LinearGame) -> float:
     """Upper bound on the quantum value of a linear game:
     (1/d) [W + sqrt(ma mb) * sum_k ||Phi_k||], clamped at the no-signaling
     value W (the clamp matters only for unnormalized fragments)."""
+    return _linear_bound(g, _linear_norms(g))
+
+
+def _linear_norms(g: LinearGame) -> list:
+    """||Phi_k|| for k = 1..d-1."""
+    return [spectral_norm(game_matrix(g, k)) for k in range(1, g.d)]
+
+
+def _linear_bound(g: LinearGame, norms) -> float:
     W = float(g.total_weight)
-    norms = [spectral_norm(game_matrix(g, k)) for k in range(1, g.d)]
     raw = (W + sqrt(g.ma * g.mb) * sum(norms)) / g.d
     return min(raw, W)
 
@@ -320,6 +329,12 @@ def sufficient_no_advantage(g: LinearGame, tol: float = ROOT_OF_UNITY_TOL) -> No
     Any failed step returns Inconclusive with the failed check named; the
     condition is one-sided and its failure proves nothing.
     """
+    return _no_advantage(g, tol, _linear_norms(g))
+
+
+def _no_advantage(g, tol, norms, cv=None) -> NoAdvantageVerdict:
+    """sufficient_no_advantage given the norms ||Phi_k||, and the classical
+    value when it is known already (else it is computed when needed)."""
     d, ma, mb = g.d, g.ma, g.mb
     mats = [game_matrix(g, k).to_complex() for k in range(1, d)]
     U, S, Vh = np.linalg.svd(mats[0])
@@ -357,16 +372,15 @@ def sufficient_no_advantage(g: LinearGame, tol: float = ROOT_OF_UNITY_TOL) -> No
     for k in range(1, d):
         uk = np.exp(2j * np.pi * (k * np.array(p_exp)) / d) / sqrt(ma)
         vk = np.exp(2j * np.pi * (k * np.array(s_exp)) / d) / sqrt(mb)
-        sigma_k = spectral_norm(mats[k - 1])
-        if np.linalg.norm(mats[k - 1] @ vk - sigma_k * uk) > tol:
+        if np.linalg.norm(mats[k - 1] @ vk - norms[k - 1] * uk) > tol:
             return NoAdvantageVerdict(False, reason=f"phase substitution fails at k = {k}")
 
     a_map = tuple(e % d for e in p_exp)
     b_map = tuple((-e) % d for e in s_exp)
-    cv = classical_value(g)
+    cv = cv or classical_value(g)
     if strategy_value(g, a_map, b_map) != cv.value:
         return NoAdvantageVerdict(False, reason="extracted strategy is not optimal")
-    if abs(float(cv.value) - norm_bound_linear(g)) > tol:
+    if abs(float(cv.value) - _linear_bound(g, norms)) > tol:
         return NoAdvantageVerdict(False, reason="classical value does not meet the bound")
     return NoAdvantageVerdict(True, strategy=(a_map, b_map))
 
@@ -380,21 +394,20 @@ def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_STRATEG
     """
     cv = classical_value(g, budget=budget, workers=workers)
     W = ns_value(g)
+    u3 = verdict = None
     if isinstance(g, LinearGame):
-        bound = norm_bound_linear(g)
-        norms = [spectral_norm(game_matrix(g, k)) for k in range(1, g.d)]
+        norms = _linear_norms(g)
+        bound = _linear_bound(g, norms)
         err = _bound_error_estimate(g.d, g.ma, g.mb, norms)
+        if with_sufficient:
+            verdict = _no_advantage(g, ROOT_OF_UNITY_TOL, norms, cv)
     else:
-        rep = norm_bound_unique3_report(g)
-        bound = rep.value
-        err = _bound_error_estimate(3, g.ma, g.mb, rep.joint_norms)
-    verdict = None
-    if with_sufficient:
-        if isinstance(g, LinearGame):
-            verdict = sufficient_no_advantage(g)
-        else:
+        u3 = norm_bound_unique3_report(g)
+        bound = u3.value
+        err = _bound_error_estimate(3, g.ma, g.mb, u3.joint_norms)
+        if with_sufficient:
             verdict = NoAdvantageVerdict(False, reason="condition applies to linear games")
-    report = ValueReport(cv.value, W, bound, err, (cv.a_map, cv.b_map), verdict)
+    report = ValueReport(cv.value, W, bound, err, (cv.a_map, cv.b_map), verdict, u3)
     verify_value_report(report)
     return report
 

@@ -228,7 +228,7 @@ def test_criterion_10_global_soundness_sweep(tmp_path, capsys, monkeypatch):
             assert rep.no_signaling == g.total_weight
         # a doctored bound must surface as exit code 4, not a silent report
         import bellpoly.values as values_module
-        monkeypatch.setattr(values_module, "norm_bound_linear", lambda g: 0.1)
+        monkeypatch.setattr(values_module, "_linear_bound", lambda g, norms: 0.1)
         path = tmp_path / "game.json"
         path.write_text(cli.serialize_game(make_nlc3_game()))
         code = cli.main(["analyze-game", str(path)])

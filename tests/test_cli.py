@@ -172,7 +172,7 @@ def test_verification_failure_exits_4(tmp_path, capsys, monkeypatch):
     # force the quantum bound below the classical value: the soundness
     # cross-check must fail loudly
     import bellpoly.values as V
-    monkeypatch.setattr(V, "norm_bound_linear", lambda g: 0.1)
+    monkeypatch.setattr(V, "_linear_bound", lambda g, norms: 0.1)
     path = write_game(tmp_path, make_nlc3_game())
     code, out, err = run_cli(capsys, "analyze-game", str(path))
     assert code == 4
@@ -265,6 +265,41 @@ def test_chsh_trivial_even_class(capsys):
     assert r["verdict"] == "Trivial"
     assert r["certificate"] is None
     assert r["qubit_estimate"]["value"] == 1.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_chsh_singular_scaling_prints_strict_json(capsys):
+    # the certificate's spectral radius is infinite here; strict JSON has no
+    # Infinity, so the value is null
+    code, out, _ = run_cli(capsys, "chsh", "1", "1", "1", "1")
+    assert code == 0
+    r = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert r["certificate"] == {"rho": {"precision": 1e-10, "value": None},
+                                "verdict": "indefinite"}
+
+
+def test_analyze_game_with_131_outputs(tmp_path, capsys):
+    from bellpoly import LinearGame
+    game = LinearGame(131, 2, 2, ((F(1, 4),) * 2,) * 2, ((0, 1), (2, 3)))
+    code, out, err = run_cli(capsys, "analyze-game", write_game(tmp_path, game))
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_constant=_reject_constant)["results"]["classical_value"] == "1"
+
+
+def test_analyze_game_unique3_runs_the_ascent_once(tmp_path, capsys, monkeypatch):
+    from bellpoly import values
+    calls = []
+    real = values.gen_norm_detailed
+    monkeypatch.setattr(values, "gen_norm_detailed",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    code, out, _ = run_cli(capsys, "analyze-game", write_game(tmp_path, make_unique3_rotation()))
+    assert code == 0
+    assert len(calls) == 2  # one joint norm per coset pair k = 1, 2
+    r = json.loads(out)["results"]
+    assert r["bound_certified"] is True and len(r["joint_norms"]) == 2
 
 
 def test_chsh_rejects_garbage(capsys):

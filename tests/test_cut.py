@@ -78,6 +78,35 @@ def test_disconnected_cut_vectors_dedupe():
     assert len(enumerate_cuts(Graph(2, []))) == 1
 
 
+def _cuts_reference(g):
+    # every subset of vertices 1..n-1 in bitmask order; the first subset
+    # of each distinct edge vector is kept
+    first = {}
+    for mask in range(1 << (g.n - 1)):
+        s = frozenset(i + 1 for i in range(g.n - 1) if (mask >> i) & 1)
+        first.setdefault(tuple(int((i in s) != (j in s)) for i, j in g.sorted_edges), s)
+    return [(s, bits) for bits, s in first.items()]
+
+
+@pytest.mark.parametrize("g", [
+    Graph.complete(5), Graph(4, []), Graph(6, [(0, 1), (2, 3), (3, 4)]),
+    Graph(7, [(1, 2), (2, 3), (0, 5), (4, 6)]), suspension(Graph(4, [(0, 1), (2, 3)]))])
+def test_enumerate_cuts_order_and_dedupe(g):
+    cuts = enumerate_cuts(g)
+    assert [(cv.subset, cv.bits) for cv in cuts] == _cuts_reference(g)
+    assert all(type(b) is int for cv in cuts for b in cv.bits)
+    assert all(CutVector(g, cv.subset).bits == cv.bits for cv in cuts)
+
+
+def test_cut_vector_bits_on_a_graph_beyond_int64_bitmasks():
+    g = Graph(70, [(0, 69), (1, 2), (5, 66), (66, 69)])
+    for subset in ({69, 1}, {2}, {0, 66}, set(range(70))):
+        cv = CutVector(g, subset)
+        assert cv.bits == tuple(int((i in cv.subset) != (j in cv.subset))
+                                for i, j in g.sorted_edges)
+        assert all(type(b) is int for b in cv.bits)
+
+
 def test_cut_vector_bits_follow_sorted_edges():
     g = Graph.complete(3)
     cv = CutVector(g, (1,))
@@ -335,6 +364,18 @@ def test_evaluate_cut_matches_per_edge_sum(n):
             value = ineq.evaluate_cut(cv)
             assert type(value) is Fraction
             assert value == _evaluate_cut_per_edge(ineq, cv)
+
+
+def test_cut_facet_test_names_the_first_maximizing_cut():
+    # every edge of K_4 weighs 1: the cut {1} (3 edges) is the first above
+    # the bound 2, and {1, 2} (4 edges) the first of largest value
+    ineq = CutInequality.cut_space(4, {e: 1 for e in Graph.complete(4).sorted_edges}, 2)
+    with pytest.raises(ValueError, match=r"violated at the cut with subset \[1, 2\]$"):
+        cut_facet_test(ineq, Graph.complete(4))
+    # the vertex limit is checked before validity
+    big = CutInequality.cut_space(21, {e: 1 for e in Graph.complete(21).sorted_edges}, 2)
+    with pytest.raises(BudgetExceededError):
+        cut_facet_test(big, Graph.complete(21))
 
 
 def test_evaluate_cut_rejects_missing_edge_and_correlator_form():

@@ -23,8 +23,8 @@ def bareiss_affine_rank(points):
 
 def with_bareiss(monkeypatch, run):
     with monkeypatch.context() as m:
+        # the one rank call that Bell, correlation and cut facet tests share
         m.setattr(tightness, "affine_rank", bareiss_affine_rank)
-        m.setattr(cut, "affine_rank", bareiss_affine_rank)
         return run()
 
 
@@ -53,7 +53,9 @@ def test_positivity_verdicts_match_bareiss(monkeypatch, m, cell, dim):
 
 @pytest.mark.parametrize("b", [
     (1, 1, 1, -1, -1), (1, 1, 1, -1, -1, 0), (1, 1, 1, 1, -1, -2),
-    (1, 1, 1, 1, 1, -1, -3), (2, 1, 1, -1, -1, -1, 0, 0), (1,) * 7 + (-1, -5)])
+    (1, 1, 1, 1, 1, -1, -3), (2, 1, 1, -1, -1, -1, 0, 0), (1,) * 7 + (-1, -5),
+    (1,) * 6 + (-1,) * 5, (1,) * 6 + (-1,) * 5 + (0,), (1,) * 7 + (-1,) * 6,
+    (1,) * 8 + (-1,) * 5 + (-2,)])
 def test_hypermetric_verdicts_match_bareiss(monkeypatch, b):
     ineq, g = CutInequality.hypermetric(b), Graph.complete(len(b))
     rep = cut_facet_test(ineq, g)
@@ -90,3 +92,58 @@ def test_positivity_7x7_is_facet():
     assert (rep.ambient_dim, rep.saturating_count, rep.saturating_affine_dim) \
         == (63, 12288, 62)
     assert rep.is_facet
+
+
+def _scaled_bell(ineq, k):
+    coeffs = tuple(tuple(tuple(tuple(v * k for v in cell) for cell in row) for row in block)
+                   for block in ineq.coeffs)
+    return BellInequality(ineq.scenario, coeffs, ineq.bound * k)
+
+
+@pytest.mark.parametrize("name", ["chsh", "nlc2-and", "nlc3-majority"])
+def test_verdicts_survive_scaling_beyond_int64(name):
+    # coefficients near 2^70 take the Python-int path of the integer scan
+    big = 2 ** 70 + 1
+    ineq = to_bell_inequality(GAMES[name]())
+    assert facet_test(_scaled_bell(ineq, big), "bell") == facet_test(ineq, "bell")
+    invalid = BellInequality(ineq.scenario, ineq.coeffs, ineq.bound - F(1, 7))
+    with pytest.raises(ValueError, match="violated by the deterministic box") as small:
+        facet_test(invalid, "bell")
+    with pytest.raises(ValueError, match="violated by the deterministic box") as large:
+        facet_test(_scaled_bell(invalid, big), "bell")
+    assert str(small.value) == str(large.value)
+    b = (1, 1, 1, -1, -1, 0)
+    cform = CutInequality.hypermetric(b).to_cut_form()
+    scaled = CutInequality.cut_space(6, {e: c * big for e, c in cform.edge_coeffs.items()}, 0)
+    assert cut_facet_test(scaled, Graph.complete(6)) == cut_facet_test(cform, Graph.complete(6))
+
+
+def _verdict(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 50])
+def test_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
+    # the vertex scan in chunks of a few values must find the same roots, the
+    # same first vertex of largest value, and the same rank
+    chsh = to_bell_inequality(make_chsh_game())
+    runs = [lambda: facet_test(positivity(3, (2, 1, 1, 0)), "bell"),
+            lambda: facet_test(chsh, "bell"),
+            # +P(1, 1 | 1, 1) <= 0: violated first by a_map (0, 1), b_map (0, 1)
+            lambda: facet_test(_scaled_bell(positivity(2, (1, 1, 1, 1)), -1), "bell"),
+            lambda: facet_test(to_correlator_inequality(GAMES["nlc3-parity"]()), "correlation"),
+            lambda: tightness.saturating_boxes(to_bell_inequality(GAMES["nlc2-xor"]())),
+            lambda: cut_facet_test(CutInequality.hypermetric((1, 1, 1, -1, -1, 0)),
+                                   Graph.complete(6)),
+            lambda: cut_facet_test(CutInequality.cut_space(
+                6, {e: F(sum(e) % 3 - 1, 2) for e in Graph.complete(6).sorted_edges}, 0),
+                Graph.complete(6))]
+    expected = [_verdict(run) for run in runs]
+    with monkeypatch.context() as m:
+        m.setattr(tightness, "_CHUNK_CELLS", cells)
+        m.setattr(cut, "_CHUNK_CELLS", cells)
+        assert [_verdict(run) for run in runs] == expected
+    assert any(isinstance(v, str) for v in expected)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from bellpoly import (
     mix,
     ns_polytope_dimension,
 )
+from bellpoly.scenario import _correlator_rows, _reduced_rows, _response_maps
 
 F = Fraction
 
@@ -129,3 +131,36 @@ def test_mixtures_of_boxes_property(i, j, num):
                 for x in range(2) for y in range(2)
                 for a in range(2) for b in range(2))
     assert total == 4  # one unit of probability per input pair
+
+
+def _reduced_reference(box):
+    """reduced_vector written out coordinate by coordinate."""
+    s, a_map, b_map = box.scenario, box.a_map, box.b_map
+    alice = [int(a_map[x] == a) for x in range(s.ma) for a in range(s.da - 1)]
+    bob = [int(b_map[y] == b) for y in range(s.mb) for b in range(s.db - 1)]
+    joint = [int(a_map[x] == a and b_map[y] == b)
+             for x in range(s.ma) for y in range(s.mb)
+             for a in range(s.da - 1) for b in range(s.db - 1)]
+    return tuple(alice + bob + joint)
+
+
+@pytest.mark.parametrize("ma,mb,da,db", [
+    (1, 1, 2, 2), (2, 2, 2, 2), (3, 2, 2, 2), (2, 2, 3, 3), (3, 2, 3, 2), (1, 3, 2, 3),
+    (2, 3, 3, 3)])
+def test_array_projection_matches_box_vectors(ma, mb, da, db):
+    s = Scenario(ma, mb, da, db)
+    boxes = enumerate_deterministic_boxes(s)
+    assert [(b.a_map, b.b_map) for b in boxes] == [
+        (tuple(a), tuple(b)) for a in _response_maps(da, ma).tolist()
+        for b in _response_maps(db, mb).tolist()]
+    A = np.array([b.a_map for b in boxes])
+    B = np.array([b.b_map for b in boxes])
+    rows = _reduced_rows(s, A, B).tolist()
+    for box, row in zip(boxes, rows):
+        assert tuple(row) == box.reduced_vector() == _reduced_reference(box)
+    if da == db == 2:
+        rows = _correlator_rows(s, A, B).tolist()
+        for box, row in zip(boxes, rows):
+            reference = tuple(1 if box.a_map[x] == box.b_map[y] else -1
+                              for x in range(ma) for y in range(mb))
+            assert tuple(row) == box.correlator_vector() == reference

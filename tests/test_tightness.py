@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,7 @@ from bellpoly import (
     to_bell_inequality,
     to_correlator_inequality,
 )
-from bellpoly.tightness import LambdaProfile, _sylvester_hadamard, _violating_box
+from bellpoly.tightness import LambdaProfile, _sylvester_hadamard
 from bellpoly.values import classical_value
 
 F = Fraction
@@ -46,6 +48,11 @@ def test_chsh_saturating_boxes(chsh_game):
 def test_saturating_boxes_budget(chsh_game):
     with pytest.raises(BudgetExceededError):
         saturating_boxes(to_bell_inequality(chsh_game), budget=7)
+    # the budget is checked before validity: CHSH <= -2 is invalid, yet the
+    # over-budget test raises BudgetExceededError (CLI exit 3, not 2)
+    ineq = correlator_inequality(Scenario(2, 2, 2, 2), ((1, 1), (1, -1)), -2)
+    with pytest.raises(BudgetExceededError):
+        facet_test(ineq, "correlation", budget=15)
 
 
 # ---------------------------------------------------------------- facet tests
@@ -109,18 +116,22 @@ def test_facet_test_rejects_invalid_inequality():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_violating_box_is_a_maximum(seed):
+    # the box named in facet_test's error is the lexicographically first box
+    # of largest value
     rng = random.Random(seed)
     s = Scenario(rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 3), rng.randint(2, 3))
     coeffs = tuple(tuple(tuple(tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
                                      for _ in range(s.db)) for _ in range(s.da))
                          for _ in range(s.mb)) for _ in range(s.ma))
     probe = BellInequality(s, coeffs, F(0))
-    top = max(probe.evaluate_box(b) for b in enumerate_deterministic_boxes(s))
-    assert _violating_box(BellInequality(s, coeffs, top)) is None
-    box = _violating_box(BellInequality(s, coeffs, top - F(1, 7)))
-    assert probe.evaluate_box(box) == top
-    with pytest.raises(ValueError, match="violated"):
+    boxes = enumerate_deterministic_boxes(s)
+    top = max(probe.evaluate_box(b) for b in boxes)
+    first = next(b for b in boxes if probe.evaluate_box(b) == top)
+    facet_test(BellInequality(s, coeffs, top), "bell")
+    with pytest.raises(ValueError, match="violated") as err:
         facet_test(BellInequality(s, coeffs, top - F(1, 7)), "bell")
+    named = re.search(r"a_map (\(.*?\)) and b_map (\(.*?\))$", str(err.value))
+    assert tuple(map(ast.literal_eval, named.groups())) == (first.a_map, first.b_map)
 
 
 def test_facet_test_accepts_bound_above_maximum():

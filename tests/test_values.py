@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 
 from bellpoly import (
     BudgetExceededError,
+    LinearGame,
     VerificationError,
     game_matrix,
     rotation_game_to_linear,
+    values,
 )
 from bellpoly.values import (
+    ClassicalValue,
+    _best_response_exact,
+    _classical_value_fractions,
     classical_value,
     gen_norm,
     gen_norm_detailed,
@@ -27,7 +32,7 @@ from bellpoly.values import (
     value_report,
     verify_value_report,
 )
-from tests.conftest import make_unique3_frustrated
+from tests.conftest import make_unique3_frustrated, make_unique3_rotation
 
 F = Fraction
 
@@ -261,3 +266,50 @@ def test_random_nlc2_bound_soundness(table_bits):
     g = build_nlc2(NLCSpec(2, 2, bits, (F(1, 4),) * 4))
     cv = classical_value(g)
     assert float(cv.value) <= norm_bound_linear(g) + 1e-9
+
+
+# ------------------------------------------------- wide outputs, single passes
+
+@pytest.mark.parametrize("d,f", [(131, ((0, 1), (2, 3))), (257, ((0, 200, 129, 256),))])
+def test_classical_value_beyond_int8_outputs(d, f):
+    # output labels of 128 and more overflow an int8 table
+    ma, mb = len(f), len(f[0])
+    g = LinearGame(d, ma, mb, ((F(1, ma * mb),) * mb,) * ma, f)
+    idx = _classical_value_fractions(g, d ** ma)
+    a_map = tuple((idx // d ** (ma - 1 - x)) % d for x in range(ma))
+    b_map, value = _best_response_exact(g, a_map)
+    assert classical_value(g, workers=1) == ClassicalValue(value, a_map, b_map)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_value_report_computes_each_quantity_once(monkeypatch, phi_ex_game):
+    classical = _counting(monkeypatch, values, "classical_value")
+    norms = _counting(monkeypatch, values, "spectral_norm")
+    rep = value_report(phi_ex_game, with_sufficient=True, workers=1)
+    assert rep.no_advantage.holds  # the check reached its classical-value step
+    assert len(classical) == 1
+    assert len(norms) == phi_ex_game.d - 1
+
+
+def test_value_report_budget_covers_the_sufficient_check(phi_ex_game):
+    with pytest.raises(BudgetExceededError):
+        value_report(phi_ex_game, with_sufficient=True, budget=4 ** 4 - 1)
+    assert value_report(phi_ex_game, with_sufficient=True, budget=4 ** 4).no_advantage.holds
+
+
+def test_value_report_carries_the_unique3_bound():
+    g = make_unique3_rotation()
+    rep = value_report(g)
+    assert rep.unique3_bound == norm_bound_unique3_report(g)
+    assert rep.quantum_upper_bound == rep.unique3_bound.value
+    assert value_report(rotation_game_to_linear(g)).unique3_bound is None
