@@ -208,7 +208,7 @@ def parse_inequality_text(raw: str):
                             for cell in row) for row in block)
                 for block in coeffs)
             return BellInequality(Scenario(ma, mb, da, db), table, bound)
-        except (TypeError, IndexError):
+        except (TypeError, IndexError, KeyError):
             raise ParseError("probability coeffs must be nested [x][y][a][b]",
                              line=_line_of(raw, '"coeffs"')) from None
     if space == "correlator":
@@ -217,17 +217,17 @@ def parse_inequality_text(raw: str):
             corr = tuple(tuple(_rat(v, raw, "coefficient") for v in row)
                          for row in coeffs)
             return correlator_inequality(Scenario(ma, mb, 2, 2), corr, bound)
-        except (TypeError, IndexError):
+        except (TypeError, IndexError, KeyError):
             raise ParseError("correlator coeffs must be nested [x][y]",
                              line=_line_of(raw, '"coeffs"')) from None
     if space == "cut":
         n = _int_at(_need(data, "n", raw), raw, "n")
         try:
             table = {(e[0], e[1]): _rat(e[2], raw, "coefficient") for e in coeffs}
-        except (TypeError, IndexError):
+            return CutInequality.cut_space(n, table, bound)
+        except (TypeError, IndexError, KeyError):
             raise ParseError("cut coeffs must be [i, j, value] triples",
                              line=_line_of(raw, '"coeffs"')) from None
-        return CutInequality.cut_space(n, table, bound)
     raise ParseError(f"unknown space {space!r}", line=_line_of(raw, '"space"'))
 
 
@@ -316,22 +316,24 @@ def _cmd_facet_test(args):
     data = _load_json(text)
     if "kind" in data:
         g = parse_game_text(text)
-        if args.polytope == "bell":
+        spec = getattr(g, "nlc", None)
+        split = args.polytope == "bell" and spec is not None and spec.n >= 2
+        if split and g.d == 2:
+            rep = nlc2_decompose(g, budget=args.budget)
+            # the fragment bounds are verified to sum to the classical value
+            bound = sum((fr.bound for fr in rep.decomposition), Fraction(0))
+        elif args.polytope == "bell":
             ineq = to_bell_inequality(g)
-            spec = getattr(g, "nlc", None)
-            if spec is not None and spec.n >= 2:
-                if g.d == 2:
-                    rep = nlc2_decompose(g, budget=args.budget)
-                elif spec.is_product_form and nlcd_lambda(g).big_lambda >= Fraction(1, 2):
-                    rep = nlcd_nonfacet_check(g)
-                else:
-                    rep = facet_test(ineq, "bell", budget=args.budget)
+            bound = ineq.bound
+            if split and spec.is_product_form and nlcd_lambda(g).big_lambda >= Fraction(1, 2):
+                rep = nlcd_nonfacet_check(g)
             else:
                 rep = facet_test(ineq, "bell", budget=args.budget)
         else:
             ineq = to_correlator_inequality(g)
+            bound = ineq.bound
             rep = facet_test(ineq, "correlation", budget=args.budget)
-        return _facet_report_dict(rep, {"bound": format_rational(ineq.bound)}), _digest(raw)
+        return _facet_report_dict(rep, {"bound": format_rational(bound)}), _digest(raw)
     ineq = parse_inequality_text(text)
     if isinstance(ineq, CutInequality):
         raise ParseError("cut-space inequalities go through the cut subcommand", line=1)
@@ -490,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     g1.add_argument("--classical", action="store_true")
     g1.add_argument("--bound", action="store_true")
     g1.add_argument("--sufficient", action="store_true")
-    g1.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
+    g1.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET,
+                    help="most response maps to enumerate, counted on the side "
+                         "enumerated after inputs of zero weight are dropped")
     g1.add_argument("--workers", type=int, default=None)
     g1.add_argument("--timing", action="store_true")
 

@@ -1,10 +1,14 @@
 """Exact classical/no-signaling values and norm-based quantum upper bounds.
 
-The classical optimum is found by exhaustive search over Alice's response
-maps with Bob answering by exact best response per input; this is equivalent
-to enumerating all strategy pairs because Bob's optimum decomposes across his
-inputs. The search runs on integer-scaled weights (numpy), and the winning
-strategy is re-verified in exact rational arithmetic before being returned.
+The classical optimum is found by exhaustive search over one side's response
+maps, with the other side answering by exact best response per input; this
+is equivalent to enumerating all strategy pairs because the answering side's
+optimum decomposes across its inputs. Inputs whose weights are all zero are
+fixed to output 0, and the side with fewer remaining maps is enumerated; the
+strategy budget counts those maps. The search runs on integer-scaled weights
+(numpy int64, or Python ints when the scaled total weight reaches 2^62), and
+the winning strategy is re-verified in exact rational arithmetic before being
+returned.
 
 Quantum upper bounds come from sums of spectral norms of the Fourier game
 matrices; for 3-output unique games the two coset matrices enter through a
@@ -25,8 +29,6 @@ from .errors import BudgetExceededError, VerificationError
 from .games import GameMatrix, LinearGame, game_matrix, unique3_matrices
 
 DEFAULT_STRATEGY_BUDGET = 2 ** 24
-# over the integer-scaled path, keep every partial sum well inside int64
-_MAX_SCALED_DENOMINATOR = 2 ** 40
 
 SPECTRAL_NORM_RTOL = 1e-12  # promised relative accuracy of spectral_norm
 ROOT_OF_UNITY_TOL = 1e-9
@@ -96,80 +98,118 @@ def _best_response_exact(g, a_map):
     return tuple(b_map), total
 
 
-def _classical_value_fractions(g, n_maps):
-    # exact fallback; used when integer scaling would risk overflow
-    best_val = Fraction(-1)
-    best_idx = -1
-    d, ma = g.d, g.ma
-    for idx in range(n_maps):
-        a_map = tuple((idx // d ** (ma - 1 - x)) % d for x in range(ma))
-        _, val = _best_response_exact(g, a_map)
-        if val > best_val:
-            best_val, best_idx = val, idx
-    return best_idx
+def _win_table(g, den, rows, cols, alice):
+    """The game functional of `games._win_coeffs`, integer-scaled, on the
+    inputs of nonzero weight: E[i, b, j, c] = den q(x, y) when output b of
+    the answering side wins against output c of the i-th enumerated input at
+    the j-th answering input, else 0 (x = rows[i] and y = cols[j] when
+    Alice's maps are enumerated; x = rows[j] and y = cols[i] when Bob's are).
+    int64 when the total scaled weight, which bounds every partial sum, is
+    below 2^62; Python ints in an object array otherwise."""
+    Q = [[g.q[x][y].numerator * (den // g.q[x][y].denominator) for y in cols] for x in rows]
+    dtype = np.int64 if sum(map(sum, Q)) < 2 ** 62 else object
+    shape = (len(rows), g.d, len(cols))
+    B = np.array([[[g.winning_b(c, x, y) for y in cols] for c in range(g.d)] for x in rows],
+                  dtype=np.int64).reshape(shape)
+    Q = np.array(Q, dtype=dtype).reshape(len(rows), 1, len(cols))
+    x, a, y = np.ix_(*map(np.arange, shape))  # Alice's input, her output, Bob's input
+    if alice:
+        E = np.zeros((len(rows), g.d, len(cols), g.d), dtype=dtype)
+        E[x, B, y, a] = Q
+    else:
+        E = np.zeros((len(cols), g.d, len(rows), g.d), dtype=dtype)
+        E[y, a, x, B] = Q
+    return E
 
 
-def _scan_chunk(lo, hi, d, ma, mb, powers, bwin_t, Q):
-    idx = np.arange(lo, hi, dtype=np.int64)
-    maps = (idx[:, None] // powers[None, :]) % d
-    w = np.empty((hi - lo, ma, mb), dtype=bwin_t[0].dtype)
-    for x in range(ma):
-        w[:, x, :] = bwin_t[x][maps[:, x]]
-    best = None
-    for b in range(d):
-        s_b = np.einsum("cxy,xy->cy", (w == b).astype(np.int64), Q)
-        best = s_b if best is None else np.maximum(best, s_b)
-    totals = best.sum(axis=1)
+def _partial_sums(E):
+    """P[b, j, s] = sum_i E[i, b, j, s_i] over all output strings s of E's
+    inputs, numbered lexicographically with the first input most significant."""
+    P = np.zeros(E.shape[1:3] + (1,), dtype=E.dtype)
+    for t in E:
+        P = (P[..., :, None] + t[..., None, :]).reshape(E.shape[1:3] + (-1,))
+    return P
+
+
+_SCAN_CELLS = 1 << 18  # partial sums per slab of a scan, to bound its memory
+
+
+def _scan_chunk(hi, lo, start, stop, alice):
+    """Scan the enumerated maps whose high digits are strings start..stop of
+    hi ([s, b, j]) against every string of lo ([b, j, s]): the partial sums
+    of the high and the low inputs. Returns the best value and a key whose
+    minimum over the chunks that attain it names the witness: the map number
+    when Alice's maps are enumerated; when Bob's are, the smallest of Alice's
+    componentwise-first best responses to the maps attaining it."""
+    d, L = lo.shape[0], lo.shape[2]
+    best = hi[start:stop, 0, :, None] + lo[0]
+    for b in range(1, d):
+        np.maximum(best, hi[start:stop, b, :, None] + lo[b], out=best)
+    totals = best.sum(axis=1).ravel()
     i = int(totals.argmax())  # first occurrence: lexicographically smallest
-    return int(totals[i]), lo + i
+    if alice:
+        return totals[i], start * L + i
+    c, l = np.divmod(np.flatnonzero(totals == totals[i]), L)
+    answers = (hi[start + c] + lo[:, :, l].transpose(2, 0, 1)).argmax(axis=1)
+    return totals[i], tuple(answers[np.lexsort(answers.T[::-1])[0]].tolist())
 
 
 def classical_value(g, budget: int = DEFAULT_STRATEGY_BUDGET, workers: int = None) -> ClassicalValue:
     """Exact classical optimum with a lexicographically-first witness.
 
-    Enumerates Alice's d^ma response maps (budget applies to this count) and
-    answers each with Bob's exact per-input best response. The witness is the
-    smallest a_map attaining the optimum, then the smallest b per Bob input.
-    Results do not depend on the worker count.
+    Inputs whose whole row (Alice) or column (Bob) of weights is zero are
+    fixed to output 0. Of the rest, the side with fewer response maps is
+    enumerated (Alice's on a tie); the budget applies to that count. The
+    other side answers each map with its best response per input. The
+    enumerated inputs split into a high and a low half, each with a table of
+    partial sums of the integer win table, so a chunk of high strings costs
+    a broadcast add and a maximum per answering output, and one sum. The
+    witness is the lexicographically first optimal (a_map, b_map); it is
+    re-evaluated in exact rationals. Results do not depend on the worker
+    count.
     """
-    d, ma, mb = g.d, g.ma, g.mb
-    n_maps = d ** ma
+    d = g.d
+    rows = [x for x in range(g.ma) if any(g.q[x])]
+    cols = [y for y in range(g.mb) if any(row[y] for row in g.q)]
+    alice = len(rows) <= len(cols)
+    n_maps = d ** min(len(rows), len(cols))
     if n_maps > budget:
         raise BudgetExceededError(
-            f"{n_maps} Alice maps exceed the strategy budget of {budget}")
+            f"{n_maps} response maps exceed the strategy budget of {budget}")
 
     den = _common_denominator(g)
-    if den > _MAX_SCALED_DENOMINATOR or n_maps < 64:
-        best_idx = _classical_value_fractions(g, n_maps)
-        a_map = tuple((best_idx // d ** (ma - 1 - x)) % d for x in range(ma))
-        b_map, val = _best_response_exact(g, a_map)
-        return ClassicalValue(val, a_map, b_map)
+    E = _win_table(g, den, rows, cols, alice)
+    h = len(E) // 2
+    hi = np.ascontiguousarray(_partial_sums(E[:h]).transpose(2, 0, 1))
+    lo = _partial_sums(E[h:])
+    del E  # only the sums are scanned, and E holds d^2 cells per input pair
 
-    Q = np.array([[int(v * den) for v in row] for row in g.q], dtype=np.int64)
-    bwin_t = [np.array([[g.winning_b(a, x, y) for y in range(mb)] for a in range(d)],
-                       dtype=np.min_scalar_type(d - 1)) for x in range(ma)]
-    powers = np.array([d ** (ma - 1 - x) for x in range(ma)], dtype=np.int64)
-
-    chunk = 1 << 13
-    ranges = [(lo, min(lo + chunk, n_maps)) for lo in range(0, n_maps, chunk)]
+    step = max(1, _SCAN_CELLS // max(1, lo[0].size))
+    ranges = [(r, min(r + step, len(hi))) for r in range(0, len(hi), step)]
     if workers is None:
         workers = os.cpu_count() or 1
+
+    def scan(r):
+        return _scan_chunk(hi, lo, r[0], r[1], alice)
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(
-                lambda r: _scan_chunk(r[0], r[1], d, ma, mb, powers, bwin_t, Q), ranges))
+            parts = list(ex.map(scan, ranges))
     else:
-        parts = [_scan_chunk(lo, hi, d, ma, mb, powers, bwin_t, Q) for lo, hi in ranges]
+        parts = [scan(r) for r in ranges]
 
-    # merge: maximal value, then smallest map index
-    best_val, best_idx = max(parts, key=lambda t: (t[0], -t[1]))
-
-    a_map = tuple(int((best_idx // d ** (ma - 1 - x)) % d) for x in range(ma))
+    top = max(t for t, _ in parts)
+    key = min(k for t, k in parts if t == top)
+    if alice:
+        key = tuple((key // d ** (len(rows) - 1 - i)) % d for i in range(len(rows)))
+    a_map = [0] * g.ma
+    for x, a in zip(rows, key):
+        a_map[x] = a
+    a_map = tuple(a_map)
     b_map, val = _best_response_exact(g, a_map)
-    if val != Fraction(best_val, den):
+    found = Fraction(int(top), den)
+    if val != found:
         raise VerificationError(
-            "integer-scaled search disagrees with exact re-evaluation "
-            f"({Fraction(best_val, den)} vs {val})")
+            f"integer-scaled search disagrees with exact re-evaluation ({found} vs {val})")
     return ClassicalValue(val, a_map, b_map)
 
 

@@ -1,0 +1,127 @@
+"""classical_value against the plain-loop references of
+tests/classical_reference.py: value and lexicographically first witness on
+seeded small games (many ties, zero rows and columns, both enumerated
+sides), chunked and threaded scans, weights past int64 and large
+denominators, and the budget's count of enumerated maps."""
+import random
+from fractions import Fraction
+
+import pytest
+
+from bellpoly import BudgetExceededError, LinearGame, UniqueGame3, values
+from bellpoly.values import classical_value
+from tests.classical_reference import by_alice_maps, by_all_pairs, by_prefix_search
+
+F = Fraction
+PERM_NAMES = ("e", "(01)", "(02)", "(12)", "(012)", "(021)")
+
+
+def _weights(rng, ma, mb, choices, zero_row=False, zero_col=False):
+    q = [[F(rng.choice(choices)) for _ in range(mb)] for _ in range(ma)]
+    if zero_row:
+        q[rng.randrange(ma)] = [F(0)] * mb
+    if zero_col:
+        y = rng.randrange(mb)
+        for row in q:
+            row[y] = F(0)
+    return q
+
+
+def linear_game(seed, d, ma, mb, choices=(0, 1), **zeros):
+    rng = random.Random(f"{seed}:{d}:{ma}x{mb}")
+    q = _weights(rng, ma, mb, choices, **zeros)
+    return LinearGame(d, ma, mb, q, [[rng.randrange(d) for _ in range(mb)] for _ in range(ma)])
+
+
+def unique3_game(seed, ma, mb):
+    rng = random.Random(f"unique3:{seed}:{ma}x{mb}")
+    q = _weights(rng, ma, mb, (0, 1))
+    return UniqueGame3(ma, mb, q, [[rng.choice(PERM_NAMES) for _ in range(mb)]
+                                   for _ in range(ma)])
+
+
+def transpose(g):
+    return LinearGame(g.d, g.mb, g.ma, tuple(zip(*g.q)), tuple(zip(*g.f)))
+
+
+def found(g, **kwargs):
+    cv = classical_value(g, **kwargs)
+    return cv.value, cv.a_map, cv.b_map
+
+
+# tall, wide and square shapes per output count; at most 4^5 strategy pairs
+SHAPES = [(2, 5, 2), (2, 2, 5), (2, 4, 4), (3, 3, 2), (3, 2, 3), (3, 3, 3),
+          (4, 3, 2), (4, 2, 3), (4, 2, 2)]
+ZEROS = [{}, {"zero_row": True}, {"zero_col": True}, {"zero_row": True, "zero_col": True}]
+
+
+def small_games():
+    games = [linear_game(seed, d, ma, mb, **zeros)
+             for d, ma, mb in SHAPES for seed in range(2) for zeros in ZEROS]
+    games += [unique3_game(seed, ma, mb) for ma, mb in ((2, 3), (3, 2), (3, 3))
+              for seed in range(3)]
+    games.append(linear_game(0, 3, 2, 3, choices=(0,)))  # no weight at all
+    return games
+
+
+@pytest.mark.parametrize("g", small_games(), ids=lambda g: f"{g.d}-{g.ma}x{g.mb}")
+def test_value_and_witness_match_all_pairs(g):
+    expected = by_all_pairs(g)
+    assert found(g) == expected
+    assert by_prefix_search(g) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunked_scans_match_all_pairs(monkeypatch, workers):
+    # a few partial sums per chunk: every scan above spans several chunks
+    monkeypatch.setattr(values, "_SCAN_CELLS", 4)
+    for g in small_games()[::3]:
+        assert found(g, workers=workers) == by_all_pairs(g)
+
+
+@pytest.mark.parametrize("ma,mb", [(16, 16), (24, 14)])
+def test_worker_invariance_across_chunks(ma, mb):
+    # scans of several chunks each: 2^16 Alice maps, then 2^14 Bob maps
+    g = linear_game(5, 2, ma, mb)
+    solo = found(g, workers=1)
+    assert found(g, workers=2) == found(g, workers=3) == solo
+    assert classical_value(transpose(g), workers=1).value == solo[0]
+
+
+def test_tall_game_and_its_transpose():
+    g = linear_game(22, 2, 22, 3, choices=(1, 2, 3))
+    assert found(g) == by_prefix_search(g)
+    assert found(transpose(g)) == by_alice_maps(transpose(g))
+
+
+def test_budget_counts_maps_of_the_enumerated_side(monkeypatch):
+    tables = []
+    real = values._partial_sums
+    monkeypatch.setattr(values, "_partial_sums", lambda E: tables.append(real(E)) or tables[-1])
+    g = linear_game(22, 2, 22, 3, choices=(1, 2, 3))
+    assert classical_value(g, budget=8).value == classical_value(transpose(g), budget=8).value
+    # each scan crosses a high and a low table of partial sums: 2^3 maps each
+    assert [hi.shape[-1] * lo.shape[-1] for hi, lo in zip(tables[::2], tables[1::2])] == [8, 8]
+    with pytest.raises(BudgetExceededError):
+        classical_value(g, budget=7)
+    # four of six rows weigh nothing: 2^2 Alice maps are scanned
+    q = [[F(1)] * 6 if x in (1, 4) else [F(0)] * 6 for x in range(6)]
+    sparse = LinearGame(2, 6, 6, q, linear_game(1, 2, 6, 6).f)
+    assert found(sparse, budget=4) == by_alice_maps(sparse)
+    with pytest.raises(BudgetExceededError):
+        classical_value(sparse, budget=3)
+
+
+def test_weights_past_int64():
+    # every weight 2^60: 64 cells sum past 2^62, so the scan uses Python ints
+    g = linear_game(3, 2, 8, 8, choices=(2 ** 60,))
+    assert found(g) == by_alice_maps(g)
+
+
+@pytest.mark.parametrize("dens", [(2 ** 50,), (2 ** 41 + 1, 2 ** 41 + 7, 2 ** 43 + 3)])
+def test_denominators_past_2_to_40(dens):
+    # 2^6 maps on each side; a common denominator of 2^50, or one near 2^125
+    rng = random.Random(len(dens))
+    q = [[F(rng.randint(0, 3), rng.choice(dens)) for _ in range(6)] for _ in range(6)]
+    g = LinearGame(2, 6, 6, q, [[rng.randrange(2) for _ in range(6)] for _ in range(6)])
+    assert found(g) == by_alice_maps(g)

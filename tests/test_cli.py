@@ -289,6 +289,34 @@ def test_analyze_game_with_131_outputs(tmp_path, capsys):
     assert json.loads(out, parse_constant=_reject_constant)["results"]["classical_value"] == "1"
 
 
+def test_analyze_game_with_weights_past_int64(tmp_path, capsys):
+    # every weight 2^60: the scaled sums pass int64
+    from bellpoly import LinearGame
+    from tests.classical_reference import by_alice_maps
+    f = tuple(tuple((x * y + x + 3 * y) % 3 % 2 for y in range(8)) for x in range(8))
+    game = LinearGame(2, 8, 8, ((F(2 ** 60),) * 8,) * 8, f)
+    code, out, err = run_cli(capsys, "analyze-game", write_game(tmp_path, game))
+    assert (code, err) == (0, "")
+    value, a_map, b_map = by_alice_maps(game)
+    r = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert r["classical_value"] == str(value)
+    assert r["witness"] == {"a_map": list(a_map), "b_map": list(b_map)}
+
+
+def test_facet_test_nlc_computes_the_classical_value_once(tmp_path, capsys, monkeypatch):
+    from bellpoly import tightness, values
+    game = make_nlc2_and()
+    calls = []
+    for module in (values, tightness):
+        real = module.classical_value
+        monkeypatch.setattr(module, "classical_value",
+                            lambda g, *a, real=real, **k: calls.append(g) or real(g, *a, **k))
+    code, out, _ = run_cli(capsys, "facet-test", write_game(tmp_path, game), "--polytope", "bell")
+    assert code == 0
+    assert json.loads(out)["results"]["bound"] == "3/4"
+    assert calls.count(game) == 1
+
+
 def test_analyze_game_unique3_runs_the_ascent_once(tmp_path, capsys, monkeypatch):
     from bellpoly import values
     calls = []

@@ -17,8 +17,6 @@ from bellpoly import (
 )
 from bellpoly.values import (
     ClassicalValue,
-    _best_response_exact,
-    _classical_value_fractions,
     classical_value,
     gen_norm,
     gen_norm_detailed,
@@ -32,6 +30,7 @@ from bellpoly.values import (
     value_report,
     verify_value_report,
 )
+from tests.classical_reference import by_alice_maps
 from tests.conftest import make_unique3_frustrated, make_unique3_rotation
 
 F = Fraction
@@ -275,9 +274,7 @@ def test_classical_value_beyond_int8_outputs(d, f):
     # output labels of 128 and more overflow an int8 table
     ma, mb = len(f), len(f[0])
     g = LinearGame(d, ma, mb, ((F(1, ma * mb),) * mb,) * ma, f)
-    idx = _classical_value_fractions(g, d ** ma)
-    a_map = tuple((idx // d ** (ma - 1 - x)) % d for x in range(ma))
-    b_map, value = _best_response_exact(g, a_map)
+    value, a_map, b_map = by_alice_maps(g)
     assert classical_value(g, workers=1) == ClassicalValue(value, a_map, b_map)
 
 
