@@ -71,6 +71,7 @@ from .tightness import (
     FacetReport,
     LambdaProfile,
     facet_test,
+    game_facet_test,
     hadamard_diagonal_check,
     nlc2_block_symmetry,
     nlc2_decompose,
@@ -107,6 +108,7 @@ from .cut import (
     hypermetric_valid,
     maximal_orthogonal_sets,
     pentagonal_contextuality_inequality,
+    pentagonal_report,
     suspension,
 )
 

@@ -22,17 +22,14 @@ from fractions import Fraction
 from . import __version__
 from .chsh import (WeightedCHSH, canonicalize, face_condition,
                    qubit_value_estimate, sigma_lambda_certificate)
-from .cut import (CutInequality, Graph, NCBehaviour, ce1_inequalities,
-                  ce_gap_certificate, ce_gap_report, cut_facet_test,
-                  enumerate_cuts, hypermetric_valid,
-                  pentagonal_contextuality_inequality, suspension)
+from .cut import (CutInequality, Graph, ce1_inequalities, ce_gap_report,
+                  cut_facet_test, enumerate_cuts, hypermetric_valid,
+                  pentagonal_report, suspension)
 from .errors import BudgetExceededError, ParseError, VerificationError
-from .games import (NLCSpec, LinearGame, UniqueGame3, build_nlc,
-                    to_bell_inequality, to_correlator_inequality)
+from .games import NLCSpec, LinearGame, UniqueGame3, build_nlc
 from .rational import format_rational, parse_rational
 from .scenario import BellInequality, Scenario, correlator_inequality
-from .tightness import (DEFAULT_BOX_BUDGET, facet_test, nlc2_decompose,
-                        nlcd_lambda, nlcd_nonfacet_check)
+from .tightness import DEFAULT_BOX_BUDGET, facet_test, game_facet_test
 from .values import DEFAULT_STRATEGY_BUDGET, value_report
 
 
@@ -313,33 +310,14 @@ def _facet_report_dict(rep, extra=None):
 def _cmd_facet_test(args):
     raw = open(args.path, "rb").read()
     text = raw.decode()
-    data = _load_json(text)
-    if "kind" in data:
-        g = parse_game_text(text)
-        spec = getattr(g, "nlc", None)
-        split = args.polytope == "bell" and spec is not None and spec.n >= 2
-        if split and g.d == 2:
-            rep = nlc2_decompose(g, budget=args.budget)
-            # the fragment bounds are verified to sum to the classical value
-            bound = sum((fr.bound for fr in rep.decomposition), Fraction(0))
-        elif args.polytope == "bell":
-            ineq = to_bell_inequality(g)
-            bound = ineq.bound
-            if split and spec.is_product_form and nlcd_lambda(g).big_lambda >= Fraction(1, 2):
-                rep = nlcd_nonfacet_check(g)
-            else:
-                rep = facet_test(ineq, "bell", budget=args.budget)
-        else:
-            ineq = to_correlator_inequality(g)
-            bound = ineq.bound
-            rep = facet_test(ineq, "correlation", budget=args.budget)
-        return _facet_report_dict(rep, {"bound": format_rational(bound)}), _digest(raw)
-    ineq = parse_inequality_text(text)
-    if isinstance(ineq, CutInequality):
-        raise ParseError("cut-space inequalities go through the cut subcommand", line=1)
-    kind = "bell" if args.polytope == "bell" else "correlation"
-    rep = facet_test(ineq, kind, budget=args.budget)
-    return _facet_report_dict(rep, {"bound": format_rational(ineq.bound)}), _digest(raw)
+    if "kind" in _load_json(text):
+        rep, bound = game_facet_test(parse_game_text(text), args.polytope, budget=args.budget)
+    else:
+        ineq = parse_inequality_text(text)
+        if isinstance(ineq, CutInequality):
+            raise ParseError("cut-space inequalities go through the cut subcommand", line=1)
+        rep, bound = facet_test(ineq, args.polytope, budget=args.budget), ineq.bound
+    return _facet_report_dict(rep, {"bound": format_rational(bound)}), _digest(raw)
 
 
 def _cmd_chsh(args):
@@ -403,6 +381,16 @@ def _correlator_ineq_dict(ineq: CutInequality):
             "bound": format_rational(ineq.bound)}
 
 
+def _read_graph(path):
+    raw = open(path, "rb").read()
+    return parse_graph_text(raw.decode()), raw
+
+
+def _graph_or_complete(args, n):
+    """The --graph file's graph, or K_n without one."""
+    return Graph.complete(n) if args.graph is None else _read_graph(args.graph)[0]
+
+
 def _cmd_cut(args):
     sub = args.subcommand
     if sub in ("suspend", "cuts") and args.graph is None:
@@ -412,13 +400,11 @@ def _cmd_cut(args):
     if sub == "facet" and args.b is None and args.ineq is None:
         raise ParseError("facet needs --b or --ineq", line=1)
     if sub == "suspend":
-        raw = open(args.graph, "rb").read()
-        g = parse_graph_text(raw.decode())
+        g, raw = _read_graph(args.graph)
         return {"graph": _graph_dict(g),
                 "suspension": _graph_dict(suspension(g))}, _digest(raw)
     if sub == "cuts":
-        raw = open(args.graph, "rb").read()
-        g = parse_graph_text(raw.decode())
+        g, raw = _read_graph(args.graph)
         cuts = enumerate_cuts(g)
         return {"count": len(cuts),
                 "cuts": [{"subset": sorted(cv.subset), "bits": list(cv.bits)}
@@ -432,41 +418,33 @@ def _cmd_cut(args):
                _digest(str(args.n).encode())
     if sub == "hypermetric":
         b = _parse_b(args.b)
-        g = Graph.complete(len(b))
         return {"b": list(b), "n": len(b),
-                "valid": hypermetric_valid(b, g)}, _digest(args.b.encode())
+                "valid": hypermetric_valid(b, _graph_or_complete(args, len(b)))}, \
+               _digest(args.b.encode())
     if sub == "facet":
         if args.ineq is not None:
             raw = open(args.ineq, "rb").read()
             ineq = parse_inequality_text(raw.decode())
             if not isinstance(ineq, CutInequality):
                 raise ParseError("cut facet tests need a cut-space inequality", line=1)
-            rep = cut_facet_test(ineq, Graph.complete(ineq.n))
+            rep = cut_facet_test(ineq, _graph_or_complete(args, ineq.n))
             return _facet_report_dict(rep), _digest(raw)
         b = _parse_b(args.b)
-        rep = cut_facet_test(CutInequality.hypermetric(b), Graph.complete(len(b)))
+        rep = cut_facet_test(CutInequality.hypermetric(b), _graph_or_complete(args, len(b)))
         return _facet_report_dict(rep, {"b": list(b)}), _digest(args.b.encode())
     if sub == "pentagonal":
-        ineq = pentagonal_contextuality_inequality()
-        g5 = Graph.complete(5)
-        det_max = max(
-            ineq.evaluate_behaviour(NCBehaviour.deterministic(
-                Graph.complete(4), [1 - 2 * ((m >> i) & 1) for i in range(4)]))
-            for m in range(16))
-        rep = cut_facet_test(CutInequality.hypermetric((1, 1, 1, -1, -1)), g5)
-        return {"inequality": _correlator_ineq_dict(ineq),
-                "cut_form": json.loads(serialize_inequality(ineq.to_cut_form())),
-                "hypermetric_b": [1, 1, 1, -1, -1],
-                "valid_on_k5": hypermetric_valid((1, 1, 1, -1, -1), g5),
-                "deterministic_max": format_rational(det_max),
-                "facet": _facet_report_dict(rep)}, _digest(b"pentagonal")
+        rep = pentagonal_report()
+        return {"inequality": _correlator_ineq_dict(rep["inequality"]),
+                "cut_form": json.loads(serialize_inequality(rep["cut_form"])),
+                "hypermetric_b": list(rep["hypermetric_b"]),
+                "valid_on_k5": rep["valid_on_k5"],
+                "deterministic_max": format_rational(rep["deterministic_max"]),
+                "facet": _facet_report_dict(rep["facet"])}, _digest(b"pentagonal")
     if sub == "ce-gap":
-        beh = ce_gap_certificate()
         rep = ce_gap_report()
         return {"behaviour": {
-                    "singles": [format_rational(v) for v in beh.singles],
-                    "fulls": [[i, j, format_rational(c)]
-                              for (i, j), c in sorted(beh.fulls.items())]},
+                    "singles": [format_rational(v) for v in rep["singles"]],
+                    "fulls": [[i, j, format_rational(c)] for (i, j), c in rep["fulls"]]},
                 "checks": {
                     "positivity_min": format_rational(rep["positivity_min"]),
                     "ce1_count": rep["ce1_count"],
@@ -514,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     g4 = sub.add_parser("cut", help="cut polytope and exclusivity operations")
     g4.add_argument("subcommand", choices=("suspend", "cuts", "ce1", "hypermetric",
                                            "facet", "pentagonal", "ce-gap"))
-    g4.add_argument("--graph", help="graph file (suspend, cuts)")
+    g4.add_argument("--graph", help="graph file (suspend, cuts; hypermetric and facet "
+                                    "decide on it in place of the complete graph)")
     g4.add_argument("--n", type=int, help="observable count (ce1)")
     g4.add_argument("--b", help="comma-separated hypermetric coefficients")
     g4.add_argument("--ineq", help="cut-space inequality file (facet)")

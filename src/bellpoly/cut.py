@@ -554,40 +554,57 @@ def pentagonal_contextuality_inequality() -> CutInequality:
     return CutInequality.correlator(4, pairs, singles, 2)
 
 
+def pentagonal_report() -> dict:
+    """The pentagonal inequality, its cut form on K_5 (the suspension of
+    K_4, apex last) and that form's facet test. The deterministic
+    behaviours of the four observables map onto the cuts of K_5, so the
+    facet test's validity check (it raises on a violating cut) bounds their
+    largest value by the bound 2, and its roots attain it."""
+    ineq = pentagonal_contextuality_inequality()
+    cut_form = ineq.to_cut_form()
+    facet = cut_facet_test(cut_form, Graph.complete(5))
+    if not facet.saturating_count:
+        raise VerificationError("no deterministic behaviour attains the pentagonal bound")
+    return {"inequality": ineq, "cut_form": cut_form, "hypermetric_b": PENT_B,
+            "valid_on_k5": True, "deterministic_max": ineq.bound, "facet": facet}
+
+
 CE_GAP_B = (1, 1, 1, -1)
 
 
-def ce_gap_certificate() -> NCBehaviour:
+def ce_gap_report() -> dict:
     """The behaviour <M_i> = b_i/3, <M_iM_j> = -b_i b_j/3 on four pairwise
-    compatible observables (b = (1,1,1,-1)). Checked here: pairwise joint
-    positivity (worst case exactly 0), every exclusivity inequality holds
-    (max exactly 1), and the pentagonal inequality is violated at exactly
-    10/3 > 2. Any failure aborts: it would falsify the separation claim."""
+    compatible observables (b = (1,1,1,-1)) and its checks, each computed
+    once: pairwise joint positivity (worst case exactly 0), every
+    exclusivity inequality holds (max exactly 1), and the pentagonal
+    inequality is violated at exactly 10/3 > 2. Any failure aborts: it would
+    falsify the separation claim. Plain data only (Fractions, ints, tuples),
+    the behaviour as its singles and its sorted (edge, full correlator)
+    pairs."""
     b = CE_GAP_B
     g4 = Graph.complete(4)
     beh = NCBehaviour(g4, [Fraction(v, 3) for v in b],
                       {(i, j): Fraction(-b[i] * b[j], 3) for i, j in g4.sorted_edges})
-    if beh.pairwise_positivity_min() != 0:
+    positivity = beh.pairwise_positivity_min()
+    if positivity != 0:
         raise VerificationError("positivity margin is not exactly 0")
     ce1_values = [ineq.evaluate_behaviour(beh) for ineq in ce1_inequalities(4)]
-    if max(ce1_values) != 1 or any(v > 1 for v in ce1_values):
+    if max(ce1_values) != 1:
         raise VerificationError("exclusivity inequalities do not hold with max 1")
-    pent = pentagonal_contextuality_inequality().evaluate_behaviour(beh)
-    if pent != Fraction(10, 3) or pent <= 2:
+    pent = pentagonal_contextuality_inequality()
+    value = pent.evaluate_behaviour(beh)
+    if value != Fraction(10, 3):
         raise VerificationError("pentagonal value is not 10/3")
-    return beh
+    return {"singles": beh.singles, "fulls": tuple(sorted(beh.fulls.items())),
+            "positivity_min": positivity, "ce1_count": len(ce1_values),
+            "ce1_max": max(ce1_values), "pentagonal_value": value,
+            "pentagonal_bound": pent.bound}
 
 
-def ce_gap_report() -> dict:
-    beh = ce_gap_certificate()
-    ce1_values = [ineq.evaluate_behaviour(beh) for ineq in ce1_inequalities(4)]
-    return {
-        "positivity_min": beh.pairwise_positivity_min(),
-        "ce1_count": len(ce1_values),
-        "ce1_max": max(ce1_values),
-        "pentagonal_value": pentagonal_contextuality_inequality().evaluate_behaviour(beh),
-        "pentagonal_bound": Fraction(2),
-    }
+def ce_gap_certificate() -> NCBehaviour:
+    """The behaviour of `ce_gap_report`, checked there."""
+    rep = ce_gap_report()
+    return NCBehaviour(Graph.complete(4), rep["singles"], dict(rep["fulls"]))
 
 
 def ce_gap_grid_search(steps: int = 12):

@@ -349,15 +349,20 @@ def to_bell_inequality(g) -> BellInequality:
 
 def _win_coeffs(g) -> tuple:
     """The game functional's coefficients q(x,y) [b wins against a at (x,y)],
-    indexed [x][y][a][b]."""
+    indexed [x][y][a][b]. Cells with the same weight and winning answers
+    share one table."""
     s = g.scenario
     zero = Fraction(0)
-    return tuple(
-        tuple(
-            tuple(tuple(g.q[x][y] if g.win(a, b, x, y) else zero for b in range(s.db))
-                  for a in range(s.da))
-            for y in range(s.mb))
-        for x in range(s.ma))
+    tables = {}
+
+    def table(x, y):
+        q = g.q[x][y]
+        wins = tuple(g.winning_b(a, x, y) for a in range(s.da)) if q else ()
+        if (q, wins) not in tables:
+            tables[q, wins] = tuple(tuple(q if q and b == wins[a] else zero for b in range(s.db))
+                                    for a in range(s.da))
+        return tables[q, wins]
+    return tuple(tuple(table(x, y) for y in range(s.mb)) for x in range(s.ma))
 
 
 def to_correlator_inequality(g: LinearGame) -> BellInequality:

@@ -7,7 +7,9 @@ that a vertex violates, and decides facet-ness exactly by the affine rank of
 the vertices meeting the bound. Decompositions write the game inequality as
 a cell-wise sum of two or more valid fragment inequalities whose faces
 differ, which rules out facet-ness without any rank computation
-(intersections of distinct faces are lower-dimensional faces).
+(intersections of distinct faces are lower-dimensional faces); both NLC
+decompositions run on one core, `_fragment_report`, which enumerates every
+fragment's classical value.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .exactrank import affine_rank
-from .games import LinearGame, _win_coeffs, game_matrix, input_dits, subgame_restrict
+from .games import (LinearGame, _win_coeffs, game_matrix, input_dits, subgame_restrict,
+                    to_bell_inequality, to_correlator_inequality)
 from .scenario import (DEFAULT_BOX_BUDGET, BellInequality, DeterministicBox,
                        _correlator_rows, _reduced_rows, _response_maps,
                        ns_polytope_dimension)
@@ -34,9 +37,9 @@ HADAMARD_TOL = 1e-12
 class FacetReport:
     """Outcome of a facet test.
 
-    saturating_affine_dim is -1 when the saturating set is empty or (for
-    decomposition-based verdicts at large scenario sizes) when the statistics
-    were skipped; `notes` says which. The defining invariant
+    saturating_affine_dim is -1 when the saturating set is empty or (for a
+    decomposition verdict whose scenario has more boxes than the box budget)
+    when the statistics were skipped; `notes` says which. The defining invariant
     is_facet <=> saturating_affine_dim == ambient_dim - 1 always holds.
     """
     polytope_kind: str
@@ -177,29 +180,48 @@ def facet_test(ineq: BellInequality, kind: str, budget: int = DEFAULT_BOX_BUDGET
 
 
 # ---------------------------------------------------------------------------
-# decomposition machinery
+# fragment decompositions
 # ---------------------------------------------------------------------------
 
-def _assert_coefficient_additivity(full_ineq, fragment_ineqs):
-    s = full_ineq.scenario
-    for x, y, a, b in itertools.product(range(s.ma), range(s.mb), range(s.da), range(s.db)):
-        total = sum((fr.coeffs[x][y][a][b] for fr in fragment_ineqs), Fraction(0))
-        if total != full_ineq.coeffs[x][y][a][b]:
-            raise VerificationError(
-                f"fragment coefficients do not sum to the original at ({x},{y},{a},{b})")
-    if sum((fr.bound for fr in fragment_ineqs), Fraction(0)) != full_ineq.bound:
-        raise VerificationError("fragment bounds do not sum to the original bound")
+def _scaled_wins(games, bounds):
+    """Each game's functional (`games._win_coeffs`) and each bound, times one
+    common denominator: an integer array [game, x, y, a, b] (int64 unless a
+    sum could overflow) and the integer bounds."""
+    den = lcm(*{v.denominator for g in games for row in g.q for v in row},
+              *(b.denominator for b in bounds))
+    Q = [[[v.numerator * (den // v.denominator) for v in row] for row in g.q] for g in games]
+    targets = [b.numerator * (den // b.denominator) for b in bounds]
+    d = games[0].d
+    total = sum(sum(map(sum, q)) for q in Q) + sum(map(abs, targets))
+    Q = np.array(Q, dtype=np.int64 if d * total < 2 ** 62 else object)
+    outputs = np.arange(d)
+    wins = np.array([g.f for g in games])[..., None, None] == (outputs[:, None] + outputs) % d
+    return Q[..., None, None] * wins, targets
 
 
-def _fragment_rows(ineq):
-    return [x for x, block in enumerate(ineq.coeffs)
-            if any(v != 0 for row in block for cell in row for v in cell)]
+def _row_values(C, b_map):
+    """r[x, a]: the functional C ([x, y, a, b]) summed over Bob's inputs y at
+    his outputs b_map[y], when Alice answers input x with a."""
+    return C[:, np.arange(C.shape[1]), :, b_map].sum(axis=0)
 
 
-_SEPARATION_SEARCH_CAP = 4096
+def _separated(Ci, Cj, target_j, witness_i) -> bool:
+    """Whether a box on fragment i's face lies off fragment j's face.
+
+    Keep the witness's Bob outputs, and its Alice outputs on the inputs that
+    fragment i weighs; her other inputs are free, and fragment i's value does
+    not depend on them. Fragment j's value is a sum over Alice's inputs, so
+    its least value over these boxes adds the fixed rows' values and the free
+    rows' minima. Fragment j is valid (its bound is its classical value), so
+    these boxes leave its face exactly when that least value is below the
+    bound."""
+    a_map, b_map = witness_i
+    r = _row_values(Cj, b_map)
+    free = (Ci == 0).all(axis=(1, 2, 3))
+    return np.where(free, r.min(axis=1), r[np.arange(len(r)), a_map]).sum() < target_j
 
 
-def _assert_distinct_faces(d, fragment_ineqs, witnesses):
+def _assert_distinct_faces(C, targets, witnesses):
     """Certify the non-facet argument: every fragment face is proper, and two
     fragment faces differ.
 
@@ -207,85 +229,71 @@ def _assert_distinct_faces(d, fragment_ineqs, witnesses):
     the fragment expression averages to (total weight)/d, so a bound above
     that average has non-saturating boxes; equality would mean every box
     saturates (face = whole polytope) and nothing follows. Distinctness is
-    shown by a box saturating one fragment but not another; fragments occupy
-    disjoint Alice rows, so perturbing a witness on the other fragment's rows
-    keeps it on the first face while searching off the second.
+    shown by a box on one fragment's face and off another's (`_separated`).
     """
-    k = len(fragment_ineqs)
-    for i, fr in enumerate(fragment_ineqs):
-        if fr.evaluate_box(witnesses[i]) != fr.bound:
+    d = C.shape[-1]
+    for i, (Ci, (a_map, b_map)) in enumerate(zip(C, witnesses)):
+        if _row_values(Ci, b_map)[np.arange(len(a_map)), a_map].sum() != targets[i]:
             raise VerificationError(f"fragment {i} bound is not attained by its witness")
-        cell_total = sum((v for block in fr.coeffs for row in block
-                          for cell in row for v in cell), Fraction(0))
-        # each (x, y) cell wins for exactly d output pairs, so cell_total = d * weight
-        if d * fr.bound <= cell_total / d:
+        # each (x, y) cell wins for exactly d output pairs, so C sums to d * weight
+        if d * d * targets[i] <= Ci.sum():
             raise VerificationError(
                 f"fragment {i} is saturated by every box; its face is not proper")
-
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            frj = fragment_ineqs[j]
-            if frj.evaluate_box(witnesses[i]) != frj.bound:
-                return
-            rows_j = _fragment_rows(frj)
-            if d ** len(rows_j) > _SEPARATION_SEARCH_CAP:
-                continue
-            base_a = list(witnesses[i].a_map)
-            s = witnesses[i].scenario
-            for trial in itertools.product(range(d), repeat=len(rows_j)):
-                a = list(base_a)
-                for x, v in zip(rows_j, trial):
-                    a[x] = v
-                box = DeterministicBox(s, tuple(a), witnesses[i].b_map)
-                if frj.evaluate_box(box) != frj.bound:
-                    return  # box sits on face i (rows disjoint) but off face j
-    raise VerificationError("fragment faces could not be separated by any box")
+    if not any(_separated(C[i], C[j], targets[j], witnesses[i])
+               for i in range(len(C)) for j in range(len(C)) if i != j):
+        raise VerificationError("fragment faces could not be separated by any box")
 
 
-def nlc2_decompose(g: LinearGame, compute_polytope_stats: bool = True,
-                   budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
-    """Split a binary dit-structured game along Alice's first input bit.
+def _fragment_report(g, restrictions, expected, bound, note, budget):
+    """The non-facet verdict of g's inequality with bound `bound`, from one
+    fragment per restriction of Alice's input dits (`subgame_restrict`).
 
-    Both fragments must have exactly half the classical value; the fragment
-    inequalities then sum cell-wise to the game inequality, each is a
-    supporting hyperplane, and their faces differ, so the game inequality is
-    an intersection of two distinct faces and cannot be a facet. Any failed
-    check raises VerificationError (it would falsify the decomposition claim,
-    not merely this run).
+    Every fragment's classical value is enumerated and must equal `expected`;
+    the fragment inequalities must sum cell for cell to the game inequality,
+    and their faces must be proper and not all equal. The game inequality is
+    then an intersection of distinct faces, not a facet. A failed check raises
+    VerificationError: it would falsify the decomposition claim, not merely
+    this run. The polytope statistics come from `facet_test` when the boxes
+    fit the budget and are skipped, with a note, otherwise.
+    """
+    frags, witnesses = [], []
+    for fixes in restrictions:
+        frag = subgame_restrict(g, fix_a=fixes)
+        cv = classical_value(frag)
+        if cv.value != expected:
+            where = ", ".join(f"x{pos + 1}={v}" for pos, v in fixes.items())
+            raise VerificationError(
+                f"fragment {where} has classical value {cv.value}, expected {expected}")
+        frags.append(frag)
+        witnesses.append((np.array(cv.a_map), np.array(cv.b_map)))
+    C, targets = _scaled_wins([g] + frags, [bound] + [expected] * len(frags))
+    if (C[1:].sum(axis=0) != C[0]).any():
+        raise VerificationError("fragment coefficients do not sum to the original cell for cell")
+    if sum(targets[1:]) != targets[0]:
+        raise VerificationError("fragment bounds do not sum to the original bound")
+    _assert_distinct_faces(C[1:], targets[1:], witnesses)
+
+    fragment_ineqs = tuple(BellInequality(fr.scenario, _win_coeffs(fr), expected) for fr in frags)
+    if g.scenario.box_count > budget:
+        return FacetReport("bell", ns_polytope_dimension(g.scenario), -1, -1, False,
+                           decomposition=fragment_ineqs,
+                           notes=(note, "saturating statistics skipped (box budget)"))
+    stats = facet_test(BellInequality(g.scenario, _win_coeffs(g), bound), "bell", budget=budget)
+    if stats.is_facet:
+        raise VerificationError("decomposition succeeded yet the saturating set spans a facet")
+    return replace(stats, decomposition=fragment_ineqs, notes=(note,))
+
+
+def nlc2_decompose(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
+    """Split a binary dit-structured game along Alice's first input bit: both
+    fragments must have exactly half the classical value (`_fragment_report`).
     """
     if g.d != 2 or g.n < 2:
         raise ValueError("decomposition needs a binary game with n >= 2 input bits")
-    full_cv = classical_value(g)
-    half = full_cv.value / 2
-
-    fragment_ineqs = []
-    witnesses = []
-    for j in (0, 1):
-        frag = subgame_restrict(g, fix_a={0: j})
-        cv = classical_value(frag)
-        if cv.value != half:
-            raise VerificationError(
-                f"fragment x1={j} has classical value {cv.value}, expected {half}")
-        fragment_ineqs.append(BellInequality(frag.scenario, _win_coeffs(frag), cv.value))
-        witnesses.append(DeterministicBox(g.scenario, cv.a_map, cv.b_map))
-
-    full_ineq = BellInequality(g.scenario, _win_coeffs(g), full_cv.value)
-    _assert_coefficient_additivity(full_ineq, fragment_ineqs)
-    _assert_distinct_faces(g.d, fragment_ineqs, witnesses)
-
-    notes = ("non-facet via decomposition into two distinct supporting faces",)
-    if compute_polytope_stats and g.scenario.box_count <= budget:
-        stats = facet_test(full_ineq, "bell", budget=budget)
-        if stats.is_facet:
-            raise VerificationError(
-                "decomposition succeeded yet the saturating set spans a facet")
-        return replace(stats, decomposition=tuple(fragment_ineqs), notes=notes)
-    ambient = ns_polytope_dimension(g.scenario)
-    return FacetReport("bell", ambient, -1, -1, False,
-                       decomposition=tuple(fragment_ineqs),
-                       notes=notes + ("saturating statistics skipped (box budget)",))
+    value = classical_value(g).value
+    return _fragment_report(g, [{0: 0}, {0: 1}], value / 2, value,
+                            "non-facet via decomposition into two distinct supporting faces",
+                            budget)
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +377,11 @@ def nlcd_classical_formula(g: LinearGame) -> Fraction:
     return Fraction(1, spec.d) * (1 + (spec.d - 1) * prof.big_lambda)
 
 
-ENUMERATION_SCALE_D = 3
-ENUMERATION_SCALE_N = 2
-
-
-def nlcd_nonfacet_check(g: LinearGame) -> FacetReport:
-    """Fragment decomposition of a product-form game with Lambda >= 1/2.
-
-    One fragment per assignment s of Alice's first n-1 dits (Bob stays
-    unrestricted); each must have classical value (1/d^n)(1 + (d-1) Lambda),
-    verified by enumeration at desk scale (d <= 3, n <= 2) and by the formula
-    with a warning note beyond that. The fragments sum to the game inequality
-    and define distinct faces, so the game inequality is not a facet.
+def nlcd_nonfacet_check(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
+    """Fragment decomposition of a product-form game with Lambda >= 1/2: one
+    fragment per assignment of Alice's first n-1 dits (Bob stays
+    unrestricted), each with classical value (1/d^n)(1 + (d-1) Lambda)
+    (`_fragment_report`).
     """
     spec = _product_spec(g)
     prof = nlcd_lambda(g)
@@ -390,38 +391,32 @@ def nlcd_nonfacet_check(g: LinearGame) -> FacetReport:
             f"apply, no non-facet conclusion is drawn")
     if spec.n < 2:
         raise ValueError("fragments fix the first n-1 dits; need n >= 2")
-
     d, n = spec.d, spec.n
-    expected = nlcd_classical_formula(g) / d ** (n - 1)
-    enumerate_fragments = d <= ENUMERATION_SCALE_D and n <= ENUMERATION_SCALE_N
-    notes = ("non-facet via decomposition into distinct supporting faces",)
-    if not enumerate_fragments:
-        notes += ("fragment values taken from the closed form, not enumerated "
-                  "(instance above desk scale)",)
+    value = nlcd_classical_formula(g)
+    restrictions = [dict(enumerate(input_dits(s, d, n - 1))) for s in range(d ** (n - 1))]
+    return _fragment_report(g, restrictions, value / d ** (n - 1), value,
+                            "non-facet via decomposition into distinct supporting faces",
+                            budget)
 
-    fragment_ineqs = []
-    witnesses = []
-    for s_idx in range(d ** (n - 1)):
-        fixes = dict(enumerate(input_dits(s_idx, d, n - 1)))
-        frag = subgame_restrict(g, fix_a=fixes)
-        if enumerate_fragments:
-            cv = classical_value(frag)
-            if cv.value != expected:
-                raise VerificationError(
-                    f"fragment s={s_idx} has classical value {cv.value}, "
-                    f"expected {expected}")
-            bound, witness = cv.value, DeterministicBox(g.scenario, cv.a_map, cv.b_map)
-        else:
-            bound, witness = expected, None
-        fragment_ineqs.append(BellInequality(frag.scenario, _win_coeffs(frag), bound))
-        witnesses.append(witness)
 
-    full_ineq = BellInequality(g.scenario, _win_coeffs(g), nlcd_classical_formula(g))
-    _assert_coefficient_additivity(full_ineq, fragment_ineqs)
-    if enumerate_fragments:
-        _assert_distinct_faces(g.d, fragment_ineqs, witnesses)
+def game_facet_test(g, kind: str, budget: int = DEFAULT_BOX_BUDGET):
+    """The facet test of a game's inequality on the `kind` polytope, and the
+    inequality's bound.
 
-    ambient = ns_polytope_dimension(g.scenario)
-    return FacetReport("bell", ambient, -1, -1, False,
-                       decomposition=tuple(fragment_ineqs),
-                       notes=notes + ("saturating statistics skipped (box budget)",))
+    On the Bell polytope a distributed-computation game on n >= 2 dits is
+    decided by its fragments: a binary one split along Alice's first bit
+    (`nlc2_decompose`), a product-form one with Lambda >= 1/2 along her first
+    n-1 dits (`nlcd_nonfacet_check`). The bound is then the sum of the
+    fragment bounds, so a product-form game's own classical value is never
+    enumerated. Every other game goes through `facet_test`.
+    """
+    spec = getattr(g, "nlc", None)
+    split = kind == "bell" and spec is not None and spec.n >= 2
+    if split and g.d == 2:
+        rep = nlc2_decompose(g, budget)
+    elif split and spec.is_product_form and nlcd_lambda(g).big_lambda >= Fraction(1, 2):
+        rep = nlcd_nonfacet_check(g, budget)
+    else:
+        ineq = to_bell_inequality(g) if kind == "bell" else to_correlator_inequality(g)
+        return facet_test(ineq, kind, budget), ineq.bound
+    return rep, sum((fr.bound for fr in rep.decomposition), Fraction(0))

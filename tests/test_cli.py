@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellpoly import cli
+from bellpoly import NLCSpec, build_nlcd, cli
 from bellpoly.cut import CutInequality, Graph
 from bellpoly.scenario import Scenario, correlator_inequality
 from tests.conftest import (
@@ -191,6 +191,19 @@ def test_facet_test_nlc2_and_bell(tmp_path, capsys):
     assert r["decomposition"]["fragment_bounds"] == ["3/8", "3/8"]
 
 
+@pytest.mark.parametrize("d, n, table, bound", [
+    (5, 2, (0, 0, 0, 1, 2), "17/25"),
+    (3, 3, (0, 0, 0, 1, 0, 0, 0, 0, 2), "23/27")])
+def test_facet_test_product_form_from_fragments(tmp_path, capsys, d, n, table, bound):
+    # decided by the d^(n-1) fragments; the whole game's d^(d^n) maps are never scanned
+    game = build_nlcd(NLCSpec(d, n, table, (F(1, len(table)),) * len(table)))
+    code, out, _ = run_cli(capsys, "facet-test", write_game(tmp_path, game), "--polytope", "bell")
+    assert code == 0
+    r = json.loads(out)["results"]
+    assert (r["decomposition"]["fragments"], r["bound"], r["is_facet"]) == \
+        (d ** (n - 1), bound, False)
+
+
 def test_facet_test_chsh_correlation(tmp_path, capsys):
     path = write_game(tmp_path, make_chsh_game())
     code, out, _ = run_cli(capsys, "facet-test", path, "--polytope", "correlation")
@@ -369,6 +382,20 @@ def test_cut_hypermetric(tmp_path, capsys):
                            "--b", "1,1,1,-1,-1")
     assert code == 0
     assert json.loads(out)["results"]["valid"] is True
+
+
+def test_cut_hypermetric_decides_on_the_graph_file(tmp_path, capsys):
+    # on the path 0-1-2-3-4 the cut {1} scores b0 b1 + b1 b2 = 2 > 0
+    graph = tmp_path / "path5.txt"
+    graph.write_text("5\n0 1\n1 2\n2 3\n3 4\n")
+    code, out, _ = run_cli(capsys, "cut", "hypermetric", "--graph", str(graph),
+                           "--b=1,1,1,-1,-1")
+    assert code == 0
+    assert json.loads(out)["results"]["valid"] is False
+    code, out, err = run_cli(capsys, "cut", "facet", "--graph", str(graph), "--b=1,1,1,-1,-1")
+    assert (code, out) == (2, "") and "complete graphs" in err
+    code, out, err = run_cli(capsys, "cut", "hypermetric", "--graph", str(graph), "--b=1,1,-1")
+    assert (code, out) == (2, "") and "one coefficient per vertex" in err
 
 
 def test_cut_facet_pentagonal(tmp_path, capsys):

@@ -24,6 +24,7 @@ from bellpoly.cut import (
     hypermetric_valid,
     maximal_orthogonal_sets,
     pentagonal_contextuality_inequality,
+    pentagonal_report,
     suspension,
 )
 
@@ -448,6 +449,19 @@ def test_pentagonal_deterministic_maximum_is_bound():
     assert best == 2
 
 
+def test_pentagonal_report_matches_separate_computations():
+    rep = pentagonal_report()
+    ineq = pentagonal_contextuality_inequality()
+    g = Graph.complete(4)
+    best = max(ineq.evaluate_behaviour(NCBehaviour.deterministic(g, signs))
+               for signs in itertools.product((-1, 1), repeat=4))
+    assert rep["deterministic_max"] == best
+    assert rep["valid_on_k5"] == hypermetric_valid(rep["hypermetric_b"], Graph.complete(5))
+    assert rep["facet"] == cut_facet_test(CutInequality.hypermetric(rep["hypermetric_b"]),
+                                          Graph.complete(5))
+    assert (rep["inequality"], rep["cut_form"]) == (ineq, ineq.to_cut_form())
+
+
 def test_pentagonal_to_cut_form_is_pentagonal():
     ineq = pentagonal_contextuality_inequality().to_cut_form()
     b = (1, 1, 1, -1, -1)
@@ -474,6 +488,19 @@ def test_ce_gap_report():
     assert rep["ce1_max"] == F(1)
     assert rep["pentagonal_value"] == F(10, 3)
     assert rep["pentagonal_bound"] == F(2)
+
+
+def test_ce_gap_report_is_plain_data():
+    def plain(v):
+        if isinstance(v, (tuple, list)):
+            return all(map(plain, v))
+        if isinstance(v, dict):
+            return all(map(plain, v)) and all(map(plain, v.values()))
+        return type(v) in (F, int, str)
+    rep = ce_gap_report()
+    assert plain(rep)
+    beh = ce_gap_certificate()
+    assert (rep["singles"], dict(rep["fulls"])) == (beh.singles, beh.fulls)
 
 
 def test_ce_gap_grid_search_peak():

@@ -167,7 +167,9 @@ def test_cli_on_inequality_files(doc, garble, argv):
 
 
 @SETTINGS
-@given(graph_texts, st.sampled_from([["cut", "suspend", "--graph", "PATH"],
-                                     ["cut", "cuts", "--graph", "PATH"]]))
+@given(graph_texts, st.sampled_from([
+    ["cut", "suspend", "--graph", "PATH"], ["cut", "cuts", "--graph", "PATH"],
+    ["cut", "hypermetric", "--graph", "PATH", "--b=1,1,1,-1,-1"],
+    ["cut", "facet", "--graph", "PATH", "--b=1,1,1,-1,-1"]]))
 def test_cli_on_graph_files(text, argv):
     run(argv, text, "graph.txt")

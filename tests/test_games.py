@@ -25,6 +25,7 @@ from bellpoly import (
     to_correlator_inequality,
     unique3_matrices,
 )
+from bellpoly.games import _win_coeffs
 from bellpoly.values import classical_value
 
 F = Fraction
@@ -235,6 +236,17 @@ def test_bell_inequality_agrees_with_game_value(chsh_game):
     best = max(ineq.evaluate_box(b)
                for b in enumerate_deterministic_boxes(g.scenario))
     assert best == classical_value(g).value == ineq.bound
+
+
+def test_win_coeffs_match_the_cellwise_win_rule(nlc3_game, unique3_mixed):
+    # shared cell tables hold the same values as one built per cell from win()
+    fragment = subgame_restrict(build_nlcd(NLCSpec(3, 2, (0, 0, 1), (F(1, 3),) * 3)),
+                                fix_a={0: 2})
+    for g in (nlc3_game, unique3_mixed, fragment):
+        s = g.scenario
+        assert _win_coeffs(g) == tuple(
+            tuple(tuple(tuple(g.q[x][y] if g.win(a, b, x, y) else F(0) for b in range(s.db))
+                        for a in range(s.da)) for y in range(s.mb)) for x in range(s.ma))
 
 
 def test_correlator_and_probability_forms_agree(chsh_game):

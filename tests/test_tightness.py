@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 from bellpoly import (
     BellInequality,
     BudgetExceededError,
+    DeterministicBox,
     LinearGame,
     NLCSpec,
     Scenario,
@@ -27,7 +30,8 @@ from bellpoly import (
     to_bell_inequality,
     to_correlator_inequality,
 )
-from bellpoly.tightness import LambdaProfile, _sylvester_hadamard
+from bellpoly.games import _win_coeffs, subgame_restrict
+from bellpoly.tightness import LambdaProfile, _scaled_wins, _separated, _sylvester_hadamard
 from bellpoly.values import classical_value
 
 F = Fraction
@@ -171,7 +175,8 @@ def test_nlc2_decompose_fragment_coefficients_sum(nlc2_and):
 
 
 def test_nlc2_decompose_without_stats(nlc2_and):
-    rep = nlc2_decompose(nlc2_and, compute_polytope_stats=False)
+    # one box over the budget: the statistics are skipped
+    rep = nlc2_decompose(nlc2_and, budget=nlc2_and.scenario.box_count - 1)
     assert not rep.is_facet
     assert rep.saturating_count == -1
     assert any("skipped" in n for n in rep.notes)
@@ -288,6 +293,102 @@ def test_nlcd_nonfacet_rejects_plain_linear(nlc3_game):
         nlcd_nonfacet_check(nlc3_game)
 
 
+def uniform_product(d, n, table):
+    return build_nlcd(NLCSpec(d, n, table, (F(1, len(table)),) * len(table)))
+
+
+@pytest.mark.parametrize("d, n, table, value", [
+    (5, 2, (0, 0, 0, 1, 2), F(17, 25)),
+    (3, 3, (0, 0, 0, 1, 0, 0, 0, 0, 2), F(23, 27))])
+def test_nlcd_nonfacet_enumerates_every_fragment(d, n, table, value, monkeypatch):
+    rep = nlcd_nonfacet_check(uniform_product(d, n, table))
+    assert not rep.is_facet
+    assert [fr.bound for fr in rep.decomposition] == [value / d ** (n - 1)] * d ** (n - 1)
+    assert rep.notes == ("non-facet via decomposition into distinct supporting faces",
+                         "saturating statistics skipped (box budget)")
+    # the fragment values are enumerated, so a wrong one trips the cross-check
+    import bellpoly.tightness as T
+    real = T.classical_value
+
+    def lying(g, *a, **k):
+        out = real(g, *a, **k)
+        return dataclasses.replace(out, value=out.value + F(1, 97))
+
+    monkeypatch.setattr(T, "classical_value", lying)
+    with pytest.raises(VerificationError, match="fragment x1=0"):
+        nlcd_nonfacet_check(uniform_product(d, n, table))
+
+
+def test_nlcd_nonfacet_fragment_maps_over_the_strategy_budget():
+    # d = 11: each fragment has 11^11 Alice maps, past the 2^24 budget
+    with pytest.raises(BudgetExceededError):
+        nlcd_nonfacet_check(uniform_product(11, 2, (0,) * 6 + (1,) * 5))
+
+
+def test_nlcd_nonfacet_statistics_within_the_box_budget():
+    g = uniform_product(2, 2, (0, 1))  # 2^4 * 2^4 boxes
+    rep = nlcd_nonfacet_check(g)
+    stats = facet_test(to_bell_inequality(g), "bell")
+    assert rep.notes == ("non-facet via decomposition into distinct supporting faces",)
+    assert (rep.saturating_count, rep.saturating_affine_dim, rep.is_facet) == \
+        (stats.saturating_count, stats.saturating_affine_dim, False)
+    skipped = nlcd_nonfacet_check(g, budget=g.scenario.box_count - 1)
+    assert skipped.saturating_count == -1 and "skipped" in skipped.notes[-1]
+
+
+# ---------------------------------------------------------- fragment separation
+
+def exhaustive_separation(frag_j, box):
+    """Reference for `_separated`: the search it replaced, without a cap.
+    Every assignment of Alice's outputs on the inputs fragment j weighs, the
+    box's outputs elsewhere; True when one of these boxes leaves j's face."""
+    s = box.scenario
+    rows = [x for x, block in enumerate(frag_j.coeffs)
+            if any(v != 0 for row in block for cell in row for v in cell)]
+    for trial in itertools.product(range(s.da), repeat=len(rows)):
+        a_map = list(box.a_map)
+        for x, v in zip(rows, trial):
+            a_map[x] = v
+        if frag_j.evaluate_box(DeterministicBox(s, tuple(a_map), box.b_map)) != frag_j.bound:
+            return True
+    return False
+
+
+def seeded_fragments(rng):
+    """A seeded dit-structured game, with zero weights and sometimes one
+    first dit weightless, split along Alice's first dit (d^|rows| <= 256)."""
+    d, n = rng.choice([(2, 2), (2, 3), (2, 4), (3, 2)])
+    m, dead = d ** n, rng.randrange(d + 1)
+    q = [[F(0) if x // d ** (n - 1) == dead or rng.random() < 0.2 else F(rng.randint(1, 5))
+          for _ in range(m)] for x in range(m)]
+    f = [[rng.randrange(d) for _ in range(m)] for _ in range(m)]
+    g = LinearGame(d, m, m, q, f, n=n)
+    return [subgame_restrict(g, fix_a={0: v}) for v in range(d)]
+
+
+def test_row_separation_matches_exhaustive_search():
+    rng = random.Random(2016)
+    outcomes = []
+    for _ in range(16):
+        frags = seeded_fragments(rng)
+        values = [classical_value(fr) for fr in frags]
+        C, targets = _scaled_wins(frags, [cv.value for cv in values])
+        ineqs = [BellInequality(fr.scenario, _win_coeffs(fr), cv.value)
+                 for fr, cv in zip(frags, values)]
+        s = frags[0].scenario
+        witnesses = [DeterministicBox(s, cv.a_map, cv.b_map) for cv in values]
+        for i, j in itertools.permutations(range(len(frags)), 2):
+            drawn = DeterministicBox(s, tuple(rng.randrange(s.da) for _ in range(s.ma)),
+                                     tuple(rng.randrange(s.db) for _ in range(s.mb)))
+            # fragment i's witness, a box on fragment j's face, and a drawn box
+            for box in (witnesses[i], witnesses[j], drawn):
+                found = _separated(C[i], C[j], targets[j],
+                                   (np.array(box.a_map), np.array(box.b_map)))
+                assert found == exhaustive_separation(ineqs[j], box)
+                outcomes.append(found)
+    assert set(outcomes) == {True, False}
+
+
 # --------------------------------------------------------------- verification
 
 def test_decompose_raises_if_fragment_doctored(nlc2_and, monkeypatch):
@@ -303,4 +404,4 @@ def test_decompose_raises_if_fragment_doctored(nlc2_and, monkeypatch):
 
     monkeypatch.setattr(T, "classical_value", lying)
     with pytest.raises(VerificationError):
-        nlc2_decompose(nlc2_and, compute_polytope_stats=False)
+        nlc2_decompose(nlc2_and)
