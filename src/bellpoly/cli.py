@@ -134,8 +134,11 @@ def parse_game_text(raw: str):
         if not isinstance(sub, dict):
             raise ParseError('"nlc" must be an object', line=_line_of(raw, '"nlc"'))
         n = _int_at(_need(sub, "n", raw), raw, "n")
-        g = [_int_at(v, raw, "g entry") for v in _need(sub, "g", raw)]
-        p = [_rat(v, raw, "probability") for v in _need(sub, "p", raw)]
+        g, p = _need(sub, "g", raw), _need(sub, "p", raw)
+        if not isinstance(g, list) or not isinstance(p, list):
+            raise ParseError('"g" and "p" must be lists', line=_line_of(raw, '"nlc"'))
+        g = [_int_at(v, raw, "g entry") for v in g]
+        p = [_rat(v, raw, "probability") for v in p]
         try:
             return build_nlc(NLCSpec(d, n, tuple(g), tuple(p)))
         except ValueError as e:
@@ -204,6 +207,9 @@ def parse_inequality_text(raw: str):
                 tuple(tuple(tuple(_rat(v, raw, "coefficient") for v in cell)
                             for cell in row) for row in block)
                 for block in coeffs)
+            if any(len(block) != mb or any(len(row) != da or any(len(cell) != db for cell in row)
+                                           for row in block) for block in table):
+                raise TypeError("ragged table")
             return BellInequality(Scenario(ma, mb, da, db), table, bound)
         except (TypeError, IndexError, KeyError):
             raise ParseError("probability coeffs must be nested [x][y][a][b]",
@@ -213,6 +219,8 @@ def parse_inequality_text(raw: str):
             ma, mb = len(coeffs), len(coeffs[0])
             corr = tuple(tuple(_rat(v, raw, "coefficient") for v in row)
                          for row in coeffs)
+            if any(len(row) != mb for row in corr):
+                raise TypeError("ragged table")
             return correlator_inequality(Scenario(ma, mb, 2, 2), corr, bound)
         except (TypeError, IndexError, KeyError):
             raise ParseError("correlator coeffs must be nested [x][y]",
@@ -479,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     g2 = sub.add_parser("facet-test", help="exact facet test of a game or inequality file")
     g2.add_argument("path")
     g2.add_argument("--polytope", choices=("bell", "correlation"), required=True)
-    g2.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET)
+    g2.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET,
+                    help="most response maps to enumerate, counted on the side with "
+                         "fewer; also caps the rows of the exact rank")
     g2.add_argument("--timing", action="store_true")
 
     g3 = sub.add_parser("chsh", help="canonical form, face verdict, certificates")

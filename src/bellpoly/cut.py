@@ -6,7 +6,7 @@ graph of G (one apex adjacent to everything): single correlators map to apex
 edges via <M_i> = 1 - 2 x_{iO} and pair correlators to ordinary edges via
 <M_i M_j> = 1 - 2 x_{ij}. This module keeps both pictures exact: cuts as
 integer arrays of edge incidence rows, which cut facet tests evaluate in bulk
-on the engine they share with Bell inequalities (`tightness._facet_report`),
+and rank on the tail shared with Bell inequalities (`tightness._facet_report`),
 behaviours and inequalities over rationals, plus the exclusivity (sum over
 mutually exclusive events <= 1) inequalities for the pairwise-measurement
 scenario and the pentagonal inequality that separates them from the
@@ -24,9 +24,10 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .tightness import _CHUNK_CELLS, _facet_report, _int_scaled, _scan
+from .tightness import _facet_report, _int_scaled
 
 CUT_ENUM_MAX_VERTICES = 20
+_CHUNK_CELLS = 1 << 20  # values per chunk of a cut scan, to bound its memory
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,19 @@ def enumerate_cuts(g: Graph):
         cv = CutVector(g, _mask_subset(mask, g.n))
         first.setdefault(cv.bits, cv)
     return list(first.values())
+
+
+def _scan(values, target):
+    """Over integer values given in chunks, in vertex order: the indices equal
+    to target, the largest value, and the index of its first occurrence."""
+    roots, top, first, offset = [], None, -1, 0
+    for v in values:
+        k = int(np.argmax(v))
+        if top is None or v[k] > top:
+            top, first = v[k], offset + k
+        roots.append(np.flatnonzero(v == target) + offset)
+        offset += len(v)
+    return np.concatenate(roots), top, first
 
 
 def _cut_values(ineq: "CutInequality", g: Graph):
@@ -384,10 +398,11 @@ def cut_facet_test(ineq: CutInequality, g: Graph):
     if cform.n != g.n:
         raise ValueError("inequality and graph vertex counts differ")
     masks, values, target = _cut_values(cform, g)
-    return _facet_report(
-        "cut", len(g.sorted_edges), values, target,
-        lambda k: _cut_rows(g, masks[k]),
-        lambda k: f"at the cut with subset {sorted(_mask_subset(int(masks[k]), g.n))}")
+    roots, top, first = _scan(values, target)
+    if top > target:
+        raise ValueError("inequality is violated at the cut with subset "
+                         f"{sorted(_mask_subset(int(masks[first]), g.n))}")
+    return _facet_report("cut", len(g.sorted_edges), len(roots), _cut_rows(g, masks[roots]))
 
 
 # ---------------------------------------------------------------------------

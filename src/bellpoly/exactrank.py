@@ -135,9 +135,13 @@ def _rank_if_certified(M, S):
 
 
 def _certified_rank(M):
-    """Rank over Q of the integer matrix M (int64 or object array)."""
+    """Rank over Q of the integer matrix M (int64 or object array). A wide M
+    is transposed first, which keeps its rank and shrinks the kernel basis
+    the certificate builds to fewer columns than M has rows."""
     if M.size == 0:
         return 0
+    if M.shape[0] < M.shape[1]:
+        M = M.T
     nrows, n = M.shape
     if nrows > 4 * n:
         sample = sorted(random.Random(0).sample(range(nrows), 2 * n))

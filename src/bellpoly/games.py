@@ -18,9 +18,10 @@ exponents are kept exactly; the complex realization is built on demand.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi
+from math import lcm, pi
 
 import numpy as np
 
@@ -365,6 +366,32 @@ def _win_coeffs(g) -> tuple:
     return tuple(tuple(table(x, y) for y in range(s.mb)) for x in range(s.ma))
 
 
+def scaled_functionals(games, bounds=()):
+    """The games' functionals (as in `_win_coeffs`) and the bounds, times one
+    common denominator: an integer array [game, x, y, a, b], int64 unless d
+    times the total could reach 2^62 (then Python ints), the integer bounds,
+    and the denominator. The games share their shape."""
+    den = lcm(*{v.denominator for g in games for row in g.q for v in row},
+              *(b.denominator for b in bounds))
+    Q = [[[v.numerator * (den // v.denominator) for v in row] for row in g.q] for g in games]
+    targets = [b.numerator * (den // b.denominator) for b in bounds]
+    d = games[0].d
+    total = sum(sum(map(sum, q)) for q in Q) + sum(map(abs, targets))
+    B = np.array([_winning_outputs(g) for g in games])  # [game, x, y, a]: Bob's winning b
+    C = np.zeros(B.shape + (d,), dtype=np.int64 if d * total < 2 ** 62 else object)
+    Q = np.array(Q, dtype=C.dtype).reshape(B.shape[:3] + (1, 1))
+    np.put_along_axis(C, B[..., None], Q, axis=-1)
+    return C, targets, den
+
+
+def _winning_outputs(g) -> np.ndarray:
+    """B[x, y, a]: the output of Bob's that wins against Alice's a at (x, y)."""
+    if isinstance(g, UniqueGame3):
+        return np.array([[PERMS[name] for name in row] for row in g.perms],
+                        dtype=np.int64).reshape(g.ma, g.mb, 3)
+    return (np.array(g.f, dtype=np.int64).reshape(g.ma, g.mb, 1) - np.arange(g.d)) % g.d
+
+
 def to_correlator_inequality(g: LinearGame) -> BellInequality:
     """Correlator-space view of a binary game: the win probability is
     W/2 + (1/2) sum q(x,y) (-1)^f(x,y) <A_x B_y>, so the correlator
@@ -386,7 +413,8 @@ def subgame_restrict(g, fix_a=None, fix_b=None):
 
     fix_a / fix_b map dit positions (0 = first = most significant) to values.
     The game shape is unchanged; only q is masked, so fragment inequalities
-    live in the same scenario and sum cell-wise to the original.
+    live in the same scenario and sum cell-wise to the original. The copy
+    does not run g's checks again: masking keeps every entry valid.
     """
     fix_a = dict(fix_a or {})
     fix_b = dict(fix_b or {})
@@ -411,6 +439,6 @@ def subgame_restrict(g, fix_a=None, fix_b=None):
     q = tuple(
         tuple(g.q[x][y] if (keep_x[x] and keep_y[y]) else zero for y in range(g.mb))
         for x in range(g.ma))
-    if isinstance(g, UniqueGame3):
-        return UniqueGame3(g.ma, g.mb, q, g.perms)
-    return LinearGame(g.d, g.ma, g.mb, q, g.f, n=g.n, nlc=g.nlc)
+    masked = copy.copy(g)  # does not run __post_init__
+    object.__setattr__(masked, "q", q)
+    return masked

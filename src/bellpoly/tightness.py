@@ -1,12 +1,13 @@
 """Facet testing and the non-tightness decompositions for NLC-style games.
 
-Every facet test (Bell and correlation inequalities here, cut inequalities
-in `cut`) runs on one engine, `_facet_report`, fed with the integer-scaled
-functional's value on each vertex of the polytope: it rejects an inequality
-that a vertex violates, and decides facet-ness exactly by the affine rank of
-the vertices meeting the bound. Decompositions write the game inequality as
-a cell-wise sum of two or more valid fragment inequalities whose faces
-differ, which rules out facet-ness without any rank computation
+Bell and correlation facet tests read the best-response scan that the
+classical value runs (`values._scan`): it rejects an inequality that a box
+violates, and its optimal maps and tie sets give the saturating count and a
+few boxes spanning the saturating set's affine hull. Those, and the cut
+polytope's own vertex scan (`cut`), end in one tail, `_facet_report`, which
+decides facet-ness exactly by the affine rank. Decompositions write the game
+inequality as a cell-wise sum of two or more valid fragment inequalities
+whose faces differ, which rules out facet-ness without any rank computation
 (intersections of distinct faces are lower-dimensional faces); both NLC
 decompositions run on one core, `_fragment_report`, which enumerates every
 fragment's classical value.
@@ -15,20 +16,20 @@ fragment's classical value.
 from __future__ import annotations
 
 import itertools
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .exactrank import affine_rank
-from .games import (LinearGame, _win_coeffs, game_matrix, input_dits, subgame_restrict,
-                    to_bell_inequality, to_correlator_inequality)
+from .games import (LinearGame, _win_coeffs, game_matrix, input_dits, scaled_functionals,
+                    subgame_restrict, to_bell_inequality, to_correlator_inequality)
 from .scenario import (DEFAULT_BOX_BUDGET, BellInequality, DeterministicBox,
-                       _correlator_rows, _reduced_rows, _response_maps,
-                       ns_polytope_dimension)
-from .values import classical_value
+                       _correlator_rows, _reduced_rows, ns_polytope_dimension)
+from .values import _scan, _tie_sets, classical_value
 
 HADAMARD_TOL = 1e-12
 
@@ -38,8 +39,8 @@ class FacetReport:
     """Outcome of a facet test.
 
     saturating_affine_dim is -1 when the saturating set is empty or (for a
-    decomposition verdict whose scenario has more boxes than the box budget)
-    when the statistics were skipped; `notes` says which. The defining invariant
+    decomposition verdict whose facet test exceeds the budget) when the
+    statistics were skipped; `notes` says which. The defining invariant
     is_facet <=> saturating_affine_dim == ambient_dim - 1 always holds.
     """
     polytope_kind: str
@@ -67,87 +68,88 @@ class LambdaProfile:
 # saturating boxes and facet tests
 # ---------------------------------------------------------------------------
 
-_CHUNK_CELLS = 1 << 20  # values per chunk of a vertex scan, to bound its memory
-
-
 def _int_scaled(values, bound):
-    """The values and bound times their common denominator: an integer array
-    (int64 unless a sum could overflow), the integer bound, the denominator."""
+    """The rational values (any nesting, such as an inequality's coefficient
+    table) and bound times their common denominator: an integer array of the
+    values' shape (int64 unless a sum could overflow), the integer bound, the
+    denominator."""
+    shaped = np.array(values, dtype=object)
+    values = shaped.ravel().tolist()
     den = lcm(bound.denominator, *(v.denominator for v in values))
     scaled = [v.numerator * (den // v.denominator) for v in values]
     target = bound.numerator * (den // bound.denominator)
     dtype = np.int64 if abs(target) + sum(map(abs, scaled)) < 2 ** 62 else object
-    return np.array(scaled, dtype=dtype), target, den
+    return np.array(scaled, dtype=dtype).reshape(shaped.shape), target, den
 
 
-def _scan(values, target):
-    """Over integer values given in chunks, in vertex order: the indices equal
-    to target, the largest value, and the index of its first occurrence."""
-    roots, top, first, offset = [], None, -1, 0
-    for v in values:
-        k = int(np.argmax(v))
-        if top is None or v[k] > top:
-            top, first = v[k], offset + k
-        roots.append(np.flatnonzero(v == target) + offset)
-        offset += len(v)
-    return np.concatenate(roots), top, first
-
-
-def _facet_report(kind, ambient, values, target, rows, violation, trivial=False):
-    """The facet-test engine. `values` yields the integer-scaled functional on
-    the polytope's vertices, chunk by chunk in vertex order; `rows(indices)`
-    gives those vertices' integer coordinate rows; `violation(index)` names
-    the vertex in the ValueError raised when the first vertex of largest
-    value exceeds the bound. A facet's roots span ambient - 1 dimensions."""
-    roots, top, first = _scan(values, target)
-    if top > target:
-        raise ValueError(f"inequality is violated {violation(first)}")
-    dim = affine_rank(rows(roots)) if len(roots) else -1
-    return FacetReport(kind, ambient, len(roots), dim, dim == ambient - 1,
+def _facet_report(kind, ambient, count, rows, trivial=False):
+    """The facet-test tail, given the number of vertices meeting the bound
+    and integer coordinate rows spanning their affine hull: a facet's
+    vertices span ambient - 1 dimensions."""
+    dim = affine_rank(rows) if count else -1
+    return FacetReport(kind, ambient, count, dim, dim == ambient - 1,
                        trivial_facet_class=trivial)
 
 
-def _box_values(ineq: BellInequality, budget: int):
-    """The integer-scaled values of all deterministic boxes, lexicographic in
-    (a_map, b_map) and chunked by Alice map; the integer-scaled bound; and
-    `boxes`, from box numbers to their map rows. The budget is checked first."""
-    s = ineq.scenario
-    if s.box_count > budget:
+def _valid_scan(C, target, budget):
+    """`values._scan` of the integer functional C; a box above the integer
+    bound raises ValueError naming the first box of largest value."""
+    scan = _scan(C, budget)
+    if scan.top > target:
+        raise ValueError("inequality is violated by the deterministic box with "
+                         "a_map {} and b_map {}".format(*scan.box))
+    return scan
+
+
+def _saturating_count(ties) -> int:
+    """The boxes of a scan's top value: over its optimal maps, the product
+    of the answering side's tie-set sizes (`values._tie_sets`)."""
+    sizes, repeats = np.unique(ties.sum(axis=2), axis=0, return_counts=True)
+    return sum(int(n) * prod(row) for row, n in zip(sizes.tolist(), repeats.tolist()))
+
+
+def _bell_roots(s, C, scan, project, budget):
+    """The saturating count and rows spanning the saturating boxes' affine
+    hull: per optimal map one base box (each answering input at its first
+    best output) and one box per other best output of one answering input.
+    With the enumerated map fixed, a vertex's coordinates are affine in the
+    answering side's one-hot outputs, so these boxes span the same hull as
+    all the boxes of value scan.top. Their number is checked against the
+    budget before they are built."""
+    ties = _tie_sets(C, scan.alice, scan.maps)
+    base = ties.argmax(axis=2)
+    k, j, o = np.nonzero(ties)
+    swap = o != base[k, j]
+    k, j, o = k[swap], j[swap], o[swap]
+    if len(base) + len(k) > budget:
         raise BudgetExceededError(
-            f"{s.box_count} boxes exceed the enumeration budget of {budget}")
-    flat = [v for block in ineq.coeffs for row in block for cell in row for v in cell]
-    C, target, _ = _int_scaled(flat, ineq.bound)
-    C = C.reshape(s.ma, s.mb, s.da, s.db)
-    a_maps, b_maps = _response_maps(s.da, s.ma), _response_maps(s.db, s.mb)
-    # T[ai, y, b] = sum_x C[x, y, a_maps[ai, x], b]
-    T = sum(C[x].transpose(1, 0, 2)[a_maps[:, x]] for x in range(s.ma))
-    step = max(1, _CHUNK_CELLS // (len(b_maps) * s.mb))
-
-    def values():
-        for lo in range(0, len(a_maps), step):
-            # V[ai, bi] = sum_y T[ai, y, b_maps[bi, y]]
-            yield sum(T[lo:lo + step, y][:, b_maps[:, y]] for y in range(s.mb)).ravel()
-
-    def boxes(k):
-        ai, bi = np.divmod(k, len(b_maps))
-        return a_maps[ai], b_maps[bi]
-    return values(), target, boxes
+            f"{len(base) + len(k)} rank rows exceed the budget of {budget}")
+    answers = np.concatenate([base, base[k]])
+    answers[len(base) + np.arange(len(k)), j] = o
+    maps = np.concatenate([scan.maps, scan.maps[k]])
+    rows = project(s, maps, answers) if scan.alice else project(s, answers, maps)
+    return _saturating_count(ties), rows
 
 
 def saturating_boxes(ineq: BellInequality, budget: int = DEFAULT_BOX_BUDGET):
     """All deterministic boxes achieving the bound exactly, in lexicographic
-    order on (a_map, b_map). Exact: weights are integer-scaled once and every
-    hit is an integer equality."""
-    values, target, boxes = _box_values(ineq, budget)
-    A, B = boxes(_scan(values, target)[0])
-    return [DeterministicBox(ineq.scenario, tuple(a_map), tuple(b_map))
-            for a_map, b_map in zip(A.tolist(), B.tolist())]
-
-
-def _is_positivity_form(ineq):
-    # single-cell nonnegativity written as <= : one negative coefficient, bound 0
-    nz = [v for block in ineq.coeffs for row in block for cell in row for v in cell if v != 0]
-    return len(nz) == 1 and nz[0] < 0 and ineq.bound == 0
+    order on (a_map, b_map): the optimal maps of `values._scan`, each with
+    every choice from the answering side's tie sets. A box above the bound
+    raises the ValueError of `facet_test`. The budget bounds the maps
+    scanned and the boxes listed."""
+    C, target, _ = _int_scaled(ineq.coeffs, ineq.bound)
+    scan = _valid_scan(C, target, budget)
+    if scan.top < target:
+        return []
+    ties = _tie_sets(C, scan.alice, scan.maps)
+    count = _saturating_count(ties)
+    if count > budget:
+        raise BudgetExceededError(f"{count} saturating boxes exceed the budget of {budget}")
+    boxes = []
+    for m, tie_sets in zip(scan.maps.tolist(), ties):
+        for answers in itertools.product(*(np.flatnonzero(t).tolist() for t in tie_sets)):
+            boxes.append((tuple(m), answers) if scan.alice else (answers, tuple(m)))
+    return [DeterministicBox(ineq.scenario, a_map, b_map) for a_map, b_map in sorted(boxes)]
 
 
 def facet_test(ineq: BellInequality, kind: str, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
@@ -159,45 +161,36 @@ def facet_test(ineq: BellInequality, kind: str, budget: int = DEFAULT_BOX_BUDGET
     required; boxes are projected to their ma*mb full correlators.
     """
     s = ineq.scenario
-    if kind == "bell":
-        ambient, project = ns_polytope_dimension(s), _reduced_rows
-    elif kind == "correlation":
+    if kind == "correlation":
         if s.da != 2 or s.db != 2:
             raise ValueError("correlation polytope needs binary outputs")
         if ineq.space != "correlator":
             raise ValueError("correlation facet test needs a correlator-space inequality")
-        ambient, project = s.ma * s.mb, _correlator_rows
-    else:
+    elif kind != "bell":
         raise ValueError(f"unknown polytope kind {kind!r}")
-    values, target, boxes = _box_values(ineq, budget)
+    C, target, _ = _int_scaled(ineq.coeffs, ineq.bound)
+    # single-cell nonnegativity written as <= : one negative coefficient, bound 0
+    trivial = bool(target == 0 and np.count_nonzero(C) == 1 and C.min() < 0)
+    return _bell_facet(kind, s, C, target, budget, trivial)
 
-    def violation(k):
-        a_map, b_map = boxes(k)
-        return (f"by the deterministic box with a_map {tuple(a_map.tolist())} "
-                f"and b_map {tuple(b_map.tolist())}")
-    return _facet_report(kind, ambient, values, target, lambda k: project(s, *boxes(k)),
-                         violation, trivial=_is_positivity_form(ineq))
+
+def _bell_facet(kind, s, C, target, budget, trivial=False) -> FacetReport:
+    """The facet test of the integer functional C[x, y, a, b] with integer
+    bound `target` on the `kind` polytope of scenario s. The vertices come
+    from the best-response scan `values._scan`; the budget bounds the maps it
+    enumerates and the rank rows (`_bell_roots`)."""
+    if kind == "bell":
+        ambient, project = ns_polytope_dimension(s), _reduced_rows
+    else:
+        ambient, project = s.ma * s.mb, _correlator_rows
+    scan = _valid_scan(C, target, budget)
+    roots = _bell_roots(s, C, scan, project, budget) if scan.top == target else (0, None)
+    return _facet_report(kind, ambient, *roots, trivial)
 
 
 # ---------------------------------------------------------------------------
 # fragment decompositions
 # ---------------------------------------------------------------------------
-
-def _scaled_wins(games, bounds):
-    """Each game's functional (`games._win_coeffs`) and each bound, times one
-    common denominator: an integer array [game, x, y, a, b] (int64 unless a
-    sum could overflow) and the integer bounds."""
-    den = lcm(*{v.denominator for g in games for row in g.q for v in row},
-              *(b.denominator for b in bounds))
-    Q = [[[v.numerator * (den // v.denominator) for v in row] for row in g.q] for g in games]
-    targets = [b.numerator * (den // b.denominator) for b in bounds]
-    d = games[0].d
-    total = sum(sum(map(sum, q)) for q in Q) + sum(map(abs, targets))
-    Q = np.array(Q, dtype=np.int64 if d * total < 2 ** 62 else object)
-    outputs = np.arange(d)
-    wins = np.array([g.f for g in games])[..., None, None] == (outputs[:, None] + outputs) % d
-    return Q[..., None, None] * wins, targets
-
 
 def _row_values(C, b_map):
     """r[x, a]: the functional C ([x, y, a, b]) summed over Bob's inputs y at
@@ -223,7 +216,7 @@ def _separated(Ci, Cj, target_j, witness_i) -> bool:
 
 def _assert_distinct_faces(C, targets, witnesses):
     """Certify the non-facet argument: every fragment face is proper, and two
-    fragment faces differ.
+    fragment faces differ (each fragment's witness attains its bound).
 
     Properness is an averaging argument: over the d^2 constant-output boxes
     the fragment expression averages to (total weight)/d, so a bound above
@@ -232,9 +225,7 @@ def _assert_distinct_faces(C, targets, witnesses):
     shown by a box on one fragment's face and off another's (`_separated`).
     """
     d = C.shape[-1]
-    for i, (Ci, (a_map, b_map)) in enumerate(zip(C, witnesses)):
-        if _row_values(Ci, b_map)[np.arange(len(a_map)), a_map].sum() != targets[i]:
-            raise VerificationError(f"fragment {i} bound is not attained by its witness")
+    for i, Ci in enumerate(C):
         # each (x, y) cell wins for exactly d output pairs, so C sums to d * weight
         if d * d * targets[i] <= Ci.sum():
             raise VerificationError(
@@ -245,53 +236,60 @@ def _assert_distinct_faces(C, targets, witnesses):
 
 
 def _fragment_report(g, restrictions, expected, bound, note, budget):
-    """The non-facet verdict of g's inequality with bound `bound`, from one
-    fragment per restriction of Alice's input dits (`subgame_restrict`).
+    """The non-facet verdict of g's inequality with bound `bound` (g's
+    classical value), from one fragment per restriction of Alice's input dits
+    (`subgame_restrict`).
 
-    Every fragment's classical value is enumerated and must equal `expected`;
-    the fragment inequalities must sum cell for cell to the game inequality,
-    and their faces must be proper and not all equal. The game inequality is
-    then an intersection of distinct faces, not a facet. A failed check raises
-    VerificationError: it would falsify the decomposition claim, not merely
-    this run. The polytope statistics come from `facet_test` when the boxes
-    fit the budget and are skipped, with a note, otherwise.
+    Every fragment's classical value is enumerated and checked against its
+    witness, and against `expected` when a closed form gives it. The split
+    applies, or ValueError is raised, exactly when the fragment values sum to
+    `bound`. The fragment inequalities must then sum cell for cell to the game
+    inequality, and their faces must be proper and not all equal, so the
+    game inequality is an intersection of distinct faces, not a facet; a
+    failed check raises VerificationError. The polytope statistics are
+    skipped, with a note, exactly when the facet test exceeds the budget.
     """
-    frags, witnesses = [], []
-    for fixes in restrictions:
-        frag = subgame_restrict(g, fix_a=fixes)
-        cv = classical_value(frag)
-        if cv.value != expected:
-            where = ", ".join(f"x{pos + 1}={v}" for pos, v in fixes.items())
+    frags = [subgame_restrict(g, fix_a=fixes) for fixes in restrictions]
+    values = [classical_value(fr) for fr in frags]
+    C, targets, _ = scaled_functionals([g] + frags, [bound] + [cv.value for cv in values])
+    witnesses = [(np.array(cv.a_map), np.array(cv.b_map)) for cv in values]
+    for fixes, Ci, target, cv, (a_map, b_map) in zip(restrictions, C[1:], targets[1:],
+                                                        values, witnesses):
+        where = ", ".join(f"x{pos + 1}={v}" for pos, v in fixes.items())
+        if _row_values(Ci, b_map)[np.arange(len(a_map)), a_map].sum() != target:
+            raise VerificationError(
+                f"fragment {where} has classical value {cv.value}, not attained by its witness")
+        if expected is not None and cv.value != expected:
             raise VerificationError(
                 f"fragment {where} has classical value {cv.value}, expected {expected}")
-        frags.append(frag)
-        witnesses.append((np.array(cv.a_map), np.array(cv.b_map)))
-    C, targets = _scaled_wins([g] + frags, [bound] + [expected] * len(frags))
+    if sum(targets[1:]) != targets[0]:
+        raise ValueError(
+            f"fragment values sum to {sum(cv.value for cv in values)}, not the game value "
+            f"{bound}: the fragment argument does not apply, no non-facet conclusion is drawn")
     if (C[1:].sum(axis=0) != C[0]).any():
         raise VerificationError("fragment coefficients do not sum to the original cell for cell")
-    if sum(targets[1:]) != targets[0]:
-        raise VerificationError("fragment bounds do not sum to the original bound")
     _assert_distinct_faces(C[1:], targets[1:], witnesses)
 
-    fragment_ineqs = tuple(BellInequality(fr.scenario, _win_coeffs(fr), expected) for fr in frags)
-    if g.scenario.box_count > budget:
+    fragment_ineqs = tuple(BellInequality(fr.scenario, _win_coeffs(fr), cv.value)
+                           for fr, cv in zip(frags, values))
+    try:
+        stats = _bell_facet("bell", g.scenario, C[0], targets[0], budget)
+    except BudgetExceededError:
         return FacetReport("bell", ns_polytope_dimension(g.scenario), -1, -1, False,
                            decomposition=fragment_ineqs,
                            notes=(note, "saturating statistics skipped (box budget)"))
-    stats = facet_test(BellInequality(g.scenario, _win_coeffs(g), bound), "bell", budget=budget)
     if stats.is_facet:
         raise VerificationError("decomposition succeeded yet the saturating set spans a facet")
     return replace(stats, decomposition=fragment_ineqs, notes=(note,))
 
 
 def nlc2_decompose(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
-    """Split a binary dit-structured game along Alice's first input bit: both
-    fragments must have exactly half the classical value (`_fragment_report`).
-    """
+    """Split a binary dit-structured game along Alice's first input bit
+    (`_fragment_report`); ValueError when the two fragment values sum past
+    the game's, as on the n = 4 inner-product and majority games."""
     if g.d != 2 or g.n < 2:
         raise ValueError("decomposition needs a binary game with n >= 2 input bits")
-    value = classical_value(g).value
-    return _fragment_report(g, [{0: 0}, {0: 1}], value / 2, value,
+    return _fragment_report(g, [{0: 0}, {0: 1}], None, classical_value(g).value,
                             "non-facet via decomposition into two distinct supporting faces",
                             budget)
 
@@ -405,18 +403,21 @@ def game_facet_test(g, kind: str, budget: int = DEFAULT_BOX_BUDGET):
 
     On the Bell polytope a distributed-computation game on n >= 2 dits is
     decided by its fragments: a binary one split along Alice's first bit
-    (`nlc2_decompose`), a product-form one with Lambda >= 1/2 along her first
-    n-1 dits (`nlcd_nonfacet_check`). The bound is then the sum of the
-    fragment bounds, so a product-form game's own classical value is never
-    enumerated. Every other game goes through `facet_test`.
+    when that split applies (`nlc2_decompose`), a product-form one with
+    Lambda >= 1/2 along her first n-1 dits (`nlcd_nonfacet_check`). The
+    bound is then the sum of the fragment bounds, so a product-form game's
+    own classical value is never enumerated. Every other game goes through
+    `facet_test`.
     """
     spec = getattr(g, "nlc", None)
     split = kind == "bell" and spec is not None and spec.n >= 2
+    rep = None
     if split and g.d == 2:
-        rep = nlc2_decompose(g, budget)
+        with suppress(ValueError):  # the fragment values sum past the game's
+            rep = nlc2_decompose(g, budget)
     elif split and spec.is_product_form and nlcd_lambda(g).big_lambda >= Fraction(1, 2):
         rep = nlcd_nonfacet_check(g, budget)
-    else:
+    if rep is None:
         ineq = to_bell_inequality(g) if kind == "bell" else to_correlator_inequality(g)
         return facet_test(ineq, kind, budget), ineq.bound
     return rep, sum((fr.bound for fr in rep.decomposition), Fraction(0))

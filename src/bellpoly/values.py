@@ -1,14 +1,11 @@
 """Exact classical/no-signaling values and norm-based quantum upper bounds.
 
-The classical optimum is found by exhaustive search over one side's response
-maps, with the other side answering by exact best response per input; this
-is equivalent to enumerating all strategy pairs because the answering side's
-optimum decomposes across its inputs. Inputs whose weights are all zero are
-fixed to output 0, and the side with fewer remaining maps is enumerated; the
-strategy budget counts those maps. The search runs on integer-scaled weights
-(numpy int64, or Python ints when the scaled total weight reaches 2^62), and
-the winning strategy is re-verified in exact rational arithmetic before being
-returned.
+The classical optimum comes from one best-response scan (`_scan`), which
+facet tests share: it enumerates the response maps of the side with fewer,
+and the other side answers each with its best output per input, which is
+equivalent to enumerating all strategy pairs because that optimum decomposes
+across inputs. The scan runs on integer-scaled weights, and the winning
+strategy is re-verified in exact rational arithmetic before being returned.
 
 Quantum upper bounds come from sums of spectral norms of the Fourier game
 matrices; for 3-output unique games the two coset matrices enter through a
@@ -21,12 +18,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, sqrt
+from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .games import GameMatrix, LinearGame, game_matrix, unique3_matrices
+from .games import GameMatrix, LinearGame, game_matrix, scaled_functionals, unique3_matrices
 
 DEFAULT_STRATEGY_BUDGET = 2 ** 24
 
@@ -76,50 +74,12 @@ def ns_value(g) -> Fraction:
     return g.total_weight
 
 
-def _common_denominator(g):
-    den = 1
-    for row in g.q:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-    return den
-
-
-def _best_response_exact(g, a_map):
-    """Bob's exact best response to a fixed Alice map; smallest b on ties."""
-    total = Fraction(0)
-    b_map = []
-    for y in range(g.mb):
-        scores = [Fraction(0)] * g.d
-        for x in range(g.ma):
-            scores[g.winning_b(a_map[x], x, y)] += g.q[x][y]
-        best = max(scores)
-        total += best
-        b_map.append(scores.index(best))
-    return tuple(b_map), total
-
-
-def _win_table(g, den, rows, cols, alice):
-    """The game functional of `games._win_coeffs`, integer-scaled, on the
-    inputs of nonzero weight: E[i, b, j, c] = den q(x, y) when output b of
-    the answering side wins against output c of the i-th enumerated input at
-    the j-th answering input, else 0 (x = rows[i] and y = cols[j] when
-    Alice's maps are enumerated; x = rows[j] and y = cols[i] when Bob's are).
-    int64 when the total scaled weight, which bounds every partial sum, is
-    below 2^62; Python ints in an object array otherwise."""
-    Q = [[g.q[x][y].numerator * (den // g.q[x][y].denominator) for y in cols] for x in rows]
-    dtype = np.int64 if sum(map(sum, Q)) < 2 ** 62 else object
-    shape = (len(rows), g.d, len(cols))
-    B = np.array([[[g.winning_b(c, x, y) for y in cols] for c in range(g.d)] for x in rows],
-                  dtype=np.int64).reshape(shape)
-    Q = np.array(Q, dtype=dtype).reshape(len(rows), 1, len(cols))
-    x, a, y = np.ix_(*map(np.arange, shape))  # Alice's input, her output, Bob's input
-    if alice:
-        E = np.zeros((len(rows), g.d, len(cols), g.d), dtype=dtype)
-        E[x, B, y, a] = Q
-    else:
-        E = np.zeros((len(cols), g.d, len(rows), g.d), dtype=dtype)
-        E[y, a, x, B] = Q
-    return E
+class _Scan(NamedTuple):
+    """The best-response scan of an integer functional C[x, y, a, b]."""
+    top: int          # its largest value on a deterministic box
+    box: tuple        # the lexicographically first box (a_map, b_map) of value top
+    alice: bool       # whether Alice's maps were enumerated (else Bob's)
+    maps: np.ndarray  # the enumerated maps of value top, as lexicographic digit rows
 
 
 def _partial_sums(E):
@@ -134,79 +94,89 @@ def _partial_sums(E):
 _SCAN_CELLS = 1 << 18  # partial sums per slab of a scan, to bound its memory
 
 
-def _scan_chunk(hi, lo, start, stop, alice):
-    """Scan the enumerated maps whose high digits are strings start..stop of
-    hi ([s, b, j]) against every string of lo ([b, j, s]): the partial sums
-    of the high and the low inputs. Returns the best value and a key whose
-    minimum over the chunks that attain it names the witness: the map number
-    when Alice's maps are enumerated; when Bob's are, the smallest of Alice's
-    componentwise-first best responses to the maps attaining it."""
+def _scan_chunk(hi, lo, start, stop):
+    """The best total over the enumerated maps whose high digits are strings
+    start..stop of hi ([s, b, j]), each crossed with every string of lo
+    ([b, j, s]), the partial sums of the high and the low inputs; and the
+    numbers of the maps attaining it."""
     d, L = lo.shape[0], lo.shape[2]
     best = hi[start:stop, 0, :, None] + lo[0]
     for b in range(1, d):
         np.maximum(best, hi[start:stop, b, :, None] + lo[b], out=best)
     totals = best.sum(axis=1).ravel()
-    i = int(totals.argmax())  # first occurrence: lexicographically smallest
-    if alice:
-        return totals[i], start * L + i
-    c, l = np.divmod(np.flatnonzero(totals == totals[i]), L)
-    answers = (hi[start + c] + lo[:, :, l].transpose(2, 0, 1)).argmax(axis=1)
-    return totals[i], tuple(answers[np.lexsort(answers.T[::-1])[0]].tolist())
+    top = totals.max()
+    return top, np.flatnonzero(totals == top) + start * L
 
 
-def classical_value(g, budget: int = DEFAULT_STRATEGY_BUDGET, workers: int = None) -> ClassicalValue:
-    """Exact classical optimum with a lexicographically-first witness.
-
-    Inputs whose whole row (Alice) or column (Bob) of weights is zero are
-    fixed to output 0. Of the rest, the side with fewer response maps is
-    enumerated (Alice's on a tie); the budget applies to that count. The
-    other side answers each map with its best response per input. The
-    enumerated inputs split into a high and a low half, each with a table of
-    partial sums of the integer win table, so a chunk of high strings costs
-    a broadcast add and a maximum per answering output, and one sum. The
-    witness is the lexicographically first optimal (a_map, b_map); it is
-    re-evaluated in exact rationals. Results do not depend on the worker
-    count.
-    """
-    d = g.d
-    rows = [x for x in range(g.ma) if any(g.q[x])]
-    cols = [y for y in range(g.mb) if any(row[y] for row in g.q)]
-    alice = len(rows) <= len(cols)
-    n_maps = d ** min(len(rows), len(cols))
+def _scan(C, budget, workers=None) -> _Scan:
+    """Maximise the integer functional C[x, y, a, b] (int64, or Python ints
+    when a sum could reach 2^62) over deterministic boxes. The budget is
+    checked first, against the maps of the side with fewer (Alice's on a
+    tie), which are enumerated over partial-sum tables of a high and a low
+    half of their inputs. Results do not depend on the worker count."""
+    ma, mb, da, db = C.shape
+    n_maps = min(da ** ma, db ** mb)
     if n_maps > budget:
         raise BudgetExceededError(
             f"{n_maps} response maps exceed the strategy budget of {budget}")
-
-    den = _common_denominator(g)
-    E = _win_table(g, den, rows, cols, alice)
+    alice = da ** ma <= db ** mb
+    # E[i, b, j, c]: enumerated input i answered with c, answering input j with b
+    E = C.transpose(0, 3, 1, 2) if alice else C.transpose(1, 2, 0, 3)
     h = len(E) // 2
     hi = np.ascontiguousarray(_partial_sums(E[:h]).transpose(2, 0, 1))
     lo = _partial_sums(E[h:])
-    del E  # only the sums are scanned, and E holds d^2 cells per input pair
 
     step = max(1, _SCAN_CELLS // max(1, lo[0].size))
     ranges = [(r, min(r + step, len(hi))) for r in range(0, len(hi), step)]
     if workers is None:
         workers = os.cpu_count() or 1
-
-    def scan(r):
-        return _scan_chunk(hi, lo, r[0], r[1], alice)
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(scan, ranges))
+            parts = list(ex.map(lambda r: _scan_chunk(hi, lo, *r), ranges))
     else:
-        parts = [scan(r) for r in ranges]
-
+        parts = [_scan_chunk(hi, lo, *r) for r in ranges]
     top = max(t for t, _ in parts)
-    key = min(k for t, k in parts if t == top)
+    optimal = np.concatenate([k for t, k in parts if t == top])
+
+    maps = optimal[:, None] // (E.shape[-1] ** np.arange(len(E) - 1, -1, -1)) % E.shape[-1]
     if alice:
-        key = tuple((key // d ** (len(rows) - 1 - i)) % d for i in range(len(rows)))
-    a_map = [0] * g.ma
-    for x, a in zip(rows, key):
-        a_map[x] = a
-    a_map = tuple(a_map)
-    b_map, val = _best_response_exact(g, a_map)
-    found = Fraction(int(top), den)
+        a_map = maps[0]
+    else:  # Alice's least map in an optimal box is the least of her first best answers
+        answers = _tie_sets(C, False, maps).argmax(axis=2)
+        a_map = answers[np.lexsort(answers.T[::-1])[0]]
+    b_map = _tie_sets(C, True, a_map[None])[0].argmax(axis=1)  # Bob's first best answers
+    return _Scan(int(top), (tuple(a_map.tolist()), tuple(b_map.tolist())), alice, maps)
+
+
+def _tie_sets(C, alice, maps):
+    """ties[k, j, o]: against the enumerated map maps[k] (Alice's when
+    `alice`, else Bob's), output o is a best answer of the other side at its
+    input j, for the integer functional C[x, y, a, b]."""
+    E = C if alice else C.transpose(1, 0, 3, 2)  # [enumerated input, other input, outputs]
+    m, n, _, d = E.shape
+    ties = np.empty((len(maps), n, d), dtype=bool)
+    step = max(1, _SCAN_CELLS // max(1, m * n * d))
+    for r in range(0, len(maps), step):
+        scores = E[np.arange(m), :, maps[r:r + step]].sum(axis=1)
+        ties[r:r + step] = scores == scores.max(axis=2, keepdims=True)
+    return ties
+
+
+def classical_value(g, budget: int = DEFAULT_STRATEGY_BUDGET, workers: int = None) -> ClassicalValue:
+    """Exact classical optimum with the lexicographically first optimal
+    (a_map, b_map) as witness, re-evaluated in exact rationals. Inputs whose
+    whole row (Alice) or column (Bob) of weights is zero are fixed to output
+    0 and the rest of the integer game functional goes through `_scan`,
+    whose budget counts the maps of the side with fewer."""
+    rows = [x for x in range(g.ma) if any(g.q[x])]
+    cols = [y for y in range(g.mb) if any(row[y] for row in g.q)]
+    C, _, den = scaled_functionals([g])
+    C = C[0][np.ix_(rows, cols)]  # frees the full table, which holds d^2 cells per input pair
+    scan = _scan(C, budget, workers)
+    a, b = dict(zip(rows, scan.box[0])), dict(zip(cols, scan.box[1]))
+    a_map = tuple(a.get(x, 0) for x in range(g.ma))
+    b_map = tuple(b.get(y, 0) for y in range(g.mb))
+    val, found = strategy_value(g, a_map, b_map), Fraction(scan.top, den)
     if val != found:
         raise VerificationError(
             f"integer-scaled search disagrees with exact re-evaluation ({found} vs {val})")

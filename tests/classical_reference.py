@@ -9,10 +9,15 @@ pair. `by_all_pairs` scores every (a_map, b_map) pair and keeps the first
 best one. `by_prefix_search` suits games with few Bob maps and many Alice
 maps: it fixes the outputs one at a time, keeping the smallest output that
 some completion of the prefix still lifts to the optimum.
+
+`box_values` is the reference for facet tests: the value of an inequality
+on every deterministic box, scored pair by pair.
 """
 import itertools
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 
 def _scaled(g):
@@ -77,3 +82,20 @@ def by_prefix_search(g):
     for _ in range(g.mb):
         b_map += (next(b for b in range(g.d) if best(a_map, b_map + (b,)) == top),)
     return Fraction(top, den), a_map, b_map
+
+
+def box_values(ineq):
+    """V[i, j]: the inequality's value on the box (A[i], B[j]), times the
+    common denominator of its coefficients and bound, as Python ints, with
+    Alice's maps A and Bob's maps B in lexicographic order; the scaled bound;
+    A; B."""
+    s = ineq.scenario
+    flat = [v for block in ineq.coeffs for row in block for cell in row for v in cell]
+    den = lcm(ineq.bound.denominator, *(v.denominator for v in flat))
+    C = np.array([int(v * den) for v in flat], dtype=object).reshape(s.ma, s.mb, s.da, s.db)
+    A = np.array(list(itertools.product(range(s.da), repeat=s.ma)))
+    B = np.array(list(itertools.product(range(s.db), repeat=s.mb)))
+    # T[i, y, b] = sum_x C[x, y, A[i, x], b]; V[i, j] = sum_y T[i, y, B[j, y]]
+    T = sum(C[x].transpose(1, 0, 2)[A[:, x]] for x in range(s.ma))
+    V = sum(T[:, y][:, B[:, y]] for y in range(s.mb))
+    return V, int(ineq.bound * den), A, B

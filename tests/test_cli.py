@@ -142,6 +142,32 @@ def test_malformed_linear_game_is_exit_2(tmp_path, capsys, text):
     assert err.startswith("bellpoly: parse error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "nlc", "d": 2, "nlc": {"n": 1, "g": 5, "p": [1]}}',
+    '{"kind": "nlc", "d": 2, "nlc": {"n": 1, "g": [0, 1], "p": null}}',
+])
+def test_nlc_tables_that_are_not_lists_are_exit_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "analyze-game", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("bellpoly: parse error") and "must be lists" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"space": "probability", "bound": 0, "coeffs": [[[[0], []]]]}',
+    '{"space": "probability", "bound": 0, "coeffs": [[[[0, 1], [1, 0]]], []]}',
+    '{"space": "correlator", "bound": 2, "coeffs": [[1], [1, 5]]}',
+])
+def test_ragged_coefficient_tables_are_exit_2(tmp_path, capsys, text):
+    bad = tmp_path / "ragged.json"
+    bad.write_text(text)
+    kind = "bell" if "probability" in text else "correlation"
+    code, out, err = run_cli(capsys, "facet-test", str(bad), "--polytope", kind)
+    assert (code, out) == (2, "")
+    assert err.startswith("bellpoly: parse error") and "coeffs must be nested" in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     path = write_game(tmp_path, make_phi_ex_game())
     code, _, err = run_cli(capsys, "analyze-game", path, "--budget", "10")

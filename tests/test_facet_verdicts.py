@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from bellpoly import (BellInequality, NLCSpec, Scenario, build_nlc2, cut, facet_test,
-                      integer_rank, tightness, to_bell_inequality, to_correlator_inequality)
+                      integer_rank, tightness, to_bell_inequality, to_correlator_inequality,
+                      values)
 from bellpoly.cut import CutInequality, Graph, cut_facet_test
 from tests.conftest import make_chsh_game, make_nlc2_and, make_nlc2_xor
 
@@ -143,7 +144,7 @@ def test_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
                 Graph.complete(6))]
     expected = [_verdict(run) for run in runs]
     with monkeypatch.context() as m:
-        m.setattr(tightness, "_CHUNK_CELLS", cells)
+        m.setattr(values, "_SCAN_CELLS", cells)
         m.setattr(cut, "_CHUNK_CELLS", cells)
         assert [_verdict(run) for run in runs] == expected
     assert any(isinstance(v, str) for v in expected)

@@ -3,7 +3,8 @@ command line, on small inputs near and off the file formats. A parser
 returns its object or raises ValueError (ParseError is one; the command
 line reports both with exit 2); a bellpoly run ends with exit
 0, 2 or 3 (never 4, the soundness alarm, and never a traceback), and on
-exit 0 prints strict JSON. Weights reach 2^64, past int64 sums."""
+exit 0 prints strict JSON. Weights reach 2^64, past int64 sums; NLC
+tables reach n = 4."""
 import contextlib
 import io
 import json
@@ -52,11 +53,14 @@ def game_docs(draw):
         doc["perms"] = draw(tables(st.sampled_from(["e", "(01)", "(02)", "(12)", "(012)",
                                                     "(021)", "(0)", 7]), ma, mb))
     elif kind == "nlc":
-        d, n = draw(st.sampled_from([2, 2, 3, 4])), draw(st.integers(0, 3))
+        d, n = draw(st.sampled_from([2, 2, 3, 4])), draw(st.integers(0, 4))
         size = draw(st.sampled_from([2 ** n, d ** max(n - 1, 0), 3]))
         doc["d"] = d
-        doc["nlc"] = {"n": n, "g": draw(st.lists(small_ints, min_size=size, max_size=size)),
-                      "p": draw(st.lists(rationals, min_size=size, max_size=size))}
+        doc["nlc"] = {"n": n,
+                      "g": draw(st.one_of(st.lists(small_ints, min_size=size, max_size=size),
+                                          junk)),
+                      "p": draw(st.one_of(st.lists(rationals, min_size=size, max_size=size),
+                                          junk))}
     return _drop_keys(draw, doc)
 
 
@@ -126,7 +130,13 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+NLC_NOT_LISTS = [{"kind": "nlc", "d": 2, "nlc": {"n": 1, "g": 5, "p": [1]}},
+                 {"kind": "nlc", "d": 2, "nlc": {"n": 1, "g": [0, 1], "p": None}}]
+
+
 @SETTINGS
+@example(NLC_NOT_LISTS[0], None)
+@example(NLC_NOT_LISTS[1], None)
 @given(game_docs(), garbles)
 def test_parse_game_text(doc, garble):
     parses_or_value_error(cli.parse_game_text, as_text(doc, garble))
@@ -145,6 +155,8 @@ def test_parse_graph_text(text):
 
 
 @SETTINGS
+@example(NLC_NOT_LISTS[0], None, ["facet-test", "PATH", "--polytope", "bell"])
+@example(NLC_NOT_LISTS[1], None, ["analyze-game", "PATH"])
 @given(game_docs(), garbles, st.sampled_from([
     ["analyze-game", "PATH"], ["analyze-game", "PATH", "--classical", "--sufficient"],
     ["analyze-game", "PATH", "--budget", "8"], ["analyze-game", "PATH", "--workers", "2"],
@@ -159,6 +171,10 @@ def test_cli_on_game_files(doc, garble, argv):
          ["facet-test", "PATH", "--polytope", "bell"])
 @example({"space": "correlator", "bound": 0, "coeffs": {"a": 1}}, None,
          ["facet-test", "PATH", "--polytope", "correlation"])
+@example({"space": "probability", "bound": 0, "coeffs": [[[[0], []]]]}, None,
+         ["facet-test", "PATH", "--polytope", "bell"])
+@example({"space": "probability", "bound": 0, "coeffs": [[[[0]]]]}, None,
+         ["facet-test", "PATH", "--polytope", "bell"])
 @given(inequality_docs(), garbles, st.sampled_from([
     ["facet-test", "PATH", "--polytope", "bell"],
     ["facet-test", "PATH", "--polytope", "correlation"], ["cut", "facet", "--ineq", "PATH"]]))

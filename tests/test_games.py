@@ -1,6 +1,7 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from bellpoly import (
     to_correlator_inequality,
     unique3_matrices,
 )
-from bellpoly.games import _win_coeffs
+from bellpoly.games import _win_coeffs, scaled_functionals
 from bellpoly.values import classical_value
 
 F = Fraction
@@ -173,6 +174,19 @@ def test_subgame_restrictions_partition_weight(nlc2_and):
     assert total == g.total_weight
 
 
+def test_subgame_restrict_equals_the_checked_construction(nlc2_and, unique3_mixed):
+    # the masked copy skips the constructor's checks; it must be the game
+    # the checked constructor builds from the same tables
+    frag = subgame_restrict(nlc2_and, fix_a={0: 1}, fix_b={1: 0})
+    assert frag == LinearGame(2, 4, 4, frag.q, nlc2_and.f, n=2, nlc=nlc2_and.nlc)
+    assert frag.nlc is nlc2_and.nlc
+    q = [[F(0)] * unique3_mixed.mb for _ in range(unique3_mixed.ma)]
+    q[1] = list(unique3_mixed.q[1])
+    frag3 = subgame_restrict(unique3_mixed, fix_a={0: 1})
+    assert frag3 == UniqueGame3(unique3_mixed.ma, unique3_mixed.mb, q, unique3_mixed.perms)
+    assert type(frag3) is UniqueGame3
+
+
 def test_subgame_restrict_validation(nlc2_and):
     with pytest.raises(ValueError):
         subgame_restrict(nlc2_and)
@@ -247,6 +261,21 @@ def test_win_coeffs_match_the_cellwise_win_rule(nlc3_game, unique3_mixed):
         assert _win_coeffs(g) == tuple(
             tuple(tuple(tuple(g.q[x][y] if g.win(a, b, x, y) else F(0) for b in range(s.db))
                         for a in range(s.da)) for y in range(s.mb)) for x in range(s.ma))
+
+
+def test_scaled_functionals_match_the_cellwise_win_rule(nlc3_game, unique3_mixed):
+    product = build_nlcd(NLCSpec(3, 2, (0, 0, 1), (F(1, 3),) * 3))
+    for games in ([nlc3_game], [unique3_mixed], [product, subgame_restrict(product, {0: 2})]):
+        C, targets, den = scaled_functionals(games, [F(2, 7)])
+        assert targets == [den * 2 // 7] and C.dtype == np.int64
+        for g, Cg in zip(games, C):
+            s = g.scenario
+            assert Cg.tolist() == [[[[int(g.q[x][y] * den) if g.win(a, b, x, y) else 0
+                                      for b in range(s.db)] for a in range(s.da)]
+                                    for y in range(s.mb)] for x in range(s.ma)]
+    # Python ints once d times the total weight could reach 2^62
+    big = LinearGame(2, 2, 2, [[2 ** 60] * 2] * 2, [[0, 1], [1, 0]])
+    assert scaled_functionals([big])[0].dtype == object
 
 
 def test_correlator_and_probability_forms_agree(chsh_game):

@@ -30,8 +30,8 @@ from bellpoly import (
     to_bell_inequality,
     to_correlator_inequality,
 )
-from bellpoly.games import _win_coeffs, subgame_restrict
-from bellpoly.tightness import LambdaProfile, _scaled_wins, _separated, _sylvester_hadamard
+from bellpoly.games import _win_coeffs, scaled_functionals, subgame_restrict
+from bellpoly.tightness import LambdaProfile, _separated, _sylvester_hadamard
 from bellpoly.values import classical_value
 
 F = Fraction
@@ -51,12 +51,12 @@ def test_chsh_saturating_boxes(chsh_game):
 
 def test_saturating_boxes_budget(chsh_game):
     with pytest.raises(BudgetExceededError):
-        saturating_boxes(to_bell_inequality(chsh_game), budget=7)
+        saturating_boxes(to_bell_inequality(chsh_game), budget=3)
     # the budget is checked before validity: CHSH <= -2 is invalid, yet the
     # over-budget test raises BudgetExceededError (CLI exit 3, not 2)
     ineq = correlator_inequality(Scenario(2, 2, 2, 2), ((1, 1), (1, -1)), -2)
     with pytest.raises(BudgetExceededError):
-        facet_test(ineq, "correlation", budget=15)
+        facet_test(ineq, "correlation", budget=3)
 
 
 # ---------------------------------------------------------------- facet tests
@@ -113,8 +113,10 @@ def test_facet_test_rejects_invalid_inequality():
     bell = BellInequality(s, ineq.coeffs, ineq.bound)
     with pytest.raises(ValueError, match="violated"):
         facet_test(bell, "bell")
-    # saturating_boxes itself lists the boxes without judging validity
-    assert len(saturating_boxes(ineq)) == 8
+    # saturating_boxes rejects it as facet_test does
+    with pytest.raises(ValueError, match=r"violated by the deterministic box with a_map "
+                                         r"\(0, 0\) and b_map \(0, 0\)"):
+        saturating_boxes(ineq)
     assert facet_test(correlator_inequality(s, ((1, 1), (1, -1)), 2), "correlation").is_facet
 
 
@@ -175,8 +177,8 @@ def test_nlc2_decompose_fragment_coefficients_sum(nlc2_and):
 
 
 def test_nlc2_decompose_without_stats(nlc2_and):
-    # one box over the budget: the statistics are skipped
-    rep = nlc2_decompose(nlc2_and, budget=nlc2_and.scenario.box_count - 1)
+    # one map over the budget (2^4 maps a side): the statistics are skipped
+    rep = nlc2_decompose(nlc2_and, budget=2 ** 4 - 1)
     assert not rep.is_facet
     assert rep.saturating_count == -1
     assert any("skipped" in n for n in rep.notes)
@@ -326,13 +328,13 @@ def test_nlcd_nonfacet_fragment_maps_over_the_strategy_budget():
 
 
 def test_nlcd_nonfacet_statistics_within_the_box_budget():
-    g = uniform_product(2, 2, (0, 1))  # 2^4 * 2^4 boxes
+    g = uniform_product(2, 2, (0, 1))  # 2^4 maps a side
     rep = nlcd_nonfacet_check(g)
     stats = facet_test(to_bell_inequality(g), "bell")
     assert rep.notes == ("non-facet via decomposition into distinct supporting faces",)
     assert (rep.saturating_count, rep.saturating_affine_dim, rep.is_facet) == \
         (stats.saturating_count, stats.saturating_affine_dim, False)
-    skipped = nlcd_nonfacet_check(g, budget=g.scenario.box_count - 1)
+    skipped = nlcd_nonfacet_check(g, budget=2 ** 4 - 1)
     assert skipped.saturating_count == -1 and "skipped" in skipped.notes[-1]
 
 
@@ -372,7 +374,7 @@ def test_row_separation_matches_exhaustive_search():
     for _ in range(16):
         frags = seeded_fragments(rng)
         values = [classical_value(fr) for fr in frags]
-        C, targets = _scaled_wins(frags, [cv.value for cv in values])
+        C, targets, _ = scaled_functionals(frags, [cv.value for cv in values])
         ineqs = [BellInequality(fr.scenario, _win_coeffs(fr), cv.value)
                  for fr, cv in zip(frags, values)]
         s = frags[0].scenario
