@@ -24,7 +24,8 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .tightness import _facet_report, _int_scaled
+from .games import int_scaled
+from .tightness import _facet_report
 
 CUT_ENUM_MAX_VERTICES = 20
 _CHUNK_CELLS = 1 << 20  # values per chunk of a cut scan, to bound its memory
@@ -331,14 +332,15 @@ class CutInequality:
 
     def _scaled_weights(self, g: Graph):
         """The cut-form coefficients on g's edges in g's edge order, and the
-        bound, integer-scaled together (tightness._int_scaled); once per g."""
+        bound, integer-scaled together (games.int_scaled); once per g."""
         if g not in self._scaled_by_graph:
             coeffs = self.to_cut_form().edge_coeffs
             missing = [e for e in coeffs if e not in g.edge_index]
             if missing:
                 raise ValueError(f"{missing[0]} is not an edge of the graph")
-            self._scaled_by_graph[g] = _int_scaled(
-                [coeffs.get(e, Fraction(0)) for e in g.sorted_edges], self.bound)
+            w, (target,), den = int_scaled(
+                [coeffs.get(e, Fraction(0)) for e in g.sorted_edges], [self.bound])
+            self._scaled_by_graph[g] = w, target, den
         return self._scaled_by_graph[g]
 
     def evaluate_cut(self, cv: CutVector) -> Fraction:

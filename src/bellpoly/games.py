@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, pi
+from math import isqrt, lcm, pi
 
 import numpy as np
 
@@ -131,14 +131,7 @@ class UniqueGame3:
 # ---------------------------------------------------------------------------
 
 def _is_prime(d):
-    if d < 2:
-        return False
-    i = 2
-    while i * i <= d:
-        if d % i == 0:
-            return False
-        i += 1
-    return True
+    return d >= 2 and all(d % i for i in range(2, isqrt(d) + 1))
 
 
 @dataclass(frozen=True)
@@ -184,11 +177,7 @@ class NLCSpec:
 
 def input_dits(x, d, n):
     """Base-d digits of x, most significant first (n digits)."""
-    out = []
-    for _ in range(n):
-        x, r = divmod(x, d)
-        out.append(r)
-    return tuple(reversed(out))
+    return tuple(x // d ** (n - 1 - i) % d for i in range(n))
 
 
 def dits_to_index(dits, d):
@@ -301,25 +290,17 @@ def unique3_matrices(g: UniqueGame3, k: int):
     """
     if not 1 <= k <= 2:
         raise ValueError(f"k must be 1 or 2, got {k}")
-    zero = Fraction(0)
-    w_rot = [[zero] * g.mb for _ in range(g.ma)]
-    w_ref = [[zero] * g.mb for _ in range(g.ma)]
-    ph_rot = [[0] * g.mb for _ in range(g.ma)]
-    ph_ref = [[0] * g.mb for _ in range(g.ma)]
-    for x in range(g.ma):
-        for y in range(g.mb):
+
+    def coset_matrix(shifts):
+        """The cells whose permutation is in `shifts`, with phase exponent k * shift."""
+        def cell(x, y):
             name = g.perms[x][y]
-            if name in ROTATIONS:
-                f_minus = (-ROTATIONS[name]) % 3
-                w_rot[x][y] = g.q[x][y]
-                ph_rot[x][y] = (-k * f_minus) % 3
-            else:
-                f_plus = REFLECTIONS[name]
-                w_ref[x][y] = g.q[x][y]
-                ph_ref[x][y] = (k * f_plus) % 3
-    rot = GameMatrix(3, k, tuple(map(tuple, w_rot)), tuple(map(tuple, ph_rot)))
-    ref = GameMatrix(3, k, tuple(map(tuple, w_ref)), tuple(map(tuple, ph_ref)))
-    return rot, ref
+            return (g.q[x][y], k * shifts[name] % 3) if name in shifts else (Fraction(0), 0)
+        cells = [[cell(x, y) for y in range(g.mb)] for x in range(g.ma)]
+        return GameMatrix(3, k, tuple(tuple(w for w, _ in row) for row in cells),
+                          tuple(tuple(p for _, p in row) for row in cells))
+    # rotation cells: f_minus = -shift, so -k * f_minus = k * shift; reflections: f_plus = shift
+    return coset_matrix(ROTATIONS), coset_matrix(REFLECTIONS)
 
 
 def rotation_game_to_linear(g: UniqueGame3) -> LinearGame:
@@ -366,30 +347,40 @@ def _win_coeffs(g) -> tuple:
     return tuple(tuple(table(x, y) for y in range(s.mb)) for x in range(s.ma))
 
 
-def scaled_functionals(games, bounds=()):
-    """The games' functionals (as in `_win_coeffs`) and the bounds, times one
-    common denominator: an integer array [game, x, y, a, b], int64 unless d
-    times the total could reach 2^62 (then Python ints), the integer bounds,
-    and the denominator. The games share their shape."""
-    den = lcm(*{v.denominator for g in games for row in g.q for v in row},
-              *(b.denominator for b in bounds))
-    Q = [[[v.numerator * (den // v.denominator) for v in row] for row in g.q] for g in games]
+def int_scaled(values, bounds=()):
+    """The rationals `values` (any nesting, such as a coefficient table) and
+    `bounds` times their common denominator: an integer array of the values'
+    shape, the integer bounds and the denominator. The array is int64 unless
+    the sum of every |value| and |bound|, which bounds each sum formed from
+    them, reaches 2^62; then it holds Python ints."""
+    shaped = np.array(values, dtype=object)
+    flat = shaped.ravel().tolist()
+    den = lcm(*{v.denominator for v in flat}, *(b.denominator for b in bounds))
+    scaled = [v.numerator * (den // v.denominator) for v in flat]
     targets = [b.numerator * (den // b.denominator) for b in bounds]
+    dtype = np.int64 if sum(map(abs, scaled)) + sum(map(abs, targets)) < 2 ** 62 else object
+    return np.array(scaled, dtype=dtype).reshape(shaped.shape), targets, den
+
+
+def scaled_functionals(games, bounds=(), rows=None, cols=None, axes=(0, 1, 2, 3)):
+    """The games' functionals (as in `_win_coeffs`) on Alice's inputs `rows`
+    and Bob's `cols` (all by default), and the bounds, integer-scaled
+    together (`int_scaled`): an array [game, x, y, a, b] whose memory holds
+    the axes (x, y, a, b) in the order `axes`, the integer bounds and the
+    denominator. The games share their shape."""
     d = games[0].d
-    total = sum(sum(map(sum, q)) for q in Q) + sum(map(abs, targets))
-    B = np.array([_winning_outputs(g) for g in games])  # [game, x, y, a]: Bob's winning b
-    C = np.zeros(B.shape + (d,), dtype=np.int64 if d * total < 2 ** 62 else object)
-    Q = np.array(Q, dtype=C.dtype).reshape(B.shape[:3] + (1, 1))
-    np.put_along_axis(C, B[..., None], Q, axis=-1)
-    return C, targets, den
-
-
-def _winning_outputs(g) -> np.ndarray:
-    """B[x, y, a]: the output of Bob's that wins against Alice's a at (x, y)."""
-    if isinstance(g, UniqueGame3):
-        return np.array([[PERMS[name] for name in row] for row in g.perms],
-                        dtype=np.int64).reshape(g.ma, g.mb, 3)
-    return (np.array(g.f, dtype=np.int64).reshape(g.ma, g.mb, 1) - np.arange(g.d)) % g.d
+    rows = range(games[0].ma) if rows is None else rows
+    cols = range(games[0].mb) if cols is None else cols
+    shape = (len(games), len(rows), len(cols), d)  # game, x, y, a
+    Q, targets, den = int_scaled([[[g.q[x][y] for y in cols] for x in rows] for g in games],
+                                 bounds)
+    B = np.array([[[[g.winning_b(a, x, y) for a in range(d)] for y in cols] for x in rows]
+                  for g in games], dtype=np.int64).reshape(shape)
+    cells = np.ix_(*map(np.arange, shape))
+    index = cells[1:] + (B,)  # x, y, a and Bob's winning b
+    C = np.zeros((len(games),) + tuple((shape[1:] + (d,))[i] for i in axes), dtype=Q.dtype)
+    C[(cells[0],) + tuple(index[i] for i in axes)] = Q.reshape(shape[:3] + (1,))
+    return C.transpose(0, *(1 + np.argsort(axes))), targets, den
 
 
 def to_correlator_inequality(g: LinearGame) -> BellInequality:
@@ -416,29 +407,23 @@ def subgame_restrict(g, fix_a=None, fix_b=None):
     live in the same scenario and sum cell-wise to the original. The copy
     does not run g's checks again: masking keeps every entry valid.
     """
-    fix_a = dict(fix_a or {})
-    fix_b = dict(fix_b or {})
+    fix_a, fix_b = dict(fix_a or {}), dict(fix_b or {})
     if not fix_a and not fix_b:
         raise ValueError("empty restriction")
-    n = getattr(g, "n", 1)
-    d = g.d
-    for fixes, m in ((fix_a, g.ma), (fix_b, g.mb)):
-        for pos, val in fixes.items():
-            if not 0 <= pos < n:
-                raise ValueError(f"dit position {pos} out of range for n = {n}")
-            if not 0 <= val < d:
-                raise ValueError(f"dit value {val} out of range for d = {d}")
+    n, d = getattr(g, "n", 1), g.d
+    for pos, val in [*fix_a.items(), *fix_b.items()]:
+        if not 0 <= pos < n:
+            raise ValueError(f"dit position {pos} out of range for n = {n}")
+        if not 0 <= val < d:
+            raise ValueError(f"dit value {val} out of range for d = {d}")
 
-    def keep(index, fixes):
-        dits = input_dits(index, d, n)
-        return all(dits[pos] == val for pos, val in fixes.items())
+    def kept(m, fixes):
+        dits = [input_dits(i, d, n) for i in range(m)]
+        return [all(t[pos] == val for pos, val in fixes.items()) for t in dits]
 
-    keep_x = [keep(x, fix_a) for x in range(g.ma)]
-    keep_y = [keep(y, fix_b) for y in range(g.mb)]
-    zero = Fraction(0)
-    q = tuple(
-        tuple(g.q[x][y] if (keep_x[x] and keep_y[y]) else zero for y in range(g.mb))
-        for x in range(g.ma))
+    keep_x, keep_y = kept(g.ma, fix_a), kept(g.mb, fix_b)
+    q = tuple(tuple(v if keep_x[x] and keep_y[y] else Fraction(0) for y, v in enumerate(row))
+              for x, row in enumerate(g.q))
     masked = copy.copy(g)  # does not run __post_init__
     object.__setattr__(masked, "q", q)
     return masked

@@ -1,35 +1,31 @@
 """Facet testing and the non-tightness decompositions for NLC-style games.
 
-Bell and correlation facet tests read the best-response scan that the
-classical value runs (`values._scan`): it rejects an inequality that a box
-violates, and its optimal maps and tie sets give the saturating count and a
-few boxes spanning the saturating set's affine hull. Those, and the cut
-polytope's own vertex scan (`cut`), end in one tail, `_facet_report`, which
-decides facet-ness exactly by the affine rank. Decompositions write the game
-inequality as a cell-wise sum of two or more valid fragment inequalities
-whose faces differ, which rules out facet-ness without any rank computation
-(intersections of distinct faces are lower-dimensional faces); both NLC
-decompositions run on one core, `_fragment_report`, which enumerates every
-fragment's classical value.
+Bell and correlation facet tests read the classical value's best-response
+scan (`values._scan`): its top value rejects an invalid inequality, and its
+optimal maps and tie sets give the saturating count and boxes spanning the
+saturating set's affine hull. With the cut polytope's own vertex scan (`cut`)
+they end in `_facet_report`, which decides facet-ness by the exact affine
+rank. Decompositions (`_fragment_report`, for both NLC families) write the
+game inequality as a cell-wise sum of valid fragment inequalities with
+distinct faces, which rules out facet-ness without a rank computation.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm, prod
 
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .exactrank import affine_rank
-from .games import (LinearGame, _win_coeffs, game_matrix, input_dits, scaled_functionals,
-                    subgame_restrict, to_bell_inequality, to_correlator_inequality)
+from .games import (LinearGame, _win_coeffs, game_matrix, input_dits, int_scaled,
+                    scaled_functionals, subgame_restrict, to_bell_inequality,
+                    to_correlator_inequality)
 from .scenario import (DEFAULT_BOX_BUDGET, BellInequality, DeterministicBox,
                        _correlator_rows, _reduced_rows, ns_polytope_dimension)
-from .values import _scan, _tie_sets, classical_value
+from .values import _scan, classical_value
 
 HADAMARD_TOL = 1e-12
 
@@ -68,20 +64,6 @@ class LambdaProfile:
 # saturating boxes and facet tests
 # ---------------------------------------------------------------------------
 
-def _int_scaled(values, bound):
-    """The rational values (any nesting, such as an inequality's coefficient
-    table) and bound times their common denominator: an integer array of the
-    values' shape (int64 unless a sum could overflow), the integer bound, the
-    denominator."""
-    shaped = np.array(values, dtype=object)
-    values = shaped.ravel().tolist()
-    den = lcm(bound.denominator, *(v.denominator for v in values))
-    scaled = [v.numerator * (den // v.denominator) for v in values]
-    target = bound.numerator * (den // bound.denominator)
-    dtype = np.int64 if abs(target) + sum(map(abs, scaled)) < 2 ** 62 else object
-    return np.array(scaled, dtype=dtype).reshape(shaped.shape), target, den
-
-
 def _facet_report(kind, ambient, count, rows, trivial=False):
     """The facet-test tail, given the number of vertices meeting the bound
     and integer coordinate rows spanning their affine hull: a facet's
@@ -92,43 +74,33 @@ def _facet_report(kind, ambient, count, rows, trivial=False):
 
 
 def _valid_scan(C, target, budget):
-    """`values._scan` of the integer functional C; a box above the integer
-    bound raises ValueError naming the first box of largest value."""
-    scan = _scan(C, budget)
+    """`values._scan` of the integer functional C, with tie sets; a box above
+    the integer bound raises ValueError naming the first box of largest
+    value."""
+    scan = _scan(C, budget, ties=True)
     if scan.top > target:
         raise ValueError("inequality is violated by the deterministic box with "
                          "a_map {} and b_map {}".format(*scan.box))
     return scan
 
 
-def _saturating_count(ties) -> int:
-    """The boxes of a scan's top value: over its optimal maps, the product
-    of the answering side's tie-set sizes (`values._tie_sets`)."""
-    sizes, repeats = np.unique(ties.sum(axis=2), axis=0, return_counts=True)
-    return sum(int(n) * prod(row) for row, n in zip(sizes.tolist(), repeats.tolist()))
-
-
-def _bell_roots(s, C, scan, project, budget):
-    """The saturating count and rows spanning the saturating boxes' affine
-    hull: per optimal map one base box (each answering input at its first
-    best output) and one box per other best output of one answering input.
-    With the enumerated map fixed, a vertex's coordinates are affine in the
-    answering side's one-hot outputs, so these boxes span the same hull as
-    all the boxes of value scan.top. Their number is checked against the
-    budget before they are built."""
-    ties = _tie_sets(C, scan.alice, scan.maps)
-    base = ties.argmax(axis=2)
-    k, j, o = np.nonzero(ties)
+def _bell_roots(s, scan, project, budget):
+    """Rows spanning the affine hull of the boxes of value scan.top: per
+    optimal map one base box (each answering input at its first best output)
+    and one box per other best output of one answering input. With the
+    enumerated map fixed, a vertex's coordinates are affine in the answering
+    side's one-hot outputs, so these boxes span the same hull. The scan kept
+    its tie sets only when these rows fit the budget."""
+    if scan.maps is None:
+        raise BudgetExceededError(f"{scan.rows} rank rows exceed the budget of {budget}")
+    base = scan.ties.argmax(axis=2)
+    k, j, o = np.nonzero(scan.ties)
     swap = o != base[k, j]
     k, j, o = k[swap], j[swap], o[swap]
-    if len(base) + len(k) > budget:
-        raise BudgetExceededError(
-            f"{len(base) + len(k)} rank rows exceed the budget of {budget}")
     answers = np.concatenate([base, base[k]])
     answers[len(base) + np.arange(len(k)), j] = o
     maps = np.concatenate([scan.maps, scan.maps[k]])
-    rows = project(s, maps, answers) if scan.alice else project(s, answers, maps)
-    return _saturating_count(ties), rows
+    return project(s, maps, answers) if scan.alice else project(s, answers, maps)
 
 
 def saturating_boxes(ineq: BellInequality, budget: int = DEFAULT_BOX_BUDGET):
@@ -137,16 +109,14 @@ def saturating_boxes(ineq: BellInequality, budget: int = DEFAULT_BOX_BUDGET):
     every choice from the answering side's tie sets. A box above the bound
     raises the ValueError of `facet_test`. The budget bounds the maps
     scanned and the boxes listed."""
-    C, target, _ = _int_scaled(ineq.coeffs, ineq.bound)
+    C, (target,), _ = int_scaled(ineq.coeffs, [ineq.bound])
     scan = _valid_scan(C, target, budget)
     if scan.top < target:
         return []
-    ties = _tie_sets(C, scan.alice, scan.maps)
-    count = _saturating_count(ties)
-    if count > budget:
-        raise BudgetExceededError(f"{count} saturating boxes exceed the budget of {budget}")
+    if scan.count > budget:
+        raise BudgetExceededError(f"{scan.count} saturating boxes exceed the budget of {budget}")
     boxes = []
-    for m, tie_sets in zip(scan.maps.tolist(), ties):
+    for m, tie_sets in zip(scan.maps.tolist(), scan.ties):
         for answers in itertools.product(*(np.flatnonzero(t).tolist() for t in tie_sets)):
             boxes.append((tuple(m), answers) if scan.alice else (answers, tuple(m)))
     return [DeterministicBox(ineq.scenario, a_map, b_map) for a_map, b_map in sorted(boxes)]
@@ -168,7 +138,7 @@ def facet_test(ineq: BellInequality, kind: str, budget: int = DEFAULT_BOX_BUDGET
             raise ValueError("correlation facet test needs a correlator-space inequality")
     elif kind != "bell":
         raise ValueError(f"unknown polytope kind {kind!r}")
-    C, target, _ = _int_scaled(ineq.coeffs, ineq.bound)
+    C, (target,), _ = int_scaled(ineq.coeffs, [ineq.bound])
     # single-cell nonnegativity written as <= : one negative coefficient, bound 0
     trivial = bool(target == 0 and np.count_nonzero(C) == 1 and C.min() < 0)
     return _bell_facet(kind, s, C, target, budget, trivial)
@@ -184,8 +154,9 @@ def _bell_facet(kind, s, C, target, budget, trivial=False) -> FacetReport:
     else:
         ambient, project = s.ma * s.mb, _correlator_rows
     scan = _valid_scan(C, target, budget)
-    roots = _bell_roots(s, C, scan, project, budget) if scan.top == target else (0, None)
-    return _facet_report(kind, ambient, *roots, trivial)
+    if scan.top < target:
+        return _facet_report(kind, ambient, 0, None, trivial)
+    return _facet_report(kind, ambient, scan.count, _bell_roots(s, scan, project, budget), trivial)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +197,8 @@ def _assert_distinct_faces(C, targets, witnesses):
     """
     d = C.shape[-1]
     for i, Ci in enumerate(C):
-        # each (x, y) cell wins for exactly d output pairs, so C sums to d * weight
-        if d * d * targets[i] <= Ci.sum():
+        # the largest entry of each (x, y) cell is its weight
+        if d * targets[i] <= Ci.max(axis=(2, 3)).sum():
             raise VerificationError(
                 f"fragment {i} is saturated by every box; its face is not proper")
     if not any(_separated(C[i], C[j], targets[j], witnesses[i])
@@ -237,17 +208,15 @@ def _assert_distinct_faces(C, targets, witnesses):
 
 def _fragment_report(g, restrictions, expected, bound, note, budget):
     """The non-facet verdict of g's inequality with bound `bound` (g's
-    classical value), from one fragment per restriction of Alice's input dits
-    (`subgame_restrict`).
+    classical value) from one fragment per restriction of Alice's input dits
+    (`subgame_restrict`), or None when the fragment values do not sum to
+    `bound`: the fragment argument does not apply.
 
-    Every fragment's classical value is enumerated and checked against its
-    witness, and against `expected` when a closed form gives it. The split
-    applies, or ValueError is raised, exactly when the fragment values sum to
-    `bound`. The fragment inequalities must then sum cell for cell to the game
-    inequality, and their faces must be proper and not all equal, so the
-    game inequality is an intersection of distinct faces, not a facet; a
-    failed check raises VerificationError. The polytope statistics are
-    skipped, with a note, exactly when the facet test exceeds the budget.
+    Each fragment's enumerated value must be attained by its witness (and
+    equal `expected`, if given), the fragments must sum cell for cell to the
+    game, and, when the argument applies, their faces must be proper and not
+    all equal; else VerificationError. The statistics are skipped, with a
+    note, exactly when the facet test exceeds the budget.
     """
     frags = [subgame_restrict(g, fix_a=fixes) for fixes in restrictions]
     values = [classical_value(fr) for fr in frags]
@@ -262,12 +231,10 @@ def _fragment_report(g, restrictions, expected, bound, note, budget):
         if expected is not None and cv.value != expected:
             raise VerificationError(
                 f"fragment {where} has classical value {cv.value}, expected {expected}")
-    if sum(targets[1:]) != targets[0]:
-        raise ValueError(
-            f"fragment values sum to {sum(cv.value for cv in values)}, not the game value "
-            f"{bound}: the fragment argument does not apply, no non-facet conclusion is drawn")
     if (C[1:].sum(axis=0) != C[0]).any():
         raise VerificationError("fragment coefficients do not sum to the original cell for cell")
+    if sum(targets[1:]) != targets[0]:
+        return None
     _assert_distinct_faces(C[1:], targets[1:], witnesses)
 
     fragment_ineqs = tuple(BellInequality(fr.scenario, _win_coeffs(fr), cv.value)
@@ -283,25 +250,31 @@ def _fragment_report(g, restrictions, expected, bound, note, budget):
     return replace(stats, decomposition=fragment_ineqs, notes=(note,))
 
 
-def nlc2_decompose(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
-    """Split a binary dit-structured game along Alice's first input bit
-    (`_fragment_report`); ValueError when the two fragment values sum past
-    the game's, as on the n = 4 inner-product and majority games."""
-    if g.d != 2 or g.n < 2:
-        raise ValueError("decomposition needs a binary game with n >= 2 input bits")
-    return _fragment_report(g, [{0: 0}, {0: 1}], None, classical_value(g).value,
+def _first_bit_split(g, bound, budget):
+    """`_fragment_report` of a binary game split along Alice's first bit."""
+    return _fragment_report(g, [{0: 0}, {0: 1}], None, bound,
                             "non-facet via decomposition into two distinct supporting faces",
                             budget)
+
+
+def nlc2_decompose(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
+    """Split a binary dit-structured game along Alice's first input bit
+    (`_fragment_report`); ValueError when the two fragment values do not sum
+    to the game's, as on the n = 4 inner-product and majority games."""
+    if g.d != 2 or g.n < 2:
+        raise ValueError("decomposition needs a binary game with n >= 2 input bits")
+    bound = classical_value(g).value
+    rep = _first_bit_split(g, bound, budget)
+    if rep is None:
+        raise ValueError(
+            f"the first-bit fragment values do not sum to the game value {bound}: the "
+            f"fragment argument does not apply, no non-facet conclusion is drawn")
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # Hadamard block structure of binary dit games
 # ---------------------------------------------------------------------------
-
-def _block_indices(g, first_dit):
-    half = g.ma // 2
-    return range(first_dit * half, (first_dit + 1) * half)
-
 
 def _sylvester_hadamard(m: int) -> np.ndarray:
     """Sylvester-Hadamard matrix of order m (a power of two) in natural
@@ -321,8 +294,8 @@ def hadamard_diagonal_check(g: LinearGame, j: int, k: int, tol: float = HADAMARD
         raise ValueError("block check needs a binary game with n >= 2 input bits")
     if j not in (0, 1) or k not in (0, 1):
         raise ValueError("block selectors are bits")
-    m = g.ma // 2
-    block = game_matrix(g, 1).block(list(_block_indices(g, j)), list(_block_indices(g, k)))
+    m = g.ma // 2  # the first input bit selects a block of m inputs
+    block = game_matrix(g, 1).block(list(range(j * m, j * m + m)), list(range(k * m, k * m + m)))
     H = _sylvester_hadamard(m) / np.sqrt(m)
     D = H.conj().T @ block @ H
     off = D - np.diag(np.diag(D))
@@ -370,9 +343,8 @@ def nlcd_lambda(g: LinearGame) -> LambdaProfile:
 def nlcd_classical_formula(g: LinearGame) -> Fraction:
     """Closed form of the classical value for product-form games:
     (1/d)(1 + (d-1) Lambda)."""
-    spec = _product_spec(g)
-    prof = nlcd_lambda(g)
-    return Fraction(1, spec.d) * (1 + (spec.d - 1) * prof.big_lambda)
+    d = _product_spec(g).d
+    return Fraction(1, d) * (1 + (d - 1) * nlcd_lambda(g).big_lambda)
 
 
 def nlcd_nonfacet_check(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
@@ -398,26 +370,22 @@ def nlcd_nonfacet_check(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> Face
 
 
 def game_facet_test(g, kind: str, budget: int = DEFAULT_BOX_BUDGET):
-    """The facet test of a game's inequality on the `kind` polytope, and the
-    inequality's bound.
-
-    On the Bell polytope a distributed-computation game on n >= 2 dits is
-    decided by its fragments: a binary one split along Alice's first bit
-    when that split applies (`nlc2_decompose`), a product-form one with
-    Lambda >= 1/2 along her first n-1 dits (`nlcd_nonfacet_check`). The
-    bound is then the sum of the fragment bounds, so a product-form game's
-    own classical value is never enumerated. Every other game goes through
-    `facet_test`.
+    """The facet test of a game's inequality on the `kind` polytope, and its
+    bound. On the Bell polytope a distributed-computation game on n >= 2
+    dits is decided by its fragments where their argument applies: along
+    Alice's first n-1 dits for a product form on d >= 3 outputs with
+    Lambda >= 1/2 (`nlcd_nonfacet_check`; the bound is the fragment bounds'
+    sum), along her first bit for d = 2 when the two fragment values sum to
+    the game's (`nlc2_decompose`). Every other game goes through `facet_test`.
     """
     spec = getattr(g, "nlc", None)
     split = kind == "bell" and spec is not None and spec.n >= 2
-    rep = None
-    if split and g.d == 2:
-        with suppress(ValueError):  # the fragment values sum past the game's
-            rep = nlc2_decompose(g, budget)
-    elif split and spec.is_product_form and nlcd_lambda(g).big_lambda >= Fraction(1, 2):
+    if (split and g.d != 2 and spec.is_product_form
+            and nlcd_lambda(g).big_lambda >= Fraction(1, 2)):
         rep = nlcd_nonfacet_check(g, budget)
+        return rep, sum((fr.bound for fr in rep.decomposition), Fraction(0))
+    ineq = to_bell_inequality(g) if kind == "bell" else to_correlator_inequality(g)
+    rep = _first_bit_split(g, ineq.bound, budget) if split and g.d == 2 else None
     if rep is None:
-        ineq = to_bell_inequality(g) if kind == "bell" else to_correlator_inequality(g)
-        return facet_test(ineq, kind, budget), ineq.bound
-    return rep, sum((fr.bound for fr in rep.decomposition), Fraction(0))
+        rep = facet_test(ineq, kind, budget)
+    return rep, ineq.bound

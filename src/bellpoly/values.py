@@ -75,11 +75,22 @@ def ns_value(g) -> Fraction:
 
 
 class _Scan(NamedTuple):
-    """The best-response scan of an integer functional C[x, y, a, b]."""
-    top: int          # its largest value on a deterministic box
-    box: tuple        # the lexicographically first box (a_map, b_map) of value top
-    alice: bool       # whether Alice's maps were enumerated (else Bob's)
-    maps: np.ndarray  # the enumerated maps of value top, as lexicographic digit rows
+    """The best-response scan of an integer functional C[x, y, a, b]; the
+    fields after `alice` are set by a scan with tie sets and describe the
+    boxes of value `top`."""
+    top: int                 # the largest value on a deterministic box
+    box: tuple               # the lexicographically first box (a_map, b_map) of value top
+    alice: bool              # whether Alice's maps were enumerated (else Bob's)
+    count: int = 0           # the boxes of value top
+    rows: int = 0            # rank rows: per optimal map, 1 + one per other best answer
+    maps: np.ndarray = None  # the optimal maps as digit rows, when rows fit the budget
+    ties: np.ndarray = None  # ties[k, j, o]: o is a best answer at j against maps[k]
+
+
+def _scan_axes(alice):
+    """The axes of C[x, y, a, b] in the order of E[i, b, j, c], which `_scan`
+    reads: enumerated input i answered with c, answering input j with b."""
+    return (0, 3, 1, 2) if alice else (1, 2, 0, 3)
 
 
 def _partial_sums(E):
@@ -94,72 +105,108 @@ def _partial_sums(E):
 _SCAN_CELLS = 1 << 18  # partial sums per slab of a scan, to bound its memory
 
 
-def _scan_chunk(hi, lo, start, stop):
-    """The best total over the enumerated maps whose high digits are strings
-    start..stop of hi ([s, b, j]), each crossed with every string of lo
-    ([b, j, s]), the partial sums of the high and the low inputs; and the
-    numbers of the maps attaining it."""
+def _box_count(ties) -> int:
+    """The boxes answering each map with one best output per input: over
+    the maps, the product of the tie-set sizes (exact in int64 when the
+    answering side has fewer than 2^63 maps)."""
+    n, d = ties.shape[1:]
+    sizes = ties.sum(axis=2).prod(axis=1, dtype=np.int64 if d ** n < 2 ** 63 else object)
+    sizes, repeats = np.unique(sizes, return_counts=True)
+    return sum(int(s) * int(r) for s, r in zip(sizes.tolist(), repeats.tolist()))
+
+
+def _scan_chunk(hi, lo, start, stop, alice, ties):
+    """The best total over the maps whose high digits are strings start..stop
+    of hi ([s, b, j]) and low digits any string of lo ([b, j, s]), the two
+    partial-sum tables; a key whose least value over the chunks attaining the
+    best names the witness (the first such map when Alice's are enumerated,
+    else the least of Alice's first best answers to such maps); with `ties`,
+    the numbers of those maps and the tie sets against them ([map, j, b])."""
     d, L = lo.shape[0], lo.shape[2]
     best = hi[start:stop, 0, :, None] + lo[0]
     for b in range(1, d):
         np.maximum(best, hi[start:stop, b, :, None] + lo[b], out=best)
     totals = best.sum(axis=1).ravel()
     top = totals.max()
-    return top, np.flatnonzero(totals == top) + start * L
+    if alice and not ties:
+        return top, start * L + int(totals.argmax()), None
+    k = np.flatnonzero(totals == top)
+    c, l = np.divmod(k, L)
+    T = np.empty((len(k), lo.shape[1], d), dtype=bool)
+    step = max(1, _SCAN_CELLS // lo[..., 0].size)  # maps at a time, to bound the slab
+    for r in range(0, len(k), step):
+        cr, lr = c[r:r + step], l[r:r + step]
+        scores = hi[start + cr] + lo[:, :, lr].transpose(2, 0, 1)  # [map, output, input]
+        T[r:r + step] = (scores == best[cr, None, :, lr]).transpose(0, 2, 1)
+    answers = T.argmax(axis=2)
+    key = start * L + int(k[0]) if alice else tuple(answers[np.lexsort(answers.T[::-1])[0]])
+    return top, key, (k + start * L, T) if ties else None
 
 
-def _scan(C, budget, workers=None) -> _Scan:
+def _chunk_results(f, ranges, workers):
+    """f on each range, in order; with several workers, that many at a time
+    in threads, so at most that many results wait to be read."""
+    if len(ranges) > 1 and workers is None:
+        workers = os.cpu_count() or 1
+    if len(ranges) == 1 or workers == 1:
+        yield from map(f, ranges)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        for r in range(0, len(ranges), workers):
+            yield from ex.map(f, ranges[r:r + workers])
+
+
+def _digits(numbers, m, base):
+    """The m-digit base-`base` strings of the numbers, most significant first."""
+    return np.asarray(numbers, dtype=np.int64)[..., None] // base ** np.arange(m)[::-1] % base
+
+
+def _scan(C, budget, workers=None, ties=False) -> _Scan:
     """Maximise the integer functional C[x, y, a, b] (int64, or Python ints
-    when a sum could reach 2^62) over deterministic boxes. The budget is
-    checked first, against the maps of the side with fewer (Alice's on a
-    tie), which are enumerated over partial-sum tables of a high and a low
-    half of their inputs. Results do not depend on the worker count."""
+    when a sum could reach 2^62) over deterministic boxes, enumerating the
+    maps of the side with fewer (Alice's on a tie) over partial-sum tables of
+    their high and low inputs; the budget on those maps is checked first. C
+    is read contiguously when its memory holds the axes as `_scan_axes`
+    orders them. With `ties`, the optimal maps and tie sets are kept only
+    while their rank rows fit the budget. Results do not depend on workers."""
     ma, mb, da, db = C.shape
     n_maps = min(da ** ma, db ** mb)
     if n_maps > budget:
         raise BudgetExceededError(
             f"{n_maps} response maps exceed the strategy budget of {budget}")
     alice = da ** ma <= db ** mb
-    # E[i, b, j, c]: enumerated input i answered with c, answering input j with b
-    E = C.transpose(0, 3, 1, 2) if alice else C.transpose(1, 2, 0, 3)
+    E = C.transpose(*_scan_axes(alice))
     h = len(E) // 2
     hi = np.ascontiguousarray(_partial_sums(E[:h]).transpose(2, 0, 1))
     lo = _partial_sums(E[h:])
 
     step = max(1, _SCAN_CELLS // max(1, lo[0].size))
     ranges = [(r, min(r + step, len(hi))) for r in range(0, len(hi), step)]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda r: _scan_chunk(hi, lo, *r), ranges))
-    else:
-        parts = [_scan_chunk(hi, lo, *r) for r in ranges]
-    top = max(t for t, _ in parts)
-    optimal = np.concatenate([k for t, k in parts if t == top])
+    top = key = None
+    found, count, rows = [], 0, 0
+    for t, k, part in _chunk_results(lambda r: _scan_chunk(hi, lo, *r, alice, ties),
+                                     ranges, workers):
+        if top is not None and t < top:
+            continue
+        if top is None or t > top:
+            top, key, found, count, rows = t, k, [], 0, 0
+        key = min(key, k)
+        if ties:
+            T = part[1]
+            count += _box_count(T)
+            rows += int(T.sum()) - len(T) * (T.shape[1] - 1)
+            found = found + [part] if rows <= budget else None
 
-    maps = optimal[:, None] // (E.shape[-1] ** np.arange(len(E) - 1, -1, -1)) % E.shape[-1]
-    if alice:
-        a_map = maps[0]
-    else:  # Alice's least map in an optimal box is the least of her first best answers
-        answers = _tie_sets(C, False, maps).argmax(axis=2)
-        a_map = answers[np.lexsort(answers.T[::-1])[0]]
-    b_map = _tie_sets(C, True, a_map[None])[0].argmax(axis=1)  # Bob's first best answers
-    return _Scan(int(top), (tuple(a_map.tolist()), tuple(b_map.tolist())), alice, maps)
-
-
-def _tie_sets(C, alice, maps):
-    """ties[k, j, o]: against the enumerated map maps[k] (Alice's when
-    `alice`, else Bob's), output o is a best answer of the other side at its
-    input j, for the integer functional C[x, y, a, b]."""
-    E = C if alice else C.transpose(1, 0, 3, 2)  # [enumerated input, other input, outputs]
-    m, n, _, d = E.shape
-    ties = np.empty((len(maps), n, d), dtype=bool)
-    step = max(1, _SCAN_CELLS // max(1, m * n * d))
-    for r in range(0, len(maps), step):
-        scores = E[np.arange(m), :, maps[r:r + step]].sum(axis=1)
-        ties[r:r + step] = scores == scores.max(axis=2, keepdims=True)
-    return ties
+    a_map = _digits(key, len(E), E.shape[-1]) if alice else np.array(key, dtype=np.int64)
+    b_map = C[np.arange(ma), :, a_map].sum(axis=0).argmax(axis=1)  # Bob's first best answers
+    scan = _Scan(int(top), (tuple(a_map.tolist()), tuple(b_map.tolist())), alice)
+    if not ties:
+        return scan
+    if found is None:
+        return scan._replace(count=count, rows=rows)
+    numbers, T = (np.concatenate(parts) for parts in zip(*found))
+    return scan._replace(count=count, rows=rows, maps=_digits(numbers, len(E), E.shape[-1]),
+                         ties=T)
 
 
 def classical_value(g, budget: int = DEFAULT_STRATEGY_BUDGET, workers: int = None) -> ClassicalValue:
@@ -170,9 +217,9 @@ def classical_value(g, budget: int = DEFAULT_STRATEGY_BUDGET, workers: int = Non
     whose budget counts the maps of the side with fewer."""
     rows = [x for x in range(g.ma) if any(g.q[x])]
     cols = [y for y in range(g.mb) if any(row[y] for row in g.q)]
-    C, _, den = scaled_functionals([g])
-    C = C[0][np.ix_(rows, cols)]  # frees the full table, which holds d^2 cells per input pair
-    scan = _scan(C, budget, workers)
+    alice = len(rows) <= len(cols)  # whether _scan enumerates Alice's maps
+    C, _, den = scaled_functionals([g], rows=rows, cols=cols, axes=_scan_axes(alice))
+    scan = _scan(C[0], budget, workers)
     a, b = dict(zip(rows, scan.box[0])), dict(zip(cols, scan.box[1]))
     a_map = tuple(a.get(x, 0) for x in range(g.ma))
     b_map = tuple(b.get(y, 0) for y in range(g.mb))

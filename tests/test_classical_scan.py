@@ -2,8 +2,10 @@
 tests/classical_reference.py: value and lexicographically first witness on
 seeded small games (many ties, zero rows and columns, both enumerated
 sides), chunked and threaded scans, weights past int64 and large
-denominators, and the budget's count of enumerated maps."""
+denominators, the budget's count of enumerated maps, and memory that does
+not grow with the number of optimal maps."""
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -125,3 +127,20 @@ def test_denominators_past_2_to_40(dens):
     q = [[F(rng.randint(0, 3), rng.choice(dens)) for _ in range(6)] for _ in range(6)]
     g = LinearGame(2, 6, 6, q, [[rng.randrange(2) for _ in range(6)] for _ in range(6)])
     assert found(g) == by_alice_maps(g)
+
+
+def test_many_optimal_maps_in_bounded_memory(monkeypatch):
+    # the diagonal game: all 2^16 of Alice's maps are optimal; the scan keeps
+    # one witness key per chunk, where the maps as int64 digit rows take 8 MiB
+    monkeypatch.setattr(values, "_SCAN_CELLS", 1 << 10)
+    m = 16
+    g = LinearGame(2, m, m, [[F(int(x == y)) for y in range(m)] for x in range(m)],
+                   [[0] * m] * m)
+    tracemalloc.start()
+    try:
+        cv = classical_value(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cv.value, cv.a_map, cv.b_map) == (m, (0,) * m, (0,) * m)
+    assert peak < 1 << 20

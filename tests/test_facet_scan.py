@@ -6,14 +6,16 @@ inputs, coefficients past 2^62, bounds at, above and below the maximum);
 the budget on rank rows and listed boxes; the n = 4 NLC verdicts."""
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bellpoly import (BellInequality, BudgetExceededError, NLCSpec, Scenario, build_nlc2,
-                      cli, correlator_inequality, facet_test, nlc2_decompose,
-                      saturating_boxes, to_bell_inequality)
+                      classical_value, cli, correlator_inequality, facet_test,
+                      nlc2_decompose, saturating_boxes, subgame_restrict, to_bell_inequality,
+                      values)
 from bellpoly.exactrank import affine_rank
 from bellpoly.scenario import _correlator_rows, _reduced_rows, ns_polytope_dimension
 from bellpoly.tightness import game_facet_test
@@ -142,6 +144,31 @@ def test_rank_rows_and_listed_boxes_within_the_budget():
         facet_test(ineq, "bell", budget=7)
 
 
+def test_many_optimal_maps_exceed_the_budget_in_bounded_memory(monkeypatch, tmp_path, capsys):
+    # the all-zero functional on 16 binary inputs a side: all 2^16 maps are
+    # optimal, with 1 + 16 rank rows and 2^16 boxes each. The maps fit the
+    # budget, the rows do not; the scan then keeps no maps or tie sets, where
+    # the maps as int64 digit rows alone take 8 MiB
+    monkeypatch.setattr(values, "_SCAN_CELLS", 1 << 10)
+    m = 16
+    zero = tuple(tuple(((F(0),) * 2,) * 2 for _ in range(m)) for _ in range(m))
+    ineq = BellInequality(Scenario(m, m, 2, 2), zero, F(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"{17 * 2 ** m} rank rows"):
+            facet_test(ineq, "bell", budget=2 ** m)
+        with pytest.raises(BudgetExceededError, match=f"{2 ** (2 * m)} saturating boxes"):
+            saturating_boxes(ineq, budget=2 ** m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path = tmp_path / "zero.json"
+    path.write_text(cli.serialize_inequality(ineq))
+    assert cli.main(["facet-test", str(path), "--polytope", "bell", "--budget", str(2 ** m)]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 INNER_PRODUCT = tuple((z >> 3 & z >> 2 & 1) ^ (z >> 1 & z & 1) for z in range(16))
 MAJORITY = tuple(int(bin(z).count("1") >= 3) for z in range(16))
 
@@ -152,8 +179,11 @@ def nlc4(table):
 
 @pytest.mark.parametrize("table, fragment", [(INNER_PRODUCT, "21/64"), (MAJORITY, "45/128")])
 def test_first_bit_split_does_not_apply_at_n_4(table, fragment):
-    with pytest.raises(ValueError, match=f"sum to {2 * F(fragment)}.*does not apply"):
-        nlc2_decompose(nlc4(table))
+    g = nlc4(table)
+    halves = [classical_value(subgame_restrict(g, {0: bit})).value for bit in (0, 1)]
+    assert halves == [F(fragment)] * 2 and sum(halves) > classical_value(g).value
+    with pytest.raises(ValueError, match="not sum to the game value.*does not apply"):
+        nlc2_decompose(g)
 
 
 @pytest.mark.parametrize("table, kind, figures", [
