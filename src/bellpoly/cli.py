@@ -263,7 +263,15 @@ def _scenario_dict(g):
     return {"mA": s.ma, "mB": s.mb, "dA": s.da, "dB": s.db}
 
 
+def _at_least(value, low, flag):
+    """Reject a numeric option below its least value as a parse error."""
+    if value is not None and value < low:
+        raise ParseError(f"{flag} must be at least {low}, got {value}")
+
+
 def _cmd_analyze_game(args):
+    _at_least(args.budget, 0, "--budget")
+    _at_least(args.workers, 1, "--workers")
     raw = open(args.path, "rb").read()
     g = parse_game_text(raw.decode())
     rep = value_report(g, with_sufficient=args.sufficient,
@@ -284,8 +292,8 @@ def _cmd_analyze_game(args):
         u = rep.unique3_bound
         if u is not None:
             results["bound_certified"] = u.certified
-            results["bound_converged"] = u.converged
-            results["joint_norms"] = [_float_field(v, 1e-9) for v in u.joint_norms]
+            results["joint_norms"] = [_float_field(hi, precision) for (_, hi), precision
+                                      in zip(u.joint_norms, u.precisions)]
     if args.sufficient and rep.no_advantage is not None:
         v = rep.no_advantage
         results["no_advantage"] = {
@@ -316,6 +324,7 @@ def _facet_report_dict(rep, extra=None):
 
 
 def _cmd_facet_test(args):
+    _at_least(args.budget, 0, "--budget")
     raw = open(args.path, "rb").read()
     text = raw.decode()
     if "kind" in _load_json(text):
@@ -420,6 +429,7 @@ def _cmd_cut(args):
     if sub == "ce1":
         if args.n is None:
             raise ParseError("ce1 needs --n", line=1)
+        _at_least(args.n, 0, "--n")
         ineqs = ce1_inequalities(args.n)
         return {"n": args.n, "count": len(ineqs),
                 "inequalities": [_correlator_ineq_dict(q) for q in ineqs]}, \
@@ -489,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     g2.add_argument("--polytope", choices=("bell", "correlation"), required=True)
     g2.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET,
                     help="most response maps to enumerate, counted on the side with "
-                         "fewer; also caps the rows of the exact rank")
+                         "fewer; also caps the cells (rows times ambient columns) "
+                         "of the exact rank")
     g2.add_argument("--timing", action="store_true")
 
     g3 = sub.add_parser("chsh", help="canonical form, face verdict, certificates")

@@ -73,26 +73,27 @@ def _facet_report(kind, ambient, count, rows, trivial=False):
                        trivial_facet_class=trivial)
 
 
-def _valid_scan(C, target, budget):
-    """`values._scan` of the integer functional C, with tie sets; a box above
-    the integer bound raises ValueError naming the first box of largest
-    value."""
-    scan = _scan(C, budget, ties=True)
+def _valid_scan(C, target, budget, cols=1):
+    """`values._scan` of the integer functional C, with tie sets kept while
+    the rank rows, `cols` cells each, fit the budget; a box above the
+    integer bound raises ValueError naming the first box of largest value."""
+    scan = _scan(C, budget, ties=True, cols=cols)
     if scan.top > target:
         raise ValueError("inequality is violated by the deterministic box with "
                          "a_map {} and b_map {}".format(*scan.box))
     return scan
 
 
-def _bell_roots(s, scan, project, budget):
+def _bell_roots(s, scan, project, budget, cols):
     """Rows spanning the affine hull of the boxes of value scan.top: per
     optimal map one base box (each answering input at its first best output)
     and one box per other best output of one answering input. With the
     enumerated map fixed, a vertex's coordinates are affine in the answering
     side's one-hot outputs, so these boxes span the same hull. The scan kept
-    its tie sets only when these rows fit the budget."""
+    its tie sets only when these rows, `cols` cells each, fit the budget."""
     if scan.maps is None:
-        raise BudgetExceededError(f"{scan.rows} rank rows exceed the budget of {budget}")
+        raise BudgetExceededError(f"{scan.rows} rank rows of {cols} columns "
+                                  f"({scan.rows * cols} cells) exceed the budget of {budget}")
     base = scan.ties.argmax(axis=2)
     k, j, o = np.nonzero(scan.ties)
     swap = o != base[k, j]
@@ -148,15 +149,17 @@ def _bell_facet(kind, s, C, target, budget, trivial=False) -> FacetReport:
     """The facet test of the integer functional C[x, y, a, b] with integer
     bound `target` on the `kind` polytope of scenario s. The vertices come
     from the best-response scan `values._scan`; the budget bounds the maps it
-    enumerates and the rank rows (`_bell_roots`)."""
+    enumerates and the cells of the rank matrix (`_bell_roots`), whose rows
+    have `ambient` columns."""
     if kind == "bell":
         ambient, project = ns_polytope_dimension(s), _reduced_rows
     else:
         ambient, project = s.ma * s.mb, _correlator_rows
-    scan = _valid_scan(C, target, budget)
+    scan = _valid_scan(C, target, budget, ambient)
     if scan.top < target:
         return _facet_report(kind, ambient, 0, None, trivial)
-    return _facet_report(kind, ambient, scan.count, _bell_roots(s, scan, project, budget), trivial)
+    return _facet_report(kind, ambient, scan.count,
+                         _bell_roots(s, scan, project, budget, ambient), trivial)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ strategy is re-verified in exact rational arithmetic before being returned.
 
 Quantum upper bounds come from sums of spectral norms of the Fourier game
 matrices; for 3-output unique games the two coset matrices enter through a
-joint two-matrix norm estimated by monotone alternating ascent.
+joint two-matrix norm, bounded above by a one-dimensional eigenvalue
+envelope and below by feasible points, so each is a certified interval.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import exp, inf, log, log1p, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -31,10 +32,6 @@ DEFAULT_STRATEGY_BUDGET = 2 ** 24
 SPECTRAL_NORM_RTOL = 1e-12  # promised relative accuracy of spectral_norm
 ROOT_OF_UNITY_TOL = 1e-9
 DEGENERACY_RTOL = 1e-9
-GEN_NORM_TOL = 1e-12
-GEN_NORM_RESTARTS = 16
-GEN_NORM_MAX_ITER = 500
-GEN_NORM_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -161,14 +158,15 @@ def _digits(numbers, m, base):
     return np.asarray(numbers, dtype=np.int64)[..., None] // base ** np.arange(m)[::-1] % base
 
 
-def _scan(C, budget, workers=None, ties=False) -> _Scan:
+def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
     """Maximise the integer functional C[x, y, a, b] (int64, or Python ints
     when a sum could reach 2^62) over deterministic boxes, enumerating the
     maps of the side with fewer (Alice's on a tie) over partial-sum tables of
     their high and low inputs; the budget on those maps is checked first. C
     is read contiguously when its memory holds the axes as `_scan_axes`
     orders them. With `ties`, the optimal maps and tie sets are kept only
-    while their rank rows fit the budget. Results do not depend on workers."""
+    while their rank rows, `cols` cells each, fit the budget. Results do not
+    depend on workers."""
     ma, mb, da, db = C.shape
     n_maps = min(da ** ma, db ** mb)
     if n_maps > budget:
@@ -195,7 +193,7 @@ def _scan(C, budget, workers=None, ties=False) -> _Scan:
             T = part[1]
             count += _box_count(T)
             rows += int(T.sum()) - len(T) * (T.shape[1] - 1)
-            found = found + [part] if rows <= budget else None
+            found = found + [part] if rows * cols <= budget else None
 
     a_map = _digits(key, len(E), E.shape[-1]) if alice else np.array(key, dtype=np.int64)
     b_map = C[np.arange(ma), :, a_map].sum(axis=0).argmax(axis=1)  # Bob's first best answers
@@ -265,105 +263,136 @@ def _linear_bound(g: LinearGame, norms) -> float:
     return min(raw, W)
 
 
-def gen_norm(a, b, restarts: int = GEN_NORM_RESTARTS, max_iter: int = GEN_NORM_MAX_ITER,
-             tol: float = GEN_NORM_TOL, seed: int = GEN_NORM_SEED) -> float:
-    value, _ = gen_norm_detailed(a, b, restarts, max_iter, tol, seed)
-    return value
+def gen_norm(a, b) -> float:
+    """The upper end of the certified joint-norm interval (`gen_norm_detailed`)."""
+    return gen_norm_detailed(a, b)[1]
 
 
-def gen_norm_detailed(a, b, restarts: int = GEN_NORM_RESTARTS,
-                      max_iter: int = GEN_NORM_MAX_ITER, tol: float = GEN_NORM_TOL,
-                      seed: int = GEN_NORM_SEED):
-    """max { ||a x1 + b x2|| : ||x1|| = ||x2|| = 1 } by alternating ascent.
+def _unit(v, fallback):
+    """v scaled to unit length, or the fallback when v is zero."""
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else fallback
 
-    Each step moves one block to the normalized gradient direction
-    (x1 <- a^dag y / ||.||, y = a x1 + b x2, then the same for x2), which never
-    decreases the objective, so every start converges to a stationary value.
-    Starts: the top right singular vectors of a and b jointly, plus `restarts`
-    random complex pairs from a fixed-seed generator (deterministic).
 
-    Returns (value, converged). The value is clamped into the rigorous
-    sandwich [max(||a||, ||b||), ||a|| + ||b||]; `converged` is False if any
-    start hit the iteration cap before its improvement fell below tol.
+def _ascent(A, B, x1, x2, goal) -> float:
+    """The best value ||A x1 + B x2|| of a monotone alternating ascent from
+    the unit pair (x1, x2): x1 <- A^dag y / ||.||, the same for x2, with
+    y = A x1 + B x2. It stops at the goal or at a step that gains nothing;
+    the cap of 100 steps only bounds a start that gains ever less."""
+    best = 0.0
+    for _ in range(100):
+        y = A @ x1 + B @ x2
+        val = float(np.linalg.norm(y))
+        if val <= best:
+            break
+        best = val
+        if best >= goal:
+            break
+        x1, x2 = _unit(A.conj().T @ y, x1), _unit(B.conj().T @ y, x2)
+    return best
+
+
+def gen_norm_detailed(a, b):
+    """A certified interval (lower, upper) for the joint norm
+    N = max { ||a x1 + b x2|| : ||x1|| = ||x2|| = 1 }.
+
+    Upper end: for a unit y, |y^dag (a x1 + b x2)| <= ||a^dag y|| + ||b^dag y||,
+    whose square is at most y^dag ((1+s) P + (1+1/s) Q) y for every s > 0,
+    with P = a a^dag and Q = b b^dag. So N^2 <= lambda_max((1+s) P + (1+1/s) Q)
+    for every s, with equality at the minimum over s: a complex quadratic
+    problem with two constraints has no duality gap (the S-lemma; Polik &
+    Terlaky, SIAM Review 49 (2007)). lambda_max is convex in t = log s, with
+    derivative v^dag (s P - Q / s) v at a top eigenvector v, and its minimum
+    is bisected on that sign inside the bracket that (1+s) ||a||^2 <= N^2 <=
+    (||a|| + ||b||)^2 and its mirror image give. The upper end is the square
+    root of the least lambda_max seen plus a float error term for forming
+    the matrix and for eigh; it is valid whatever s the bisection reaches.
+
+    Lower end: a top eigenvector v gives the unit pair x1 ~ a^dag v,
+    x2 ~ b^dag v, of value at least ||a^dag v|| + ||b^dag v||. The bisection
+    stops once that meets the upper end within the error term; failing
+    that, a monotone alternating ascent (x1 <- a^dag y / ||.||, and the same
+    for x2, with y = a x1 + b x2) starts from each vector of the top
+    eigenspace at the minimiser and from the top right singular pair, and
+    stops when it meets the upper end or stops gaining.
+
+    Both ends lie in [max(||a||, ||b||), ||a|| + ||b||]. When the smaller
+    norm is below the float resolution of the larger (a zero block), that
+    range is the interval: N is a plain spectral norm.
     """
     A = np.asarray(a.to_complex() if isinstance(a, GameMatrix) else a, dtype=complex)
     B = np.asarray(b.to_complex() if isinstance(b, GameMatrix) else b, dtype=complex)
     if A.shape[0] != B.shape[0]:
         raise ValueError("matrices must share their output dimension")
-    na = spectral_norm(A)
-    nb = spectral_norm(B)
-    if na == 0.0 and nb == 0.0:
-        return 0.0, True
-
-    def top_right_vector(M):
-        if not M.any():
-            k = M.shape[1]
-            return np.ones(k) / sqrt(k)
-        return np.linalg.svd(M)[2][0].conj()
-
-    rng = np.random.default_rng(seed)
-    inits = [(top_right_vector(A), top_right_vector(B))]
-    for _ in range(restarts):
-        x1 = rng.normal(size=A.shape[1]) + 1j * rng.normal(size=A.shape[1])
-        x2 = rng.normal(size=B.shape[1]) + 1j * rng.normal(size=B.shape[1])
-        inits.append((x1 / np.linalg.norm(x1), x2 / np.linalg.norm(x2)))
-
-    best = 0.0
-    converged = True
-    for x1, x2 in inits:
-        x1 = np.array(x1, dtype=complex)
-        x2 = np.array(x2, dtype=complex)
-        prev = -1.0
-        for it in range(max_iter):
-            y = A @ x1 + B @ x2
-            val = float(np.linalg.norm(y))
-            if val <= prev + tol * max(val, 1.0):
-                break
-            prev = val
-            g1 = A.conj().T @ y
-            n1 = np.linalg.norm(g1)
-            if n1 > 1e-300:
-                x1 = g1 / n1
-            g2 = B.conj().T @ y
-            n2 = np.linalg.norm(g2)
-            if n2 > 1e-300:
-                x2 = g2 / n2
+    na, nb = spectral_norm(A), spectral_norm(B)
+    c, eps = max(na, nb), np.finfo(float).eps
+    if min(na, nb) <= eps * c:
+        return c, na + nb
+    A, B = A / c, B / c  # so that neither P nor Q can overflow
+    Ah, Bh = A.conj().T, B.conj().T
+    P, Q = A @ Ah, B @ Bh
+    # a generous envelope for the rounding of P, Q, M and of eigh's lambda_max
+    err = 4 * eps * sum(A.shape + B.shape[1:])
+    fa, fb = np.linalg.norm(A) ** 2, np.linalg.norm(B) ** 2
+    r = nb / na
+    lo, hi = 2 * log(r) - log1p(2 * r), log(r) + log(2 + r)
+    lower, upper = 1.0, inf
+    while hi - lo > 4 * eps * max(1.0, -lo, hi):
+        t = (lo + hi) / 2
+        s = exp(t)
+        w, V = np.linalg.eigh((1 + s) * P + (1 + 1 / s) * Q)
+        bound = sqrt(w[-1] + err * ((1 + s) * fa + (1 + 1 / s) * fb))
+        if bound < upper:
+            upper, slack, top = bound, bound - sqrt(w[-1]), (w, V)
+        v = V[:, -1]
+        pa, pb = np.linalg.norm(Ah @ v), np.linalg.norm(Bh @ v)
+        lower = max(lower, pa + pb)
+        if lower >= upper - 2 * slack:
+            break
+        if s * pa * pa > pb * pb / s:
+            hi = t
         else:
-            converged = False
-        best = max(best, prev)
-    return min(max(best, na, nb), na + nb), converged
+            lo = t
+    upper = min(upper, (na + nb) / c)
+    goal = upper - 2 * slack  # the lower end meets the upper end within its error term
+    if lower < goal:
+        w, V = top
+        ra, rb = (np.linalg.svd(M)[2][0].conj() for M in (A, B))
+        starts = [(_unit(Ah @ v, ra), _unit(Bh @ v, rb))
+                  for v in V[:, w >= w[-1] * (1 - DEGENERACY_RTOL)].T] + [(ra, rb)]
+        for x1, x2 in starts:
+            lower = max(lower, _ascent(A, B, x1, x2, goal))
+            if lower >= goal:
+                break
+    upper = min(max(c * upper, c), na + nb)
+    return min(c * lower, upper), upper
 
 
 @dataclass(frozen=True)
 class Unique3Bound:
+    """The joint-norm bound of a 3-output unique game, from the upper ends
+    of the joint norms' certified intervals."""
     value: float
-    certified: bool      # every joint norm matched its rigorous upper envelope
-    joint_norms: tuple   # gen-norm value per k = 1, 2
-    converged: bool
+    certified: bool      # every joint-norm interval is at most 1e-9 wide
+    joint_norms: tuple   # (lower, upper) of N(rot_k, ref_k) for k = 1, 2
+
+    @property
+    def precisions(self) -> tuple:
+        """Per joint norm, the precision of its upper end: the interval's
+        width plus the float envelope of one norm."""
+        return tuple(hi - lo + _bound_error_estimate(1, 1, 1, (hi,))
+                     for lo, hi in self.joint_norms)
 
 
 def norm_bound_unique3_report(g) -> Unique3Bound:
     """Bound for a 3-output unique game:
     (1/3) [W + sqrt(ma mb) * sum_{k=1,2} N(rot_k, ref_k)], N the two-matrix
-    joint norm, clamped at W. The ascent gives a lower estimate of N, so the
-    result is labeled certified only when each N matches ||rot|| + ||ref||
-    within 1e-9 or one coset is empty (then N is a plain spectral norm)."""
+    joint norm at the upper end of its certified interval, clamped at W.
+    Certified when each interval is at most 1e-9 wide."""
     W = float(g.total_weight)
-    joint = []
-    certified = True
-    converged = True
-    for k in (1, 2):
-        rot, ref = unique3_matrices(g, k)
-        A, B = rot.to_complex(), ref.to_complex()
-        val, conv = gen_norm_detailed(A, B)
-        converged = converged and conv
-        na, nb = spectral_norm(A), spectral_norm(B)
-        single_block = na <= 1e-15 or nb <= 1e-15
-        if not single_block and (na + nb) - val > 1e-9:
-            certified = False
-        joint.append(val)
-    raw = (W + sqrt(g.ma * g.mb) * sum(joint)) / 3
-    return Unique3Bound(min(raw, W), certified, tuple(joint), converged)
+    joint = tuple(gen_norm_detailed(*unique3_matrices(g, k)) for k in (1, 2))
+    raw = (W + sqrt(g.ma * g.mb) * sum(hi for _, hi in joint)) / 3
+    return Unique3Bound(min(raw, W), all(hi - lo <= 1e-9 for lo, hi in joint), joint)
 
 
 def norm_bound_unique3(g) -> float:
@@ -461,7 +490,7 @@ def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_STRATEG
     else:
         u3 = norm_bound_unique3_report(g)
         bound = u3.value
-        err = _bound_error_estimate(3, g.ma, g.mb, u3.joint_norms)
+        err = _bound_error_estimate(3, g.ma, g.mb, [hi for _, hi in u3.joint_norms])
         if with_sufficient:
             verdict = NoAdvantageVerdict(False, reason="condition applies to linear games")
     report = ValueReport(cv.value, W, bound, err, (cv.a_map, cv.b_map), verdict, u3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellpoly import NLCSpec, build_nlcd, cli
+from bellpoly import LinearGame, NLCSpec, build_nlcd, cli, norm_bound_unique3_report
 from bellpoly.cut import CutInequality, Graph
 from bellpoly.scenario import Scenario, correlator_inequality
 from tests.conftest import (
@@ -94,6 +94,11 @@ def test_analyze_unique3_reports_joint_norms(tmp_path, capsys):
     assert r["kind"] == "unique3"
     assert r["bound_certified"] is True
     assert len(r["joint_norms"]) == 2
+    assert "bound_converged" not in r
+    rep = norm_bound_unique3_report(make_unique3_rotation())
+    for field, (lo, hi) in zip(r["joint_norms"], rep.joint_norms):
+        assert field["value"] == hi
+        assert hi - lo <= field["precision"] <= 1e-9
 
 
 def test_flag_filtering(tmp_path, capsys):
@@ -173,6 +178,27 @@ def test_budget_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze-game", path, "--budget", "10")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("m", [2, 18])
+def test_workers_below_one_are_exit_2(tmp_path, capsys, workers, m):
+    # a 2x2 game scans in one chunk and an 18x18 one in threads; both are
+    # refused before any scan
+    game = LinearGame(2, m, m, ((F(1, m * m),) * m,) * m, ((0,) * m,) * m)
+    code, out, err = run_cli(capsys, "analyze-game", write_game(tmp_path, game),
+                             "--workers", workers)
+    assert (code, out) == (2, "")
+    assert err == f"bellpoly: parse error: --workers must be at least 1, got {workers}\n"
+
+
+def test_negative_budgets_are_exit_2(tmp_path, capsys):
+    path = write_game(tmp_path, make_chsh_game())
+    for command in (["analyze-game", path], ["facet-test", path, "--polytope", "bell"]):
+        code, out, err = run_cli(capsys, *command, "--budget", "-1")
+        assert (code, out) == (2, "")
+        assert "--budget must be at least 0, got -1" in err
+    assert run_cli(capsys, "facet-test", path, "--polytope", "bell", "--budget", "0")[0] == 3
 
 
 def test_determinism_across_runs_and_workers(tmp_path, capsys):
@@ -367,6 +393,7 @@ def test_analyze_game_unique3_runs_the_ascent_once(tmp_path, capsys, monkeypatch
     assert len(calls) == 2  # one joint norm per coset pair k = 1, 2
     r = json.loads(out)["results"]
     assert r["bound_certified"] is True and len(r["joint_norms"]) == 2
+    assert "bound_converged" not in r
 
 
 def test_chsh_rejects_garbage(capsys):
@@ -398,6 +425,14 @@ def test_cut_ce1_n4(capsys):
     code, out, _ = run_cli(capsys, "cut", "ce1", "--n", "4")
     assert code == 0
     assert json.loads(out)["results"]["count"] == 16
+
+
+def test_cut_ce1_negative_n_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "cut", "ce1", "--n", "-2")
+    assert (code, out) == (2, "")
+    assert "--n must be at least 0, got -2" in err
+    code, out, _ = run_cli(capsys, "cut", "ce1", "--n", "0")
+    assert code == 0 and json.loads(out)["results"]["count"] == 0
 
 
 def test_cut_hypermetric(tmp_path, capsys):

@@ -3,7 +3,7 @@ full box scan of tests/classical_reference.py: every report, violation
 message and saturating-box list on seeded Bell and correlator functionals
 (1-4 inputs a side, 2-3 outputs, either side with fewer maps, all-zero
 inputs, coefficients past 2^62, bounds at, above and below the maximum);
-the budget on rank rows and listed boxes; the n = 4 NLC verdicts."""
+the budget on rank cells and listed boxes; the n = 4 NLC verdicts."""
 import json
 import random
 import tracemalloc
@@ -129,19 +129,40 @@ def test_cases_cover_the_shapes():
 def test_rank_rows_and_listed_boxes_within_the_budget():
     # 3x3 positivity: the 2^3 maps a side fit a budget of 8. Every Alice map
     # is optimal; the four with a_0 = 1 give 1 + 3 rank rows each, the four
-    # with a_0 = 0 (Bob's b_0 forced) 1 + 2 each: 28 rows for 48 boxes
+    # with a_0 = 0 (Bob's b_0 forced) 1 + 2 each: 28 rows for 48 boxes, of
+    # the 15 no-signaling coordinates each: 420 rank cells
     ineq = positivity(3)
-    rep = facet_test(ineq, "bell", budget=28)
+    rep = facet_test(ineq, "bell", budget=420)
     assert (rep.saturating_count, rep.saturating_affine_dim) == (48, 14)
     assert len(saturating_boxes(ineq, budget=48)) == 48
-    for budget in (8, 27):
-        with pytest.raises(BudgetExceededError, match="28 rank rows"):
+    for budget in (8, 27, 28, 419):
+        with pytest.raises(BudgetExceededError,
+                           match=r"28 rank rows of 15 columns \(420 cells\)"):
             facet_test(ineq, "bell", budget=budget)
     for budget in (8, 47):
         with pytest.raises(BudgetExceededError, match="48 saturating boxes"):
             saturating_boxes(ineq, budget=budget)
     with pytest.raises(BudgetExceededError, match="8 response maps"):
         facet_test(ineq, "bell", budget=7)
+
+
+def test_rank_cells_not_rows_meet_the_budget(tmp_path, capsys):
+    # the all-zero correlator functional on 3 inputs a side: all 8 maps are
+    # optimal with 1 + 3 rank rows each, 32 rows of 9 correlators. A budget
+    # of 32 holds the maps and the rows but not the 288 cells
+    zero = correlator_inequality(Scenario(3, 3, 2, 2), ((F(0),) * 3,) * 3, F(0))
+    rep = facet_test(zero, "correlation", budget=288)
+    assert (rep.saturating_count, rep.saturating_affine_dim) == (64, 9)
+    for budget in (32, 287):
+        with pytest.raises(BudgetExceededError,
+                           match=r"^32 rank rows of 9 columns \(288 cells\) exceed the budget"):
+            facet_test(zero, "correlation", budget=budget)
+    path = tmp_path / "zero.json"
+    path.write_text(cli.serialize_inequality(zero))
+    argv = ["facet-test", str(path), "--polytope", "correlation", "--budget"]
+    assert cli.main(argv + ["32"]) == 3
+    assert "budget exceeded: 32 rank rows of 9 columns" in capsys.readouterr().err
+    assert cli.main(argv + ["288"]) == 0
 
 
 def test_many_optimal_maps_exceed_the_budget_in_bounded_memory(monkeypatch, tmp_path, capsys):

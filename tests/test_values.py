@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from bellpoly import (
     BudgetExceededError,
     LinearGame,
+    UniqueGame3,
     VerificationError,
     game_matrix,
     rotation_game_to_linear,
+    unique3_matrices,
     values,
 )
 from bellpoly.values import (
@@ -31,7 +34,8 @@ from bellpoly.values import (
     verify_value_report,
 )
 from tests.classical_reference import by_alice_maps
-from tests.conftest import make_unique3_frustrated, make_unique3_rotation
+from tests.conftest import make_unique3_frustrated, make_unique3_mixed, make_unique3_rotation
+from tests.gen_norm_reference import ascent
 
 F = Fraction
 
@@ -142,6 +146,7 @@ def test_gen_norm_zero_block_reduces_to_spectral():
     a = np.array([[1.0, 2.0], [0.5, -1.0]])
     z = np.zeros((2, 2))
     assert abs(gen_norm(a, z) - spectral_norm(a)) < 1e-9
+    assert gen_norm_detailed(a, z) == gen_norm_detailed(z, a) == (spectral_norm(a),) * 2
 
 
 def test_gen_norm_disjoint_row_supports():
@@ -150,6 +155,16 @@ def test_gen_norm_disjoint_row_supports():
     b = np.array([[0.0, 0.0], [1.0, 2.0]])
     na, nb = spectral_norm(a), spectral_norm(b)
     assert abs(gen_norm(a, b) - math.sqrt(na ** 2 + nb ** 2)) < 1e-9
+    lo, hi = gen_norm_detailed(a, b)
+    assert lo <= math.sqrt(na ** 2 + nb ** 2) + 1e-12 and hi - lo <= 1e-9
+
+
+def test_gen_norm_of_a_block_with_itself_is_twice_its_norm():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    lo, hi = gen_norm_detailed(a, a)
+    assert lo <= 2 * spectral_norm(a) + 1e-12 and abs(hi - 2 * spectral_norm(a)) < 1e-12
+    assert hi - lo <= 1e-9
 
 
 def test_gen_norm_sandwich_and_symmetry():
@@ -157,8 +172,8 @@ def test_gen_norm_sandwich_and_symmetry():
     for _ in range(5):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        v, converged = gen_norm_detailed(a, b)
-        assert converged
+        lo, v = gen_norm_detailed(a, b)
+        assert lo <= v and v - lo <= 1e-9
         assert max(spectral_norm(a), spectral_norm(b)) - 1e-12 <= v
         assert v <= spectral_norm(a) + spectral_norm(b) + 1e-12
         assert abs(v - gen_norm(b, a)) < 1e-7
@@ -169,12 +184,57 @@ def test_gen_norm_shape_mismatch():
         gen_norm(np.ones((2, 2)), np.ones((3, 2)))
 
 
+PERM_NAMES = ("e", "(012)", "(021)", "(01)", "(02)", "(12)")
+
+
+def seeded_unique3(seed, ma, mb):
+    """A 3-output unique game with seeded weights and permutations."""
+    rng = random.Random(seed)
+    q = tuple(tuple(F(rng.randint(0, 9), 9 * ma * mb) for _ in range(mb)) for _ in range(ma))
+    perms = tuple(tuple(rng.choice(PERM_NAMES) for _ in range(mb)) for _ in range(ma))
+    return UniqueGame3(ma, mb, q, perms)
+
+
+def coset_pairs(games):
+    return [tuple(m.to_complex() for m in unique3_matrices(g, k)) for g in games for k in (1, 2)]
+
+
+def test_gen_norm_interval_against_the_reference_ascent():
+    # 250 seeded games of 2 to 6 inputs a side, uniform weights on every third
+    # one, and the test corpus's unique games: 506 coset pairs in all
+    games = [make_unique3_rotation(), make_unique3_mixed(), make_unique3_frustrated()]
+    for seed in range(250):
+        g = seeded_unique3(seed, 2 + seed % 5, 2 + seed // 5 % 5)
+        games.append(g if seed % 3 else UniqueGame3(
+            g.ma, g.mb, ((F(1, g.ma * g.mb),) * g.mb,) * g.ma, g.perms))
+    pairs = coset_pairs(games)
+    assert len(pairs) >= 500
+    for a, b in pairs:
+        lo, hi = gen_norm_detailed(a, b)
+        assert lo <= hi and hi - lo <= 1e-9
+        assert hi >= ascent(a, b)[0] - 1e-12
+        assert max(spectral_norm(a), spectral_norm(b)) <= hi <= spectral_norm(a) + spectral_norm(b)
+
+
+def test_gen_norm_certifies_where_the_ascent_label_did_not():
+    # the old label certified a joint norm only when the ascent reached
+    # ||a|| + ||b||, which this game's k = 1 pair falls short of
+    g = seeded_unique3(3, 3, 3)
+    a, b = coset_pairs([g])[0]
+    reached, converged = ascent(a, b)
+    assert converged and spectral_norm(a) + spectral_norm(b) - reached > 1e-9
+    rep = norm_bound_unique3_report(g)
+    assert rep.certified
+    assert rep.joint_norms[0][1] >= reached - 1e-12
+
+
 # ------------------------------------------------------------- unique3 bounds
 
 def test_unique3_bound_sound(unique3_rotation, unique3_mixed):
     for g in (unique3_rotation, unique3_mixed):
         rep = norm_bound_unique3_report(g)
-        assert rep.certified and rep.converged
+        assert rep.certified
+        assert all(hi - lo <= 1e-9 for lo, hi in rep.joint_norms)
         assert float(classical_value(g).value) <= rep.value + 1e-9
         assert rep.value <= float(g.total_weight) + 1e-9
         assert len(rep.joint_norms) == 2
