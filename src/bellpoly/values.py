@@ -328,7 +328,10 @@ def gen_norm_detailed(a, b):
     c, eps = max(na, nb), np.finfo(float).eps
     if min(na, nb) <= eps * c:
         return c, na + nb
-    A, B = A / c, B / c  # so that neither P nor Q can overflow
+    # scaled by the larger norm, so that P and Q neither overflow nor lose
+    # digits to underflow; the parts are divided apart, as numpy's complex
+    # division overflows when c is subnormal
+    A, B = (M.real / c + 1j * (M.imag / c) for M in (A, B))
     Ah, Bh = A.conj().T, B.conj().T
     P, Q = A @ Ah, B @ Bh
     # a generous envelope for the rounding of P, Q, M and of eigh's lambda_max
@@ -365,7 +368,7 @@ def gen_norm_detailed(a, b):
             if lower >= goal:
                 break
     upper = min(max(c * upper, c), na + nb)
-    return min(c * lower, upper), upper
+    return min(float(c * lower), upper), upper
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,13 @@ def test_gen_norm_sandwich_and_symmetry():
         assert abs(v - gen_norm(b, a)) < 1e-7
 
 
+def test_gen_norm_of_huge_and_subnormal_blocks():
+    # the blocks are scaled by the larger norm: no overflow in a a^dag for
+    # huge entries, and no overflow dividing by a subnormal norm
+    assert gen_norm_detailed(1e300 * np.eye(2), 1e300 * np.eye(2)) == (2e300, 2e300)
+    assert gen_norm_detailed(np.array([[1e-320]]), np.array([[1e-320j]])) == (2e-320, 2e-320)
+
+
 def test_gen_norm_shape_mismatch():
     with pytest.raises(ValueError):
         gen_norm(np.ones((2, 2)), np.ones((3, 2)))
