@@ -310,7 +310,7 @@ def gen_norm_detailed(a, b):
 
     Lower end: a top eigenvector v gives the unit pair x1 ~ a^dag v,
     x2 ~ b^dag v, of value at least ||a^dag v|| + ||b^dag v||. The bisection
-    stops once that meets the upper end within the error term; failing
+    stops once that meets the upper end within twice its error term; failing
     that, a monotone alternating ascent (x1 <- a^dag y / ||.||, and the same
     for x2, with y = a x1 + b x2) starts from each vector of the top
     eigenspace at the minimiser and from the top right singular pair, and
