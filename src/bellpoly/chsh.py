@@ -7,7 +7,7 @@ p1 E11 + p2 E12 + p3 E21 - p4 E22 <= 1 - 2 p4 with the negative weight
 minimal. The canonical form carries an exact algebraic test deciding whether
 the inequality supports the quantum correlation set (no quantum advantage)
 or is violated, plus two independent numeric cross-checks: a spectral-radius
-certificate for the no-advantage case and a single-qubit grid oracle.
+certificate for the no-advantage case and a closed-form single-qubit oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .errors import VerificationError
 from .rational import parse_rational
 
 CERT_TOLERANCE = 1e-10
-QUBIT_GRID_POINTS = 721
-QUBIT_REFINE_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -63,12 +61,6 @@ class WeightedCHSH:
     @property
     def correlator_bound(self) -> Fraction:
         return 1 - 2 * self.p[3] if not self.trivial_even else Fraction(1)
-
-    def signed_matrix(self):
-        p1, p2, p3, p4 = self.p
-        if self.trivial_even:
-            return ((p1, p2), (p3, p4))
-        return ((p1, p2), (p3, -p4))
 
 
 def relabel_images(cells):
@@ -201,38 +193,22 @@ def sigma_lambda_certificate(w: WeightedCHSH) -> SigmaLambdaCertificate:
 # single-qubit oracle (numeric lower bound on the quantum game value)
 # ---------------------------------------------------------------------------
 
-def _correlator_envelope(w, cos_gap):
-    p1, p2, p3, p4 = (float(v) for v in w.p)
-    t1 = math.sqrt(max(0.0, p1 * p1 + p3 * p3 + 2 * p1 * p3 * cos_gap))
-    t2 = math.sqrt(max(0.0, p2 * p2 + p4 * p4 - 2 * p2 * p4 * cos_gap))
-    return t1 + t2
-
-
 def qubit_value_estimate(w: WeightedCHSH) -> float:
     """Best game value over projective qubit measurements on the maximally
     entangled pair. Oracle assumption: for two-setting sign games that state
-    and plane-angle measurements already reach the quantum optimum, so the
-    search reduces to one relative angle; the envelope in its cosine is
-    concave, so a coarse grid plus ternary refinement is exact to grid
-    precision. Returns (1 + best correlator) / 2."""
+    and plane-angle measurements reach the quantum optimum, so the best
+    correlator is sqrt(u + 2bc) + sqrt(v - 2ec) at the best cosine c of one
+    relative angle (u = p1^2 + p3^2, b = p1 p3, v = p2^2 + p4^2, e = p2 p4).
+    It is concave in c: its maximum lies at c = -1, c = 1 or the stationary
+    point b^2 (v - 2ec) = e^2 (u + 2bc). Returns (1 + that maximum) / 2."""
     if w.trivial_even:
         return 1.0
-    # grid on the relative Alice angle in [0, pi]
-    best_alpha, best_val = 0.0, -math.inf
-    for i in range(QUBIT_GRID_POINTS):
-        alpha = math.pi * i / (QUBIT_GRID_POINTS - 1)
-        val = _correlator_envelope(w, math.cos(alpha))
-        if val > best_val:
-            best_alpha, best_val = alpha, val
-    step = math.pi / (QUBIT_GRID_POINTS - 1)
-    lo = max(0.0, best_alpha - step)
-    hi = min(math.pi, best_alpha + step)
-    for _ in range(QUBIT_REFINE_ITERS):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if _correlator_envelope(w, math.cos(m1)) >= _correlator_envelope(w, math.cos(m2)):
-            hi = m2
-        else:
-            lo = m1
-    best = max(best_val, _correlator_envelope(w, math.cos((lo + hi) / 2)))
-    return (1 + best) / 2
+    p1, p2, p3, p4 = (float(v) for v in w.p)
+    u, b, v, e = p1 * p1 + p3 * p3, p1 * p3, p2 * p2 + p4 * p4, p2 * p4
+
+    def correlator(c):
+        return math.sqrt(max(0.0, u + 2 * b * c)) + math.sqrt(max(0.0, v - 2 * e * c))
+    cosines = [-1.0, 1.0]
+    if b > 0 and e > 0:
+        cosines.append(min(1.0, max(-1.0, (b * b * v - e * e * u) / (2 * b * e * (b + e)))))
+    return (1 + max(map(correlator, cosines))) / 2

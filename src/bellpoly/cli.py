@@ -498,9 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     g2.add_argument("path")
     g2.add_argument("--polytope", choices=("bell", "correlation"), required=True)
     g2.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET,
-                    help="most response maps to enumerate, counted on the side with "
-                         "fewer; also caps the cells (rows times ambient columns) "
-                         "of the exact rank")
+                    help="most response maps in any one scan (of a game or a fragment), "
+                         "on the side with fewer; also caps the cells (rows times "
+                         "ambient columns) of the exact rank")
     g2.add_argument("--timing", action="store_true")
 
     g3 = sub.add_parser("chsh", help="canonical form, face verdict, certificates")

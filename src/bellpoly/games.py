@@ -25,7 +25,7 @@ from math import isqrt, lcm, pi
 
 import numpy as np
 
-from .scenario import BellInequality, Scenario
+from .scenario import BellInequality, Scenario, correlator_inequality
 
 # permutations of {0,1,2} by cycle name; table[i] = image of i
 PERMS = {
@@ -395,7 +395,6 @@ def to_correlator_inequality(g: LinearGame) -> BellInequality:
         tuple(g.q[x][y] * (1 if g.f[x][y] == 0 else -1) / 2 for y in range(g.mb))
         for x in range(g.ma))
     bound = classical_value(g).value - g.total_weight / 2
-    from .scenario import correlator_inequality
     return correlator_inequality(g.scenario, corr, bound)
 
 

@@ -5,9 +5,11 @@ scan (`values._scan`): its top value rejects an invalid inequality, and its
 optimal maps and tie sets give the saturating count and boxes spanning the
 saturating set's affine hull. With the cut polytope's own vertex scan (`cut`)
 they end in `_facet_report`, which decides facet-ness by the exact affine
-rank. Decompositions (`_fragment_report`, for both NLC families) write the
-game inequality as a cell-wise sum of valid fragment inequalities with
-distinct faces, which rules out facet-ness without a rank computation.
+rank. A game's verdict scans its integer functional once (`_game_scan`)
+for its bound and its face. Decompositions (`_fragment_report`, for both NLC
+families) write the game inequality as a sum of valid fragment inequalities,
+the game's functional on some of Alice's inputs, with distinct faces, which
+rules out facet-ness without a rank computation.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ import numpy as np
 from .errors import BudgetExceededError, VerificationError
 from .exactrank import affine_rank
 from .games import (LinearGame, _win_coeffs, game_matrix, input_dits, int_scaled,
-                    scaled_functionals, subgame_restrict, to_bell_inequality,
-                    to_correlator_inequality)
+                    scaled_functionals)
 from .scenario import (DEFAULT_BOX_BUDGET, BellInequality, DeterministicBox,
                        _correlator_rows, _reduced_rows, ns_polytope_dimension)
-from .values import _scan, classical_value
+from .values import _exact_value, _scan
 
 HADAMARD_TOL = 1e-12
 
@@ -123,43 +124,53 @@ def saturating_boxes(ineq: BellInequality, budget: int = DEFAULT_BOX_BUDGET):
     return [DeterministicBox(ineq.scenario, a_map, b_map) for a_map, b_map in sorted(boxes)]
 
 
+def _polytope(kind, s):
+    """The ambient dimension of the `kind` polytope of scenario s and the
+    projection of boxes to its coordinates."""
+    if kind == "bell":
+        return ns_polytope_dimension(s), _reduced_rows
+    if kind != "correlation":
+        raise ValueError(f"unknown polytope kind {kind!r}")
+    if s.da != 2 or s.db != 2:
+        raise ValueError("correlation polytope needs binary outputs")
+    return s.ma * s.mb, _correlator_rows
+
+
+def _face(kind, s, scan, target, budget, trivial=False) -> FacetReport:
+    """The facet test of the face of value `target` of a functional on
+    scenario s, from its scan (top at most target) and tie sets."""
+    ambient, project = _polytope(kind, s)
+    if scan.top < target:
+        return _facet_report(kind, ambient, 0, None, trivial)
+    return _facet_report(kind, ambient, scan.count,
+                         _bell_roots(s, scan, project, budget, ambient), trivial)
+
+
 def facet_test(ineq: BellInequality, kind: str, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
     """Exact facet test against the local polytope.
 
     kind "bell": ambient dimension is the no-signaling affine dimension, the
     saturating boxes are compared in minimal no-signaling coordinates.
     kind "correlation": binary outputs and a correlator-space inequality
-    required; boxes are projected to their ma*mb full correlators.
-    """
-    s = ineq.scenario
-    if kind == "correlation":
-        if s.da != 2 or s.db != 2:
-            raise ValueError("correlation polytope needs binary outputs")
-        if ineq.space != "correlator":
-            raise ValueError("correlation facet test needs a correlator-space inequality")
-    elif kind != "bell":
-        raise ValueError(f"unknown polytope kind {kind!r}")
+    required; boxes are projected to their ma*mb full correlators. The
+    budget bounds the maps scanned and the cells of the rank matrix."""
+    ambient, _ = _polytope(kind, ineq.scenario)
+    if kind == "correlation" and ineq.space != "correlator":
+        raise ValueError("correlation facet test needs a correlator-space inequality")
     C, (target,), _ = int_scaled(ineq.coeffs, [ineq.bound])
     # single-cell nonnegativity written as <= : one negative coefficient, bound 0
     trivial = bool(target == 0 and np.count_nonzero(C) == 1 and C.min() < 0)
-    return _bell_facet(kind, s, C, target, budget, trivial)
-
-
-def _bell_facet(kind, s, C, target, budget, trivial=False) -> FacetReport:
-    """The facet test of the integer functional C[x, y, a, b] with integer
-    bound `target` on the `kind` polytope of scenario s. The vertices come
-    from the best-response scan `values._scan`; the budget bounds the maps it
-    enumerates and the cells of the rank matrix (`_bell_roots`), whose rows
-    have `ambient` columns."""
-    if kind == "bell":
-        ambient, project = ns_polytope_dimension(s), _reduced_rows
-    else:
-        ambient, project = s.ma * s.mb, _correlator_rows
     scan = _valid_scan(C, target, budget, ambient)
-    if scan.top < target:
-        return _facet_report(kind, ambient, 0, None, trivial)
-    return _facet_report(kind, ambient, scan.count,
-                         _bell_roots(s, scan, project, budget, ambient), trivial)
+    return _face(kind, ineq.scenario, scan, target, budget, trivial)
+
+
+def _game_scan(g, kind, budget):
+    """g's integer win functional C[x, y, a, b], its denominator, its scan
+    with tie sets for the rank on the `kind` polytope, and g's classical
+    value: the scan's top, re-checked as `classical_value` checks it."""
+    (C,), _, den = scaled_functionals([g])
+    scan = _scan(C, budget, ties=True, cols=_polytope(kind, g.scenario)[0])
+    return C, den, scan, _exact_value(g, scan, den).value
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +184,11 @@ def _row_values(C, b_map):
 
 
 def _separated(Ci, Cj, target_j, witness_i) -> bool:
-    """Whether a box on fragment i's face lies off fragment j's face.
-
-    Keep the witness's Bob outputs, and its Alice outputs on the inputs that
-    fragment i weighs; her other inputs are free, and fragment i's value does
-    not depend on them. Fragment j's value is a sum over Alice's inputs, so
-    its least value over these boxes adds the fixed rows' values and the free
-    rows' minima. Fragment j is valid (its bound is its classical value), so
-    these boxes leave its face exactly when that least value is below the
+    """Whether a box on fragment i's face lies off fragment j's face: keep
+    the witness's Bob outputs and its Alice outputs on the inputs fragment i
+    weighs, leaving her other inputs free. Fragment j's least value over
+    these boxes adds the fixed rows' values and the free rows' minima; as
+    fragment j is valid, they leave its face exactly when that is below its
     bound."""
     a_map, b_map = witness_i
     r = _row_values(Cj, b_map)
@@ -188,76 +196,75 @@ def _separated(Ci, Cj, target_j, witness_i) -> bool:
     return np.where(free, r.min(axis=1), r[np.arange(len(r)), a_map]).sum() < target_j
 
 
-def _assert_distinct_faces(C, targets, witnesses):
-    """Certify the non-facet argument: every fragment face is proper, and two
-    fragment faces differ (each fragment's witness attains its bound).
-
-    Properness is an averaging argument: over the d^2 constant-output boxes
-    the fragment expression averages to (total weight)/d, so a bound above
-    that average has non-saturating boxes; equality would mean every box
-    saturates (face = whole polytope) and nothing follows. Distinctness is
-    shown by a box on one fragment's face and off another's (`_separated`).
-    """
-    d = C.shape[-1]
-    for i, Ci in enumerate(C):
-        # the largest entry of each (x, y) cell is its weight
-        if d * targets[i] <= Ci.max(axis=(2, 3)).sum():
+def _assert_distinct_faces(C, keep, targets, witnesses):
+    """Certify the non-facet argument for the fragments of C on the Alice
+    inputs keep[i]: every fragment face is proper, and two differ (each
+    fragment's witness attains its bound). Properness: over the d^2
+    constant-output boxes a fragment averages (total weight)/d, so a bound
+    above that has non-saturating boxes; at equality every box saturates.
+    Distinctness: a box on one face and off another (`_separated`)."""
+    weights = C.max(axis=(2, 3)).sum(axis=1)  # per Alice input (a cell's top entry is its weight)
+    for i, k in enumerate(keep):
+        if C.shape[-1] * targets[i] <= weights[k].sum():
             raise VerificationError(
                 f"fragment {i} is saturated by every box; its face is not proper")
-    if not any(_separated(C[i], C[j], targets[j], witnesses[i])
-               for i in range(len(C)) for j in range(len(C)) if i != j):
+    rows = keep[:, :, None, None, None]
+    if not any(_separated(C * rows[i], C * rows[j], targets[j], witnesses[i])
+               for i, j in itertools.permutations(range(len(keep)), 2)):
         raise VerificationError("fragment faces could not be separated by any box")
 
 
-def _fragment_report(g, restrictions, expected, bound, note, budget):
+def _fragment_report(g, C, den, scan, bound, budget, restrictions=({0: 0}, {0: 1}),
+                     expected=None, note="non-facet via decomposition into two distinct "
+                                         "supporting faces"):
     """The non-facet verdict of g's inequality with bound `bound` (g's
     classical value) from one fragment per restriction of Alice's input dits
-    (`subgame_restrict`), or None when the fragment values do not sum to
-    `bound`: the fragment argument does not apply.
-
-    Each fragment's enumerated value must be attained by its witness (and
-    equal `expected`, if given), the fragments must sum cell for cell to the
-    game, and, when the argument applies, their faces must be proper and not
-    all equal; else VerificationError. The statistics are skipped, with a
-    note, exactly when the facet test exceeds the budget.
-    """
-    frags = [subgame_restrict(g, fix_a=fixes) for fixes in restrictions]
-    values = [classical_value(fr) for fr in frags]
-    C, targets, _ = scaled_functionals([g] + frags, [bound] + [cv.value for cv in values])
-    witnesses = [(np.array(cv.a_map), np.array(cv.b_map)) for cv in values]
-    for fixes, Ci, target, cv, (a_map, b_map) in zip(restrictions, C[1:], targets[1:],
-                                                        values, witnesses):
+    (by default, her first bit), or None when the fragment values do not sum
+    to `bound`. A fragment is g's integer functional C (denominator den) on
+    the Alice inputs its restriction keeps; its value is one scan of those
+    rows, inputs of zero weight left out as in `classical_value`. Each value
+    must be attained by its witness on C (and equal `expected`, if given),
+    the restrictions must split Alice's inputs, and the faces must be proper
+    and not all equal; else VerificationError. The statistics come from g's
+    scan `scan`, and are skipped, with a note, when it is None or kept no
+    tie sets."""
+    keep = np.array([[all(input_dits(x, g.d, g.n)[pos] == v for pos, v in fixes.items())
+                      for x in range(g.ma)] for fixes in restrictions])
+    if (keep.sum(axis=0) != 1).any():
+        raise VerificationError("the restrictions do not split Alice's inputs")
+    weighed = (C != 0).any(axis=(2, 3))  # the cells of nonzero weight
+    targets, witnesses = [], []
+    for fixes, k in zip(restrictions, keep):
+        rows = np.flatnonzero(k & weighed.any(axis=1))
+        cols = np.flatnonzero(weighed[rows].any(axis=0))
+        frag = _scan(C[np.ix_(rows, cols)], budget)
+        a_map, b_map = np.zeros(g.ma, dtype=np.int64), np.zeros(g.mb, dtype=np.int64)
+        a_map[rows], b_map[cols] = frag.box
         where = ", ".join(f"x{pos + 1}={v}" for pos, v in fixes.items())
-        if _row_values(Ci, b_map)[np.arange(len(a_map)), a_map].sum() != target:
+        value = Fraction(frag.top, den)
+        if _row_values(C, b_map)[rows, a_map[rows]].sum() != frag.top:
             raise VerificationError(
-                f"fragment {where} has classical value {cv.value}, not attained by its witness")
-        if expected is not None and cv.value != expected:
+                f"fragment {where} has classical value {value}, not attained by its witness")
+        if expected is not None and value != expected:
             raise VerificationError(
-                f"fragment {where} has classical value {cv.value}, expected {expected}")
-    if (C[1:].sum(axis=0) != C[0]).any():
-        raise VerificationError("fragment coefficients do not sum to the original cell for cell")
-    if sum(targets[1:]) != targets[0]:
+                f"fragment {where} has classical value {value}, expected {expected}")
+        targets.append(frag.top)
+        witnesses.append((a_map, b_map))
+    if Fraction(sum(targets), den) != bound:
         return None
-    _assert_distinct_faces(C[1:], targets[1:], witnesses)
-
-    fragment_ineqs = tuple(BellInequality(fr.scenario, _win_coeffs(fr), cv.value)
-                           for fr, cv in zip(frags, values))
-    try:
-        stats = _bell_facet("bell", g.scenario, C[0], targets[0], budget)
-    except BudgetExceededError:
+    _assert_distinct_faces(C, keep, targets, witnesses)
+    coeffs, zero = _win_coeffs(g), (((Fraction(0),) * g.d,) * g.d,) * g.mb
+    fragments = tuple(BellInequality(g.scenario, tuple(row if kept else zero for row, kept
+                                                       in zip(coeffs, k)), Fraction(t, den))
+                      for k, t in zip(keep, targets))
+    if scan is None or scan.maps is None:
         return FacetReport("bell", ns_polytope_dimension(g.scenario), -1, -1, False,
-                           decomposition=fragment_ineqs,
+                           decomposition=fragments,
                            notes=(note, "saturating statistics skipped (box budget)"))
+    stats = _face("bell", g.scenario, scan, scan.top, budget)
     if stats.is_facet:
         raise VerificationError("decomposition succeeded yet the saturating set spans a facet")
-    return replace(stats, decomposition=fragment_ineqs, notes=(note,))
-
-
-def _first_bit_split(g, bound, budget):
-    """`_fragment_report` of a binary game split along Alice's first bit."""
-    return _fragment_report(g, [{0: 0}, {0: 1}], None, bound,
-                            "non-facet via decomposition into two distinct supporting faces",
-                            budget)
+    return replace(stats, decomposition=fragments, notes=(note,))
 
 
 def nlc2_decompose(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
@@ -266,8 +273,8 @@ def nlc2_decompose(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> FacetRepo
     to the game's, as on the n = 4 inner-product and majority games."""
     if g.d != 2 or g.n < 2:
         raise ValueError("decomposition needs a binary game with n >= 2 input bits")
-    bound = classical_value(g).value
-    rep = _first_bit_split(g, bound, budget)
+    C, den, scan, bound = _game_scan(g, "bell", budget)
+    rep = _fragment_report(g, C, den, scan, bound, budget)
     if rep is None:
         raise ValueError(
             f"the first-bit fragment values do not sum to the game value {bound}: the "
@@ -354,8 +361,8 @@ def nlcd_nonfacet_check(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> Face
     """Fragment decomposition of a product-form game with Lambda >= 1/2: one
     fragment per assignment of Alice's first n-1 dits (Bob stays
     unrestricted), each with classical value (1/d^n)(1 + (d-1) Lambda)
-    (`_fragment_report`).
-    """
+    (`_fragment_report`). The game's scan, when it fits the budget, gives
+    the statistics, and its top must be the closed form."""
     spec = _product_spec(g)
     prof = nlcd_lambda(g)
     if prof.big_lambda < Fraction(1, 2):
@@ -366,10 +373,17 @@ def nlcd_nonfacet_check(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> Face
         raise ValueError("fragments fix the first n-1 dits; need n >= 2")
     d, n = spec.d, spec.n
     value = nlcd_classical_formula(g)
+    (C,), _, den = scaled_functionals([g])
+    try:
+        scan = _scan(C, budget, ties=True, cols=ns_polytope_dimension(g.scenario))
+    except BudgetExceededError:
+        scan = None  # the statistics are skipped
+    if scan is not None and Fraction(scan.top, den) != value:
+        raise VerificationError(f"the game's classical value {Fraction(scan.top, den)} "
+                                f"is not the closed form {value}")
     restrictions = [dict(enumerate(input_dits(s, d, n - 1))) for s in range(d ** (n - 1))]
-    return _fragment_report(g, restrictions, value / d ** (n - 1), value,
-                            "non-facet via decomposition into distinct supporting faces",
-                            budget)
+    return _fragment_report(g, C, den, scan, value, budget, restrictions, value / d ** (n - 1),
+                            "non-facet via decomposition into distinct supporting faces")
 
 
 def game_facet_test(g, kind: str, budget: int = DEFAULT_BOX_BUDGET):
@@ -379,16 +393,19 @@ def game_facet_test(g, kind: str, budget: int = DEFAULT_BOX_BUDGET):
     Alice's first n-1 dits for a product form on d >= 3 outputs with
     Lambda >= 1/2 (`nlcd_nonfacet_check`; the bound is the fragment bounds'
     sum), along her first bit for d = 2 when the two fragment values sum to
-    the game's (`nlc2_decompose`). Every other game goes through `facet_test`.
-    """
+    the game's (`nlc2_decompose`). Otherwise the rank decides. Bound and
+    face come from one scan of the win functional: the correlator one is it
+    minus q(x, y)/2 per cell, with the same optimal boxes and tie sets."""
     spec = getattr(g, "nlc", None)
     split = kind == "bell" and spec is not None and spec.n >= 2
     if (split and g.d != 2 and spec.is_product_form
             and nlcd_lambda(g).big_lambda >= Fraction(1, 2)):
         rep = nlcd_nonfacet_check(g, budget)
         return rep, sum((fr.bound for fr in rep.decomposition), Fraction(0))
-    ineq = to_bell_inequality(g) if kind == "bell" else to_correlator_inequality(g)
-    rep = _first_bit_split(g, ineq.bound, budget) if split and g.d == 2 else None
+    if kind != "bell" and g.d != 2:  # any other kind reads the correlator form
+        raise ValueError("correlator form needs binary outputs")
+    C, den, scan, bound = _game_scan(g, kind, budget)
+    rep = _fragment_report(g, C, den, scan, bound, budget) if split and g.d == 2 else None
     if rep is None:
-        rep = facet_test(ineq, kind, budget)
-    return rep, ineq.bound
+        rep = _face(kind, g.scenario, scan, scan.top, budget)
+    return rep, bound if kind == "bell" else bound - g.total_weight / 2

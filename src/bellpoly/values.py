@@ -29,7 +29,6 @@ from .games import GameMatrix, LinearGame, game_matrix, scaled_functionals, uniq
 
 DEFAULT_STRATEGY_BUDGET = 2 ** 24
 
-SPECTRAL_NORM_RTOL = 1e-12  # promised relative accuracy of spectral_norm
 ROOT_OF_UNITY_TOL = 1e-9
 DEGENERACY_RTOL = 1e-9
 
@@ -217,8 +216,16 @@ def classical_value(g, budget: int = DEFAULT_STRATEGY_BUDGET, workers: int = Non
     cols = [y for y in range(g.mb) if any(row[y] for row in g.q)]
     alice = len(rows) <= len(cols)  # whether _scan enumerates Alice's maps
     C, _, den = scaled_functionals([g], rows=rows, cols=cols, axes=_scan_axes(alice))
-    scan = _scan(C[0], budget, workers)
-    a, b = dict(zip(rows, scan.box[0])), dict(zip(cols, scan.box[1]))
+    return _exact_value(g, _scan(C[0], budget, workers), den, rows, cols)
+
+
+def _exact_value(g, scan, den, rows=None, cols=None) -> ClassicalValue:
+    """The classical value scan.top / den of g, from a scan of its functional
+    on Alice's inputs `rows` and Bob's `cols` (all by default); the scan's
+    box, the other inputs answering 0, is the witness, and VerificationError
+    is raised unless it attains that value in exact rationals."""
+    a = dict(zip(range(g.ma) if rows is None else rows, scan.box[0]))
+    b = dict(zip(range(g.mb) if cols is None else cols, scan.box[1]))
     a_map = tuple(a.get(x, 0) for x in range(g.ma))
     b_map = tuple(b.get(y, 0) for y in range(g.mb))
     val, found = strategy_value(g, a_map, b_map), Fraction(scan.top, den)

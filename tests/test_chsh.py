@@ -14,6 +14,7 @@ from bellpoly.chsh import (
     relabel_images,
     sigma_lambda_certificate,
 )
+from tests.qubit_reference import grid_estimate
 
 F = Fraction
 
@@ -243,3 +244,22 @@ def test_qubit_trivial_class_wins_outright():
 def test_qubit_exceeds_classical_iff_violation():
     v = qubit_value_estimate(UNIFORM)
     assert v > float(face_condition(UNIFORM).classical_game_value) + 1e-6
+
+
+def test_qubit_closed_form_matches_the_grid_search():
+    # seeded canonical weights, about a third with zero weights
+    rng = random.Random(1607)
+    zeros = 0
+    for _ in range(1200):
+        raw = [0 if rng.random() < 0.1 else rng.randint(1, 60) for _ in range(4)]
+        if sum(raw) == 0:
+            continue
+        raw.sort(reverse=True)
+        first = raw[:3]
+        rng.shuffle(first)
+        w = WeightedCHSH(tuple(F(v, sum(raw)) for v in first + raw[3:]))
+        zeros += 0 in raw
+        ref = grid_estimate(tuple(float(v) for v in w.p))
+        assert abs(qubit_value_estimate(w) - ref) <= 1e-12
+    assert zeros > 300
+

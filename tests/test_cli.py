@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellpoly import LinearGame, NLCSpec, build_nlcd, cli, norm_bound_unique3_report
+from bellpoly import LinearGame, NLCSpec, build_nlc, build_nlcd, cli, norm_bound_unique3_report
 from bellpoly.cut import CutInequality, Graph
 from bellpoly.scenario import Scenario, correlator_inequality
 from tests.conftest import (
@@ -256,6 +256,20 @@ def test_facet_test_product_form_from_fragments(tmp_path, capsys, d, n, table, b
         (d ** (n - 1), bound, False)
 
 
+@pytest.mark.parametrize("spec, maps", [
+    (NLCSpec(2, 3, (0,) * 7 + (1,), (F(1, 8),) * 8), 2 ** 8),  # the whole game's maps
+    (NLCSpec(3, 2, (0, 0, 1), (F(1, 3),) * 3), 3 ** 3)])  # one fragment's maps
+def test_facet_test_budget_bounds_every_scan(tmp_path, capsys, spec, maps):
+    path = write_game(tmp_path, build_nlc(spec))
+    code, out, err = run_cli(capsys, "facet-test", path, "--polytope", "bell",
+                             "--budget", str(maps - 1))
+    assert (code, out) == (3, "")
+    assert f"{maps} response maps exceed the strategy budget of {maps - 1}" in err
+    code, out, _ = run_cli(capsys, "facet-test", path, "--polytope", "bell", "--budget", str(maps))
+    assert code == 0
+    assert json.loads(out)["results"]["is_facet"] is False
+
+
 def test_facet_test_chsh_correlation(tmp_path, capsys):
     path = write_game(tmp_path, make_chsh_game())
     code, out, _ = run_cli(capsys, "facet-test", path, "--polytope", "correlation")
@@ -369,17 +383,25 @@ def test_analyze_game_with_weights_past_int64(tmp_path, capsys):
 
 
 def test_facet_test_nlc_computes_the_classical_value_once(tmp_path, capsys, monkeypatch):
+    # one scan of the whole game gives both the bound and the face, on
+    # either polytope and in nlc2_decompose
     from bellpoly import tightness, values
     game = make_nlc2_and()
     calls = []
     for module in (values, tightness):
-        real = module.classical_value
-        monkeypatch.setattr(module, "classical_value",
-                            lambda g, *a, real=real, **k: calls.append(g) or real(g, *a, **k))
-    code, out, _ = run_cli(capsys, "facet-test", write_game(tmp_path, game), "--polytope", "bell")
-    assert code == 0
-    assert json.loads(out)["results"]["bound"] == "3/4"
-    assert calls.count(game) == 1
+        real = module._scan
+        monkeypatch.setattr(module, "_scan", lambda C, *a, real=real, **k:
+                            calls.append(C.shape[:2]) or real(C, *a, **k))
+    path = write_game(tmp_path, game)
+    for polytope, bound in (("bell", "3/4"), ("correlation", "1/4")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "facet-test", path, "--polytope", polytope)
+        assert code == 0
+        assert json.loads(out)["results"]["bound"] == bound
+        assert calls.count((game.ma, game.mb)) == 1
+    calls.clear()
+    assert [fr.bound for fr in tightness.nlc2_decompose(game).decomposition] == [F(3, 8)] * 2
+    assert calls.count((game.ma, game.mb)) == 1
 
 
 def test_analyze_game_unique3_runs_the_ascent_once(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,10 @@
-"""Import-cost guard: the command-line front end loads no heavy optional
-dependency. scipy and networkx alone used to cost about 500 ms of every
-bellpoly process's startup."""
+"""Import guards: the command-line front end loads no heavy optional
+dependency (scipy and networkx alone used to cost about 500 ms of every
+bellpoly process's startup), and the package carries no unused import or
+constant (a stdlib `ast` check, as no linter is installed)."""
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +24,34 @@ def test_cli_import_loads_no_scipy_or_networkx():
     loaded = [m for m in out.split()
               if m.split(".")[0] in FORBIDDEN]
     assert loaded == []
+
+
+def _names(tree, ctx):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+
+
+def test_every_import_and_constant_is_used():
+    package = SRC / "bellpoly"
+    exported = {alias.asname or alias.name
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = _names(tree, ast.Load)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}: import {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in read]
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            unused += [f"{path.name}: constant {t.id}" for t in targets
+                       if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)
+                       and t.id not in read and t.id not in exported]
+    assert unused == []
+

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import random
 import re
@@ -16,6 +15,7 @@ from bellpoly import (
     NLCSpec,
     Scenario,
     VerificationError,
+    build_nlc2,
     build_nlcd,
     correlator_inequality,
     enumerate_deterministic_boxes,
@@ -177,11 +177,34 @@ def test_nlc2_decompose_fragment_coefficients_sum(nlc2_and):
 
 
 def test_nlc2_decompose_without_stats(nlc2_and):
-    # one map over the budget (2^4 maps a side): the statistics are skipped
-    rep = nlc2_decompose(nlc2_and, budget=2 ** 4 - 1)
+    # the game's one scan gives its value, so its 2^4 maps must fit the
+    # budget; at 2^4 they do, and the rank cells (24 columns a row) do not:
+    # the statistics are skipped
+    with pytest.raises(BudgetExceededError):
+        nlc2_decompose(nlc2_and, budget=2 ** 4 - 1)
+    rep = nlc2_decompose(nlc2_and, budget=2 ** 4)
     assert not rep.is_facet
     assert rep.saturating_count == -1
+    assert [fr.bound for fr in rep.decomposition] == [F(3, 8), F(3, 8)]
     assert any("skipped" in n for n in rep.notes)
+
+
+def nlc3_and():
+    return build_nlc2(NLCSpec(2, 3, (0,) * 7 + (1,), (F(1, 8),) * 8))
+
+
+@pytest.mark.parametrize("g, decompose, restrictions", [
+    (nlc3_and(), nlc2_decompose, [{0: 0}, {0: 1}]),
+    (build_nlcd(NLCSpec(3, 2, (0, 0, 1), (F(1, 3),) * 3)), nlcd_nonfacet_check,
+     [{0: 0}, {0: 1}, {0: 2}])])
+def test_fragment_inequalities_are_the_restricted_games(g, decompose, restrictions):
+    # a fragment is the game's functional on the Alice rows its restriction
+    # keeps: the inequality of the masked game, bounded by its classical value
+    rep = decompose(g)
+    assert len(rep.decomposition) == len(restrictions)
+    for fr, fixes in zip(rep.decomposition, restrictions):
+        sub = subgame_restrict(g, fix_a=fixes)
+        assert fr == BellInequality(g.scenario, _win_coeffs(sub), classical_value(sub).value)
 
 
 def test_nlc2_decompose_rejects_non_nlc(chsh_game):
@@ -309,16 +332,10 @@ def test_nlcd_nonfacet_enumerates_every_fragment(d, n, table, value, monkeypatch
     assert rep.notes == ("non-facet via decomposition into distinct supporting faces",
                          "saturating statistics skipped (box budget)")
     # the fragment values are enumerated, so a wrong one trips the cross-check
-    import bellpoly.tightness as T
-    real = T.classical_value
-
-    def lying(g, *a, **k):
-        out = real(g, *a, **k)
-        return dataclasses.replace(out, value=out.value + F(1, 97))
-
-    monkeypatch.setattr(T, "classical_value", lying)
+    g = uniform_product(d, n, table)
+    lie_in_fragment_scans(monkeypatch, g)
     with pytest.raises(VerificationError, match="fragment x1=0"):
-        nlcd_nonfacet_check(uniform_product(d, n, table))
+        nlcd_nonfacet_check(g)
 
 
 def test_nlcd_nonfacet_fragment_maps_over_the_strategy_budget():
@@ -393,17 +410,22 @@ def test_row_separation_matches_exhaustive_search():
 
 # --------------------------------------------------------------- verification
 
+def lie_in_fragment_scans(monkeypatch, g):
+    """Make every scan of a fragment of g (fewer Alice inputs than g) report
+    a top one unit above its true value."""
+    import bellpoly.tightness as T
+    real = T._scan
+
+    def lying(C, *a, **k):
+        scan = real(C, *a, **k)
+        return scan._replace(top=scan.top + 1) if len(C) < g.ma else scan
+
+    monkeypatch.setattr(T, "_scan", lying)
+
+
 def test_decompose_raises_if_fragment_doctored(nlc2_and, monkeypatch):
     # force the fragment classical values to disagree with the halved
     # game value and confirm the cross-check trips
-    import bellpoly.tightness as T
-    real = T.classical_value
-
-    def lying(g, *a, **k):
-        out = real(g, *a, **k)
-        import dataclasses
-        return dataclasses.replace(out, value=out.value + F(1, 97))
-
-    monkeypatch.setattr(T, "classical_value", lying)
+    lie_in_fragment_scans(monkeypatch, nlc2_and)
     with pytest.raises(VerificationError):
         nlc2_decompose(nlc2_and)
