@@ -31,7 +31,6 @@ from .games import (
     PERMS,
     REFLECTIONS,
     ROTATIONS,
-    GameMatrix,
     LinearGame,
     NLCSpec,
     UniqueGame3,
@@ -40,26 +39,22 @@ from .games import (
     build_nlcd,
     dits_to_index,
     ditwise_add,
-    game_matrix,
+    fourier_blocks,
     input_dits,
-    rotation_game_to_linear,
     subgame_restrict,
     to_bell_inequality,
     to_correlator_inequality,
-    unique3_matrices,
 )
 from .values import (
     DEFAULT_STRATEGY_BUDGET,
     ClassicalValue,
     NoAdvantageVerdict,
-    Unique3Bound,
+    NormBound,
     ValueReport,
     classical_value,
-    gen_norm,
     gen_norm_detailed,
+    norm_bound,
     norm_bound_linear,
-    norm_bound_unique3,
-    norm_bound_unique3_report,
     ns_value,
     spectral_norm,
     strategy_value,

@@ -237,21 +237,22 @@ def parse_inequality_text(raw: str):
 
 
 def serialize_inequality(ineq) -> str:
+    return canonical_json(_inequality_dict(ineq))
+
+
+def _inequality_dict(ineq) -> dict:
+    """The inequality file's object, which `parse_inequality_text` reads."""
+    bound = format_rational(ineq.bound)
     if isinstance(ineq, CutInequality):
-        data = {"space": "cut", "n": ineq.n,
+        return {"space": "cut", "n": ineq.n, "bound": bound,
                 "coeffs": [[i, j, format_rational(c)]
-                           for (i, j), c in sorted(ineq.edge_coeffs.items())],
-                "bound": format_rational(ineq.bound)}
-    elif ineq.space == "correlator":
-        data = {"space": "correlator",
-                "coeffs": [[format_rational(v) for v in row] for row in ineq.corr],
-                "bound": format_rational(ineq.bound)}
-    else:
-        data = {"space": "probability",
-                "coeffs": [[[[format_rational(v) for v in cell] for cell in row]
-                            for row in block] for block in ineq.coeffs],
-                "bound": format_rational(ineq.bound)}
-    return canonical_json(data)
+                           for (i, j), c in sorted(ineq.edge_coeffs.items())]}
+    if ineq.space == "correlator":
+        return {"space": "correlator", "bound": bound,
+                "coeffs": [[format_rational(v) for v in row] for row in ineq.corr]}
+    return {"space": "probability", "bound": bound,
+            "coeffs": [[[[format_rational(v) for v in cell] for cell in row]
+                        for row in block] for block in ineq.coeffs]}
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +290,11 @@ def _cmd_analyze_game(args):
     if args.bound or everything:
         results["quantum_upper_bound"] = _float_field(rep.quantum_upper_bound,
                                                       rep.bound_error)
-        u = rep.unique3_bound
-        if u is not None:
+        if isinstance(g, UniqueGame3):
+            u = rep.norm_bound
             results["bound_certified"] = u.certified
             results["joint_norms"] = [_float_field(hi, precision) for (_, hi), precision
-                                      in zip(u.joint_norms, u.precisions)]
+                                      in zip(u.norms, u.precisions)]
     if args.sufficient and rep.no_advantage is not None:
         v = rep.no_advantage
         results["no_advantage"] = {
@@ -453,7 +454,7 @@ def _cmd_cut(args):
     if sub == "pentagonal":
         rep = pentagonal_report()
         return {"inequality": _correlator_ineq_dict(rep["inequality"]),
-                "cut_form": json.loads(serialize_inequality(rep["cut_form"])),
+                "cut_form": _inequality_dict(rep["cut_form"]),
                 "hypermetric_b": list(rep["hypermetric_b"]),
                 "valid_on_k5": rep["valid_on_k5"],
                 "deterministic_max": format_rational(rep["deterministic_max"]),

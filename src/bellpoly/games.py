@@ -1,4 +1,4 @@
-"""Game constructors and their Fourier-side matrices.
+"""Game constructors and their Fourier blocks.
 
 Two game families are first-class here:
 
@@ -11,9 +11,11 @@ Distributed-computation (NLC) instances are built from a compact spec and come
 out as linear games carrying their construction data, which the non-facet
 machinery needs later.
 
-Game matrices follow the weighted convention: entry (x, y) of the k-th matrix
-is q(x, y) * zeta^(k f(x, y)) with zeta = exp(2 pi i / d). Weights and phase
-exponents are kept exactly; the complex realization is built on demand.
+Every game has one builder of its k-th Fourier blocks (`fourier_blocks`),
+complex arrays in the weighted convention: entry (x, y) is q(x, y) times a
+d-th root of unity. A linear game has one block, Phi_k with phase
+k f(x, y); a 3-output unique game has two, one per coset of its
+permutations. The norm bound reads both kinds the same way.
 """
 
 from __future__ import annotations
@@ -242,79 +244,30 @@ def build_nlcd(spec: NLCSpec) -> LinearGame:
 
 
 # ---------------------------------------------------------------------------
-# Game matrices
+# Fourier blocks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GameMatrix:
-    """Weighted Fourier matrix: entry = weight * zeta^phase, zeta = e^(2 pi i/d).
-
-    Weights (rationals) and phase exponents (integers mod d) are stored
-    exactly so that structural identities can be checked without floats;
-    `to_complex` gives the numeric realization.
-    """
-    d: int
-    k: int
-    weights: tuple
-    phases: tuple
-
-    def to_complex(self) -> np.ndarray:
-        w = np.array([[float(v) for v in row] for row in self.weights])
-        ph = np.array(self.phases, dtype=float)
-        return w * np.exp(2j * pi * ph / self.d)
-
-    def block(self, rows, cols) -> np.ndarray:
-        return self.to_complex()[np.ix_(rows, cols)]
-
-    @property
-    def shape(self):
-        return (len(self.weights), len(self.weights[0]))
-
-
-def game_matrix(g: LinearGame, k: int) -> GameMatrix:
+def fourier_blocks(g, k: int) -> tuple:
+    """The k-th Fourier blocks of g, complex arrays [x, y] whose entries are
+    q(x, y) zeta^(phase), zeta = exp(2 pi i / d): for a linear game one
+    block, Phi_k, of phase k f(x, y); for a 3-output unique game two, which
+    partition q. Its permutations split into rotations (a -> a + c) and
+    reflections (a -> c - a), and each input pair feeds one coset's block:
+    a rotation cell has phase -k f_minus, where a - b = f_minus on a win,
+    and a reflection cell phase k f_plus, where a + b = f_plus on a win."""
     if not 1 <= k <= g.d - 1:
         raise ValueError(f"k must be in 1..{g.d - 1}, got {k}")
-    weights = g.q
-    phases = tuple(tuple((k * g.f[x][y]) % g.d for y in range(g.mb)) for x in range(g.ma))
-    return GameMatrix(g.d, k, weights, phases)
+    q = np.array([[float(v) for v in row] for row in g.q])
+    if isinstance(g, LinearGame):
+        return (_phased(q, k * np.array(g.f), g.d),)
+    # rotation cells: f_minus = -shift, so -k f_minus = k shift; reflections: f_plus = shift
+    return tuple(_phased(q * [[name in shifts for name in row] for row in g.perms],
+                         [[k * shifts.get(name, 0) for name in row] for row in g.perms], 3)
+                 for shifts in (ROTATIONS, REFLECTIONS))
 
 
-def unique3_matrices(g: UniqueGame3, k: int):
-    """The pair of coset matrices of a 3-output unique game.
-
-    The permutation group splits into rotations (a -> a + c) and reflections
-    (a -> c - a); each input pair feeds exactly one of the two matrices:
-    rotation cells carry zeta^(-k * f_minus) where a - b = f_minus on a win,
-    reflection cells carry zeta^(+k * f_plus) where a + b = f_plus on a win.
-    The two weight tables partition q.
-    """
-    if not 1 <= k <= 2:
-        raise ValueError(f"k must be 1 or 2, got {k}")
-
-    def coset_matrix(shifts):
-        """The cells whose permutation is in `shifts`, with phase exponent k * shift."""
-        def cell(x, y):
-            name = g.perms[x][y]
-            return (g.q[x][y], k * shifts[name] % 3) if name in shifts else (Fraction(0), 0)
-        cells = [[cell(x, y) for y in range(g.mb)] for x in range(g.ma)]
-        return GameMatrix(3, k, tuple(tuple(w for w, _ in row) for row in cells),
-                          tuple(tuple(p for _, p in row) for row in cells))
-    # rotation cells: f_minus = -shift, so -k * f_minus = k * shift; reflections: f_plus = shift
-    return coset_matrix(ROTATIONS), coset_matrix(REFLECTIONS)
-
-
-def rotation_game_to_linear(g: UniqueGame3) -> LinearGame:
-    """Rewrite a rotations-only unique game as a linear game by relabeling
-    Bob's outputs b -> -b mod 3; all game values are relabeling-invariant."""
-    f = [[0] * g.mb for _ in range(g.ma)]
-    for x in range(g.ma):
-        for y in range(g.mb):
-            name = g.perms[x][y]
-            if name not in ROTATIONS:
-                raise ValueError("game has reflection cells; no linear rewrite")
-            # win b = a + c  <=>  a + (-b) = -c
-            f[x][y] = (-ROTATIONS[name]) % 3
-    return LinearGame(3, g.ma, g.mb, g.q, tuple(map(tuple, f)))
+def _phased(weights, exponents, d) -> np.ndarray:
+    return weights * np.exp(2j * pi * (np.asarray(exponents) % d) / d)
 
 
 # ---------------------------------------------------------------------------
@@ -362,25 +315,22 @@ def int_scaled(values, bounds=()):
     return np.array(scaled, dtype=dtype).reshape(shaped.shape), targets, den
 
 
-def scaled_functionals(games, bounds=(), rows=None, cols=None, axes=(0, 1, 2, 3)):
-    """The games' functionals (as in `_win_coeffs`) on Alice's inputs `rows`
-    and Bob's `cols` (all by default), and the bounds, integer-scaled
-    together (`int_scaled`): an array [game, x, y, a, b] whose memory holds
-    the axes (x, y, a, b) in the order `axes`, the integer bounds and the
-    denominator. The games share their shape."""
-    d = games[0].d
-    rows = range(games[0].ma) if rows is None else rows
-    cols = range(games[0].mb) if cols is None else cols
-    shape = (len(games), len(rows), len(cols), d)  # game, x, y, a
-    Q, targets, den = int_scaled([[[g.q[x][y] for y in cols] for x in rows] for g in games],
-                                 bounds)
-    B = np.array([[[[g.winning_b(a, x, y) for a in range(d)] for y in cols] for x in rows]
-                  for g in games], dtype=np.int64).reshape(shape)
-    cells = np.ix_(*map(np.arange, shape))
-    index = cells[1:] + (B,)  # x, y, a and Bob's winning b
-    C = np.zeros((len(games),) + tuple((shape[1:] + (d,))[i] for i in axes), dtype=Q.dtype)
-    C[(cells[0],) + tuple(index[i] for i in axes)] = Q.reshape(shape[:3] + (1,))
-    return C.transpose(0, *(1 + np.argsort(axes))), targets, den
+def scaled_functionals(g, rows=None, cols=None, axes=(0, 1, 2, 3)):
+    """g's functional (as in `_win_coeffs`) on Alice's inputs `rows` and
+    Bob's `cols` (all by default), integer-scaled (`int_scaled`): an array
+    [x, y, a, b] whose memory holds its axes in the order `axes`, and the
+    denominator."""
+    d = g.d
+    rows = range(g.ma) if rows is None else rows
+    cols = range(g.mb) if cols is None else cols
+    shape = (len(rows), len(cols), d)  # x, y, a
+    Q, _, den = int_scaled([[g.q[x][y] for y in cols] for x in rows])
+    B = np.array([[[g.winning_b(a, x, y) for a in range(d)] for y in cols] for x in rows],
+                 dtype=np.int64).reshape(shape)
+    index = np.ix_(*map(np.arange, shape)) + (B,)  # x, y, a and Bob's winning b
+    C = np.zeros(tuple((shape + (d,))[i] for i in axes), dtype=Q.dtype)
+    C[tuple(index[i] for i in axes)] = Q.reshape(shape[:2] + (1,))
+    return C.transpose(*np.argsort(axes)), den
 
 
 def to_correlator_inequality(g: LinearGame) -> BellInequality:

@@ -93,11 +93,6 @@ class DeterministicBox:
         return tuple(_correlator_rows(s, A, B)[0].tolist())
 
 
-def _response_maps(d: int, m: int) -> np.ndarray:
-    """Every map from m inputs to d outputs, one per row, in lexicographic order."""
-    return np.stack(np.unravel_index(np.arange(d ** m), (d,) * m), axis=1)
-
-
 def _reduced_rows(s: Scenario, A, B) -> np.ndarray:
     """reduced_vector of the boxes (A[k], B[k]), one integer row each; A and
     B hold the Alice and Bob maps as rows."""

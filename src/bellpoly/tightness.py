@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .exactrank import affine_rank
-from .games import (LinearGame, _win_coeffs, game_matrix, input_dits, int_scaled,
+from .games import (LinearGame, _win_coeffs, fourier_blocks, input_dits, int_scaled,
                     scaled_functionals)
 from .scenario import (DEFAULT_BOX_BUDGET, BellInequality, DeterministicBox,
                        _correlator_rows, _reduced_rows, ns_polytope_dimension)
@@ -168,7 +168,7 @@ def _game_scan(g, kind, budget):
     """g's integer win functional C[x, y, a, b], its denominator, its scan
     with tie sets for the rank on the `kind` polytope, and g's classical
     value: the scan's top, re-checked as `classical_value` checks it."""
-    (C,), _, den = scaled_functionals([g])
+    C, den = scaled_functionals(g)
     scan = _scan(C, budget, ties=True, cols=_polytope(kind, g.scenario)[0])
     return C, den, scan, _exact_value(g, scan, den).value
 
@@ -196,18 +196,20 @@ def _separated(Ci, Cj, target_j, witness_i) -> bool:
     return np.where(free, r.min(axis=1), r[np.arange(len(r)), a_map]).sum() < target_j
 
 
-def _assert_distinct_faces(C, keep, targets, witnesses):
-    """Certify the non-facet argument for the fragments of C on the Alice
-    inputs keep[i]: every fragment face is proper, and two differ (each
-    fragment's witness attains its bound). Properness: over the d^2
-    constant-output boxes a fragment averages (total weight)/d, so a bound
-    above that has non-saturating boxes; at equality every box saturates.
-    Distinctness: a box on one face and off another (`_separated`)."""
+def _proper(C, keep, targets) -> bool:
+    """Whether the faces of the fragments of C on the Alice inputs keep[i],
+    of bounds targets[i] (their values), are all proper. A fragment averages
+    (its weight)/d over all boxes and over the d^2 constant-output ones, so
+    a value above that leaves boxes off its face, and a value equal to it is
+    met by every box, as when the fragment has no weight."""
     weights = C.max(axis=(2, 3)).sum(axis=1)  # per Alice input (a cell's top entry is its weight)
-    for i, k in enumerate(keep):
-        if C.shape[-1] * targets[i] <= weights[k].sum():
-            raise VerificationError(
-                f"fragment {i} is saturated by every box; its face is not proper")
+    return all(C.shape[-1] * t > weights[k].sum() for k, t in zip(keep, targets))
+
+
+def _assert_distinct_faces(C, keep, targets, witnesses):
+    """Certify that two of the fragment faces of C on the Alice inputs
+    keep[i] differ (each fragment's witness attains its bound): a box on one
+    face and off another (`_separated`)."""
     rows = keep[:, :, None, None, None]
     if not any(_separated(C * rows[i], C * rows[j], targets[j], witnesses[i])
                for i, j in itertools.permutations(range(len(keep)), 2)):
@@ -219,15 +221,16 @@ def _fragment_report(g, C, den, scan, bound, budget, restrictions=({0: 0}, {0: 1
                                          "supporting faces"):
     """The non-facet verdict of g's inequality with bound `bound` (g's
     classical value) from one fragment per restriction of Alice's input dits
-    (by default, her first bit), or None when the fragment values do not sum
-    to `bound`. A fragment is g's integer functional C (denominator den) on
-    the Alice inputs its restriction keeps; its value is one scan of those
-    rows, inputs of zero weight left out as in `classical_value`. Each value
-    must be attained by its witness on C (and equal `expected`, if given),
-    the restrictions must split Alice's inputs, and the faces must be proper
-    and not all equal; else VerificationError. The statistics come from g's
-    scan `scan`, and are skipped, with a note, when it is None or kept no
-    tie sets."""
+    (by default, her first bit), or None when the argument does not apply:
+    the fragment values do not sum to `bound`, or a fragment's face is not
+    proper (`_proper`). A fragment is g's integer functional C
+    (denominator den) on the Alice inputs its restriction keeps; its value
+    is one scan of those rows, inputs of zero weight left out as in
+    `classical_value`. Each value must be attained by its witness on C (and
+    equal `expected`, if given), the restrictions must split Alice's inputs,
+    and the faces must not all be equal; else VerificationError. The
+    statistics come from g's scan `scan`, and are skipped, with a note,
+    when it is None or kept no tie sets."""
     keep = np.array([[all(input_dits(x, g.d, g.n)[pos] == v for pos, v in fixes.items())
                       for x in range(g.ma)] for fixes in restrictions])
     if (keep.sum(axis=0) != 1).any():
@@ -250,7 +253,7 @@ def _fragment_report(g, C, den, scan, bound, budget, restrictions=({0: 0}, {0: 1
                 f"fragment {where} has classical value {value}, expected {expected}")
         targets.append(frag.top)
         witnesses.append((a_map, b_map))
-    if Fraction(sum(targets), den) != bound:
+    if Fraction(sum(targets), den) != bound or not _proper(C, keep, targets):
         return None
     _assert_distinct_faces(C, keep, targets, witnesses)
     coeffs, zero = _win_coeffs(g), (((Fraction(0),) * g.d,) * g.d,) * g.mb
@@ -269,16 +272,19 @@ def _fragment_report(g, C, den, scan, bound, budget, restrictions=({0: 0}, {0: 1
 
 def nlc2_decompose(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> FacetReport:
     """Split a binary dit-structured game along Alice's first input bit
-    (`_fragment_report`); ValueError when the two fragment values do not sum
-    to the game's, as on the n = 4 inner-product and majority games."""
+    (`_fragment_report`); ValueError when the argument does not apply: the
+    two fragment values do not sum to the game's, as on the n = 4
+    inner-product and majority games, or a fragment's face is not proper,
+    as when a half carries no weight."""
     if g.d != 2 or g.n < 2:
         raise ValueError("decomposition needs a binary game with n >= 2 input bits")
     C, den, scan, bound = _game_scan(g, "bell", budget)
     rep = _fragment_report(g, C, den, scan, bound, budget)
     if rep is None:
         raise ValueError(
-            f"the first-bit fragment values do not sum to the game value {bound}: the "
-            f"fragment argument does not apply, no non-facet conclusion is drawn")
+            f"the first-bit fragment values do not sum to the game value {bound}, or a "
+            f"fragment's face is not proper: the fragment argument does not apply, "
+            f"no non-facet conclusion is drawn")
     return rep
 
 
@@ -305,7 +311,7 @@ def hadamard_diagonal_check(g: LinearGame, j: int, k: int, tol: float = HADAMARD
     if j not in (0, 1) or k not in (0, 1):
         raise ValueError("block selectors are bits")
     m = g.ma // 2  # the first input bit selects a block of m inputs
-    block = game_matrix(g, 1).block(list(range(j * m, j * m + m)), list(range(k * m, k * m + m)))
+    block = fourier_blocks(g, 1)[0][j * m:j * m + m, k * m:k * m + m]
     H = _sylvester_hadamard(m) / np.sqrt(m)
     D = H.conj().T @ block @ H
     off = D - np.diag(np.diag(D))
@@ -314,16 +320,14 @@ def hadamard_diagonal_check(g: LinearGame, j: int, k: int, tol: float = HADAMARD
 
 def nlc2_block_symmetry(g: LinearGame) -> bool:
     """Exact check of the block symmetry Phi^(j,k) == Phi^(j xor 1, k xor 1):
-    weights and phase exponents are compared as rationals/integers, no floats."""
+    the weights q and, where they are nonzero, the phases f are compared as
+    rationals and integers, no floats."""
     if g.d != 2 or g.n < 2:
         raise ValueError("block symmetry needs a binary game with n >= 2 input bits")
-    gm = game_matrix(g, 1)
     half = g.ma // 2  # adding half flips the first input bit: block j <-> j xor 1
     for x, y in itertools.product(range(g.ma), range(g.mb)):
         x2, y2 = (x + half) % g.ma, (y + half) % g.mb
-        if gm.weights[x][y] != gm.weights[x2][y2]:
-            return False
-        if gm.weights[x][y] != 0 and gm.phases[x][y] != gm.phases[x2][y2]:
+        if g.q[x][y] != g.q[x2][y2] or (g.q[x][y] and g.f[x][y] != g.f[x2][y2]):
             return False
     return True
 
@@ -361,8 +365,10 @@ def nlcd_nonfacet_check(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> Face
     """Fragment decomposition of a product-form game with Lambda >= 1/2: one
     fragment per assignment of Alice's first n-1 dits (Bob stays
     unrestricted), each with classical value (1/d^n)(1 + (d-1) Lambda)
-    (`_fragment_report`). The game's scan, when it fits the budget, gives
-    the statistics, and its top must be the closed form."""
+    (`_fragment_report`). These sum to the closed form, and each is above
+    its fragment's weight 1/d^(n-1) over d, so the argument applies. The
+    game's scan, when it fits the budget, gives the statistics, and its top
+    must be the closed form."""
     spec = _product_spec(g)
     prof = nlcd_lambda(g)
     if prof.big_lambda < Fraction(1, 2):
@@ -373,7 +379,7 @@ def nlcd_nonfacet_check(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> Face
         raise ValueError("fragments fix the first n-1 dits; need n >= 2")
     d, n = spec.d, spec.n
     value = nlcd_classical_formula(g)
-    (C,), _, den = scaled_functionals([g])
+    C, den = scaled_functionals(g)
     try:
         scan = _scan(C, budget, ties=True, cols=ns_polytope_dimension(g.scenario))
     except BudgetExceededError:

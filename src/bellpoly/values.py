@@ -7,10 +7,12 @@ equivalent to enumerating all strategy pairs because that optimum decomposes
 across inputs. The scan runs on integer-scaled weights, and the winning
 strategy is re-verified in exact rational arithmetic before being returned.
 
-Quantum upper bounds come from sums of spectral norms of the Fourier game
-matrices; for 3-output unique games the two coset matrices enter through a
-joint two-matrix norm, bounded above by a one-dimensional eigenvalue
-envelope and below by feasible points, so each is a certified interval.
+Quantum upper bounds come from one formula (`_linear_bound`) over the norms
+of a game's Fourier blocks (`games.fourier_blocks`), each norm a certified
+interval (`NormBound`): a linear game's single block Phi_k has its spectral
+norm, and a 3-output unique game's two coset blocks their joint norm,
+bounded above by a one-dimensional eigenvalue envelope and below by
+feasible points.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
-from .games import GameMatrix, LinearGame, game_matrix, scaled_functionals, unique3_matrices
+from .games import LinearGame, fourier_blocks, scaled_functionals
 
 DEFAULT_STRATEGY_BUDGET = 2 ** 24
 
@@ -55,7 +57,7 @@ class ValueReport:
     bound_error: float
     witness: tuple
     no_advantage: NoAdvantageVerdict = None
-    unique3_bound: Unique3Bound = None  # the joint-norm bound of a unique3 game
+    norm_bound: NormBound = None  # the certified norms behind quantum_upper_bound
 
 
 def strategy_value(g, a_map, b_map) -> Fraction:
@@ -215,8 +217,8 @@ def classical_value(g, budget: int = DEFAULT_STRATEGY_BUDGET, workers: int = Non
     rows = [x for x in range(g.ma) if any(g.q[x])]
     cols = [y for y in range(g.mb) if any(row[y] for row in g.q)]
     alice = len(rows) <= len(cols)  # whether _scan enumerates Alice's maps
-    C, _, den = scaled_functionals([g], rows=rows, cols=cols, axes=_scan_axes(alice))
-    return _exact_value(g, _scan(C[0], budget, workers), den, rows, cols)
+    C, den = scaled_functionals(g, rows=rows, cols=cols, axes=_scan_axes(alice))
+    return _exact_value(g, _scan(C, budget, workers), den, rows, cols)
 
 
 def _exact_value(g, scan, den, rows=None, cols=None) -> ClassicalValue:
@@ -240,8 +242,8 @@ def _exact_value(g, scan, den, rows=None, cols=None) -> ClassicalValue:
 # ---------------------------------------------------------------------------
 
 def spectral_norm(m) -> float:
-    """Largest singular value; accepts a GameMatrix or a complex array."""
-    arr = m.to_complex() if isinstance(m, GameMatrix) else np.asarray(m, dtype=complex)
+    """Largest singular value of a complex array."""
+    arr = np.asarray(m, dtype=complex)
     if arr.size == 0:
         return 0.0
     return float(np.linalg.svd(arr, compute_uv=False)[0])
@@ -252,27 +254,18 @@ def _bound_error_estimate(d, ma, mb, norms):
     return sqrt(ma * mb) / d * sum(norms) * 1e-13 + 1e-15
 
 
-def norm_bound_linear(g: LinearGame) -> float:
-    """Upper bound on the quantum value of a linear game:
-    (1/d) [W + sqrt(ma mb) * sum_k ||Phi_k||], clamped at the no-signaling
-    value W (the clamp matters only for unnormalized fragments)."""
-    return _linear_bound(g, _linear_norms(g))
+def norm_bound_linear(g) -> float:
+    """Upper bound on the quantum value of a game (`norm_bound`)."""
+    return norm_bound(g, [fourier_blocks(g, k) for k in range(1, g.d)]).value
 
 
-def _linear_norms(g: LinearGame) -> list:
-    """||Phi_k|| for k = 1..d-1."""
-    return [spectral_norm(game_matrix(g, k)) for k in range(1, g.d)]
-
-
-def _linear_bound(g: LinearGame, norms) -> float:
+def _linear_bound(g, norms) -> float:
+    """(1/d) [W + sqrt(ma mb) * sum_k N_k] for the norms N_k of g's k-th
+    Fourier blocks, clamped at the no-signaling value W (the clamp matters
+    only for unnormalized fragments)."""
     W = float(g.total_weight)
     raw = (W + sqrt(g.ma * g.mb) * sum(norms)) / g.d
     return min(raw, W)
-
-
-def gen_norm(a, b) -> float:
-    """The upper end of the certified joint-norm interval (`gen_norm_detailed`)."""
-    return gen_norm_detailed(a, b)[1]
 
 
 def _unit(v, fallback):
@@ -327,8 +320,7 @@ def gen_norm_detailed(a, b):
     norm is below the float resolution of the larger (a zero block), that
     range is the interval: N is a plain spectral norm.
     """
-    A = np.asarray(a.to_complex() if isinstance(a, GameMatrix) else a, dtype=complex)
-    B = np.asarray(b.to_complex() if isinstance(b, GameMatrix) else b, dtype=complex)
+    A, B = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if A.shape[0] != B.shape[0]:
         raise ValueError("matrices must share their output dimension")
     na, nb = spectral_norm(A), spectral_norm(B)
@@ -379,34 +371,35 @@ def gen_norm_detailed(a, b):
 
 
 @dataclass(frozen=True)
-class Unique3Bound:
-    """The joint-norm bound of a 3-output unique game, from the upper ends
-    of the joint norms' certified intervals."""
+class NormBound:
+    """A game's norm bound, `_linear_bound` at the upper ends of certified
+    intervals (lower, upper) for the norms of its k-th Fourier blocks,
+    k = 1..d-1: the spectral norm of one block, the joint norm
+    (`gen_norm_detailed`) of two."""
     value: float
-    certified: bool      # every joint-norm interval is at most 1e-9 wide
-    joint_norms: tuple   # (lower, upper) of N(rot_k, ref_k) for k = 1, 2
+    error: float   # the float envelope of value
+    norms: tuple   # (lower, upper) per k
+
+    @property
+    def certified(self) -> bool:
+        """Whether every interval is at most 1e-9 wide."""
+        return all(hi - lo <= 1e-9 for lo, hi in self.norms)
 
     @property
     def precisions(self) -> tuple:
-        """Per joint norm, the precision of its upper end: the interval's
-        width plus the float envelope of one norm."""
-        return tuple(hi - lo + _bound_error_estimate(1, 1, 1, (hi,))
-                     for lo, hi in self.joint_norms)
+        """Per norm, the precision of its upper end: the interval's width
+        plus the float envelope of one norm."""
+        return tuple(hi - lo + _bound_error_estimate(1, 1, 1, (hi,)) for lo, hi in self.norms)
 
 
-def norm_bound_unique3_report(g) -> Unique3Bound:
-    """Bound for a 3-output unique game:
-    (1/3) [W + sqrt(ma mb) * sum_{k=1,2} N(rot_k, ref_k)], N the two-matrix
-    joint norm at the upper end of its certified interval, clamped at W.
-    Certified when each interval is at most 1e-9 wide."""
-    W = float(g.total_weight)
-    joint = tuple(gen_norm_detailed(*unique3_matrices(g, k)) for k in (1, 2))
-    raw = (W + sqrt(g.ma * g.mb) * sum(hi for _, hi in joint)) / 3
-    return Unique3Bound(min(raw, W), all(hi - lo <= 1e-9 for lo, hi in joint), joint)
-
-
-def norm_bound_unique3(g) -> float:
-    return norm_bound_unique3_report(g).value
+def norm_bound(g, blocks) -> NormBound:
+    """The norm bound of g from its Fourier blocks `blocks`, those of
+    `fourier_blocks(g, k)` for k = 1..d-1."""
+    norms = tuple((spectral_norm(*b),) * 2 if len(b) == 1 else gen_norm_detailed(*b)
+                  for b in blocks)
+    upper = [hi for _, hi in norms]
+    return NormBound(_linear_bound(g, upper), _bound_error_estimate(g.d, g.ma, g.mb, upper),
+                     norms)
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +415,22 @@ def sufficient_no_advantage(g: LinearGame, tol: float = ROOT_OF_UNITY_TOL) -> No
     vector, b_y from the negated right exponents) must then attain the exact
     classical value, which must meet the norm bound within tolerance.
 
-    Any failed step returns Inconclusive with the failed check named; the
-    condition is one-sided and its failure proves nothing.
+    Any failed step, or a game that is not linear, returns Inconclusive
+    with the reason named; the condition is one-sided and its failure proves
+    nothing.
     """
-    return _no_advantage(g, tol, _linear_norms(g))
+    blocks = [fourier_blocks(g, k) for k in range(1, g.d)]
+    return _no_advantage(g, tol, blocks, norm_bound(g, blocks))
 
 
-def _no_advantage(g, tol, norms, cv=None) -> NoAdvantageVerdict:
-    """sufficient_no_advantage given the norms ||Phi_k||, and the classical
-    value when it is known already (else it is computed when needed)."""
+def _no_advantage(g, tol, blocks, bound, cv=None) -> NoAdvantageVerdict:
+    """sufficient_no_advantage given g's Fourier blocks (Phi_k) and its norm
+    bound, and the classical value when it is known already (else it is
+    computed when needed)."""
+    if not isinstance(g, LinearGame):
+        return NoAdvantageVerdict(False, reason="condition applies to linear games")
     d, ma, mb = g.d, g.ma, g.mb
-    mats = [game_matrix(g, k).to_complex() for k in range(1, d)]
+    mats = [phi for phi, in blocks]
     U, S, Vh = np.linalg.svd(mats[0])
     if S[0] <= 0:
         return NoAdvantageVerdict(False, reason="zero game matrix")
@@ -468,7 +466,7 @@ def _no_advantage(g, tol, norms, cv=None) -> NoAdvantageVerdict:
     for k in range(1, d):
         uk = np.exp(2j * np.pi * (k * np.array(p_exp)) / d) / sqrt(ma)
         vk = np.exp(2j * np.pi * (k * np.array(s_exp)) / d) / sqrt(mb)
-        if np.linalg.norm(mats[k - 1] @ vk - norms[k - 1] * uk) > tol:
+        if np.linalg.norm(mats[k - 1] @ vk - bound.norms[k - 1][1] * uk) > tol:
             return NoAdvantageVerdict(False, reason=f"phase substitution fails at k = {k}")
 
     a_map = tuple(e % d for e in p_exp)
@@ -476,7 +474,7 @@ def _no_advantage(g, tol, norms, cv=None) -> NoAdvantageVerdict:
     cv = cv or classical_value(g)
     if strategy_value(g, a_map, b_map) != cv.value:
         return NoAdvantageVerdict(False, reason="extracted strategy is not optimal")
-    if abs(float(cv.value) - _linear_bound(g, norms)) > tol:
+    if abs(float(cv.value) - bound.value) > tol:
         return NoAdvantageVerdict(False, reason="classical value does not meet the bound")
     return NoAdvantageVerdict(True, strategy=(a_map, b_map))
 
@@ -489,21 +487,11 @@ def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_STRATEG
     is violated; that chain is a theorem, so a violation means a bug.
     """
     cv = classical_value(g, budget=budget, workers=workers)
-    W = ns_value(g)
-    u3 = verdict = None
-    if isinstance(g, LinearGame):
-        norms = _linear_norms(g)
-        bound = _linear_bound(g, norms)
-        err = _bound_error_estimate(g.d, g.ma, g.mb, norms)
-        if with_sufficient:
-            verdict = _no_advantage(g, ROOT_OF_UNITY_TOL, norms, cv)
-    else:
-        u3 = norm_bound_unique3_report(g)
-        bound = u3.value
-        err = _bound_error_estimate(3, g.ma, g.mb, [hi for _, hi in u3.joint_norms])
-        if with_sufficient:
-            verdict = NoAdvantageVerdict(False, reason="condition applies to linear games")
-    report = ValueReport(cv.value, W, bound, err, (cv.a_map, cv.b_map), verdict, u3)
+    blocks = [fourier_blocks(g, k) for k in range(1, g.d)]
+    bound = norm_bound(g, blocks)
+    verdict = _no_advantage(g, ROOT_OF_UNITY_TOL, blocks, bound, cv) if with_sufficient else None
+    report = ValueReport(cv.value, ns_value(g), bound.value, bound.error,
+                         (cv.a_map, cv.b_map), verdict, bound)
     verify_value_report(report)
     return report
 

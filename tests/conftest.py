@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from bellpoly import (
+    ROTATIONS,
     LinearGame,
     NLCSpec,
     UniqueGame3,
@@ -135,6 +136,21 @@ def unique3_mixed():
 @pytest.fixture
 def unique3_frustrated():
     return make_unique3_frustrated()
+
+
+def rotation_game_to_linear(g: UniqueGame3) -> LinearGame:
+    """Rewrite a rotations-only unique game as a linear game by relabeling
+    Bob's outputs b -> -b mod 3; all game values are relabeling-invariant.
+    A reference for the unique-game bound."""
+    f = [[0] * g.mb for _ in range(g.ma)]
+    for x in range(g.ma):
+        for y in range(g.mb):
+            name = g.perms[x][y]
+            if name not in ROTATIONS:
+                raise ValueError("game has reflection cells; no linear rewrite")
+            # win b = a + c  <=>  a + (-b) = -c
+            f[x][y] = (-ROTATIONS[name]) % 3
+    return LinearGame(3, g.ma, g.mb, g.q, tuple(map(tuple, f)))
 
 
 def make_corpus():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellpoly import LinearGame, NLCSpec, build_nlc, build_nlcd, cli, norm_bound_unique3_report
+from bellpoly import LinearGame, NLCSpec, build_nlc, build_nlcd, cli, value_report
 from bellpoly.cut import CutInequality, Graph
 from bellpoly.scenario import Scenario, correlator_inequality
 from tests.conftest import (
@@ -95,8 +95,8 @@ def test_analyze_unique3_reports_joint_norms(tmp_path, capsys):
     assert r["bound_certified"] is True
     assert len(r["joint_norms"]) == 2
     assert "bound_converged" not in r
-    rep = norm_bound_unique3_report(make_unique3_rotation())
-    for field, (lo, hi) in zip(r["joint_norms"], rep.joint_norms):
+    rep = value_report(make_unique3_rotation()).norm_bound
+    for field, (lo, hi) in zip(r["joint_norms"], rep.norms):
         assert field["value"] == hi
         assert hi - lo <= field["precision"] <= 1e-9
 

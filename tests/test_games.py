@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpoly import (
+    REFLECTIONS,
+    ROTATIONS,
     LinearGame,
     NLCSpec,
     UniqueGame3,
@@ -18,16 +20,15 @@ from bellpoly import (
     enumerate_deterministic_boxes,
     evaluate,
     behaviour_from_box,
-    game_matrix,
+    fourier_blocks,
     input_dits,
-    rotation_game_to_linear,
     subgame_restrict,
     to_bell_inequality,
     to_correlator_inequality,
-    unique3_matrices,
 )
 from bellpoly.games import _win_coeffs, scaled_functionals
 from bellpoly.values import classical_value
+from tests.conftest import rotation_game_to_linear
 
 F = Fraction
 
@@ -67,8 +68,7 @@ def test_total_weight_one(nlc3_game, phi_ex_game):
 def test_game_matrix_entries(nlc3_game):
     g = nlc3_game
     for k in (1, 2):
-        m = game_matrix(g, k)
-        z = m.to_complex()
+        (z,) = fourier_blocks(g, k)
         zeta = cmath.exp(2j * cmath.pi / 3)
         for x in range(3):
             for y in range(3):
@@ -80,7 +80,7 @@ def test_game_matrix_entries(nlc3_game):
 def test_game_matrix_k_out_of_range(nlc3_game):
     for k in (0, 3):
         with pytest.raises(ValueError):
-            game_matrix(nlc3_game, k)
+            fourier_blocks(nlc3_game, k)
 
 
 def test_roots_of_unity_sum_identity(nlc3_game):
@@ -213,17 +213,22 @@ def test_unique3_win_rule(unique3_mixed):
 
 
 def test_unique3_matrices_partition_weight(unique3_mixed, unique3_rotation):
+    # each weighted cell is nonzero in exactly one block, its coset's, with
+    # the cell's weight as its modulus
     for g in (unique3_mixed, unique3_rotation):
-        rot, ref = unique3_matrices(g, 1)
+        rot, ref = fourier_blocks(g, 1)
         for x in range(2):
             for y in range(2):
-                assert rot.weights[x][y] + ref.weights[x][y] == g.q[x][y]
-                assert (rot.weights[x][y] == 0) or (ref.weights[x][y] == 0)
+                weighted = g.q[x][y] != 0
+                assert (rot[x, y] != 0, ref[x, y] != 0) == (
+                    weighted and g.perms[x][y] in ROTATIONS,
+                    weighted and g.perms[x][y] in REFLECTIONS)
+                assert abs(abs(rot[x, y] + ref[x, y]) - float(g.q[x][y])) < 1e-15
 
 
 def test_unique3_rotation_game_has_empty_reflection_block(unique3_rotation):
-    _, ref = unique3_matrices(unique3_rotation, 1)
-    assert all(v == 0 for row in ref.weights for v in row)
+    _, ref = fourier_blocks(unique3_rotation, 1)
+    assert not ref.any()
 
 
 def test_rotation_game_to_linear_preserves_value(unique3_rotation):
@@ -265,17 +270,16 @@ def test_win_coeffs_match_the_cellwise_win_rule(nlc3_game, unique3_mixed):
 
 def test_scaled_functionals_match_the_cellwise_win_rule(nlc3_game, unique3_mixed):
     product = build_nlcd(NLCSpec(3, 2, (0, 0, 1), (F(1, 3),) * 3))
-    for games in ([nlc3_game], [unique3_mixed], [product, subgame_restrict(product, {0: 2})]):
-        C, targets, den = scaled_functionals(games, [F(2, 7)])
-        assert targets == [den * 2 // 7] and C.dtype == np.int64
-        for g, Cg in zip(games, C):
-            s = g.scenario
-            assert Cg.tolist() == [[[[int(g.q[x][y] * den) if g.win(a, b, x, y) else 0
-                                      for b in range(s.db)] for a in range(s.da)]
-                                    for y in range(s.mb)] for x in range(s.ma)]
+    for g in (nlc3_game, unique3_mixed, product, subgame_restrict(product, {0: 2})):
+        C, den = scaled_functionals(g)
+        assert C.dtype == np.int64
+        s = g.scenario
+        assert C.tolist() == [[[[int(g.q[x][y] * den) if g.win(a, b, x, y) else 0
+                                 for b in range(s.db)] for a in range(s.da)]
+                               for y in range(s.mb)] for x in range(s.ma)]
     # Python ints once d times the total weight could reach 2^62
     big = LinearGame(2, 2, 2, [[2 ** 60] * 2] * 2, [[0, 1], [1, 0]])
-    assert scaled_functionals([big])[0].dtype == object
+    assert scaled_functionals(big)[0].dtype == object
 
 
 def test_correlator_and_probability_forms_agree(chsh_game):

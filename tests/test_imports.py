@@ -1,7 +1,8 @@
 """Import guards: the command-line front end loads no heavy optional
 dependency (scipy and networkx alone used to cost about 500 ms of every
-bellpoly process's startup), and the package carries no unused import or
-constant (a stdlib `ast` check, as no linter is installed)."""
+bellpoly process's startup), and the package carries no unused import,
+constant or private function or class (a stdlib `ast` check, as no linter
+is installed)."""
 import ast
 import os
 import re
@@ -31,27 +32,34 @@ def _names(tree, ctx):
 
 
 def test_every_import_and_constant_is_used():
+    # also every module-level private function and class: some module of
+    # the package must read it, by name or as an attribute
     package = SRC / "bellpoly"
     exported = {alias.asname or alias.name
                 for node in ast.parse((package / "__init__.py").read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read_anywhere = set().union(*(_names(tree, ast.Load) | {n.attr for n in ast.walk(tree)
+                                                            if isinstance(n, ast.Attribute)}
+                                  for tree in trees.values()))
     unused = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
+    for name, tree in trees.items():
+        if name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
         read = _names(tree, ast.Load)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                unused += [f"{path.name}: import {alias.name}" for alias in node.names
+                unused += [f"{name}: import {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in read]
         for node in tree.body:
             targets = node.targets if isinstance(node, ast.Assign) else \
                 [node.target] if isinstance(node, ast.AnnAssign) else []
-            unused += [f"{path.name}: constant {t.id}" for t in targets
+            unused += [f"{name}: constant {t.id}" for t in targets
                        if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)
                        and t.id not in read and t.id not in exported]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    re.fullmatch(r"_(?!_).*", node.name) and node.name not in read_anywhere:
+                unused.append(f"{name}: private {node.name}")
     assert unused == []
-

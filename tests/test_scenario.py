@@ -18,9 +18,14 @@ from bellpoly import (
     mix,
     ns_polytope_dimension,
 )
-from bellpoly.scenario import _correlator_rows, _reduced_rows, _response_maps
+from bellpoly.scenario import _correlator_rows, _reduced_rows
 
 F = Fraction
+
+
+def _response_maps(d: int, m: int) -> np.ndarray:
+    """Every map from m inputs to d outputs, one per row, in lexicographic order."""
+    return np.stack(np.unravel_index(np.arange(d ** m), (d,) * m), axis=1)
 
 
 def test_box_count():

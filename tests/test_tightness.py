@@ -207,6 +207,18 @@ def test_fragment_inequalities_are_the_restricted_games(g, decompose, restrictio
         assert fr == BellInequality(g.scenario, _win_coeffs(sub), classical_value(sub).value)
 
 
+def test_nlc2_decompose_does_not_apply_to_a_half_of_no_weight():
+    # Alice's first-bit half 0 carries no weight, so its fragment's face holds
+    # every box: the argument does not apply, and that is no soundness alarm
+    q = ((0, 0, 0, 0), (0, 0, 0, 0), (4, 0, 0, 4), (5, 0, 0, 1))
+    rng = random.Random(2016)
+    tables = [((0,) * 4,) * 4] + [tuple(tuple(rng.randrange(2) for _ in range(4))
+                                        for _ in range(4)) for _ in range(63)]
+    for f in tables:
+        with pytest.raises(ValueError, match="does not apply"):
+            nlc2_decompose(LinearGame(2, 4, 4, q, f, n=2))
+
+
 def test_nlc2_decompose_rejects_non_nlc(chsh_game):
     with pytest.raises(ValueError):
         nlc2_decompose(chsh_game)
@@ -391,7 +403,8 @@ def test_row_separation_matches_exhaustive_search():
     for _ in range(16):
         frags = seeded_fragments(rng)
         values = [classical_value(fr) for fr in frags]
-        C, targets, _ = scaled_functionals(frags, [cv.value for cv in values])
+        C, dens = zip(*map(scaled_functionals, frags))
+        targets = [int(cv.value * den) for cv, den in zip(values, dens)]
         ineqs = [BellInequality(fr.scenario, _win_coeffs(fr), cv.value)
                  for fr, cv in zip(frags, values)]
         s = frags[0].scenario

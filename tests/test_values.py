@@ -13,19 +13,15 @@ from bellpoly import (
     LinearGame,
     UniqueGame3,
     VerificationError,
-    game_matrix,
-    rotation_game_to_linear,
-    unique3_matrices,
+    fourier_blocks,
     values,
 )
 from bellpoly.values import (
     ClassicalValue,
     classical_value,
-    gen_norm,
     gen_norm_detailed,
+    norm_bound,
     norm_bound_linear,
-    norm_bound_unique3,
-    norm_bound_unique3_report,
     ns_value,
     spectral_norm,
     strategy_value,
@@ -34,7 +30,8 @@ from bellpoly.values import (
     verify_value_report,
 )
 from tests.classical_reference import by_alice_maps
-from tests.conftest import make_unique3_frustrated, make_unique3_mixed, make_unique3_rotation
+from tests.conftest import (make_unique3_frustrated, make_unique3_mixed, make_unique3_rotation,
+                            rotation_game_to_linear)
 from tests.gen_norm_reference import ascent
 
 F = Fraction
@@ -124,15 +121,14 @@ def test_phi_ex_norm_bound_tight(phi_ex_game):
 
 
 def test_phi_ex_block_norms(phi_ex_game):
-    norms = [spectral_norm(game_matrix(phi_ex_game, k).to_complex())
-             for k in (1, 2, 3)]
+    norms = [spectral_norm(*fourier_blocks(phi_ex_game, k)) for k in (1, 2, 3)]
     for got, want in zip(norms, (3 / 14, 1 / 4, 3 / 14)):
         assert abs(got - want) < 1e-12
 
 
 def test_nlc2_and_bound(nlc2_and):
     assert abs(norm_bound_linear(nlc2_and) - 0.75) < 1e-12
-    assert abs(spectral_norm(game_matrix(nlc2_and, 1).to_complex()) - 1 / 8) < 1e-12
+    assert abs(spectral_norm(*fourier_blocks(nlc2_and, 1)) - 1 / 8) < 1e-12
 
 
 def test_bound_clamped_at_total_weight(nlc2_xor):
@@ -145,7 +141,7 @@ def test_bound_clamped_at_total_weight(nlc2_xor):
 def test_gen_norm_zero_block_reduces_to_spectral():
     a = np.array([[1.0, 2.0], [0.5, -1.0]])
     z = np.zeros((2, 2))
-    assert abs(gen_norm(a, z) - spectral_norm(a)) < 1e-9
+    assert abs(gen_norm_detailed(a, z)[1] - spectral_norm(a)) < 1e-9
     assert gen_norm_detailed(a, z) == gen_norm_detailed(z, a) == (spectral_norm(a),) * 2
 
 
@@ -154,7 +150,7 @@ def test_gen_norm_disjoint_row_supports():
     a = np.array([[3.0, 4.0], [0.0, 0.0]])
     b = np.array([[0.0, 0.0], [1.0, 2.0]])
     na, nb = spectral_norm(a), spectral_norm(b)
-    assert abs(gen_norm(a, b) - math.sqrt(na ** 2 + nb ** 2)) < 1e-9
+    assert abs(gen_norm_detailed(a, b)[1] - math.sqrt(na ** 2 + nb ** 2)) < 1e-9
     lo, hi = gen_norm_detailed(a, b)
     assert lo <= math.sqrt(na ** 2 + nb ** 2) + 1e-12 and hi - lo <= 1e-9
 
@@ -176,7 +172,7 @@ def test_gen_norm_sandwich_and_symmetry():
         assert lo <= v and v - lo <= 1e-9
         assert max(spectral_norm(a), spectral_norm(b)) - 1e-12 <= v
         assert v <= spectral_norm(a) + spectral_norm(b) + 1e-12
-        assert abs(v - gen_norm(b, a)) < 1e-7
+        assert abs(v - gen_norm_detailed(b, a)[1]) < 1e-7
 
 
 def test_gen_norm_of_huge_and_subnormal_blocks():
@@ -188,7 +184,7 @@ def test_gen_norm_of_huge_and_subnormal_blocks():
 
 def test_gen_norm_shape_mismatch():
     with pytest.raises(ValueError):
-        gen_norm(np.ones((2, 2)), np.ones((3, 2)))
+        gen_norm_detailed(np.ones((2, 2)), np.ones((3, 2)))
 
 
 PERM_NAMES = ("e", "(012)", "(021)", "(01)", "(02)", "(12)")
@@ -203,7 +199,12 @@ def seeded_unique3(seed, ma, mb):
 
 
 def coset_pairs(games):
-    return [tuple(m.to_complex() for m in unique3_matrices(g, k)) for g in games for k in (1, 2)]
+    return [fourier_blocks(g, k) for g in games for k in (1, 2)]
+
+
+def bound_of(g):
+    """The norm bound of g from its Fourier blocks."""
+    return norm_bound(g, [fourier_blocks(g, k) for k in range(1, g.d)])
 
 
 def test_gen_norm_interval_against_the_reference_ascent():
@@ -230,27 +231,27 @@ def test_gen_norm_certifies_where_the_ascent_label_did_not():
     a, b = coset_pairs([g])[0]
     reached, converged = ascent(a, b)
     assert converged and spectral_norm(a) + spectral_norm(b) - reached > 1e-9
-    rep = norm_bound_unique3_report(g)
+    rep = bound_of(g)
     assert rep.certified
-    assert rep.joint_norms[0][1] >= reached - 1e-12
+    assert rep.norms[0][1] >= reached - 1e-12
 
 
 # ------------------------------------------------------------- unique3 bounds
 
 def test_unique3_bound_sound(unique3_rotation, unique3_mixed):
     for g in (unique3_rotation, unique3_mixed):
-        rep = norm_bound_unique3_report(g)
+        rep = bound_of(g)
         assert rep.certified
-        assert all(hi - lo <= 1e-9 for lo, hi in rep.joint_norms)
+        assert all(hi - lo <= 1e-9 for lo, hi in rep.norms)
         assert float(classical_value(g).value) <= rep.value + 1e-9
         assert rep.value <= float(g.total_weight) + 1e-9
-        assert len(rep.joint_norms) == 2
-        assert norm_bound_unique3(g) == rep.value
+        assert len(rep.norms) == 2
+        assert norm_bound_linear(g) == rep.value
 
 
 def test_unique3_frustrated_bound_between_values():
     g = make_unique3_frustrated()
-    rep = norm_bound_unique3_report(g)
+    rep = bound_of(g)
     assert classical_value(g).value == F(3, 4)
     assert 0.75 <= rep.value < 1.0
 
@@ -260,7 +261,7 @@ def test_rotation_game_bound_matches_linear_route():
     # norm bound must agree along both routes
     g = make_unique3_frustrated()
     lin = rotation_game_to_linear(g)
-    assert abs(norm_bound_unique3(g) - norm_bound_linear(lin)) < 1e-9
+    assert abs(bound_of(g).value - norm_bound_linear(lin)) < 1e-9
 
 
 # --------------------------------------------------------------- sufficiency
@@ -276,6 +277,12 @@ def test_nlc3_no_advantage_inconclusive(nlc3_game):
     assert not verdict.holds
     assert verdict.strategy is None
     assert "degenerate" in verdict.reason
+
+
+def test_unique3_no_advantage_inconclusive(unique3_mixed):
+    verdict = sufficient_no_advantage(unique3_mixed)
+    assert not verdict.holds and verdict.reason == "condition applies to linear games"
+    assert value_report(unique3_mixed, with_sufficient=True).no_advantage == verdict
 
 
 # -------------------------------------------------------------- value reports
@@ -374,6 +381,9 @@ def test_value_report_budget_covers_the_sufficient_check(phi_ex_game):
 def test_value_report_carries_the_unique3_bound():
     g = make_unique3_rotation()
     rep = value_report(g)
-    assert rep.unique3_bound == norm_bound_unique3_report(g)
-    assert rep.quantum_upper_bound == rep.unique3_bound.value
-    assert value_report(rotation_game_to_linear(g)).unique3_bound is None
+    assert rep.norm_bound == bound_of(g) and len(rep.norm_bound.norms) == 2
+    assert (rep.quantum_upper_bound, rep.bound_error) == (rep.norm_bound.value,
+                                                          rep.norm_bound.error)
+    lin = value_report(rotation_game_to_linear(g)).norm_bound
+    assert lin == bound_of(rotation_game_to_linear(g))
+    assert all(lo == hi for lo, hi in lin.norms)
