@@ -86,6 +86,7 @@ from .chsh import (
     sigma_lambda_certificate,
 )
 from .cut import (
+    CorrelatorInequality,
     CutInequality,
     CutVector,
     Graph,

@@ -22,8 +22,8 @@ from fractions import Fraction
 from . import __version__
 from .chsh import (WeightedCHSH, canonicalize, face_condition,
                    qubit_value_estimate, sigma_lambda_certificate)
-from .cut import (CutInequality, Graph, ce1_inequalities, ce_gap_report,
-                  cut_facet_test, enumerate_cuts, hypermetric_valid,
+from .cut import (CorrelatorInequality, CutInequality, Graph, ce1_inequalities,
+                  ce_gap_report, cut_facet_test, enumerate_cuts, hypermetric_valid,
                   pentagonal_report, suspension)
 from .errors import BudgetExceededError, ParseError, VerificationError
 from .games import NLCSpec, LinearGame, UniqueGame3, build_nlc
@@ -228,8 +228,12 @@ def parse_inequality_text(raw: str):
     if space == "cut":
         n = _int_at(_need(data, "n", raw), raw, "n")
         try:
-            table = {(e[0], e[1]): _rat(e[2], raw, "coefficient") for e in coeffs}
-            return CutInequality.cut_space(n, table, bound)
+            pairs = [((e[0], e[1]), _rat(e[2], raw, "coefficient")) for e in coeffs]
+            return CutInequality.cut_space(n, pairs, bound)
+        except ParseError:
+            raise
+        except ValueError as e:  # an edge listed twice
+            raise ParseError(str(e), line=_line_of(raw, '"coeffs"')) from None
         except (TypeError, IndexError, KeyError):
             raise ParseError("cut coeffs must be [i, j, value] triples",
                              line=_line_of(raw, '"coeffs"')) from None
@@ -392,7 +396,7 @@ def _graph_dict(g: Graph):
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges]}
 
 
-def _correlator_ineq_dict(ineq: CutInequality):
+def _correlator_ineq_dict(ineq: CorrelatorInequality):
     return {"pairs": [[i, j, format_rational(c)]
                       for (i, j), c in sorted(ineq.pair_coeffs.items())],
             "singles": [format_rational(v) for v in ineq.single_coeffs],

@@ -4,13 +4,14 @@ Dichotomic measurements with a compatibility graph G have a noncontextual
 polytope that is affinely isomorphic to the cut polytope of the suspension
 graph of G (one apex adjacent to everything): single correlators map to apex
 edges via <M_i> = 1 - 2 x_{iO} and pair correlators to ordinary edges via
-<M_i M_j> = 1 - 2 x_{ij}. This module keeps both pictures exact: cuts as
-integer arrays of edge incidence rows, which cut facet tests evaluate in bulk
-and rank on the tail shared with Bell inequalities (`tightness._facet_report`),
-behaviours and inequalities over rationals, plus the exclusivity (sum over
-mutually exclusive events <= 1) inequalities for the pairwise-measurement
-scenario and the pentagonal inequality that separates them from the
-noncontextual set.
+<M_i M_j> = 1 - 2 x_{ij}. This module keeps both pictures exact, one
+inequality type each (`CorrelatorInequality.to_cut_form` changes them): cuts
+as integer arrays of edge incidence rows, which one scan (`_cut_scan`)
+evaluates in bulk and facet tests rank on the tail shared with Bell
+inequalities (`tightness._facet_report`), behaviours and inequalities over
+rationals, plus the exclusivity (sum over mutually exclusive events <= 1)
+inequalities for the pairwise-measurement scenario and the pentagonal
+inequality that separates them from the noncontextual set.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -174,27 +175,23 @@ def enumerate_cuts(g: Graph):
     return list(first.values())
 
 
-def _scan(values, target):
-    """Over integer values given in chunks, in vertex order: the indices equal
-    to target, the largest value, and the index of its first occurrence."""
-    roots, top, first, offset = [], None, -1, 0
-    for v in values:
-        k = int(np.argmax(v))
-        if top is None or v[k] > top:
-            top, first = v[k], offset + k
-        roots.append(np.flatnonzero(v == target) + offset)
-        offset += len(v)
-    return np.concatenate(roots), top, first
-
-
-def _cut_values(ineq: "CutInequality", g: Graph):
-    """The bitmasks of all cuts of g, the integer-scaled bound, and ineq's
-    integer-scaled values on the cuts in chunks; the vertex limit goes first."""
+def _cut_scan(ineq: "CutInequality", g: Graph):
+    """One pass over every cut of g with ineq's integer-scaled values, in
+    chunks that bound its memory (the vertex limit is checked first): the
+    bitmasks of the cuts meeting the bound, and the bitmask of the first cut
+    of largest value when that value exceeds the bound, else None."""
     masks = _cut_masks(g)
     w, target, _ = ineq._scaled_weights(g)
     step = max(1, _CHUNK_CELLS // max(1, len(w)))
-    return masks, (_cut_rows(g, masks[lo:lo + step]) @ w
-                   for lo in range(0, len(masks), step)), target
+    roots, top, first = [], None, None
+    for lo in range(0, len(masks), step):
+        chunk = masks[lo:lo + step]
+        values = _cut_rows(g, chunk) @ w
+        k = int(np.argmax(values))
+        if top is None or values[k] > top:
+            top, first = values[k], int(chunk[k])
+        roots.append(chunk[values == target])
+    return np.concatenate(roots), first if top > target else None
 
 
 # ---------------------------------------------------------------------------
@@ -288,90 +285,97 @@ def cut_to_behaviour(cv: CutVector) -> NCBehaviour:
 # inequalities
 # ---------------------------------------------------------------------------
 
+def _edge_table(coeffs) -> dict:
+    """{(i, j): Fraction} with i < j from a mapping or from (edge, value)
+    pairs; an edge given twice, in either order, is a ValueError."""
+    table = {}
+    for (i, j), v in coeffs.items() if hasattr(coeffs, "items") else coeffs:
+        e = (min(i, j), max(i, j))
+        if e in table:
+            raise ValueError(f"edge {e} is listed twice")
+        table[e] = Fraction(v)
+    return table
+
+
 @dataclass(frozen=True)
 class CutInequality:
-    """One inequality in one of three coordinate systems.
-
-    form "hypermetric": sum_{i<j} b_i b_j x_ij <= 0 over a complete graph.
-    form "cut": explicit rational edge coefficients and bound.
-    form "correlator": pair and single correlator coefficients and bound,
-    living on n dichotomic observables.
-    """
-    form: str
+    """sum_{i<j} c_ij x_ij <= bound in the cut coordinates of a graph on n
+    vertices: edge_coeffs maps edges (i, j), i < j, to their rational
+    coefficients c_ij; an edge it omits weighs 0."""
     n: int
-    b: Optional[tuple] = None
-    edge_coeffs: Optional[Mapping] = None
-    pair_coeffs: Optional[Mapping] = None
-    single_coeffs: Optional[tuple] = None
-    bound: Fraction = Fraction(0)
+    edge_coeffs: Mapping
+    bound: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "edge_coeffs", _edge_table(self.edge_coeffs))
+        object.__setattr__(self, "bound", Fraction(self.bound))
 
     @staticmethod
     def hypermetric(b) -> "CutInequality":
+        """sum_{i<j} b_i b_j x_ij <= 0 on the complete graph on len(b) vertices."""
         b = tuple(int(v) for v in b)
-        return CutInequality("hypermetric", len(b), b=b, bound=Fraction(0))
+        return CutInequality(len(b), {(i, j): b[i] * b[j] for i, j
+                                      in itertools.combinations(range(len(b)), 2)}, 0)
 
     @staticmethod
     def cut_space(n: int, edge_coeffs, bound) -> "CutInequality":
-        coeffs = {(min(i, j), max(i, j)): Fraction(v)
-                  for (i, j), v in dict(edge_coeffs).items()}
-        return CutInequality("cut", n, edge_coeffs=coeffs, bound=Fraction(bound))
-
-    @staticmethod
-    def correlator(n: int, pair_coeffs, single_coeffs, bound) -> "CutInequality":
-        pairs = {(min(i, j), max(i, j)): Fraction(v)
-                 for (i, j), v in dict(pair_coeffs).items()}
-        singles = tuple(Fraction(v) for v in single_coeffs)
-        if len(singles) != n:
-            raise ValueError("one single coefficient per observable required")
-        return CutInequality("correlator", n, pair_coeffs=pairs,
-                             single_coeffs=singles, bound=Fraction(bound))
+        """The inequality of an inequality file's "cut" space."""
+        return CutInequality(n, edge_coeffs, bound)
 
     @cached_property
     def _scaled_by_graph(self) -> dict:
         return {}
 
     def _scaled_weights(self, g: Graph):
-        """The cut-form coefficients on g's edges in g's edge order, and the
-        bound, integer-scaled together (games.int_scaled); once per g."""
+        """The coefficients on g's edges in g's edge order, and the bound,
+        integer-scaled together (games.int_scaled); once per g."""
         if g not in self._scaled_by_graph:
-            coeffs = self.to_cut_form().edge_coeffs
-            missing = [e for e in coeffs if e not in g.edge_index]
+            missing = [e for e in self.edge_coeffs if e not in g.edge_index]
             if missing:
                 raise ValueError(f"{missing[0]} is not an edge of the graph")
             w, (target,), den = int_scaled(
-                [coeffs.get(e, Fraction(0)) for e in g.sorted_edges], [self.bound])
+                [self.edge_coeffs.get(e, Fraction(0)) for e in g.sorted_edges], [self.bound])
             self._scaled_by_graph[g] = w, target, den
         return self._scaled_by_graph[g]
 
     def evaluate_cut(self, cv: CutVector) -> Fraction:
-        if self.form not in ("hypermetric", "cut"):
-            raise ValueError("correlator-form inequalities evaluate on behaviours")
         w, _, den = self._scaled_weights(cv.graph)
         return Fraction(int(np.dot(cv.bits, w)), den)
 
+
+@dataclass(frozen=True)
+class CorrelatorInequality:
+    """sum_{i<j} c_ij <M_iM_j> + sum_i s_i <M_i> <= bound on n dichotomic
+    observables: pair_coeffs maps pairs (i, j), i < j, to c_ij, and
+    single_coeffs holds s_0..s_{n-1}."""
+    n: int
+    pair_coeffs: Mapping
+    single_coeffs: tuple
+    bound: Fraction
+
+    def __post_init__(self):
+        singles = tuple(Fraction(v) for v in self.single_coeffs)
+        if len(singles) != self.n:
+            raise ValueError("one single coefficient per observable required")
+        object.__setattr__(self, "pair_coeffs", _edge_table(self.pair_coeffs))
+        object.__setattr__(self, "single_coeffs", singles)
+        object.__setattr__(self, "bound", Fraction(self.bound))
+
     def evaluate_behaviour(self, nc: NCBehaviour) -> Fraction:
-        if self.form != "correlator":
-            raise ValueError("cut-space inequalities evaluate on cut vectors")
         total = sum((c * nc.fulls[e] for e, c in self.pair_coeffs.items()), Fraction(0))
         return total + sum(c * s for c, s in zip(self.single_coeffs, nc.singles))
 
-    def to_cut_form(self) -> "CutInequality":
-        """Rewrite in cut coordinates. Correlator inequalities move to the
-        suspension graph (one more vertex, the apex): substituting
-        <M_iM_j> = 1 - 2 x_ij and <M_i> = 1 - 2 x_{i,apex} turns coefficient
-        c into edge coefficient -2c and shifts the bound by the total."""
-        if self.form == "hypermetric":
-            coeffs = {(i, j): Fraction(self.b[i] * self.b[j])
-                      for i, j in itertools.combinations(range(self.n), 2)}
-            return CutInequality.cut_space(self.n, coeffs, 0)
-        if self.form == "cut":
-            return self
+    def to_cut_form(self) -> CutInequality:
+        """The same inequality on the suspension graph (one more vertex, the
+        apex): substituting <M_iM_j> = 1 - 2 x_ij and <M_i> = 1 - 2 x_{i,apex}
+        turns coefficient c into edge coefficient -2c and shifts the bound by
+        the total."""
         coeffs = {e: -2 * c for e, c in self.pair_coeffs.items()}
         for i, c in enumerate(self.single_coeffs):
             coeffs[(i, self.n)] = -2 * c
         shift = (sum(self.pair_coeffs.values(), Fraction(0))
                  + sum(self.single_coeffs, Fraction(0)))
-        return CutInequality.cut_space(self.n + 1, coeffs, self.bound - shift)
+        return CutInequality(self.n + 1, coeffs, self.bound - shift)
 
 
 def hypermetric_valid(b, g: Graph) -> bool:
@@ -383,9 +387,8 @@ def hypermetric_valid(b, g: Graph) -> bool:
         raise ValueError("one coefficient per vertex required")
     if sum(b) != 1:
         raise ValueError(f"coefficient sum is {sum(b)}, hypermetric form needs 1")
-    restricted = {(i, j): Fraction(b[i] * b[j]) for i, j in g.sorted_edges}
-    _, values, target = _cut_values(CutInequality.cut_space(g.n, restricted, 0), g)
-    return bool(_scan(values, target)[1] <= target)
+    restricted = {(i, j): b[i] * b[j] for i, j in g.sorted_edges}
+    return _cut_scan(CutInequality(g.n, restricted, 0), g)[1] is None
 
 
 def cut_facet_test(ineq: CutInequality, g: Graph):
@@ -394,17 +397,13 @@ def cut_facet_test(ineq: CutInequality, g: Graph):
     must affinely span one dimension below the edge count."""
     if not g.is_complete:
         raise ValueError("cut facet tests are run on complete graphs")
-    if ineq.form == "correlator":
-        raise ValueError("convert correlator inequalities with to_cut_form first")
-    cform = ineq.to_cut_form()
-    if cform.n != g.n:
+    if ineq.n != g.n:
         raise ValueError("inequality and graph vertex counts differ")
-    masks, values, target = _cut_values(cform, g)
-    roots, top, first = _scan(values, target)
-    if top > target:
+    roots, worst = _cut_scan(ineq, g)
+    if worst is not None:
         raise ValueError("inequality is violated at the cut with subset "
-                         f"{sorted(_mask_subset(int(masks[first]), g.n))}")
-    return _facet_report("cut", len(g.sorted_edges), len(roots), _cut_rows(g, masks[roots]))
+                         f"{sorted(_mask_subset(worst, g.n))}")
+    return _facet_report("cut", len(g.sorted_edges), len(roots), _cut_rows(g, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +424,7 @@ def ce1_inequalities(n: int):
     for i, j, k in itertools.combinations(range(n), 3):
         for s1, s2, s3 in CE1_SIGN_PATTERNS:
             pairs = {(i, j): s1, (j, k): s2, (i, k): s3}
-            out.append(CutInequality.correlator(n, pairs, zero_singles, 1))
+            out.append(CorrelatorInequality(n, pairs, zero_singles, 1))
     return out
 
 
@@ -537,7 +536,7 @@ def maximal_orthogonal_sets(n: int) -> OrthogonalSetCensus:
                                tuple(buckets["triple"]))
 
 
-def ce1_from_triple_set(events, n: int) -> CutInequality:
+def ce1_from_triple_set(events, n: int) -> CorrelatorInequality:
     """Exclusivity inequality of a size-3 maximal set: the probabilities of
     the three events sum to at most 1, which in correlators reads
     ab <M_iM_j> + bc <M_jM_k> - ac <M_iM_k> <= 1 (singles cancel)."""
@@ -551,7 +550,7 @@ def ce1_from_triple_set(events, n: int) -> CutInequality:
             val.setdefault(vtx, []).append(out)
     if len(val) != 3 or any(len(v) != 2 or v[0] != -v[1] for v in val.values()):
         raise ValueError("events do not form a triangle with flipped shared outcomes")
-    return CutInequality.correlator(n, pairs, (0,) * n, 1)
+    return CorrelatorInequality(n, pairs, (0,) * n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +560,14 @@ def ce1_from_triple_set(events, n: int) -> CutInequality:
 PENT_B = (1, 1, 1, -1, -1)  # last entry plays the identity observable
 
 
-def pentagonal_contextuality_inequality() -> CutInequality:
+def pentagonal_contextuality_inequality() -> CorrelatorInequality:
     """Correlator form of the five-point hypermetric inequality on four
     observables plus the identity: sum of -b_i b_j <M_iM_j> over i<j<=4 and
     -b_i b_5 <M_i> with b = (1,1,1,-1,-1), bound 2."""
     b = PENT_B
     pairs = {(i, j): Fraction(-b[i] * b[j]) for i, j in itertools.combinations(range(4), 2)}
     singles = tuple(Fraction(-b[i] * b[4]) for i in range(4))
-    return CutInequality.correlator(4, pairs, singles, 2)
+    return CorrelatorInequality(4, pairs, singles, 2)
 
 
 def pentagonal_report() -> dict:

@@ -53,11 +53,17 @@ class NoAdvantageVerdict:
 class ValueReport:
     classical: Fraction
     no_signaling: Fraction
-    quantum_upper_bound: float
-    bound_error: float
     witness: tuple
+    norm_bound: NormBound  # the certified norms behind quantum_upper_bound
     no_advantage: NoAdvantageVerdict = None
-    norm_bound: NormBound = None  # the certified norms behind quantum_upper_bound
+
+    @property
+    def quantum_upper_bound(self) -> float:
+        return self.norm_bound.value
+
+    @property
+    def bound_error(self) -> float:
+        return self.norm_bound.error
 
 
 def strategy_value(g, a_map, b_map) -> Fraction:
@@ -490,8 +496,7 @@ def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_STRATEG
     blocks = [fourier_blocks(g, k) for k in range(1, g.d)]
     bound = norm_bound(g, blocks)
     verdict = _no_advantage(g, ROOT_OF_UNITY_TOL, blocks, bound, cv) if with_sufficient else None
-    report = ValueReport(cv.value, ns_value(g), bound.value, bound.error,
-                         (cv.a_map, cv.b_map), verdict, bound)
+    report = ValueReport(cv.value, ns_value(g), (cv.a_map, cv.b_map), bound, verdict)
     verify_value_report(report)
     return report
 

@@ -50,9 +50,12 @@ def test_inequality_round_trip_byte_identity():
     for ineq in (to_bell_inequality(g), to_correlator_inequality(g)):
         text = cli.serialize_inequality(ineq)
         assert cli.serialize_inequality(cli.parse_inequality_text(text)) == text
-    cut_ineq = CutInequality.cut_space(3, {(0, 1): F(1), (1, 2): F(-2)}, F(0))
-    text = cli.serialize_inequality(cut_ineq)
-    assert cli.serialize_inequality(cli.parse_inequality_text(text)) == text
+    for ineq in (CutInequality.hypermetric((1, 1, -1)),
+                 CutInequality.cut_space(3, {(0, 1): F(1), (1, 2): F(-2)}, F(0)),
+                 CutInequality.cut_space(4, {(2, 0): F(3, 4), (1, 3): F(-2)}, F(1, 2))):
+        text = cli.serialize_inequality(ineq)
+        assert cli.parse_inequality_text(text) == ineq
+        assert cli.serialize_inequality(cli.parse_inequality_text(text)) == text
 
 
 def test_reports_are_canonical_json(tmp_path, capsys):
@@ -491,6 +494,16 @@ def test_cut_facet_pentagonal(tmp_path, capsys):
     r = json.loads(out)["results"]
     assert r["is_facet"] is True
     assert (r["saturating_affine_dim"], r["ambient_dim"]) == (9, 10)
+
+
+@pytest.mark.parametrize("coeffs", ['[[0, 1, "1"], [1, 0, "-1"]]',
+                                    '[[0, 1, "1"], [0, 1, "-1"]]'])
+def test_cut_facet_rejects_an_edge_listed_twice(tmp_path, capsys, coeffs):
+    path = tmp_path / "dup.json"
+    path.write_text('{"space": "cut", "n": 3, "bound": "0",\n "coeffs": ' + coeffs + "}\n")
+    code, out, err = run_cli(capsys, "cut", "facet", "--ineq", str(path))
+    assert (code, out) == (2, "")
+    assert "line 2: edge (0, 1) is listed twice" in err
 
 
 def test_cut_pentagonal_report(capsys):

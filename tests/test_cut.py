@@ -6,6 +6,7 @@ import pytest
 
 from bellpoly import BudgetExceededError, VerificationError
 from bellpoly.cut import (
+    CorrelatorInequality,
     CutInequality,
     CutVector,
     Event,
@@ -346,9 +347,6 @@ def test_hypermetric_cut_value_formula():
 
 def _evaluate_cut_per_edge(ineq, cv):
     """One Fraction per edge: the sum evaluate_cut must reproduce exactly."""
-    if ineq.form == "hypermetric":
-        return sum((Fraction(ineq.b[i] * ineq.b[j]) * cv.bit(i, j)
-                    for i, j in itertools.combinations(range(ineq.n), 2)), Fraction(0))
     return sum((c * cv.bit(i, j) for (i, j), c in ineq.edge_coeffs.items()), Fraction(0))
 
 
@@ -360,7 +358,7 @@ def test_evaluate_cut_matches_per_edge_sum(n):
     hyper = CutInequality.hypermetric(b + [1 - sum(b)])
     space = CutInequality.cut_space(
         n, {e: F(rng.randint(-9, 9), rng.randint(1, 12)) for e in g.sorted_edges}, F(1, 3))
-    for ineq in (hyper, hyper.to_cut_form(), space):
+    for ineq in (hyper, space):
         for cv in enumerate_cuts(g):
             value = ineq.evaluate_cut(cv)
             assert type(value) is Fraction
@@ -383,8 +381,16 @@ def test_evaluate_cut_rejects_missing_edge_and_correlator_form():
     cv = CutVector(Graph(3, [(0, 1)]), {1})
     with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge"):
         CutInequality.hypermetric((1, 1, -1)).evaluate_cut(cv)
-    with pytest.raises(ValueError, match="behaviours"):
-        CutInequality.correlator(2, {(0, 1): 1}, (0, 0), 1).evaluate_cut(cv)
+    # a correlator inequality has no cut form of its own to evaluate
+    assert not hasattr(CorrelatorInequality(2, {(0, 1): 1}, (0, 0), 1), "evaluate_cut")
+
+
+def test_inequalities_reject_an_edge_listed_twice():
+    for coeffs in ({(0, 1): 1, (1, 0): -1}, [((0, 1), 1), ((0, 1), -1)]):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is listed twice"):
+            CutInequality(3, coeffs, 0)
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is listed twice"):
+            CorrelatorInequality(3, coeffs, (0, 0, 0), 1)
 
 
 # ---------------------------------------------------------------- facet tests
@@ -432,7 +438,7 @@ def test_facet_test_requires_complete_graph():
 
 def test_pentagonal_contextuality_form():
     ineq = pentagonal_contextuality_inequality()
-    assert ineq.form == "correlator"
+    assert isinstance(ineq, CorrelatorInequality)
     assert ineq.bound == 2
     assert ineq.single_coeffs == (1, 1, 1, -1)
     b = (1, 1, 1, -1, -1)

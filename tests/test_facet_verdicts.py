@@ -114,7 +114,7 @@ def test_verdicts_survive_scaling_beyond_int64(name):
         facet_test(_scaled_bell(invalid, big), "bell")
     assert str(small.value) == str(large.value)
     b = (1, 1, 1, -1, -1, 0)
-    cform = CutInequality.hypermetric(b).to_cut_form()
+    cform = CutInequality.hypermetric(b)
     scaled = CutInequality.cut_space(6, {e: c * big for e, c in cform.edge_coeffs.items()}, 0)
     assert cut_facet_test(scaled, Graph.complete(6)) == cut_facet_test(cform, Graph.complete(6))
 

@@ -1,8 +1,8 @@
 """Import guards: the command-line front end loads no heavy optional
 dependency (scipy and networkx alone used to cost about 500 ms of every
 bellpoly process's startup), and the package carries no unused import,
-constant or private function or class (a stdlib `ast` check, as no linter
-is installed)."""
+constant or private function or class, and no `assert` statement (stdlib
+`ast` checks, as no linter is installed)."""
 import ast
 import os
 import re
@@ -63,3 +63,13 @@ def test_every_import_and_constant_is_used():
                     re.fullmatch(r"_(?!_).*", node.name) and node.name not in read_anywhere:
                 unused.append(f"{name}: private {node.name}")
     assert unused == []
+
+
+def test_no_assert_statement_in_the_package():
+    # `python -O` strips asserts; a failed cross-check must raise
+    # VerificationError (exit 4) under every interpreter flag
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "bellpoly").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

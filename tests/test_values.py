@@ -311,10 +311,11 @@ def test_soundness_chain_over_corpus(corpus):
 
 def test_verify_value_report_rejects_doctored_bound(nlc3_game):
     rep = value_report(nlc3_game)
-    bad = dataclasses.replace(rep, quantum_upper_bound=0.5)
+    bad = dataclasses.replace(rep, norm_bound=dataclasses.replace(rep.norm_bound, value=0.5))
+    assert bad.quantum_upper_bound == 0.5
     with pytest.raises(VerificationError):
         verify_value_report(bad)
-    bad2 = dataclasses.replace(rep, quantum_upper_bound=1.5)
+    bad2 = dataclasses.replace(rep, norm_bound=dataclasses.replace(rep.norm_bound, value=1.5))
     with pytest.raises(VerificationError):
         verify_value_report(bad2)
 
