@@ -228,7 +228,8 @@ def parse_inequality_text(raw: str):
     if space == "cut":
         n = _int_at(_need(data, "n", raw), raw, "n")
         try:
-            pairs = [((e[0], e[1]), _rat(e[2], raw, "coefficient")) for e in coeffs]
+            pairs = [((_int_at(e[0], raw, "edge endpoint"), _int_at(e[1], raw, "edge endpoint")),
+                      _rat(e[2], raw, "coefficient")) for e in coeffs]
             return CutInequality.cut_space(n, pairs, bound)
         except ParseError:
             raise

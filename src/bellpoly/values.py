@@ -109,23 +109,27 @@ def _partial_sums(E):
 _SCAN_CELLS = 1 << 18  # partial sums per slab of a scan, to bound its memory
 
 
-def _box_count(ties) -> int:
-    """The boxes answering each map with one best output per input: over
-    the maps, the product of the tie-set sizes (exact in int64 when the
-    answering side has fewer than 2^63 maps)."""
-    n, d = ties.shape[1:]
-    sizes = ties.sum(axis=2).prod(axis=1, dtype=np.int64 if d ** n < 2 ** 63 else object)
+def _box_count(sizes, on_top, d) -> int:
+    """The boxes answering the maps on_top selects with one best output per
+    input: over those maps, the product of their tie-set sizes (inputs on
+    axis 1 of `sizes`; exact in int64 when the answering side, on d
+    outputs, has fewer than 2^63 maps)."""
+    n = sizes.shape[1]
+    sizes = sizes.prod(axis=1, dtype=np.int64 if d ** n < 2 ** 63 else object)[on_top]
     sizes, repeats = np.unique(sizes, return_counts=True)
     return sum(int(s) * int(r) for s, r in zip(sizes.tolist(), repeats.tolist()))
 
 
-def _scan_chunk(hi, lo, start, stop, alice, ties):
+def _scan_chunk(hi, lo, start, stop, alice, ties, full=None):
     """The best total over the maps whose high digits are strings start..stop
     of hi ([s, b, j]) and low digits any string of lo ([b, j, s]), the two
     partial-sum tables; a key whose least value over the chunks attaining the
     best names the witness (the first such map when Alice's are enumerated,
     else the least of Alice's first best answers to such maps); with `ties`,
-    the numbers of those maps and the tie sets against them ([map, j, b])."""
+    the numbers of those maps, their rank rows and boxes, and the tie sets
+    against them ([map, j, b]). When the best is at most `full`, a top whose
+    rank rows already exceed the budget, no tie sets are built: the tie-set
+    sizes and first best answers come from comparisons over the whole slab."""
     d, L = lo.shape[0], lo.shape[2]
     best = hi[start:stop, 0, :, None] + lo[0]
     for b in range(1, d):
@@ -135,16 +139,33 @@ def _scan_chunk(hi, lo, start, stop, alice, ties):
     if alice and not ties:
         return top, start * L + int(totals.argmax()), None
     k = np.flatnonzero(totals == top)
-    c, l = np.divmod(k, L)
-    T = np.empty((len(k), lo.shape[1], d), dtype=bool)
-    step = max(1, _SCAN_CELLS // lo[..., 0].size)  # maps at a time, to bound the slab
-    for r in range(0, len(k), step):
-        cr, lr = c[r:r + step], l[r:r + step]
-        scores = hi[start + cr] + lo[:, :, lr].transpose(2, 0, 1)  # [map, output, input]
-        T[r:r + step] = (scores == best[cr, None, :, lr]).transpose(0, 2, 1)
-    answers = T.argmax(axis=2)
+    if full is not None and top <= full:
+        T, on_top = None, (totals == top).reshape(len(best), L)
+        sizes = np.zeros(best.shape, dtype=np.min_scalar_type(d))  # [high map, j, low map]
+        first = None if alice else np.empty(best.shape, dtype=np.int64)
+        score, tie = np.empty_like(best), np.empty(best.shape, dtype=bool)
+        for b in reversed(range(d)):
+            np.equal(np.add(hi[start:stop, b, :, None], lo[b], out=score), best, out=tie)
+            sizes += tie
+            if not alice:
+                first[tie] = b
+        answers = None if alice else first.transpose(0, 2, 1)[on_top]
+    else:
+        c, l = np.divmod(k, L)
+        T = np.empty((len(k), lo.shape[1], d), dtype=bool)
+        step = max(1, _SCAN_CELLS // lo[..., 0].size)  # maps at a time, to bound the slab
+        for r in range(0, len(k), step):
+            cr, lr = c[r:r + step], l[r:r + step]
+            scores = hi[start + cr] + lo[:, :, lr].transpose(2, 0, 1)  # [map, output, input]
+            T[r:r + step] = (scores == best[cr, None, :, lr]).transpose(0, 2, 1)
+        answers = None if alice else T.argmax(axis=2)
     key = start * L + int(k[0]) if alice else tuple(answers[np.lexsort(answers.T[::-1])[0]])
-    return top, key, (k + start * L, T) if ties else None
+    if not ties:
+        return top, key, None
+    if T is not None:
+        on_top, sizes = slice(None), T.sum(axis=2)
+    rows = int(sizes.sum(axis=1, dtype=np.int64)[on_top].sum()) - len(k) * (sizes.shape[1] - 1)
+    return top, key, (k + start * L, rows, _box_count(sizes, on_top, d), T)
 
 
 def _chunk_results(f, ranges, workers):
@@ -187,9 +208,9 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
 
     step = max(1, _SCAN_CELLS // max(1, lo[0].size))
     ranges = [(r, min(r + step, len(hi))) for r in range(0, len(hi), step)]
-    top = key = None
+    top = key = full = None
     found, count, rows = [], 0, 0
-    for t, k, part in _chunk_results(lambda r: _scan_chunk(hi, lo, *r, alice, ties),
+    for t, k, part in _chunk_results(lambda r: _scan_chunk(hi, lo, *r, alice, ties, full),
                                      ranges, workers):
         if top is not None and t < top:
             continue
@@ -197,10 +218,12 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
             top, key, found, count, rows = t, k, [], 0, 0
         key = min(key, k)
         if ties:
-            T = part[1]
-            count += _box_count(T)
-            rows += int(T.sum()) - len(T) * (T.shape[1] - 1)
-            found = found + [part] if rows * cols <= budget else None
+            numbers, chunk_rows, chunk_count, T = part
+            count, rows = count + chunk_count, rows + chunk_rows
+            if found is None or rows * cols > budget:
+                found, full = None, top  # later chunks at this top build no tie sets
+            else:
+                found.append((numbers, T))
 
     a_map = _digits(key, len(E), E.shape[-1]) if alice else np.array(key, dtype=np.int64)
     b_map = C[np.arange(ma), :, a_map].sum(axis=0).argmax(axis=1)  # Bob's first best answers

@@ -506,6 +506,18 @@ def test_cut_facet_rejects_an_edge_listed_twice(tmp_path, capsys, coeffs):
     assert "line 2: edge (0, 1) is listed twice" in err
 
 
+@pytest.mark.parametrize("coeffs", ['[[true, 2, "-1"], [0.0, 1, "-1"]]',
+                                    '[[0, 2, "-1"], [0.0, 1, "-1"]]',
+                                    '[[0, "1", "-1"]]'])
+def test_cut_facet_rejects_an_endpoint_that_is_no_integer(tmp_path, capsys, coeffs):
+    # true and 0.0 compare equal to 1 and 0, yet are no vertex numbers
+    path = tmp_path / "endpoints.json"
+    path.write_text('{"space": "cut", "n": 3, "bound": "0",\n "coeffs": ' + coeffs + "}\n")
+    code, out, err = run_cli(capsys, "cut", "facet", "--ineq", str(path))
+    assert (code, out) == (2, "")
+    assert "edge endpoint must be an integer" in err
+
+
 def test_cut_pentagonal_report(capsys):
     code, out, _ = run_cli(capsys, "cut", "pentagonal")
     assert code == 0

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -186,3 +188,32 @@ def test_unlucky_prime_takes_the_fallback(monkeypatch):
     calls.clear()
     assert matrix_rank_exact([[1, 2], [2, 4]]) == 1
     assert calls == []
+
+
+def test_reconstruction_rebuilds_every_small_fraction():
+    # Wang's bound: every a/b in lowest terms with |a|, b <= N (2 N^2 < p)
+    # comes back from its residue a * b^-1 mod p; the residues go in as a
+    # 2-D array, as the reduced echelon form's do
+    p, N = exactrank.P, exactrank._FRACTION_BOUND
+    rng = random.Random(11)
+    pairs = [(0, 1), (N, 1), (-N, 1), (1, N), (-1, N), (N, N - 1), (-N, N - 1)]
+    while len(pairs) < 2000:
+        a, b = rng.randint(-N, N), rng.randint(1, N)
+        if gcd(a, b) == 1:
+            pairs.append((a, b))
+    u = np.array([a * pow(b, -1, p) % p for a, b in pairs], dtype=np.int64).reshape(40, 50)
+    num, den = exactrank._rational(u)
+    assert (num.shape, den.shape) == (u.shape, u.shape)
+    assert list(zip(num.ravel().tolist(), den.ravel().tolist())) == pairs
+
+
+@pytest.mark.parametrize("rows", [
+    [[65537, 1], [131074, 2], [196611, 3]],  # kernel (1, -65537): a denominator 65537 mod p
+    [[1, 65537], [2, 131074], [0, 0]]])      # kernel (-65537, 1): an entry -65537
+def test_kernel_beyond_the_reconstruction_bound_takes_the_fallback(monkeypatch, rows):
+    calls = []
+    exact = exactrank._kernel_basis
+    monkeypatch.setattr(exactrank, "_kernel_basis",
+                        lambda S, pcols: calls.append(pcols) or exact(S, pcols))
+    assert matrix_rank_exact(rows) == sympy.Matrix(rows).rank() == 1
+    assert calls == [[0]]

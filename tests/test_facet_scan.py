@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 from bellpoly import (BellInequality, BudgetExceededError, NLCSpec, Scenario, build_nlc2,
-                      classical_value, cli, correlator_inequality, facet_test,
+                      classical_value, cli, correlator_inequality, exactrank, facet_test,
                       nlc2_decompose, saturating_boxes, subgame_restrict, to_bell_inequality,
-                      values)
+                      to_correlator_inequality, values)
+from bellpoly.cut import CutInequality, Graph, cut_facet_test
 from bellpoly.exactrank import affine_rank
 from bellpoly.scenario import _correlator_rows, _reduced_rows, ns_polytope_dimension
 from bellpoly.tightness import game_facet_test
 from tests.classical_reference import box_values
-from tests.test_facet_verdicts import positivity
+from tests.test_facet_verdicts import (GAMES, HYPERMETRIC_CASES, POSITIVITY_CASES, _scaled_bell,
+                                       positivity)
 
 F = Fraction
 BIG = 2 ** 63 + 1
@@ -223,3 +225,60 @@ def test_n_4_verdicts_from_the_rank(tmp_path, capsys, table, kind, figures):
     if kind == "bell":
         assert game_facet_test(nlc4(table), kind)[0] == facet_test(
             to_bell_inequality(nlc4(table)), kind)
+
+
+def test_verdicts_take_the_reconstruction_path(monkeypatch):
+    # every rank of the Bareiss-checked verdicts (tests/test_facet_verdicts.py)
+    # and of the n = 4 inner-product verdicts is certified by the kernel
+    # rebuilt from the reduced echelon form mod p: neither the fraction-free
+    # kernel nor Bareiss runs, so a slide back to the slow path fails here,
+    # not only in the benchmark
+    calls = []
+    for name in ("_kernel_basis", "integer_rank"):
+        slow = getattr(exactrank, name)
+        monkeypatch.setattr(exactrank, name,
+                            lambda *a, name=name, slow=slow: calls.append(name) or slow(*a))
+    for m, cell, _ in POSITIVITY_CASES + [(7, (3, 5, 1, 0), 62)]:
+        facet_test(positivity(m, cell), "bell")
+    for b in HYPERMETRIC_CASES:
+        cut_facet_test(CutInequality.hypermetric(b), Graph.complete(len(b)))
+    for name in sorted(GAMES):
+        ineq = to_bell_inequality(GAMES[name]())
+        facet_test(ineq, "bell")
+        facet_test(_scaled_bell(ineq, 2 ** 70 + 1), "bell")
+        facet_test(to_correlator_inequality(GAMES[name]()), "correlation")
+    for kind in ("bell", "correlation"):
+        game_facet_test(nlc4(INNER_PRODUCT), kind)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alice", [True, False])
+def test_chunks_past_the_budget_build_no_tie_sets(monkeypatch, alice):
+    # a 0/1 functional where every other input of the enumerated side and
+    # every third of the answering side weigh nothing, so many maps are
+    # optimal, with tie sets of size 2. Once the rank rows at the running
+    # top exceed the budget, later chunks at that top build no tie sets,
+    # yet the top, witness, box count and rank rows are those of the scan
+    # that keeps every tie set
+    rng = random.Random(f"past-the-budget:{alice}")
+    ma, mb = (8, 9) if alice else (9, 8)
+    weighs = [[(x if alice else y) % 2 and (y if alice else x) % 3 for y in range(mb)]
+              for x in range(ma)]
+    C = np.array([[[[rng.choice((0, 0, 0, 1)) * bool(weighs[x][y]) for b in range(2)]
+                    for a in range(2)] for y in range(mb)] for x in range(ma)])
+    monkeypatch.setattr(values, "_SCAN_CELLS", 1 << 6)
+    kept = values._scan(C, 2 ** 30, ties=True)
+    assert kept.count > kept.rows and kept.rows * 100 > 2 ** 8
+    built, chunk = [], values._scan_chunk
+
+    def recorded(*args):
+        result = chunk(*args)
+        built.append(result[2][3] is not None)
+        return result
+    monkeypatch.setattr(values, "_scan_chunk", recorded)
+    for workers in (1, 2):
+        over = values._scan(C, 2 ** 8, workers=workers, ties=True, cols=100)
+        assert over.alice == alice and over.maps is None and over.ties is None
+        assert over[:5] == kept[:5]
+        if workers == 1:
+            assert built[0] and built.count(False) > len(built) // 2

@@ -41,9 +41,12 @@ def nlc3(table):
     return build_nlc2(NLCSpec(2, 3, table, (F(1, 8),) * 8))
 
 
-@pytest.mark.parametrize("m,cell,dim", [
+POSITIVITY_CASES = [
     (3, (0, 0, 0, 0), 14), (3, (2, 1, 1, 0), 14), (4, (0, 0, 0, 0), 23),
-    (4, (3, 2, 0, 1), 23), (5, (0, 0, 0, 0), 34), (6, (0, 0, 0, 0), 47)])
+    (4, (3, 2, 0, 1), 23), (5, (0, 0, 0, 0), 34), (6, (0, 0, 0, 0), 47)]
+
+
+@pytest.mark.parametrize("m,cell,dim", POSITIVITY_CASES)
 def test_positivity_verdicts_match_bareiss(monkeypatch, m, cell, dim):
     ineq = positivity(m, cell)
     rep = facet_test(ineq, "bell")
@@ -52,11 +55,14 @@ def test_positivity_verdicts_match_bareiss(monkeypatch, m, cell, dim):
     assert rep.is_facet and rep.trivial_facet_class
 
 
-@pytest.mark.parametrize("b", [
+HYPERMETRIC_CASES = [
     (1, 1, 1, -1, -1), (1, 1, 1, -1, -1, 0), (1, 1, 1, 1, -1, -2),
     (1, 1, 1, 1, 1, -1, -3), (2, 1, 1, -1, -1, -1, 0, 0), (1,) * 7 + (-1, -5),
     (1,) * 6 + (-1,) * 5, (1,) * 6 + (-1,) * 5 + (0,), (1,) * 7 + (-1,) * 6,
-    (1,) * 8 + (-1,) * 5 + (-2,)])
+    (1,) * 8 + (-1,) * 5 + (-2,)]
+
+
+@pytest.mark.parametrize("b", HYPERMETRIC_CASES)
 def test_hypermetric_verdicts_match_bareiss(monkeypatch, b):
     ineq, g = CutInequality.hypermetric(b), Graph.complete(len(b))
     rep = cut_facet_test(ineq, g)
@@ -148,3 +154,4 @@ def test_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
         m.setattr(cut, "_CHUNK_CELLS", cells)
         assert [_verdict(run) for run in runs] == expected
     assert any(isinstance(v, str) for v in expected)
+
