@@ -46,7 +46,6 @@ from .games import (
     to_correlator_inequality,
 )
 from .values import (
-    DEFAULT_STRATEGY_BUDGET,
     ClassicalValue,
     NoAdvantageVerdict,
     NormBound,

@@ -30,7 +30,7 @@ from .games import NLCSpec, LinearGame, UniqueGame3, build_nlc
 from .rational import format_rational, parse_rational
 from .scenario import BellInequality, Scenario, correlator_inequality
 from .tightness import DEFAULT_BOX_BUDGET, facet_test, game_facet_test
-from .values import DEFAULT_STRATEGY_BUDGET, value_report
+from .values import value_report
 
 
 def canonical_json(obj) -> str:
@@ -230,7 +230,7 @@ def parse_inequality_text(raw: str):
         try:
             pairs = [((_int_at(e[0], raw, "edge endpoint"), _int_at(e[1], raw, "edge endpoint")),
                       _rat(e[2], raw, "coefficient")) for e in coeffs]
-            return CutInequality.cut_space(n, pairs, bound)
+            return CutInequality(n, pairs, bound)
         except ParseError:
             raise
         except ValueError as e:  # an edge listed twice
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     g1.add_argument("--classical", action="store_true")
     g1.add_argument("--bound", action="store_true")
     g1.add_argument("--sufficient", action="store_true")
-    g1.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET,
+    g1.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET,
                     help="most response maps to enumerate, counted on the side "
                          "enumerated after inputs of zero weight are dropped")
     g1.add_argument("--workers", type=int, default=None)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Tuple
 
 import numpy as np
@@ -181,7 +180,7 @@ def _cut_scan(ineq: "CutInequality", g: Graph):
     bitmasks of the cuts meeting the bound, and the bitmask of the first cut
     of largest value when that value exceeds the bound, else None."""
     masks = _cut_masks(g)
-    w, target, _ = ineq._scaled_weights(g)
+    w, (target,), _ = int_scaled(ineq._coefficients(g), [ineq.bound])
     step = max(1, _CHUNK_CELLS // max(1, len(w)))
     roots, top, first = [], None, None
     for lo in range(0, len(masks), step):
@@ -317,30 +316,19 @@ class CutInequality:
         return CutInequality(len(b), {(i, j): b[i] * b[j] for i, j
                                       in itertools.combinations(range(len(b)), 2)}, 0)
 
-    @staticmethod
-    def cut_space(n: int, edge_coeffs, bound) -> "CutInequality":
-        """The inequality of an inequality file's "cut" space."""
-        return CutInequality(n, edge_coeffs, bound)
-
-    @cached_property
-    def _scaled_by_graph(self) -> dict:
-        return {}
-
-    def _scaled_weights(self, g: Graph):
-        """The coefficients on g's edges in g's edge order, and the bound,
-        integer-scaled together (games.int_scaled); once per g."""
-        if g not in self._scaled_by_graph:
-            missing = [e for e in self.edge_coeffs if e not in g.edge_index]
-            if missing:
-                raise ValueError(f"{missing[0]} is not an edge of the graph")
-            w, (target,), den = int_scaled(
-                [self.edge_coeffs.get(e, Fraction(0)) for e in g.sorted_edges], [self.bound])
-            self._scaled_by_graph[g] = w, target, den
-        return self._scaled_by_graph[g]
+    def _coefficients(self, g: Graph) -> list:
+        """The coefficients on g's edges, in g's edge order; ValueError when
+        an edge with a coefficient is not one of g's."""
+        missing = [e for e in self.edge_coeffs if e not in g.edge_index]
+        if missing:
+            raise ValueError(f"{missing[0]} is not an edge of the graph")
+        zero = Fraction(0)
+        return [self.edge_coeffs.get(e, zero) for e in g.sorted_edges]
 
     def evaluate_cut(self, cv: CutVector) -> Fraction:
-        w, _, den = self._scaled_weights(cv.graph)
-        return Fraction(int(np.dot(cv.bits, w)), den)
+        """The left side at cut cv: the coefficients of the edges it cuts, summed."""
+        return sum((c for c, bit in zip(self._coefficients(cv.graph), cv.bits) if bit),
+                   Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -315,22 +315,16 @@ def int_scaled(values, bounds=()):
     return np.array(scaled, dtype=dtype).reshape(shaped.shape), targets, den
 
 
-def scaled_functionals(g, rows=None, cols=None, axes=(0, 1, 2, 3)):
-    """g's functional (as in `_win_coeffs`) on Alice's inputs `rows` and
-    Bob's `cols` (all by default), integer-scaled (`int_scaled`): an array
-    [x, y, a, b] whose memory holds its axes in the order `axes`, and the
-    denominator."""
-    d = g.d
-    rows = range(g.ma) if rows is None else rows
-    cols = range(g.mb) if cols is None else cols
-    shape = (len(rows), len(cols), d)  # x, y, a
-    Q, _, den = int_scaled([[g.q[x][y] for y in cols] for x in rows])
-    B = np.array([[[g.winning_b(a, x, y) for a in range(d)] for y in cols] for x in rows],
-                 dtype=np.int64).reshape(shape)
-    index = np.ix_(*map(np.arange, shape)) + (B,)  # x, y, a and Bob's winning b
-    C = np.zeros(tuple((shape + (d,))[i] for i in axes), dtype=Q.dtype)
-    C[tuple(index[i] for i in axes)] = Q.reshape(shape[:2] + (1,))
-    return C.transpose(*np.argsort(axes)), den
+def scaled_functionals(g):
+    """g's functional (as in `_win_coeffs`) integer-scaled (`int_scaled`):
+    an array [x, y, a, b] and the denominator."""
+    shape = (g.ma, g.mb, g.d)  # x, y, a
+    Q, _, den = int_scaled(g.q)
+    B = np.array([[[g.winning_b(a, x, y) for a in range(g.d)] for y in range(g.mb)]
+                  for x in range(g.ma)], dtype=np.int64).reshape(shape)
+    C = np.zeros(shape + (g.d,), dtype=Q.dtype)
+    C[np.ix_(*map(np.arange, shape)) + (B,)] = Q.reshape(shape[:2] + (1,))
+    return C, den
 
 
 def to_correlator_inequality(g: LinearGame) -> BellInequality:

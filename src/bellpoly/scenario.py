@@ -146,13 +146,6 @@ class Behaviour:
     def bob_marginal(self, b, x, y) -> Fraction:
         return sum((self.table[x][y][a][b] for a in range(self.scenario.da)), Fraction(0))
 
-    def correlator(self, x, y) -> Fraction:
-        s = self.scenario
-        if s.da != 2 or s.db != 2:
-            raise ValueError("correlators need binary outputs")
-        return sum((self.table[x][y][a][b] * (1 if a == b else -1)
-                    for a in range(2) for b in range(2)), Fraction(0))
-
 
 def behaviour_from_box(box: DeterministicBox) -> Behaviour:
     return box.behaviour()

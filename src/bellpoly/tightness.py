@@ -26,7 +26,7 @@ from .games import (LinearGame, _win_coeffs, fourier_blocks, input_dits, int_sca
                     scaled_functionals)
 from .scenario import (DEFAULT_BOX_BUDGET, BellInequality, DeterministicBox,
                        _correlator_rows, _reduced_rows, ns_polytope_dimension)
-from .values import _exact_value, _scan
+from .values import _exact_value, _pruned_scan, _scan
 
 HADAMARD_TOL = 1e-12
 
@@ -225,24 +225,21 @@ def _fragment_report(g, C, den, scan, bound, budget, restrictions=({0: 0}, {0: 1
     the fragment values do not sum to `bound`, or a fragment's face is not
     proper (`_proper`). A fragment is g's integer functional C
     (denominator den) on the Alice inputs its restriction keeps; its value
-    is one scan of those rows, inputs of zero weight left out as in
-    `classical_value`. Each value must be attained by its witness on C (and
-    equal `expected`, if given), the restrictions must split Alice's inputs,
-    and the faces must not all be equal; else VerificationError. The
-    statistics come from g's scan `scan`, and are skipped, with a note,
-    when it is None or kept no tie sets."""
+    is one `values._pruned_scan` of those rows. Each value must be attained
+    by its witness on C (and equal `expected`, if given), the restrictions
+    must split Alice's inputs, and the faces must not all be equal; else
+    VerificationError. The statistics come from g's scan `scan`, and are
+    skipped, with a note, when it is None or kept no tie sets."""
     keep = np.array([[all(input_dits(x, g.d, g.n)[pos] == v for pos, v in fixes.items())
                       for x in range(g.ma)] for fixes in restrictions])
     if (keep.sum(axis=0) != 1).any():
         raise VerificationError("the restrictions do not split Alice's inputs")
-    weighed = (C != 0).any(axis=(2, 3))  # the cells of nonzero weight
     targets, witnesses = [], []
     for fixes, k in zip(restrictions, keep):
-        rows = np.flatnonzero(k & weighed.any(axis=1))
-        cols = np.flatnonzero(weighed[rows].any(axis=0))
-        frag = _scan(C[np.ix_(rows, cols)], budget)
-        a_map, b_map = np.zeros(g.ma, dtype=np.int64), np.zeros(g.mb, dtype=np.int64)
-        a_map[rows], b_map[cols] = frag.box
+        rows = np.flatnonzero(k)
+        frag = _pruned_scan(C[rows], budget)
+        a_map, b_map = np.zeros(g.ma, dtype=np.int64), np.array(frag.box[1])
+        a_map[rows] = frag.box[0]
         where = ", ".join(f"x{pos + 1}={v}" for pos, v in fixes.items())
         value = Fraction(frag.top, den)
         if _row_values(C, b_map)[rows, a_map[rows]].sum() != frag.top:

@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, VerificationError
 from .games import LinearGame, fourier_blocks, scaled_functionals
-
-DEFAULT_STRATEGY_BUDGET = 2 ** 24
+from .scenario import DEFAULT_BOX_BUDGET
 
 ROOT_OF_UNITY_TOL = 1e-9
 DEGENERACY_RTOL = 1e-9
@@ -89,12 +88,6 @@ class _Scan(NamedTuple):
     rows: int = 0            # rank rows: per optimal map, 1 + one per other best answer
     maps: np.ndarray = None  # the optimal maps as digit rows, when rows fit the budget
     ties: np.ndarray = None  # ties[k, j, o]: o is a best answer at j against maps[k]
-
-
-def _scan_axes(alice):
-    """The axes of C[x, y, a, b] in the order of E[i, b, j, c], which `_scan`
-    reads: enumerated input i answered with c, answering input j with b."""
-    return (0, 3, 1, 2) if alice else (1, 2, 0, 3)
 
 
 def _partial_sums(E):
@@ -190,18 +183,18 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
     """Maximise the integer functional C[x, y, a, b] (int64, or Python ints
     when a sum could reach 2^62) over deterministic boxes, enumerating the
     maps of the side with fewer (Alice's on a tie) over partial-sum tables of
-    their high and low inputs; the budget on those maps is checked first. C
-    is read contiguously when its memory holds the axes as `_scan_axes`
-    orders them. With `ties`, the optimal maps and tie sets are kept only
-    while their rank rows, `cols` cells each, fit the budget. Results do not
-    depend on workers."""
+    their high and low inputs; the budget on those maps is checked first.
+    With `ties`, the optimal maps and tie sets are kept only while their rank
+    rows, `cols` cells each, fit the budget. Results do not depend on
+    workers."""
     ma, mb, da, db = C.shape
     n_maps = min(da ** ma, db ** mb)
     if n_maps > budget:
         raise BudgetExceededError(
             f"{n_maps} response maps exceed the strategy budget of {budget}")
     alice = da ** ma <= db ** mb
-    E = C.transpose(*_scan_axes(alice))
+    # E[i, b, j, c]: enumerated input i answered with c, answering input j with b
+    E = C.transpose((0, 3, 1, 2) if alice else (1, 2, 0, 3))
     h = len(E) // 2
     hi = np.ascontiguousarray(_partial_sums(E[:h]).transpose(2, 0, 1))
     lo = _partial_sums(E[h:])
@@ -237,28 +230,35 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
                          ties=T)
 
 
-def classical_value(g, budget: int = DEFAULT_STRATEGY_BUDGET, workers: int = None) -> ClassicalValue:
+def _pruned_scan(C, budget, workers=None) -> _Scan:
+    """`_scan` of the integer functional C[x, y, a, b] without the Alice and
+    Bob inputs whose cells are all zero (C is copied only when one is
+    dropped); the scan's box is given on every input, a dropped input
+    answering 0."""
+    weighed = (C != 0).any(axis=(2, 3))
+    rows, cols = np.flatnonzero(weighed.any(axis=1)), np.flatnonzero(weighed.any(axis=0))
+    if len(rows) == C.shape[0] and len(cols) == C.shape[1]:
+        return _scan(C, budget, workers)
+    scan = _scan(C[np.ix_(rows, cols)], budget, workers)
+    a_map, b_map = np.zeros(C.shape[0], dtype=np.int64), np.zeros(C.shape[1], dtype=np.int64)
+    a_map[rows], b_map[cols] = scan.box
+    return scan._replace(box=(tuple(a_map.tolist()), tuple(b_map.tolist())))
+
+
+def classical_value(g, budget: int = DEFAULT_BOX_BUDGET, workers: int = None) -> ClassicalValue:
     """Exact classical optimum with the lexicographically first optimal
-    (a_map, b_map) as witness, re-evaluated in exact rationals. Inputs whose
-    whole row (Alice) or column (Bob) of weights is zero are fixed to output
-    0 and the rest of the integer game functional goes through `_scan`,
-    whose budget counts the maps of the side with fewer."""
-    rows = [x for x in range(g.ma) if any(g.q[x])]
-    cols = [y for y in range(g.mb) if any(row[y] for row in g.q)]
-    alice = len(rows) <= len(cols)  # whether _scan enumerates Alice's maps
-    C, den = scaled_functionals(g, rows=rows, cols=cols, axes=_scan_axes(alice))
-    return _exact_value(g, _scan(C, budget, workers), den, rows, cols)
+    (a_map, b_map) as witness, re-evaluated in exact rationals: one
+    `_pruned_scan` of the integer game functional, whose budget counts the
+    maps of the side with fewer."""
+    C, den = scaled_functionals(g)
+    return _exact_value(g, _pruned_scan(C, budget, workers), den)
 
 
-def _exact_value(g, scan, den, rows=None, cols=None) -> ClassicalValue:
-    """The classical value scan.top / den of g, from a scan of its functional
-    on Alice's inputs `rows` and Bob's `cols` (all by default); the scan's
-    box, the other inputs answering 0, is the witness, and VerificationError
-    is raised unless it attains that value in exact rationals."""
-    a = dict(zip(range(g.ma) if rows is None else rows, scan.box[0]))
-    b = dict(zip(range(g.mb) if cols is None else cols, scan.box[1]))
-    a_map = tuple(a.get(x, 0) for x in range(g.ma))
-    b_map = tuple(b.get(y, 0) for y in range(g.mb))
+def _exact_value(g, scan, den) -> ClassicalValue:
+    """The classical value scan.top / den of g, from a scan of its functional;
+    the scan's box is the witness, and VerificationError is raised unless it
+    attains that value in exact rationals."""
+    a_map, b_map = scan.box
     val, found = strategy_value(g, a_map, b_map), Fraction(scan.top, den)
     if val != found:
         raise VerificationError(
@@ -508,7 +508,7 @@ def _no_advantage(g, tol, blocks, bound, cv=None) -> NoAdvantageVerdict:
     return NoAdvantageVerdict(True, strategy=(a_map, b_map))
 
 
-def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_STRATEGY_BUDGET,
+def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_BOX_BUDGET,
                  workers: int = None) -> ValueReport:
     """Bundle of the exact values and the norm bound, cross-checked.
 

@@ -51,8 +51,8 @@ def test_inequality_round_trip_byte_identity():
         text = cli.serialize_inequality(ineq)
         assert cli.serialize_inequality(cli.parse_inequality_text(text)) == text
     for ineq in (CutInequality.hypermetric((1, 1, -1)),
-                 CutInequality.cut_space(3, {(0, 1): F(1), (1, 2): F(-2)}, F(0)),
-                 CutInequality.cut_space(4, {(2, 0): F(3, 4), (1, 3): F(-2)}, F(1, 2))):
+                 CutInequality(3, {(0, 1): F(1), (1, 2): F(-2)}, F(0)),
+                 CutInequality(4, {(2, 0): F(3, 4), (1, 3): F(-2)}, F(1, 2))):
         text = cli.serialize_inequality(ineq)
         assert cli.parse_inequality_text(text) == ineq
         assert cli.serialize_inequality(cli.parse_inequality_text(text)) == text
@@ -174,6 +174,40 @@ def test_ragged_coefficient_tables_are_exit_2(tmp_path, capsys, text):
     code, out, err = run_cli(capsys, "facet-test", str(bad), "--polytope", kind)
     assert (code, out) == (2, "")
     assert err.startswith("bellpoly: parse error") and "coeffs must be nested" in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["analyze-game", "FILE"], '[{"kind": "linear"}]', "top level must be an object"),
+    (["analyze-game", "FILE"],
+     '{"kind": "linear", "d": 2, "mA": 1, "mB": 1, "q": [["1"]], "f": [[2]]}',
+     "f entry 2 outside Z_2"),
+    (["analyze-game", "FILE"],
+     '{"kind": "unique3", "mA": 1, "mB": 1, "q": [["1"]], "perms": [["swap"]]}',
+     "unknown permutation 'swap'"),
+    (["analyze-game", "FILE"], '{"kind": "nlc", "d": 2, "nlc": [1, [0, 1], ["1"]]}',
+     '"nlc" must be an object'),
+    (["cut", "cuts", "--graph", "FILE"], "three\n0 1\n", "first line must be the vertex count"),
+    (["cut", "cuts", "--graph", "FILE"], "3\n0 1 2\n", "line 2: edge lines read 'i j'"),
+    (["cut", "facet", "--ineq", "FILE"],
+     '{"space": "cut", "n": 3, "bound": "0", "coeffs": [[0, 1]]}', "[i, j, value] triples"),
+    (["chsh", "0", "0", "0", "0"], None, "weights cannot all be zero"),
+    (["cut", "hypermetric", "--b", "1,x"], None, "comma-separated integers"),
+    (["cut", "hypermetric"], None, "hypermetric needs --b"),
+    (["cut", "facet"], None, "facet needs --b or --ineq"),
+    (["cut", "ce1"], None, "ce1 needs --n"),
+    (["cut", "facet", "--ineq", "FILE"],
+     '{"space": "correlator", "bound": "2", "coeffs": [["1", "1"], ["1", "-1"]]}',
+     "cut facet tests need a cut-space inequality"),
+])
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, argv, text, message):
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("bellpoly: parse error") and message in err
+    assert "Traceback" not in err
 
 
 def test_budget_exit_code(tmp_path, capsys):
@@ -305,7 +339,7 @@ def test_facet_test_rejects_invalid_inequality_file(tmp_path, capsys):
 
 
 def test_facet_test_rejects_cut_space_file(tmp_path, capsys):
-    ineq = CutInequality.cut_space(3, {(0, 1): F(1)}, F(1))
+    ineq = CutInequality(3, {(0, 1): F(1)}, F(1))
     path = tmp_path / "cut.json"
     path.write_text(cli.serialize_inequality(ineq))
     code, _, err = run_cli(capsys, "facet-test", str(path), "--polytope", "bell")

@@ -356,7 +356,7 @@ def test_evaluate_cut_matches_per_edge_sum(n):
     g = Graph.complete(n)
     b = [rng.randint(-2, 2) for _ in range(n - 1)]
     hyper = CutInequality.hypermetric(b + [1 - sum(b)])
-    space = CutInequality.cut_space(
+    space = CutInequality(
         n, {e: F(rng.randint(-9, 9), rng.randint(1, 12)) for e in g.sorted_edges}, F(1, 3))
     for ineq in (hyper, space):
         for cv in enumerate_cuts(g):
@@ -368,11 +368,11 @@ def test_evaluate_cut_matches_per_edge_sum(n):
 def test_cut_facet_test_names_the_first_maximizing_cut():
     # every edge of K_4 weighs 1: the cut {1} (3 edges) is the first above
     # the bound 2, and {1, 2} (4 edges) the first of largest value
-    ineq = CutInequality.cut_space(4, {e: 1 for e in Graph.complete(4).sorted_edges}, 2)
+    ineq = CutInequality(4, {e: 1 for e in Graph.complete(4).sorted_edges}, 2)
     with pytest.raises(ValueError, match=r"violated at the cut with subset \[1, 2\]$"):
         cut_facet_test(ineq, Graph.complete(4))
     # the vertex limit is checked before validity
-    big = CutInequality.cut_space(21, {e: 1 for e in Graph.complete(21).sorted_edges}, 2)
+    big = CutInequality(21, {e: 1 for e in Graph.complete(21).sorted_edges}, 2)
     with pytest.raises(BudgetExceededError):
         cut_facet_test(big, Graph.complete(21))
 
@@ -415,7 +415,7 @@ def test_pentagonal_is_facet_of_cut_k5():
 def test_loose_inequality_is_not_facet():
     g = Graph.complete(4)
     coeffs = {e: F(1) for e in g.sorted_edges}
-    ineq = CutInequality.cut_space(4, coeffs, F(len(g.sorted_edges)))
+    ineq = CutInequality(4, coeffs, F(len(g.sorted_edges)))
     rep = cut_facet_test(ineq, g)
     assert rep.saturating_count == 0
     assert not rep.is_facet
@@ -423,7 +423,7 @@ def test_loose_inequality_is_not_facet():
 
 def test_facet_test_rejects_invalid_inequality():
     g = Graph.complete(3)
-    ineq = CutInequality.cut_space(3, {(0, 1): F(1)}, F(0))
+    ineq = CutInequality(3, {(0, 1): F(1)}, F(0))
     with pytest.raises(ValueError):
         cut_facet_test(ineq, g)
 

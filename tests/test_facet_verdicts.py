@@ -121,7 +121,7 @@ def test_verdicts_survive_scaling_beyond_int64(name):
     assert str(small.value) == str(large.value)
     b = (1, 1, 1, -1, -1, 0)
     cform = CutInequality.hypermetric(b)
-    scaled = CutInequality.cut_space(6, {e: c * big for e, c in cform.edge_coeffs.items()}, 0)
+    scaled = CutInequality(6, {e: c * big for e, c in cform.edge_coeffs.items()}, 0)
     assert cut_facet_test(scaled, Graph.complete(6)) == cut_facet_test(cform, Graph.complete(6))
 
 
@@ -145,7 +145,7 @@ def test_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
             lambda: tightness.saturating_boxes(to_bell_inequality(GAMES["nlc2-xor"]())),
             lambda: cut_facet_test(CutInequality.hypermetric((1, 1, 1, -1, -1, 0)),
                                    Graph.complete(6)),
-            lambda: cut_facet_test(CutInequality.cut_space(
+            lambda: cut_facet_test(CutInequality(
                 6, {e: F(sum(e) % 3 - 1, 2) for e in Graph.complete(6).sorted_edges}, 0),
                 Graph.complete(6))]
     expected = [_verdict(run) for run in runs]

@@ -33,6 +33,7 @@ from bellpoly import (
 from bellpoly.games import _win_coeffs, scaled_functionals, subgame_restrict
 from bellpoly.tightness import LambdaProfile, _separated, _sylvester_hadamard
 from bellpoly.values import classical_value
+from tests.classical_reference import by_all_pairs
 
 F = Fraction
 
@@ -217,6 +218,35 @@ def test_nlc2_decompose_does_not_apply_to_a_half_of_no_weight():
     for f in tables:
         with pytest.raises(ValueError, match="does not apply"):
             nlc2_decompose(LinearGame(2, 4, 4, q, f, n=2))
+
+
+def test_nlc2_fragment_bounds_match_the_all_pairs_reference():
+    # seeded binary 4x4 games on n = 2 bits, a third with an all-zero row and
+    # a third with an all-zero column, so the fragment scans drop inputs:
+    # each fragment bound is the restricted game's value by brute force, or
+    # the argument does not apply; never a soundness alarm
+    rng = random.Random(1607)
+    outcomes = set()
+    for k in range(400):
+        q = [[F(rng.randint(0, 3)) for _ in range(4)] for _ in range(4)]
+        if k % 3 == 1:
+            q[rng.randrange(4)] = [F(0)] * 4
+        elif k % 3 == 2:
+            y = rng.randrange(4)
+            for row in q:
+                row[y] = F(0)
+        f = [[rng.randrange(2) for _ in range(4)] for _ in range(4)]
+        g = LinearGame(2, 4, 4, q, f, n=2)
+        try:
+            rep = nlc2_decompose(g)
+        except ValueError as e:
+            assert "does not apply" in str(e)
+            outcomes.add("does not apply")
+            continue
+        assert [fr.bound for fr in rep.decomposition] == \
+            [by_all_pairs(subgame_restrict(g, {0: bit}))[0] for bit in (0, 1)]
+        outcomes.add("report")
+    assert outcomes == {"report", "does not apply"}
 
 
 def test_nlc2_decompose_rejects_non_nlc(chsh_game):
@@ -426,14 +456,14 @@ def test_row_separation_matches_exhaustive_search():
 def lie_in_fragment_scans(monkeypatch, g):
     """Make every scan of a fragment of g (fewer Alice inputs than g) report
     a top one unit above its true value."""
-    import bellpoly.tightness as T
-    real = T._scan
+    import bellpoly.values as V
+    real = V._scan
 
     def lying(C, *a, **k):
         scan = real(C, *a, **k)
         return scan._replace(top=scan.top + 1) if len(C) < g.ma else scan
 
-    monkeypatch.setattr(T, "_scan", lying)
+    monkeypatch.setattr(V, "_scan", lying)
 
 
 def test_decompose_raises_if_fragment_doctored(nlc2_and, monkeypatch):
