@@ -30,10 +30,9 @@ CERT_TOLERANCE = 1e-10
 class WeightedCHSH:
     """Canonical weight vector. p is (p1, p2, p3, p4), nonnegative, summing
     to 1. For the generic class the matrix is [[p1, p2], [p3, -p4]] with p4
-    minimal and sign_cell == (1, 1); for the all-nonnegative (trivial) class
-    every cell is +p_i, sign_cell is None and trivial_even is True."""
+    minimal and sign_cell (1, 1); for the all-nonnegative (trivial) class
+    every cell is +p_i, trivial_even is True and sign_cell is None."""
     p: tuple
-    sign_cell: Optional[tuple] = (1, 1)
     trivial_even: bool = False
 
     def __post_init__(self):
@@ -44,14 +43,12 @@ class WeightedCHSH:
             raise ValueError("canonical weights are nonnegative")
         if sum(self.p) != 1:
             raise ValueError("canonical weights sum to 1")
-        if self.trivial_even:
-            if self.sign_cell is not None:
-                raise ValueError("trivial class has no negative cell")
-        else:
-            if self.sign_cell != (1, 1):
-                raise ValueError("canonical negative cell is (1, 1)")
-            if self.p[3] > min(self.p[:3]):
-                raise ValueError("canonical form has the minimal weight on the negative cell")
+        if not self.trivial_even and self.p[3] > min(self.p[:3]):
+            raise ValueError("canonical form has the minimal weight on the negative cell")
+
+    @property
+    def sign_cell(self) -> Optional[tuple]:
+        return None if self.trivial_even else (1, 1)
 
     @property
     def classical_game_value(self) -> Fraction:
@@ -60,7 +57,7 @@ class WeightedCHSH:
 
     @property
     def correlator_bound(self) -> Fraction:
-        return 1 - 2 * self.p[3] if not self.trivial_even else Fraction(1)
+        return 2 * self.classical_game_value - 1
 
 
 def relabel_images(cells):
@@ -102,7 +99,7 @@ def canonicalize(raw_coeffs) -> WeightedCHSH:
     if nonneg:
         best = max(nonneg, key=lambda m: (m[0][0], m[0][1], m[1][0], m[1][1]))
         p = (best[0][0], best[0][1], best[1][0], best[1][1])
-        return WeightedCHSH(p, sign_cell=None, trivial_even=True)
+        return WeightedCHSH(p, trivial_even=True)
 
     candidates = []
     for m in images:
@@ -125,7 +122,10 @@ class FaceVerdict:
     lhs: Optional[Fraction]
     rhs: Optional[Fraction]
     classical_game_value: Fraction
-    correlator_bound: Fraction
+
+    @property
+    def correlator_bound(self) -> Fraction:
+        return 2 * self.classical_game_value - 1
 
 
 def face_condition(w: WeightedCHSH) -> FaceVerdict:
@@ -134,23 +134,19 @@ def face_condition(w: WeightedCHSH) -> FaceVerdict:
     equality counts as supporting. A tie p4 == min(p1, p2, p3) can only
     support when both tied weights vanish, which is the trivial face."""
     if w.trivial_even:
-        one = Fraction(1)
-        return FaceVerdict("Trivial", True, None, None, one, one)
+        return FaceVerdict("Trivial", True, None, None, Fraction(1))
     p1, p2, p3, p4 = w.p
     lhs = (p2 * p3 + p1 * p4) ** 2
     rhs = (p1 + p2) * (p1 + p3) * (p2 - p4) * (p3 - p4)
     if lhs > rhs:
-        return FaceVerdict("QuantumViolation", False, lhs, rhs,
-                           w.classical_game_value, w.correlator_bound)
+        return FaceVerdict("QuantumViolation", False, lhs, rhs, w.classical_game_value)
     if p4 < min(p1, p2, p3):
-        return FaceVerdict("NontrivialFace", p4 == 0, lhs, rhs,
-                           w.classical_game_value, w.correlator_bound)
+        return FaceVerdict("NontrivialFace", p4 == 0, lhs, rhs, w.classical_game_value)
     # condition holds with a tie: forces p4 == tied weight == 0
     if not (p4 == 0 and min(p1, p2, p3) == 0):
         raise VerificationError(
             f"supporting tie with nonzero weights p = {tuple(map(str, w.p))}")
-    return FaceVerdict("Trivial", True, lhs, rhs,
-                       w.classical_game_value, w.correlator_bound)
+    return FaceVerdict("Trivial", True, lhs, rhs, w.classical_game_value)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +160,10 @@ class SigmaLambdaCertificate:
     lambda_: tuple     # diagonal of the column-sum matrix
     rho: float         # spectral radius; inf/nan when a scaling is singular
     verdict: str       # no-advantage | advantage | indefinite
-    tolerance: float = CERT_TOLERANCE
+
+    @property
+    def tolerance(self) -> float:
+        return CERT_TOLERANCE
 
 
 def sigma_lambda_certificate(w: WeightedCHSH) -> SigmaLambdaCertificate:

@@ -5,8 +5,8 @@ Exact quantities appear as "num/den" strings; floating-point quantities are
 objects {"value": ..., "precision": ...} so the printed digits carry their
 own error bar; a float that is infinite or undefined prints as null, so every
 report is strict JSON. Exit codes: 0 success, 2 malformed input, 3 enumeration
-budget exceeded, 4 internal cross-check failure (a computed certificate
-contradicted an exact recomputation; deliberately loud).
+budget exceeded or out of memory, 4 internal cross-check failure (a computed
+certificate contradicted an exact recomputation; deliberately loud).
 """
 
 from __future__ import annotations
@@ -552,8 +552,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"bellpoly: cannot read input: {e}", file=sys.stderr)
         return 2
-    except BudgetExceededError as e:
-        print(f"bellpoly: budget exceeded: {e}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as e:
+        print(f"bellpoly: budget exceeded: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except VerificationError as e:
         print(f"bellpoly: verification failure: {e}", file=sys.stderr)

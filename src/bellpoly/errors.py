@@ -1,7 +1,8 @@
 """Exceptions with a fixed mapping to CLI exit codes.
 
 ParseError -> 2, BudgetExceededError -> 3, VerificationError -> 4.
-Plain ValueError (bad arguments to library calls) maps to 2 as well.
+Plain ValueError (bad arguments to library calls) maps to 2 as well, and
+MemoryError (an allocation the machine cannot serve) to 3.
 """
 
 

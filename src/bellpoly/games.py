@@ -20,8 +20,7 @@ permutations. The norm bound reads both kinds the same way.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt, lcm, pi
 
@@ -44,6 +43,8 @@ REFLECTIONS = {"(01)": 1, "(12)": 0, "(02)": 2}
 
 
 def _check_weight_table(q, ma, mb):
+    if ma < 1 or mb < 1:
+        raise ValueError("each side needs at least one input")
     q = tuple(tuple(Fraction(v) for v in row) for row in q)
     if len(q) != ma or any(len(row) != mb for row in q):
         raise ValueError("weight table shape does not match input counts")
@@ -52,8 +53,24 @@ def _check_weight_table(q, ma, mb):
     return q
 
 
+class _Game:
+    """The scenario, total weight and win rule (`winning_b`) of both kinds."""
+
+    @property
+    def scenario(self) -> Scenario:
+        return Scenario(self.ma, self.mb, self.d, self.d)
+
+    @property
+    def total_weight(self) -> Fraction:
+        Q, _, den = int_scaled(self.q)
+        return Fraction(int(Q.sum()), den)
+
+    def win(self, a, b, x, y) -> bool:
+        return b == self.winning_b(a, x, y)
+
+
 @dataclass(frozen=True)
-class LinearGame:
+class LinearGame(_Game):
     d: int
     ma: int
     mb: int
@@ -77,24 +94,13 @@ class LinearGame:
         if self.n > 1 and (self.ma != self.d ** self.n or self.mb != self.d ** self.n):
             raise ValueError("dit-structured games need ma = mb = d^n")
 
-    @property
-    def scenario(self) -> Scenario:
-        return Scenario(self.ma, self.mb, self.d, self.d)
-
-    @property
-    def total_weight(self) -> Fraction:
-        return sum((v for row in self.q for v in row), Fraction(0))
-
-    def win(self, a, b, x, y) -> bool:
-        return (a + b) % self.d == self.f[x][y]
-
     def winning_b(self, a, x, y) -> int:
-        # the unique Bob output that wins against a on (x, y)
+        # the unique Bob output that wins against a on (x, y): a + b = f(x, y) mod d
         return (self.f[x][y] - a) % self.d
 
 
 @dataclass(frozen=True)
-class UniqueGame3:
+class UniqueGame3(_Game):
     ma: int
     mb: int
     q: tuple
@@ -112,17 +118,6 @@ class UniqueGame3:
                 if name not in PERMS:
                     raise ValueError(f"unknown permutation {name!r}; use {sorted(PERMS)}")
         object.__setattr__(self, "perms", perms)
-
-    @property
-    def scenario(self) -> Scenario:
-        return Scenario(self.ma, self.mb, 3, 3)
-
-    @property
-    def total_weight(self) -> Fraction:
-        return sum((v for row in self.q for v in row), Fraction(0))
-
-    def win(self, a, b, x, y) -> bool:
-        return b == PERMS[self.perms[x][y]][a]
 
     def winning_b(self, a, x, y) -> int:
         return PERMS[self.perms[x][y]][a]
@@ -347,8 +342,9 @@ def subgame_restrict(g, fix_a=None, fix_b=None):
 
     fix_a / fix_b map dit positions (0 = first = most significant) to values.
     The game shape is unchanged; only q is masked, so fragment inequalities
-    live in the same scenario and sum cell-wise to the original. The copy
-    does not run g's checks again: masking keeps every entry valid.
+    live in the same scenario and sum cell-wise to the original. The masked
+    game comes out of g's constructor; a linear one carries no NLC spec, as
+    the spec no longer describes its weights.
     """
     fix_a, fix_b = dict(fix_a or {}), dict(fix_b or {})
     if not fix_a and not fix_b:
@@ -367,6 +363,6 @@ def subgame_restrict(g, fix_a=None, fix_b=None):
     keep_x, keep_y = kept(g.ma, fix_a), kept(g.mb, fix_b)
     q = tuple(tuple(v if keep_x[x] and keep_y[y] else Fraction(0) for y, v in enumerate(row))
               for x, row in enumerate(g.q))
-    masked = copy.copy(g)  # does not run __post_init__
-    object.__setattr__(masked, "q", q)
-    return masked
+    if isinstance(g, LinearGame):
+        return replace(g, q=q, nlc=None)
+    return replace(g, q=q)

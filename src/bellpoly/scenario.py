@@ -187,22 +187,25 @@ def is_no_signaling(b: Behaviour) -> bool:
 class BellInequality:
     """A linear functional sum c(a,b,x,y) P(a,b|x,y) <= bound.
 
-    `space` records how the inequality was built. Correlator-space
-    inequalities keep their coefficient table on <A_x B_y> in `corr`; the
-    probability-space expansion c = corr(x,y) * (-1)^(a xor b) is always
-    stored in `coeffs`, so evaluation is uniform.
+    `space` records how the inequality was built. A correlator-space
+    inequality's coefficients are c = corr(x,y) * (-1)^(a xor b), so
+    evaluation is uniform; `corr` reads its table [x][y] on <A_x B_y> back
+    (None in probability space).
     """
     scenario: Scenario
     coeffs: tuple  # [x][y][a][b] of Fraction
     bound: Fraction
     space: str = "probability"
-    corr: tuple = None  # [x][y] of Fraction for space == "correlator"
 
     def __post_init__(self):
         if self.space not in ("probability", "correlator"):
             raise ValueError(f"unknown inequality space {self.space!r}")
-        if self.space == "correlator" and self.corr is None:
-            raise ValueError("correlator-space inequality needs its corr table")
+
+    @property
+    def corr(self):
+        if self.space != "correlator":
+            return None
+        return tuple(tuple(cell[0][0] for cell in row) for row in self.coeffs)
 
     def evaluate(self, b: Behaviour) -> Fraction:
         s = self.scenario
@@ -229,7 +232,7 @@ def correlator_inequality(s: Scenario, corr, bound) -> BellInequality:
                   for a in range(2))
             for y in range(s.mb))
         for x in range(s.ma))
-    return BellInequality(s, coeffs, Fraction(bound), space="correlator", corr=corr)
+    return BellInequality(s, coeffs, Fraction(bound), space="correlator")
 
 
 def evaluate(ineq: BellInequality, b) -> Fraction:

@@ -37,28 +37,37 @@ class FacetReport:
 
     saturating_affine_dim is -1 when the saturating set is empty or (for a
     decomposition verdict whose facet test exceeds the budget) when the
-    statistics were skipped; `notes` says which. The defining invariant
-    is_facet <=> saturating_affine_dim == ambient_dim - 1 always holds.
+    statistics were skipped; `notes` says which. A facet's saturating set
+    spans ambient_dim - 1 dimensions, which defines is_facet.
     """
     polytope_kind: str
     ambient_dim: int
     saturating_count: int
     saturating_affine_dim: int
-    is_facet: bool
     decomposition: tuple = None
     trivial_facet_class: bool = False
     notes: tuple = ()
+
+    @property
+    def is_facet(self) -> bool:
+        return self.saturating_affine_dim == self.ambient_dim - 1
 
 
 @dataclass(frozen=True)
 class LambdaProfile:
     lambdas: tuple  # lambda(i) for i in Z_d
-    big_lambda: Fraction
-    i_max: int
 
     def __post_init__(self):
         if sum(self.lambdas, Fraction(0)) != 1:
             raise VerificationError("lambda profile does not sum to 1")
+
+    @property
+    def big_lambda(self) -> Fraction:
+        return max(self.lambdas)
+
+    @property
+    def i_max(self) -> int:
+        return self.lambdas.index(self.big_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +79,7 @@ def _facet_report(kind, ambient, count, rows, trivial=False):
     and integer coordinate rows spanning their affine hull: a facet's
     vertices span ambient - 1 dimensions."""
     dim = affine_rank(rows) if count else -1
-    return FacetReport(kind, ambient, count, dim, dim == ambient - 1,
-                       trivial_facet_class=trivial)
+    return FacetReport(kind, ambient, count, dim, trivial_facet_class=trivial)
 
 
 def _valid_scan(C, target, budget, cols=1):
@@ -258,7 +266,7 @@ def _fragment_report(g, C, den, scan, bound, budget, restrictions=({0: 0}, {0: 1
                                                        in zip(coeffs, k)), Fraction(t, den))
                       for k, t in zip(keep, targets))
     if scan is None or scan.maps is None:
-        return FacetReport("bell", ns_polytope_dimension(g.scenario), -1, -1, False,
+        return FacetReport("bell", ns_polytope_dimension(g.scenario), -1, -1,
                            decomposition=fragments,
                            notes=(note, "saturating statistics skipped (box budget)"))
     stats = _face("bell", g.scenario, scan, scan.top, budget)
@@ -347,8 +355,7 @@ def nlcd_lambda(g: LinearGame) -> LambdaProfile:
     lambdas = [Fraction(0)] * spec.d
     for z, gz in enumerate(spec.g):
         lambdas[gz] += spec.p[z]
-    big = max(lambdas)
-    return LambdaProfile(tuple(lambdas), big, lambdas.index(big))
+    return LambdaProfile(tuple(lambdas))
 
 
 def nlcd_classical_formula(g: LinearGame) -> Fraction:

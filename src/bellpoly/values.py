@@ -435,24 +435,24 @@ def norm_bound(g, blocks) -> NormBound:
 # roots-of-unity sufficient condition
 # ---------------------------------------------------------------------------
 
-def sufficient_no_advantage(g: LinearGame, tol: float = ROOT_OF_UNITY_TOL) -> NoAdvantageVerdict:
+def sufficient_no_advantage(g: LinearGame) -> NoAdvantageVerdict:
     """Checks a sufficient condition for the norm bound to be classically
     attained: the top singular pair of Phi_1 must be non-degenerate, both
     vectors entrywise proportional to d-th roots of unity, and substituting
     the k-th power of the phases must give a top singular pair of every
     Phi_k. The strategy read off the phase exponents (a_x from the left
     vector, b_y from the negated right exponents) must then attain the exact
-    classical value, which must meet the norm bound within tolerance.
+    classical value, which must meet the norm bound within ROOT_OF_UNITY_TOL.
 
     Any failed step, or a game that is not linear, returns Inconclusive
     with the reason named; the condition is one-sided and its failure proves
     nothing.
     """
     blocks = [fourier_blocks(g, k) for k in range(1, g.d)]
-    return _no_advantage(g, tol, blocks, norm_bound(g, blocks))
+    return _no_advantage(g, blocks, norm_bound(g, blocks))
 
 
-def _no_advantage(g, tol, blocks, bound, cv=None) -> NoAdvantageVerdict:
+def _no_advantage(g, blocks, bound, cv=None) -> NoAdvantageVerdict:
     """sufficient_no_advantage given g's Fourier blocks (Phi_k) and its norm
     bound, and the classical value when it is known already (else it is
     computed when needed)."""
@@ -465,25 +465,18 @@ def _no_advantage(g, tol, blocks, bound, cv=None) -> NoAdvantageVerdict:
         return NoAdvantageVerdict(False, reason="zero game matrix")
     if len(S) > 1 and (S[0] - S[1]) <= DEGENERACY_RTOL * S[0]:
         return NoAdvantageVerdict(False, reason="degenerate top singular value")
-    u = U[:, 0]
-    v = Vh[0].conj()
-
-    # joint phase fix: rotate the first sizable entry of u to the positive reals
-    lead = next((c for c in u if abs(c) > 1e-12), None)
-    if lead is None:
-        return NoAdvantageVerdict(False, reason="null singular vector")
-    u = u * (lead.conjugate() / abs(lead))
-    v = v * (lead.conjugate() / abs(lead))
+    # joint phase fix: rotate the first sizable entry of u to the positive reals (a
+    # unit vector has an entry of modulus at least 1/sqrt(ma))
+    lead = next(c for c in U[:, 0] if abs(c) > 1e-12)
+    phase = lead.conjugate() / abs(lead)
+    u, v = U[:, 0] * phase, Vh[0].conj() * phase
 
     def root_exponents(vec, m):
+        """e in Z_d with sqrt(m) vec = exp(2 pi i e / d) within the tolerance, or None."""
         scaled = vec * sqrt(m)
-        exps = []
-        for c in scaled:
-            e = int(round(np.angle(c) * d / (2 * np.pi))) % d
-            if abs(c - np.exp(2j * np.pi * e / d)) > tol:
-                return None
-            exps.append(e)
-        return exps
+        exps = np.rint(np.angle(scaled) * d / (2 * np.pi)).astype(np.int64) % d
+        close = np.abs(scaled - np.exp(2j * np.pi * exps / d)) <= ROOT_OF_UNITY_TOL
+        return exps if close.all() else None
 
     p_exp = root_exponents(u, ma)
     if p_exp is None:
@@ -493,17 +486,16 @@ def _no_advantage(g, tol, blocks, bound, cv=None) -> NoAdvantageVerdict:
         return NoAdvantageVerdict(False, reason="right vector entries not d-th roots of unity")
 
     for k in range(1, d):
-        uk = np.exp(2j * np.pi * (k * np.array(p_exp)) / d) / sqrt(ma)
-        vk = np.exp(2j * np.pi * (k * np.array(s_exp)) / d) / sqrt(mb)
-        if np.linalg.norm(mats[k - 1] @ vk - bound.norms[k - 1][1] * uk) > tol:
+        uk = np.exp(2j * np.pi * (k * p_exp) / d) / sqrt(ma)
+        vk = np.exp(2j * np.pi * (k * s_exp) / d) / sqrt(mb)
+        if np.linalg.norm(mats[k - 1] @ vk - bound.norms[k - 1][1] * uk) > ROOT_OF_UNITY_TOL:
             return NoAdvantageVerdict(False, reason=f"phase substitution fails at k = {k}")
 
-    a_map = tuple(e % d for e in p_exp)
-    b_map = tuple((-e) % d for e in s_exp)
+    a_map, b_map = tuple(p_exp.tolist()), tuple((-s_exp % d).tolist())
     cv = cv or classical_value(g)
     if strategy_value(g, a_map, b_map) != cv.value:
         return NoAdvantageVerdict(False, reason="extracted strategy is not optimal")
-    if abs(float(cv.value) - bound.value) > tol:
+    if abs(float(cv.value) - bound.value) > ROOT_OF_UNITY_TOL:
         return NoAdvantageVerdict(False, reason="classical value does not meet the bound")
     return NoAdvantageVerdict(True, strategy=(a_map, b_map))
 
@@ -518,19 +510,20 @@ def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_BOX_BUD
     cv = classical_value(g, budget=budget, workers=workers)
     blocks = [fourier_blocks(g, k) for k in range(1, g.d)]
     bound = norm_bound(g, blocks)
-    verdict = _no_advantage(g, ROOT_OF_UNITY_TOL, blocks, bound, cv) if with_sufficient else None
+    verdict = _no_advantage(g, blocks, bound, cv) if with_sufficient else None
     report = ValueReport(cv.value, ns_value(g), (cv.a_map, cv.b_map), bound, verdict)
     verify_value_report(report)
     return report
 
 
-def verify_value_report(report: ValueReport, tol: float = 1e-9):
-    """Soundness chain: classical <= quantum bound <= no-signaling value."""
-    if float(report.classical) > report.quantum_upper_bound + tol:
+def verify_value_report(report: ValueReport):
+    """Soundness chain: classical <= quantum bound <= no-signaling value,
+    each within 1e-9."""
+    if float(report.classical) > report.quantum_upper_bound + 1e-9:
         raise VerificationError(
             f"classical value {report.classical} exceeds the quantum bound "
             f"{report.quantum_upper_bound}")
-    if report.quantum_upper_bound > float(report.no_signaling) + tol:
+    if report.quantum_upper_bound > float(report.no_signaling) + 1e-9:
         raise VerificationError(
             f"quantum bound {report.quantum_upper_bound} exceeds the no-signaling "
             f"value {report.no_signaling}")

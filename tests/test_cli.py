@@ -268,6 +268,19 @@ def test_verification_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert "verification" in err
 
 
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # an allocation the machine cannot serve is a budget exit, not a traceback
+    import bellpoly.values as V
+    path = write_game(tmp_path, make_nlc3_game())
+    refusal = "Unable to allocate 298. GiB"
+    for error, reason in ((MemoryError(refusal), refusal), (MemoryError(), "out of memory")):
+        def refuse(g, error=error):
+            raise error
+        monkeypatch.setattr(V, "scaled_functionals", refuse)
+        assert run_cli(capsys, "analyze-game", path, "--classical") == \
+            (3, "", f"bellpoly: budget exceeded: {reason}\n")
+
+
 # ------------------------------------------------------------------ facet-test
 
 def test_facet_test_nlc2_and_bell(tmp_path, capsys):

@@ -132,6 +132,8 @@ def _reject_constant(name):
 
 NLC_NOT_LISTS = [{"kind": "nlc", "d": 2, "nlc": {"n": 1, "g": 5, "p": [1]}},
                  {"kind": "nlc", "d": 2, "nlc": {"n": 1, "g": [0, 1], "p": None}}]
+EMPTY_SIDES = [{"kind": "linear", "d": 2, "mA": 1, "mB": 0, "q": [[]], "f": [[]]},
+               {"kind": "linear", "d": 2, "mA": 0, "mB": 0, "q": [], "f": []}]
 
 
 @SETTINGS
@@ -157,6 +159,8 @@ def test_parse_graph_text(text):
 @SETTINGS
 @example(NLC_NOT_LISTS[0], None, ["facet-test", "PATH", "--polytope", "bell"])
 @example(NLC_NOT_LISTS[1], None, ["analyze-game", "PATH"])
+@example(EMPTY_SIDES[0], None, ["analyze-game", "PATH", "--classical", "--sufficient"])
+@example(EMPTY_SIDES[1], None, ["analyze-game", "PATH", "--classical", "--sufficient"])
 @given(game_docs(), garbles, st.sampled_from([
     ["analyze-game", "PATH"], ["analyze-game", "PATH", "--classical", "--sufficient"],
     ["analyze-game", "PATH", "--budget", "8"], ["analyze-game", "PATH", "--workers", "2"],

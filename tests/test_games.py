@@ -175,11 +175,9 @@ def test_subgame_restrictions_partition_weight(nlc2_and):
 
 
 def test_subgame_restrict_equals_the_checked_construction(nlc2_and, unique3_mixed):
-    # the masked copy skips the constructor's checks; it must be the game
-    # the checked constructor builds from the same tables
     frag = subgame_restrict(nlc2_and, fix_a={0: 1}, fix_b={1: 0})
-    assert frag == LinearGame(2, 4, 4, frag.q, nlc2_and.f, n=2, nlc=nlc2_and.nlc)
-    assert frag.nlc is nlc2_and.nlc
+    assert frag == LinearGame(2, 4, 4, frag.q, nlc2_and.f, n=2)
+    assert frag.nlc is None
     q = [[F(0)] * unique3_mixed.mb for _ in range(unique3_mixed.ma)]
     q[1] = list(unique3_mixed.q[1])
     frag3 = subgame_restrict(unique3_mixed, fix_a={0: 1})

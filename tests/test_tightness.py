@@ -20,6 +20,7 @@ from bellpoly import (
     correlator_inequality,
     enumerate_deterministic_boxes,
     facet_test,
+    game_facet_test,
     hadamard_diagonal_check,
     nlc2_block_symmetry,
     nlc2_decompose,
@@ -325,7 +326,7 @@ def test_lambda_profile_mass_interpretation():
 
 def test_lambda_profile_validation():
     with pytest.raises(VerificationError):
-        LambdaProfile((F(1, 2), F(1, 4)), F(1, 2), 0)  # does not sum to 1
+        LambdaProfile((F(1, 2), F(1, 4)))  # does not sum to 1
 
 
 def test_formula_equals_brute_force(lambda_games):
@@ -395,6 +396,20 @@ def test_nlcd_nonfacet_statistics_within_the_box_budget():
         (stats.saturating_count, stats.saturating_affine_dim, False)
     skipped = nlcd_nonfacet_check(g, budget=2 ** 4 - 1)
     assert skipped.saturating_count == -1 and "skipped" in skipped.notes[-1]
+
+
+def test_restricted_product_game_gets_the_rank_verdict():
+    # the restriction's weights are no longer the product form's, so the
+    # game must not read as one: the rank decides, with no soundness alarm
+    g = build_nlcd(NLCSpec(3, 2, (1, 2, 1), (F(1, 2), F(1, 4), F(1, 4))))
+    h = subgame_restrict(g, {0: 0})
+    assert h.nlc is None
+    rep, bound = game_facet_test(h, "bell")
+    assert (rep.is_facet, rep.saturating_count, rep.saturating_affine_dim, bound) == \
+        (False, 59049, 128, F(5, 18))
+    assert rep.decomposition is None
+    with pytest.raises(ValueError, match="product-form construction"):
+        nlcd_nonfacet_check(h)
 
 
 # ---------------------------------------------------------- fragment separation

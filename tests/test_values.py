@@ -285,6 +285,20 @@ def test_unique3_no_advantage_inconclusive(unique3_mixed):
     assert value_report(unique3_mixed, with_sufficient=True).no_advantage == verdict
 
 
+@pytest.mark.parametrize("game, reason", [
+    ((3, 1, 1, [[0]], [[2]]), "zero game matrix"),
+    ((6, 1, 3, [[1, 1, 2]], [[5, 4, 2]]), "right vector entries not d-th roots of unity"),
+    ((6, 3, 2, [[2, 1], [0, 2], [1, 1]], [[3, 4], [5, 5], [5, 5]]),
+     "left vector entries not d-th roots of unity"),
+    ((6, 3, 3, [[1, 1, 0], [1, 1, 1], [1, 1, 1]], [[4, 2, 0], [2, 2, 0], [1, 3, 3]]),
+     "phase substitution fails at k = 2")])
+def test_no_advantage_reasons(game, reason):
+    g = LinearGame(*game)
+    verdict = sufficient_no_advantage(g)
+    assert (verdict.holds, verdict.strategy, verdict.reason) == (False, None, reason)
+    assert value_report(g, with_sufficient=True).no_advantage == verdict
+
+
 # -------------------------------------------------------------- value reports
 
 def test_value_report_fields(phi_ex_game):
