@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import VerificationError
 from .rational import parse_rational
 
@@ -170,22 +168,27 @@ def sigma_lambda_certificate(w: WeightedCHSH) -> SigmaLambdaCertificate:
     """Scaling certificate for the all-ones strategy: with Sigma holding the
     signed row sums and Lambda the signed column sums of the game matrix, the
     strategy is unbeatable iff the spectral radius of
-    Lambda^-1 Phi^T Sigma^-1 Phi equals 1. Singular scalings give no verdict
-    (indefinite) and the exact decision governs."""
+    m = Lambda^-1 Phi^T Sigma^-1 Phi equals 1. Singular scalings give no
+    verdict (indefinite) and the exact decision governs.
+
+    m fixes the all-ones vector (Phi 1 = Sigma 1 and Phi^T 1 = Lambda 1), so
+    its eigenvalues are 1 and det m = det(Phi)^2 / (det Sigma det Lambda),
+    and rho = max(1, |det m|). This takes no square root: on the face
+    boundary the two eigenvalues meet, and the root of a near-zero
+    discriminant would carry an error of order 1e-8."""
     if w.trivial_even:
         raise ValueError("certificate applies to the canonical signed form")
     p1, p2, p3, p4 = (float(v) for v in w.p)
-    phi = np.array([[p1, p2], [p3, -p4]])
+    phi = ((p1, p2), (p3, -p4))
     sigma = (p1 + p2, p3 - p4)
     lam = (p1 + p3, p2 - p4)
-    phit = tuple(tuple(row) for row in phi.tolist())
+    det_phi = -p1 * p4 - p2 * p3
     if min(abs(sigma[0]), abs(sigma[1]), abs(lam[0]), abs(lam[1])) < 1e-300:
-        rho = float("inf") if abs(np.linalg.det(phi)) > 0 else float("nan")
-        return SigmaLambdaCertificate(phit, sigma, lam, rho, "indefinite")
-    m = np.diag([1 / lam[0], 1 / lam[1]]) @ phi.T @ np.diag([1 / sigma[0], 1 / sigma[1]]) @ phi
-    rho = float(max(abs(np.linalg.eigvals(m))))
+        rho = float("inf") if abs(det_phi) > 0 else float("nan")
+        return SigmaLambdaCertificate(phi, sigma, lam, rho, "indefinite")
+    rho = max(1.0, abs(det_phi * det_phi / (sigma[0] * sigma[1] * lam[0] * lam[1])))
     verdict = "no-advantage" if abs(rho - 1) <= CERT_TOLERANCE else "advantage"
-    return SigmaLambdaCertificate(phit, sigma, lam, rho, verdict)
+    return SigmaLambdaCertificate(phi, sigma, lam, rho, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ own error bar; a float that is infinite or undefined prints as null, so every
 report is strict JSON. Exit codes: 0 success, 2 malformed input, 3 enumeration
 budget exceeded or out of memory, 4 internal cross-check failure (a computed
 certificate contradicted an exact recomputation; deliberately loud).
+
+Each subcommand and file parser imports the modules it computes with when it
+runs, so `--help`, argument errors, `chsh` and the cut subcommands that build
+no array (`suspend`, `cuts`, `ce1`, `ce-gap`) start without numpy.
 """
 
 from __future__ import annotations
@@ -20,17 +24,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .chsh import (WeightedCHSH, canonicalize, face_condition,
-                   qubit_value_estimate, sigma_lambda_certificate)
-from .cut import (CorrelatorInequality, CutInequality, Graph, ce1_inequalities,
-                  ce_gap_report, cut_facet_test, enumerate_cuts, hypermetric_valid,
-                  pentagonal_report, suspension)
-from .errors import BudgetExceededError, ParseError, VerificationError
-from .games import NLCSpec, LinearGame, UniqueGame3, build_nlc
+from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError, ParseError, VerificationError
 from .rational import format_rational, parse_rational
-from .scenario import BellInequality, Scenario, correlator_inequality
-from .tightness import DEFAULT_BOX_BUDGET, facet_test, game_facet_test
-from .values import value_report
 
 
 def canonical_json(obj) -> str:
@@ -101,6 +96,7 @@ def _table(data, key, raw, rows, cols, convert):
 
 
 def parse_game_text(raw: str):
+    from .games import NLCSpec, LinearGame, UniqueGame3, build_nlc
     data = _load_json(raw)
     kind = _need(data, "kind", raw)
     if kind == "linear":
@@ -147,6 +143,7 @@ def parse_game_text(raw: str):
 
 
 def serialize_game(g) -> str:
+    from .games import UniqueGame3
     if isinstance(g, UniqueGame3):
         data = {"kind": "unique3", "d": 3, "mA": g.ma, "mB": g.mb,
                 "q": [[format_rational(v) for v in row] for row in g.q],
@@ -164,7 +161,8 @@ def serialize_game(g) -> str:
     return canonical_json(data)
 
 
-def parse_graph_text(raw: str) -> Graph:
+def parse_graph_text(raw: str):
+    from .cut import Graph
     lines = raw.splitlines()
     if not lines:
         raise ParseError("empty graph file", line=1)
@@ -190,11 +188,13 @@ def parse_graph_text(raw: str) -> Graph:
         raise ParseError(str(e), line=1) from None
 
 
-def serialize_graph(g: Graph) -> str:
+def serialize_graph(g) -> str:
     return "\n".join([str(g.n)] + [f"{i} {j}" for i, j in g.sorted_edges]) + "\n"
 
 
 def parse_inequality_text(raw: str):
+    from .cut import CutInequality
+    from .scenario import BellInequality, Scenario, correlator_inequality
     data = _load_json(raw)
     space = _need(data, "space", raw)
     bound = _rat(_need(data, "bound", raw), raw, "bound")
@@ -247,6 +247,7 @@ def serialize_inequality(ineq) -> str:
 
 def _inequality_dict(ineq) -> dict:
     """The inequality file's object, which `parse_inequality_text` reads."""
+    from .cut import CutInequality
     bound = format_rational(ineq.bound)
     if isinstance(ineq, CutInequality):
         return {"space": "cut", "n": ineq.n, "bound": bound,
@@ -276,6 +277,8 @@ def _at_least(value, low, flag):
 
 
 def _cmd_analyze_game(args):
+    from .games import UniqueGame3
+    from .values import value_report
     _at_least(args.budget, 0, "--budget")
     _at_least(args.workers, 1, "--workers")
     raw = open(args.path, "rb").read()
@@ -330,6 +333,8 @@ def _facet_report_dict(rep, extra=None):
 
 
 def _cmd_facet_test(args):
+    from .cut import CutInequality
+    from .tightness import facet_test, game_facet_test
     _at_least(args.budget, 0, "--budget")
     raw = open(args.path, "rb").read()
     text = raw.decode()
@@ -344,6 +349,8 @@ def _cmd_facet_test(args):
 
 
 def _cmd_chsh(args):
+    from .chsh import (WeightedCHSH, canonicalize, face_condition, qubit_value_estimate,
+                       sigma_lambda_certificate)
     raw = [args.p1, args.p2, args.p3, args.p4]
     try:
         vals = [parse_rational(v) for v in raw]
@@ -393,11 +400,11 @@ def _parse_b(text: str):
         raise ParseError("--b takes comma-separated integers", line=1) from None
 
 
-def _graph_dict(g: Graph):
+def _graph_dict(g):
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges]}
 
 
-def _correlator_ineq_dict(ineq: CorrelatorInequality):
+def _correlator_ineq_dict(ineq):
     return {"pairs": [[i, j, format_rational(c)]
                       for (i, j), c in sorted(ineq.pair_coeffs.items())],
             "singles": [format_rational(v) for v in ineq.single_coeffs],
@@ -411,10 +418,13 @@ def _read_graph(path):
 
 def _graph_or_complete(args, n):
     """The --graph file's graph, or K_n without one."""
+    from .cut import Graph
     return Graph.complete(n) if args.graph is None else _read_graph(args.graph)[0]
 
 
 def _cmd_cut(args):
+    from .cut import (CutInequality, ce1_inequalities, ce_gap_report, cut_facet_test,
+                      enumerate_cuts, hypermetric_valid, pentagonal_report, suspension)
     sub = args.subcommand
     if sub in ("suspend", "cuts") and args.graph is None:
         raise ParseError(f"{sub} needs --graph", line=1)

@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-import numpy as np
-
 from .errors import BudgetExceededError, VerificationError
-from .games import int_scaled
-from .tightness import _facet_report
 
 CUT_ENUM_MAX_VERTICES = 20
 _CHUNK_CELLS = 1 << 20  # values per chunk of a cut scan, to bound its memory
@@ -36,13 +32,11 @@ class Graph:
     """Undirected graph on vertices 0..n-1 with no self-loops.
 
     sorted_edges fixes the coordinate order of cut vectors; edge_index maps
-    each edge to its coordinate; edge_ends holds the sorted edges as an E x 2
-    integer array. All three are derived from edges once, here."""
+    each edge to its coordinate. Both are derived from edges once, here."""
     n: int
     edges: frozenset
     sorted_edges: Tuple[Tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     edge_index: Mapping = field(init=False, compare=False, repr=False)
-    edge_ends: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __init__(self, n: int, edges):
         object.__setattr__(self, "n", int(n))
@@ -58,7 +52,6 @@ class Graph:
         object.__setattr__(self, "sorted_edges", tuple(sorted(norm)))
         object.__setattr__(self, "edge_index",
                            {e: k for k, e in enumerate(self.sorted_edges)})
-        object.__setattr__(self, "edge_ends", np.array(self.sorted_edges, dtype=int).reshape(-1, 2))
 
     @staticmethod
     def complete(n: int) -> "Graph":
@@ -106,20 +99,28 @@ def _two_coloring(g: Graph, bits):
     return frozenset(v for v in range(g.n) if color[v] == 1)
 
 
-def _cut_masks(g: Graph):
+# The bulk cut scan and the facet test's rank work on numpy arrays. They
+# import numpy, games and tightness where they run, so that building graphs,
+# cuts, behaviours and exclusivity inequalities (`cut suspend`, `cuts`,
+# `ce1`, `ce-gap`) starts no numpy.
+
+def _cut_masks(g: Graph) -> range:
     """Every cut of g as a vertex bitmask (bit v for vertex v), vertex 0
-    outside, in bitmask order over vertices 1..n-1."""
+    outside, in bitmask order over vertices 1..n-1: the even masks."""
     if g.n > CUT_ENUM_MAX_VERTICES:
         raise BudgetExceededError(
             f"{g.n} vertices exceed the cut enumeration limit of {CUT_ENUM_MAX_VERTICES}")
-    return 2 * np.arange(1 << max(0, g.n - 1), dtype=np.int64)
+    return range(0, 1 << g.n, 2)
 
 
 def _cut_rows(g: Graph, masks):
     """Edge incidence rows, in g's edge order, of the cuts with these vertex
-    bitmasks: an edge is cut when the bits of its ends differ."""
-    m = np.asarray(masks, dtype=np.int64 if g.n < 64 else object)[:, None]
-    return (((m >> g.edge_ends[:, 0]) ^ (m >> g.edge_ends[:, 1])) & 1).astype(np.int8)
+    bitmasks (at most the enumeration limit's vertices): an edge is cut when
+    the bits of its ends differ."""
+    import numpy as np
+    ends = np.array(g.sorted_edges, dtype=np.int64).reshape(-1, 2)
+    m = np.asarray(masks, dtype=np.int64)[:, None]
+    return (((m >> ends[:, 0]) ^ (m >> ends[:, 1])) & 1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,8 @@ class CutVector:
         mask = sum(1 << v for v in s)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "subset", s)
-        object.__setattr__(self, "bits", tuple(_cut_rows(graph, [mask])[0].tolist()))
+        object.__setattr__(self, "bits", tuple(((mask >> i) ^ (mask >> j)) & 1
+                                               for i, j in graph.sorted_edges))
 
     @staticmethod
     def from_bits(graph: Graph, bits) -> "CutVector":
@@ -168,7 +170,7 @@ def enumerate_cuts(g: Graph):
     same edges (relevant for disconnected graphs), in subset bitmask order
     over vertices 1..n-1."""
     first = {}
-    for mask in _cut_masks(g).tolist():
+    for mask in _cut_masks(g):
         cv = CutVector(g, _mask_subset(mask, g.n))
         first.setdefault(cv.bits, cv)
     return list(first.values())
@@ -179,7 +181,10 @@ def _cut_scan(ineq: "CutInequality", g: Graph):
     chunks that bound its memory (the vertex limit is checked first): the
     bitmasks of the cuts meeting the bound, and the bitmask of the first cut
     of largest value when that value exceeds the bound, else None."""
-    masks = _cut_masks(g)
+    import numpy as np
+    from .games import int_scaled
+    cuts = _cut_masks(g)
+    masks = np.arange(cuts.start, cuts.stop, cuts.step, dtype=np.int64)
     w, (target,), _ = int_scaled(ineq._coefficients(g), [ineq.bound])
     step = max(1, _CHUNK_CELLS // max(1, len(w)))
     roots, top, first = [], None, None
@@ -383,6 +388,7 @@ def cut_facet_test(ineq: CutInequality, g: Graph):
     """Exact facet test against the cut polytope of a complete graph: the
     inequality must be valid everywhere; its roots (cuts meeting the bound)
     must affinely span one dimension below the edge count."""
+    from .tightness import _facet_report
     if not g.is_complete:
         raise ValueError("cut facet tests are run on complete graphs")
     if ineq.n != g.n:

@@ -1,4 +1,5 @@
-"""Exceptions with a fixed mapping to CLI exit codes.
+"""Exceptions with a fixed mapping to CLI exit codes, and the default
+enumeration budget that BudgetExceededError enforces.
 
 ParseError -> 2, BudgetExceededError -> 3, VerificationError -> 4.
 Plain ValueError (bad arguments to library calls) maps to 2 as well, and
@@ -18,6 +19,9 @@ class ParseError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured budget."""
+
+
+DEFAULT_BOX_BUDGET = 2 ** 24  # the budget of every enumeration that takes one
 
 
 class VerificationError(AssertionError):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm, pi
 
 import numpy as np
@@ -54,13 +55,16 @@ def _check_weight_table(q, ma, mb):
 
 
 class _Game:
-    """The scenario, total weight and win rule (`winning_b`) of both kinds."""
+    """The scenario, total weight and win rule (`winning_b`) of both kinds.
+    The total weight is summed once per game, as games are immutable: a
+    value report reads it twice (the no-signaling value and the clamp of
+    the norm bound)."""
 
     @property
     def scenario(self) -> Scenario:
         return Scenario(self.ma, self.mb, self.d, self.d)
 
-    @property
+    @cached_property
     def total_weight(self) -> Fraction:
         Q, _, den = int_scaled(self.q)
         return Fraction(int(Q.sum()), den)

@@ -19,10 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError
 from .exactrank import affine_rank
-
-DEFAULT_BOX_BUDGET = 2 ** 24
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, VerificationError
+from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError, VerificationError
 from .exactrank import affine_rank
 from .games import (LinearGame, _win_coeffs, fourier_blocks, input_dits, int_scaled,
                     scaled_functionals)
-from .scenario import (DEFAULT_BOX_BUDGET, BellInequality, DeterministicBox,
-                       _correlator_rows, _reduced_rows, ns_polytope_dimension)
+from .scenario import (BellInequality, DeterministicBox, _correlator_rows, _reduced_rows,
+                       ns_polytope_dimension)
 from .values import _exact_value, _pruned_scan, _scan
 
 HADAMARD_TOL = 1e-12

@@ -26,9 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, VerificationError
+from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError, VerificationError
 from .games import LinearGame, fourier_blocks, scaled_functionals
-from .scenario import DEFAULT_BOX_BUDGET
 
 ROOT_OF_UNITY_TOL = 1e-9
 DEGENERACY_RTOL = 1e-9
@@ -43,9 +42,12 @@ class ClassicalValue:
 
 @dataclass(frozen=True)
 class NoAdvantageVerdict:
-    holds: bool
-    strategy: tuple = None  # (a_map, b_map) when holds
+    strategy: tuple = None  # (a_map, b_map) when the condition holds
     reason: str = None      # set when inconclusive
+
+    @property
+    def holds(self) -> bool:
+        return self.strategy is not None
 
 
 @dataclass(frozen=True)
@@ -457,14 +459,14 @@ def _no_advantage(g, blocks, bound, cv=None) -> NoAdvantageVerdict:
     bound, and the classical value when it is known already (else it is
     computed when needed)."""
     if not isinstance(g, LinearGame):
-        return NoAdvantageVerdict(False, reason="condition applies to linear games")
+        return NoAdvantageVerdict(reason="condition applies to linear games")
     d, ma, mb = g.d, g.ma, g.mb
     mats = [phi for phi, in blocks]
     U, S, Vh = np.linalg.svd(mats[0])
     if S[0] <= 0:
-        return NoAdvantageVerdict(False, reason="zero game matrix")
+        return NoAdvantageVerdict(reason="zero game matrix")
     if len(S) > 1 and (S[0] - S[1]) <= DEGENERACY_RTOL * S[0]:
-        return NoAdvantageVerdict(False, reason="degenerate top singular value")
+        return NoAdvantageVerdict(reason="degenerate top singular value")
     # joint phase fix: rotate the first sizable entry of u to the positive reals (a
     # unit vector has an entry of modulus at least 1/sqrt(ma))
     lead = next(c for c in U[:, 0] if abs(c) > 1e-12)
@@ -480,24 +482,24 @@ def _no_advantage(g, blocks, bound, cv=None) -> NoAdvantageVerdict:
 
     p_exp = root_exponents(u, ma)
     if p_exp is None:
-        return NoAdvantageVerdict(False, reason="left vector entries not d-th roots of unity")
+        return NoAdvantageVerdict(reason="left vector entries not d-th roots of unity")
     s_exp = root_exponents(v, mb)
     if s_exp is None:
-        return NoAdvantageVerdict(False, reason="right vector entries not d-th roots of unity")
+        return NoAdvantageVerdict(reason="right vector entries not d-th roots of unity")
 
     for k in range(1, d):
         uk = np.exp(2j * np.pi * (k * p_exp) / d) / sqrt(ma)
         vk = np.exp(2j * np.pi * (k * s_exp) / d) / sqrt(mb)
         if np.linalg.norm(mats[k - 1] @ vk - bound.norms[k - 1][1] * uk) > ROOT_OF_UNITY_TOL:
-            return NoAdvantageVerdict(False, reason=f"phase substitution fails at k = {k}")
+            return NoAdvantageVerdict(reason=f"phase substitution fails at k = {k}")
 
     a_map, b_map = tuple(p_exp.tolist()), tuple((-s_exp % d).tolist())
     cv = cv or classical_value(g)
     if strategy_value(g, a_map, b_map) != cv.value:
-        return NoAdvantageVerdict(False, reason="extracted strategy is not optimal")
+        return NoAdvantageVerdict(reason="extracted strategy is not optimal")
     if abs(float(cv.value) - bound.value) > ROOT_OF_UNITY_TOL:
-        return NoAdvantageVerdict(False, reason="classical value does not meet the bound")
-    return NoAdvantageVerdict(True, strategy=(a_map, b_map))
+        return NoAdvantageVerdict(reason="classical value does not meet the bound")
+    return NoAdvantageVerdict(strategy=(a_map, b_map))
 
 
 def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_BOX_BUDGET,

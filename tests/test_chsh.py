@@ -15,6 +15,7 @@ from bellpoly.chsh import (
     sigma_lambda_certificate,
 )
 from tests.qubit_reference import grid_estimate
+from tests.sigma_lambda_reference import eigvals_rho
 
 F = Fraction
 
@@ -221,6 +222,39 @@ def test_certificate_agrees_with_face_on_random_weights():
         assert face_holds == (abs(cert.rho - 1) <= 1e-8)
         checked += 1
     assert checked > 60
+
+
+def test_closed_form_rho_matches_the_eigenvalue_reference():
+    # the reference is the numpy eigenvalue computation the closed form replaced
+    rng = random.Random(16)
+    checked = 0
+    while checked < 2000:
+        den = rng.randint(8, 64)
+        raw = sorted((rng.randint(0, den) for _ in range(4)), reverse=True)
+        if sum(raw) == 0:
+            continue
+        w = WeightedCHSH(tuple(F(v, sum(raw)) for v in raw))
+        cert = sigma_lambda_certificate(w)
+        if cert.verdict == "indefinite":
+            continue
+        reference = eigvals_rho(tuple(float(v) for v in w.p))
+        assert abs(cert.rho - reference) <= 1e-12, w.p
+        no_advantage = face_condition(w).verdict != "QuantumViolation"
+        assert (abs(reference - 1) <= cert.tolerance) == no_advantage, w.p
+        assert (cert.verdict == "no-advantage") == no_advantage, w.p
+        checked += 1
+
+
+def test_double_eigenvalue_on_the_face_boundary():
+    # det m = 1: both eigenvalues of m are 1 and the face condition holds
+    # with equality; a square root of the zero discriminant would be off by
+    # about 1e-8
+    w = WeightedCHSH((F(1, 2), F(1, 4), F(1, 6), F(1, 12)))
+    verdict = face_condition(w)
+    assert verdict.lhs == verdict.rhs and verdict.verdict == "NontrivialFace"
+    cert = sigma_lambda_certificate(w)
+    assert cert.verdict == "no-advantage"
+    assert abs(cert.rho - 1) <= 1e-15
 
 
 # ----------------------------------------------------------------- qubit oracle

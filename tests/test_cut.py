@@ -12,6 +12,9 @@ from bellpoly.cut import (
     Event,
     Graph,
     NCBehaviour,
+    _cut_masks,
+    _cut_rows,
+    _mask_subset,
     _maximal_cliques,
     behaviour_to_cut,
     ce1_from_triple_set,
@@ -107,6 +110,23 @@ def test_cut_vector_bits_on_a_graph_beyond_int64_bitmasks():
         assert cv.bits == tuple(int((i in cv.subset) != (j in cv.subset))
                                 for i, j in g.sorted_edges)
         assert all(type(b) is int for b in cv.bits)
+
+
+def _graph_cases():
+    rng = random.Random(2016)
+    seeded = []
+    for n in (3, 5, 7, 9):
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        seeded.append(Graph(n, edges))
+    return [Graph.complete(n) for n in range(1, 9)] + seeded
+
+
+@pytest.mark.parametrize("g", _graph_cases())
+def test_cut_vector_bits_equal_the_cut_rows(g):
+    # the per-cut bits and the scan's bulk rows are two codings of one rule
+    masks = list(_cut_masks(g))
+    rows = [tuple(row) for row in _cut_rows(g, masks).tolist()]
+    assert [CutVector(g, _mask_subset(m, g.n)).bits for m in masks] == rows
 
 
 def test_cut_vector_bits_follow_sorted_edges():

@@ -1,30 +1,86 @@
 """Import guards: the command-line front end loads no heavy optional
 dependency (scipy and networkx alone used to cost about 500 ms of every
-bellpoly process's startup), and the package carries no unused import,
-constant or private function or class, and no `assert` statement (stdlib
-`ast` checks, as no linter is installed)."""
+bellpoly process's startup), `import bellpoly` and the commands that build
+no array load no numpy (about 165 ms of a process), every lazy export is
+its submodule's object, and the package carries no unused import, constant
+or private function or class, and no `assert` statement (stdlib `ast`
+checks, as no linter is installed)."""
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import bellpoly
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 FORBIDDEN = ("scipy", "networkx")
 
 
-def test_cli_import_loads_no_scipy_or_networkx():
+def _modules_after(code, expect_exit=0):
+    """Top-level names of the modules loaded by a fresh interpreter that
+    runs `code` with the package on its path; `code` must exit with
+    expect_exit, and the module list is printed on stderr after it ran."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = ("import bellpoly.cli, sys; "
-            "print('\\n'.join(sorted(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    loaded = [m for m in out.split()
-              if m.split(".")[0] in FORBIDDEN]
-    assert loaded == []
+    code = ("import atexit, sys\n"
+            "atexit.register(lambda: sys.stderr.write('\\nMODULES ' + ' '.join(sys.modules)))\n"
+            + code)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == expect_exit, run.stderr
+    return {m.split(".")[0] for m in run.stderr.rsplit("MODULES ", 1)[1].split()}
+
+
+def _cli_modules(argv, expect_exit=0):
+    """`_modules_after` for `python -m bellpoly.cli` with these arguments."""
+    return _modules_after(f"import runpy, sys; sys.argv = ['bellpoly'] + {argv!r}; "
+                          "runpy.run_module('bellpoly.cli', run_name='__main__')", expect_exit)
+
+
+def test_cli_import_loads_no_scipy_or_networkx():
+    assert _modules_after("import bellpoly.cli") & set(FORBIDDEN) == set()
+
+
+def test_package_import_loads_no_numpy():
+    assert "numpy" not in _modules_after("import bellpoly")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["chsh", "9/20", "5/20", "5/20", "1/20"], 0),
+    (["chsh", "--", "2/10", "3/10", "4/10", "-1/10"], 0),
+    (["chsh", "1", "1", "1", "1"], 0),
+    (["cut", "suspend", "--graph", "{graph}"], 0),
+    (["cut", "cuts", "--graph", "{graph}"], 0),
+    (["cut", "ce1", "--n", "4"], 0),
+    (["cut", "ce-gap"], 0),
+    (["--help"], 0),
+    (["cut", "ce1"], 2),  # parse error: ce1 needs --n
+])
+def test_commands_without_arrays_load_no_numpy(tmp_path, argv, code):
+    graph = tmp_path / "c4.txt"
+    graph.write_text("4\n0 1\n1 2\n2 3\n0 3\n")
+    argv = [str(graph) if a == "{graph}" else a for a in argv]
+    assert "numpy" not in _cli_modules(argv, expect_exit=code)
+
+
+def test_command_that_scans_cuts_loads_numpy():
+    # the guard above can fail: a cut scan imports numpy where it runs
+    assert "numpy" in _cli_modules(["cut", "hypermetric", "--b", "1,1,-1"])
+
+
+def test_every_export_is_its_submodule_object():
+    for name in bellpoly.__all__:
+        module = importlib.import_module(f"bellpoly.{bellpoly._EXPORTS[name]}")
+        assert getattr(bellpoly, name) is getattr(module, name), name
+    assert set(bellpoly.__all__) <= set(dir(bellpoly))
+    with pytest.raises(AttributeError):
+        bellpoly.no_such_name
 
 
 def _names(tree, ctx):
@@ -35,9 +91,7 @@ def test_every_import_and_constant_is_used():
     # also every module-level private function and class: some module of
     # the package must read it, by name or as an attribute
     package = SRC / "bellpoly"
-    exported = {alias.asname or alias.name
-                for node in ast.parse((package / "__init__.py").read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = set(bellpoly._EXPORTS)
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     read_anywhere = set().union(*(_names(tree, ast.Load) | {n.attr for n in ast.walk(tree)
                                                             if isinstance(n, ast.Attribute)}

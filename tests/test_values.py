@@ -315,6 +315,21 @@ def test_ns_value_equals_total_weight(corpus):
         assert ns_value(g) == g.total_weight
 
 
+def test_value_report_sums_the_total_weight_once(monkeypatch, corpus):
+    # g's weights are scaled twice: once for the scan's functional
+    # (`scaled_functionals`) and once for the total weight, which the
+    # no-signaling value and the norm bound's clamp both read
+    from bellpoly import games
+    for g in corpus:
+        sums = []
+        real = games.int_scaled
+        monkeypatch.setattr(games, "int_scaled",
+                            lambda x, *a, **k: sums.append(x is g.q) or real(x, *a, **k))
+        rep = value_report(g)
+        monkeypatch.undo()
+        assert sum(sums) == 2 and rep.no_signaling == ns_value(g)
+
+
 def test_soundness_chain_over_corpus(corpus):
     for g in corpus:
         rep = value_report(g)
