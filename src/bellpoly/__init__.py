@@ -23,9 +23,7 @@ _EXPORTS = {name: module for module, names in {
     "errors": ("DEFAULT_BOX_BUDGET", "BudgetExceededError", "ParseError", "VerificationError"),
     "rational": ("format_rational", "parse_rational"),
     "exactrank": ("affine_rank", "integer_rank", "matrix_rank_exact"),
-    "scenario": ("Behaviour", "BellInequality", "DeterministicBox", "Scenario",
-                 "affine_dimension", "behaviour_from_box", "correlator_inequality",
-                 "enumerate_deterministic_boxes", "evaluate", "is_no_signaling", "mix",
+    "scenario": ("BellInequality", "DeterministicBox", "Scenario", "correlator_inequality",
                  "ns_polytope_dimension"),
     "games": ("PERMS", "REFLECTIONS", "ROTATIONS", "LinearGame", "NLCSpec", "UniqueGame3",
               "build_nlc", "build_nlc2", "build_nlcd", "dits_to_index", "ditwise_add",
@@ -43,11 +41,9 @@ _EXPORTS = {name: module for module, names in {
              "face_condition", "qubit_value_estimate", "relabel_images",
              "sigma_lambda_certificate"),
     "cut": ("CorrelatorInequality", "CutInequality", "CutVector", "Graph", "NCBehaviour",
-            "OrthogonalSetCensus", "behaviour_to_cut", "ce1_from_triple_set",
-            "ce1_inequalities", "ce_gap_certificate", "ce_gap_grid_search", "ce_gap_report",
-            "cut_facet_test", "cut_to_behaviour", "enumerate_cuts", "hypermetric_valid",
-            "maximal_orthogonal_sets", "pentagonal_contextuality_inequality",
-            "pentagonal_report", "suspension"),
+            "OrthogonalSetCensus", "behaviour_to_cut", "ce1_inequalities", "ce_gap_report",
+            "cut_facet_test", "enumerate_cuts", "hypermetric_valid", "maximal_orthogonal_sets",
+            "pentagonal_contextuality_inequality", "pentagonal_report", "suspension"),
 }.items() for name in names}
 
 __all__ = sorted(_EXPORTS)

@@ -353,7 +353,7 @@ def _cmd_chsh(args):
                        sigma_lambda_certificate)
     raw = [args.p1, args.p2, args.p3, args.p4]
     try:
-        vals = [parse_rational(v) for v in raw]
+        vals = [parse_rational(v, where=f"P{k}") for k, v in enumerate(raw, 1)]
     except ValueError as exc:
         raise ParseError(str(exc), line=1) from None
     if all(v >= 0 for v in vals):

@@ -268,23 +268,6 @@ def behaviour_to_cut(b: NCBehaviour) -> CutVector:
     return cv
 
 
-def cut_to_behaviour(cv: CutVector) -> NCBehaviour:
-    """Inverse map: the cut lives on a suspension graph whose apex is the
-    last vertex; apex edges give singles, the rest give pair correlators."""
-    sg = cv.graph
-    apex = sg.n - 1
-    base_edges = [(i, j) for i, j in sg.sorted_edges if j != apex]
-    if {(i, apex) for i in range(apex)} - set(sg.sorted_edges):
-        raise ValueError("graph is not a suspension: apex must see every vertex")
-    base = Graph(apex, base_edges)
-    singles = [1 - 2 * cv.bit(i, apex) for i in range(apex)]
-    fulls = {(i, j): 1 - 2 * cv.bit(i, j) for i, j in base_edges}
-    for i, j in base_edges:  # product structure of cuts, checked exhaustively
-        if fulls[(i, j)] != singles[i] * singles[j]:
-            raise VerificationError("cut image violates the apex factorization identity")
-    return NCBehaviour(base, singles, fulls)
-
-
 # ---------------------------------------------------------------------------
 # inequalities
 # ---------------------------------------------------------------------------
@@ -410,7 +393,13 @@ CE1_SIGN_PATTERNS = ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
 def ce1_inequalities(n: int):
     """All nontrivial exclusivity inequalities for n pairwise-compatible
     dichotomic observables: per vertex triple i<j<k, the four odd sign
-    patterns on (<M_iM_j>, <M_jM_k>, <M_kM_i>) with bound 1."""
+    patterns on (<M_iM_j>, <M_jM_k>, <M_kM_i>) with bound 1. Their
+    relaxation lives on the suspension K_{n+1}, so n + 1 may not exceed the
+    cut enumeration limit."""
+    if n + 1 > CUT_ENUM_MAX_VERTICES:
+        raise BudgetExceededError(
+            f"{n} observables need the suspension K_{n + 1}, beyond the cut "
+            f"enumeration limit of {CUT_ENUM_MAX_VERTICES} vertices")
     out = []
     if n < 3:
         return out
@@ -530,23 +519,6 @@ def maximal_orthogonal_sets(n: int) -> OrthogonalSetCensus:
                                tuple(buckets["triple"]))
 
 
-def ce1_from_triple_set(events, n: int) -> CorrelatorInequality:
-    """Exclusivity inequality of a size-3 maximal set: the probabilities of
-    the three events sum to at most 1, which in correlators reads
-    ab <M_iM_j> + bc <M_jM_k> - ac <M_iM_k> <= 1 (singles cancel)."""
-    if len(events) != 3:
-        raise ValueError("triple sets have exactly three events")
-    val = {}
-    pairs = {}
-    for e in events:
-        pairs[(e.i, e.j)] = Fraction(e.a * e.b)
-        for vtx, out in ((e.i, e.a), (e.j, e.b)):
-            val.setdefault(vtx, []).append(out)
-    if len(val) != 3 or any(len(v) != 2 or v[0] != -v[1] for v in val.values()):
-        raise ValueError("events do not form a triangle with flipped shared outcomes")
-    return CorrelatorInequality(n, pairs, (0,) * n, 1)
-
-
 # ---------------------------------------------------------------------------
 # pentagonal inequality and the exclusivity gap
 # ---------------------------------------------------------------------------
@@ -609,35 +581,3 @@ def ce_gap_report() -> dict:
             "positivity_min": positivity, "ce1_count": len(ce1_values),
             "ce1_max": max(ce1_values), "pentagonal_value": value,
             "pentagonal_bound": pent.bound}
-
-
-def ce_gap_certificate() -> NCBehaviour:
-    """The behaviour of `ce_gap_report`, checked there."""
-    rep = ce_gap_report()
-    return NCBehaviour(Graph.complete(4), rep["singles"], dict(rep["fulls"]))
-
-
-def ce_gap_grid_search(steps: int = 12):
-    """Secondary brute-force route to the same gap: scan the two-parameter
-    rational family <M_i> = s b_i, <M_iM_j> = -t b_i b_j, keep points passing
-    positivity and every exclusivity inequality, and maximize the pentagonal
-    value. Returns (best value, s, t)."""
-    b = CE_GAP_B
-    g4 = Graph.complete(4)
-    pent = pentagonal_contextuality_inequality()
-    ce1 = ce1_inequalities(4)
-    best = (Fraction(-100), Fraction(0), Fraction(0))
-    for si in range(steps + 1):
-        for ti in range(steps + 1):
-            s, t = Fraction(si, steps), Fraction(ti, steps)
-            try:
-                beh = NCBehaviour(g4, [s * v for v in b],
-                                  {(i, j): -t * b[i] * b[j] for i, j in g4.sorted_edges})
-            except ValueError:
-                continue
-            if any(ineq.evaluate_behaviour(beh) > 1 for ineq in ce1):
-                continue
-            val = pent.evaluate_behaviour(beh)
-            if val > best[0]:
-                best = (val, s, t)
-    return best

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,8 @@ def test_ragged_coefficient_tables_are_exit_2(tmp_path, capsys, text):
     (["cut", "facet", "--ineq", "FILE"],
      '{"space": "correlator", "bound": "2", "coeffs": [["1", "1"], ["1", "-1"]]}',
      "cut facet tests need a cut-space inequality"),
+    (["chsh", "nan", "1", "1", "1"], None, "line 1: P1: bad rational 'nan'"),
+    (["chsh", "1", "1", "1/0", "1"], None, "line 1: P3: bad rational '1/0'"),
 ])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, argv, text, message):
     if text is not None:
@@ -497,6 +500,18 @@ def test_cut_ce1_n4(capsys):
     code, out, _ = run_cli(capsys, "cut", "ce1", "--n", "4")
     assert code == 0
     assert json.loads(out)["results"]["count"] == 16
+
+
+def test_cut_ce1_beyond_the_vertex_limit_is_exit_3(capsys):
+    # n observables need the suspension K_{n+1}: n = 19 fits the 20-vertex
+    # limit, n = 20 and beyond are refused before any inequality is built
+    code, out, _ = run_cli(capsys, "cut", "ce1", "--n", "19")
+    assert code == 0 and json.loads(out)["results"]["count"] == 4 * math.comb(19, 3)
+    for n in ("20", "100", "1000000"):
+        code, out, err = run_cli(capsys, "cut", "ce1", "--n", n)
+        assert (code, out) == (3, "")
+        assert f"{n} observables need the suspension K_{int(n) + 1}" in err
+        assert "cut enumeration limit of 20 vertices" in err
 
 
 def test_cut_ce1_negative_n_is_exit_2(capsys):

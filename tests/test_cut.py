@@ -17,13 +17,9 @@ from bellpoly.cut import (
     _mask_subset,
     _maximal_cliques,
     behaviour_to_cut,
-    ce1_from_triple_set,
     ce1_inequalities,
-    ce_gap_certificate,
-    ce_gap_grid_search,
     ce_gap_report,
     cut_facet_test,
-    cut_to_behaviour,
     enumerate_cuts,
     hypermetric_valid,
     maximal_orthogonal_sets,
@@ -31,6 +27,8 @@ from bellpoly.cut import (
     pentagonal_report,
     suspension,
 )
+from tests.behaviour_reference import (ce1_from_triple_set, ce_gap_certificate,
+                                       ce_gap_grid_search, cut_to_behaviour)
 
 F = Fraction
 

@@ -17,9 +17,6 @@ from bellpoly import (
     build_nlcd,
     dits_to_index,
     ditwise_add,
-    enumerate_deterministic_boxes,
-    evaluate,
-    behaviour_from_box,
     fourier_blocks,
     input_dits,
     subgame_restrict,
@@ -28,6 +25,8 @@ from bellpoly import (
 )
 from bellpoly.games import _win_coeffs, scaled_functionals
 from bellpoly.values import classical_value
+from tests.behaviour_reference import (behaviour_from_box, enumerate_deterministic_boxes,
+                                       evaluate, evaluate_box)
 from tests.conftest import rotation_game_to_linear
 
 F = Fraction
@@ -250,7 +249,7 @@ def test_unique3_rejects_bad_permutation_name():
 def test_bell_inequality_agrees_with_game_value(chsh_game):
     g = chsh_game
     ineq = to_bell_inequality(g)
-    best = max(ineq.evaluate_box(b)
+    best = max(evaluate_box(ineq, b)
                for b in enumerate_deterministic_boxes(g.scenario))
     assert best == classical_value(g).value == ineq.bound
 
@@ -286,8 +285,8 @@ def test_correlator_and_probability_forms_agree(chsh_game):
     corr = to_correlator_inequality(g)
     half_weight = g.total_weight / 2
     for box in enumerate_deterministic_boxes(g.scenario):
-        pb = bell.evaluate_box(box)
-        cb = corr.evaluate_box(box)
+        pb = evaluate_box(bell, box)
+        cb = evaluate_box(corr, box)
         # win probability = W/2 + correlator form value
         assert pb == half_weight + cb
     assert corr.bound == bell.bound - half_weight
@@ -301,7 +300,7 @@ def test_correlator_form_requires_binary(nlc3_game):
 def test_evaluate_on_behaviour_matches_box(chsh_game):
     ineq = to_bell_inequality(chsh_game)
     for box in enumerate_deterministic_boxes(chsh_game.scenario):
-        assert evaluate(ineq, behaviour_from_box(box)) == ineq.evaluate_box(box)
+        assert evaluate(ineq, behaviour_from_box(box)) == evaluate_box(ineq, box)
 
 
 # ------------------------------------------------------------------ properties

@@ -83,6 +83,25 @@ def test_every_export_is_its_submodule_object():
         bellpoly.no_such_name
 
 
+# the behaviour model is a test reference (tests/behaviour_reference.py)
+REFERENCE_ONLY = {
+    "scenario": ("Behaviour", "behaviour_from_box", "mix", "is_no_signaling",
+                 "enumerate_deterministic_boxes", "affine_dimension", "evaluate", "_table"),
+    "cut": ("cut_to_behaviour", "ce1_from_triple_set", "ce_gap_certificate",
+            "ce_gap_grid_search"),
+}
+
+
+def test_the_behaviour_model_is_not_in_the_library():
+    from bellpoly.scenario import BellInequality, DeterministicBox
+    for module, names in REFERENCE_ONLY.items():
+        sub = importlib.import_module(f"bellpoly.{module}")
+        for name in names:
+            assert not hasattr(sub, name) and not hasattr(bellpoly, name), name
+    assert not {"behaviour", "probability_vector"} & set(vars(DeterministicBox))
+    assert not {"evaluate", "evaluate_box"} & set(vars(BellInequality))
+
+
 def _names(tree, ctx):
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
 

@@ -9,16 +9,20 @@ from bellpoly import (
     BellInequality,
     BudgetExceededError,
     Scenario,
-    affine_dimension,
-    behaviour_from_box,
     correlator_inequality,
-    enumerate_deterministic_boxes,
-    evaluate,
-    is_no_signaling,
-    mix,
     ns_polytope_dimension,
 )
 from bellpoly.scenario import _correlator_rows, _reduced_rows
+from tests.behaviour_reference import (
+    Behaviour,
+    affine_dimension,
+    behaviour_from_box,
+    enumerate_deterministic_boxes,
+    evaluate,
+    evaluate_box,
+    is_no_signaling,
+    mix,
+)
 
 F = Fraction
 
@@ -81,7 +85,6 @@ def test_signaling_table_detected():
             return ((F(1, 2), F(0)), (F(0), F(1, 2)))
         return ((F(1), F(0)), (F(0), F(0)))
     table = tuple(tuple(cell(x, y) for y in range(2)) for x in range(2))
-    from bellpoly import Behaviour
     assert not is_no_signaling(Behaviour(s, table))
 
 
@@ -120,7 +123,7 @@ def test_correlator_inequality_matches_hand_expansion():
     for box in enumerate_deterministic_boxes(s):
         spot = sum(corr[x][y] * box.correlator_vector()[2 * x + y]
                    for x in range(2) for y in range(2))
-        assert ineq.evaluate_box(box) == spot
+        assert evaluate_box(ineq, box) == spot
 
 
 @settings(max_examples=30, deadline=None)
