@@ -38,7 +38,7 @@ _EXPORTS = {name: module for module, names in {
                   "nlcd_classical_formula", "nlcd_lambda", "nlcd_nonfacet_check",
                   "saturating_boxes"),
     "chsh": ("FaceVerdict", "SigmaLambdaCertificate", "WeightedCHSH", "canonicalize",
-             "face_condition", "qubit_value_estimate", "relabel_images",
+             "face_condition", "from_weights", "qubit_value_estimate",
              "sigma_lambda_certificate"),
     "cut": ("CorrelatorInequality", "CutInequality", "CutVector", "Graph", "NCBehaviour",
             "OrthogonalSetCensus", "behaviour_to_cut", "ce1_inequalities", "ce_gap_report",

@@ -1,8 +1,10 @@
 """Weighted two-input binary correlation inequalities.
 
-Any such inequality can be relabeled (output sign flips per setting, setting
-swaps per party, party swap) into either an all-nonnegative form, which is a
-product game whose classical bound is the total weight, or the canonical form
+Output sign flips multiply cell (x, y) of the 2x2 coefficient table by
+s_x t_y, so they keep the product of the four signs and reach every sign
+pattern with it; setting and party swaps permute the cells. So a table with
+a zero cell or an even number of negative cells is a product game, whose
+classical bound is the total weight, and any other has the canonical form
 p1 E11 + p2 E12 + p3 E21 - p4 E22 <= 1 - 2 p4 with the negative weight
 minimal. The canonical form carries an exact algebraic test deciding whether
 the inequality supports the quantum correlation set (no quantum advantage)
@@ -12,7 +14,6 @@ certificate for the no-advantage case and a closed-form single-qubit oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,55 +59,47 @@ class WeightedCHSH:
         return 2 * self.classical_game_value - 1
 
 
-def relabel_images(cells):
-    """All 128 images of a 2x2 correlator coefficient matrix under output
-    sign flips (one per setting per party), setting swaps and the party swap.
-    cells is ((c11, c12), (c21, c22)); returns a sorted deduplicated list."""
-    base = tuple(tuple(row) for row in cells)
-    out = set()
-    for sa1, sa2, sb1, sb2 in itertools.product((1, -1), repeat=4):
-        signed = ((sa1 * sb1 * base[0][0], sa1 * sb2 * base[0][1]),
-                  (sa2 * sb1 * base[1][0], sa2 * sb2 * base[1][1]))
-        for swap_rows in (False, True):
-            m = (signed[1], signed[0]) if swap_rows else signed
-            for swap_cols in (False, True):
-                mm = tuple((r[1], r[0]) for r in m) if swap_cols else m
-                out.add(mm)
-                out.add(((mm[0][0], mm[1][0]), (mm[0][1], mm[1][1])))  # party swap
-    return sorted(out)
+def _arrangements(m) -> tuple:
+    """The 8 images of the row-major table m = (c11, c12, c21, c22) under
+    setting swaps and the party swap: the row and column swaps, and their
+    transposes."""
+    a, b, c, d = m
+    swaps = ((a, b, c, d), (c, d, a, b), (b, a, d, c), (d, c, b, a))
+    return swaps + tuple((w, y, x, z) for w, x, y, z in swaps)
 
 
 def canonicalize(raw_coeffs) -> WeightedCHSH:
     """Reduce four signed correlator coefficients (row-major cells) to the
-    canonical class representative. If some relabeling makes every cell
-    nonnegative the inequality is a product game with classical value equal
-    to the total weight; it is returned with trivial_even set and the
-    lexicographically greatest nonnegative arrangement. Otherwise exactly one
-    cell stays negative, moved to position (1, 1) with minimal magnitude,
-    ties broken toward the lexicographically greatest (p1, p2, p3)."""
+    canonical class representative. With a zero cell or an even number of
+    negative cells some relabeling makes every cell nonnegative: the
+    inequality is a product game with classical value equal to the total
+    weight, returned with trivial_even set and the lexicographically
+    greatest arrangement of the magnitudes. Otherwise exactly one cell stays
+    negative, moved to cell E22 with minimal magnitude, ties broken toward
+    the lexicographically greatest (p1, p2, p3)."""
     c = [parse_rational(v, where="coefficient") for v in raw_coeffs]
     if len(c) != 4:
         raise ValueError("four coefficients required")
     total = sum(abs(v) for v in c)
     if total == 0:
         raise ValueError("all four coefficients are zero")
-    c = [v / total for v in c]
-    images = relabel_images(((c[0], c[1]), (c[2], c[3])))
+    arrangements = _arrangements(tuple(abs(v) / total for v in c))
+    if 0 in c or sum(v < 0 for v in c) % 2 == 0:
+        return WeightedCHSH(max(arrangements), trivial_even=True)
+    return WeightedCHSH(max(m for m in arrangements if m[3] == min(m)))
 
-    nonneg = [m for m in images if all(v >= 0 for row in m for v in row)]
-    if nonneg:
-        best = max(nonneg, key=lambda m: (m[0][0], m[0][1], m[1][0], m[1][1]))
-        p = (best[0][0], best[0][1], best[1][0], best[1][1])
-        return WeightedCHSH(p, trivial_even=True)
 
-    candidates = []
-    for m in images:
-        flat = (m[0][0], m[0][1], m[1][0], m[1][1])
-        if flat[0] >= 0 and flat[1] >= 0 and flat[2] >= 0 and flat[3] < 0 \
-                and -flat[3] <= min(flat[:3]):
-            candidates.append(flat)
-    best = max(candidates, key=lambda f: (f[0], f[1], f[2]))
-    return WeightedCHSH((best[0], best[1], best[2], -best[3]))
+def from_weights(values) -> WeightedCHSH:
+    """The class named by four rationals. All nonnegative, they are the
+    canonical weights, normalised and sorted in decreasing order (the minus
+    sign on the fourth cell is implied); with a negative one they are signed
+    coefficients (`canonicalize`)."""
+    if any(v < 0 for v in values):
+        return canonicalize(values)
+    total = sum(values, Fraction(0))
+    if total == 0:
+        raise ValueError("weights cannot all be zero")
+    return WeightedCHSH(tuple(sorted((v / total for v in values), reverse=True)))
 
 
 # ---------------------------------------------------------------------------

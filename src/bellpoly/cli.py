@@ -349,23 +349,12 @@ def _cmd_facet_test(args):
 
 
 def _cmd_chsh(args):
-    from .chsh import (WeightedCHSH, canonicalize, face_condition, qubit_value_estimate,
-                       sigma_lambda_certificate)
+    from .chsh import face_condition, from_weights, qubit_value_estimate, sigma_lambda_certificate
     raw = [args.p1, args.p2, args.p3, args.p4]
     try:
-        vals = [parse_rational(v, where=f"P{k}") for k, v in enumerate(raw, 1)]
+        w = from_weights([parse_rational(v, where=f"P{k}") for k, v in enumerate(raw, 1)])
     except ValueError as exc:
         raise ParseError(str(exc), line=1) from None
-    if all(v >= 0 for v in vals):
-        # All-nonnegative input names the weights of the canonical form
-        # directly (minus sign implied on the fourth cell).
-        total = sum(vals)
-        if total == 0:
-            raise ParseError("weights cannot all be zero", line=1)
-        ordered = sorted((v / total for v in vals), reverse=True)
-        w = WeightedCHSH(tuple(ordered))
-    else:
-        w = canonicalize(raw)
     verdict = face_condition(w)
     results = {
         "canonical": {
@@ -389,8 +378,7 @@ def _cmd_chsh(args):
             "rho": _float_field(cert.rho, cert.tolerance),
             "verdict": cert.verdict,
         }
-    arg_blob = " ".join([args.p1, args.p2, args.p3, args.p4]).encode()
-    return results, _digest(arg_blob)
+    return results, _digest(" ".join(raw).encode())
 
 
 def _parse_b(text: str):

@@ -38,9 +38,9 @@ PERMS = {
     "(012)": (1, 2, 0),
     "(021)": (2, 0, 1),
 }
-# rotations pi(a) = a + shift; reflections pi(a) = shift - a (mod 3)
-ROTATIONS = {"e": 0, "(012)": 1, "(021)": 2}
-REFLECTIONS = {"(01)": 1, "(12)": 0, "(02)": 2}
+# by shift pi(0): rotations pi(a) = a + shift, reflections pi(a) = shift - a (mod 3)
+ROTATIONS = {name: t[0] for name, t in PERMS.items() if t[1] == (t[0] + 1) % 3}
+REFLECTIONS = {name: t[0] for name, t in PERMS.items() if name not in ROTATIONS}
 
 
 def _check_weight_table(q, ma, mb):

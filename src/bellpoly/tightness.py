@@ -398,17 +398,17 @@ def nlcd_nonfacet_check(g: LinearGame, budget: int = DEFAULT_BOX_BUDGET) -> Face
 
 def game_facet_test(g, kind: str, budget: int = DEFAULT_BOX_BUDGET):
     """The facet test of a game's inequality on the `kind` polytope, and its
-    bound. On the Bell polytope a distributed-computation game on n >= 2
-    dits is decided by its fragments where their argument applies: along
-    Alice's first n-1 dits for a product form on d >= 3 outputs with
-    Lambda >= 1/2 (`nlcd_nonfacet_check`; the bound is the fragment bounds'
-    sum), along her first bit for d = 2 when the two fragment values sum to
+    bound. On the Bell polytope a game on n >= 2 dits is decided by its
+    fragments where their argument applies: along Alice's first n-1 dits
+    for an NLC product form on d >= 3 outputs with Lambda >= 1/2
+    (`nlcd_nonfacet_check`; the bound is the fragment bounds' sum), along
+    her first bit for any binary game when the two fragment values sum to
     the game's (`nlc2_decompose`). Otherwise the rank decides. Bound and
     face come from one scan of the win functional: the correlator one is it
     minus q(x, y)/2 per cell, with the same optimal boxes and tie sets."""
     spec = getattr(g, "nlc", None)
-    split = kind == "bell" and spec is not None and spec.n >= 2
-    if (split and g.d != 2 and spec.is_product_form
+    split = kind == "bell" and getattr(g, "n", 1) >= 2
+    if (split and g.d != 2 and spec is not None and spec.is_product_form
             and nlcd_lambda(g).big_lambda >= Fraction(1, 2)):
         rep = nlcd_nonfacet_check(g, budget)
         return rep, sum((fr.bound for fr in rep.decomposition), Fraction(0))

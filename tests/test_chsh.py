@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,10 +11,11 @@ from bellpoly.chsh import (
     WeightedCHSH,
     canonicalize,
     face_condition,
+    from_weights,
     qubit_value_estimate,
-    relabel_images,
     sigma_lambda_certificate,
 )
+from tests.chsh_reference import canonicalize_by_images, relabel_images
 from tests.qubit_reference import grid_estimate
 from tests.sigma_lambda_reference import eigvals_rho
 
@@ -92,6 +94,59 @@ def test_recanonicalizing_any_image_is_stable():
     for img in relabel_images(base):
         again = canonicalize([v for row in img for v in row])
         assert again == want
+
+
+def test_canonicalize_matches_the_image_search_on_small_integers():
+    vectors = [v for v in itertools.product(range(-3, 4), repeat=4) if any(v)]
+    assert len(vectors) == 2400
+    for v in vectors:
+        assert canonicalize(v) == canonicalize_by_images(v), v
+
+
+def test_canonicalize_matches_the_image_search_on_seeded_rationals():
+    # magnitudes drawn from a pool of five, so about half the vectors have
+    # a tie, and a zero in about one vector in five; the small integers above
+    # all have a zero or a tie
+    rng = random.Random(1607)
+    checked = zeros = ties = 0
+    while checked < 5000:
+        den = rng.randint(1, 60)
+        pool = [F(rng.randint(1, 3 * den), den) for _ in range(5)]
+        v = [rng.choice((1, -1)) * rng.choice(pool) for _ in range(4)]
+        if rng.random() < 0.2:
+            v[rng.randrange(4)] = F(0)
+        zeros += 0 in v
+        ties += len(set(map(abs, v))) < 4
+        assert canonicalize(v) == canonicalize_by_images(v), v
+        checked += 1
+    assert zeros > 900 and ties > 2000 and checked - ties > 1000
+
+
+def test_canonicalize_keeps_the_argument_errors():
+    with pytest.raises(ValueError, match="four coefficients"):
+        canonicalize(["1", "-1", "1"])
+    with pytest.raises(ValueError, match="coefficient: bad rational"):
+        canonicalize(["1", "-1", "1", "x"])
+
+
+def test_the_image_search_is_a_test_reference():
+    import bellpoly
+    import bellpoly.chsh
+    assert "relabel_images" not in bellpoly.__all__
+    assert not {"relabel_images", "itertools"} & set(vars(bellpoly.chsh))
+
+
+def test_from_weights_reads_nonnegative_weights_as_the_canonical_form():
+    assert from_weights([F(1), F(5), F(5), F(9)]) == WEIGHTED
+    assert from_weights([0, 0, 0, 4]) == WeightedCHSH((F(1), F(0), F(0), F(0)))
+    with pytest.raises(ValueError, match="weights cannot all be zero"):
+        from_weights([F(0)] * 4)
+
+
+def test_from_weights_canonicalizes_signed_coefficients():
+    signed = [F(2, 10), F(3, 10), F(4, 10), F(-1, 10)]
+    assert from_weights(signed) == canonicalize(signed)
+    assert from_weights([F(-1), F(-1), F(-1), F(1)]) == UNIFORM
 
 
 # -------------------------------------------------------------- face condition

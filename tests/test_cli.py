@@ -296,6 +296,23 @@ def test_facet_test_nlc2_and_bell(tmp_path, capsys):
     assert r["decomposition"]["fragment_bounds"] == ["3/8", "3/8"]
 
 
+def test_facet_test_splits_a_binary_game_by_its_bits_not_its_file_kind(tmp_path, capsys):
+    # the AND game as an nlc file and as a linear file with "n": 2
+    from dataclasses import replace
+    game = make_nlc2_and()
+    linear = replace(game, nlc=None)
+    assert '"kind": "linear"' in cli.serialize_game(linear)
+    reports = []
+    for g, name in ((game, "nlc.json"), (linear, "linear.json")):
+        code, out, _ = run_cli(capsys, "facet-test", write_game(tmp_path, g, name),
+                               "--polytope", "bell")
+        assert code == 0
+        reports.append(json.loads(out)["results"])
+    assert reports[0] == reports[1]
+    assert (reports[1]["saturating_count"], reports[1]["saturating_affine_dim"]) == (8, 7)
+    assert reports[1]["decomposition"] == {"fragments": 2, "fragment_bounds": ["3/8", "3/8"]}
+
+
 @pytest.mark.parametrize("d, n, table, bound", [
     (5, 2, (0, 0, 0, 1, 2), "17/25"),
     (3, 3, (0, 0, 0, 1, 0, 0, 0, 0, 2), "23/27")])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpoly import (
+    PERMS,
     REFLECTIONS,
     ROTATIONS,
     LinearGame,
@@ -207,6 +208,18 @@ def test_unique3_win_rule(unique3_mixed):
                 assert g.winning_b(a, x, y) == table[a]
                 for b in range(3):
                     assert g.win(a, b, x, y) == (b == table[a])
+
+
+def test_cosets_partition_the_permutations_by_shift():
+    assert ROTATIONS == {"e": 0, "(012)": 1, "(021)": 2}
+    assert REFLECTIONS == {"(01)": 1, "(12)": 0, "(02)": 2}
+    assert not ROTATIONS.keys() & REFLECTIONS.keys()
+    assert ROTATIONS.keys() | REFLECTIONS.keys() == PERMS.keys()
+    for name, image in PERMS.items():
+        if name in ROTATIONS:
+            assert image == tuple((a + ROTATIONS[name]) % 3 for a in range(3))
+        else:
+            assert image == tuple((REFLECTIONS[name] - a) % 3 for a in range(3))
 
 
 def test_unique3_matrices_partition_weight(unique3_mixed, unique3_rotation):

@@ -32,6 +32,27 @@ def _response_maps(d: int, m: int) -> np.ndarray:
     return np.stack(np.unravel_index(np.arange(d ** m), (d,) * m), axis=1)
 
 
+def test_correlator_table_must_match_the_scenario():
+    # a 2 x 3 table on a 2 x 2 scenario would lose its third column
+    with pytest.raises(ValueError, match="2 x 2"):
+        correlator_inequality(Scenario(2, 2, 2, 2), [[1, 1, 5], [1, -1, 5]], 2)
+    with pytest.raises(ValueError, match="2 x 2"):
+        correlator_inequality(Scenario(2, 2, 2, 2), [[1, 1], [1, -1], [1, 1]], 2)
+
+
+def test_probability_table_must_match_the_scenario():
+    # CHSH's 2 x 2 x 2 x 2 table read on Bob's three inputs
+    chsh = correlator_inequality(Scenario(2, 2, 2, 2), [[1, 1], [1, -1]], 2)
+    with pytest.raises(ValueError, match="2 x 3 x 2 x 2"):
+        BellInequality(Scenario(2, 3, 2, 2), chsh.coeffs, chsh.bound)
+    ragged = (chsh.coeffs[0], chsh.coeffs[1][:1])
+    with pytest.raises(ValueError, match="2 x 2 x 2 x 2"):
+        BellInequality(Scenario(2, 2, 2, 2), ragged, chsh.bound)
+    short_cell = ((((F(1),), (F(0), F(1))),) * 2,) * 2
+    with pytest.raises(ValueError, match="2 x 2 x 2 x 2"):
+        BellInequality(Scenario(2, 2, 2, 2), short_cell, F(1))
+
+
 def test_box_count():
     assert Scenario(2, 2, 2, 2).box_count == 16
     assert Scenario(3, 3, 3, 3).box_count == 27 * 27
