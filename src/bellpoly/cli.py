@@ -199,6 +199,8 @@ def parse_inequality_text(raw: str):
     space = _need(data, "space", raw)
     bound = _rat(_need(data, "bound", raw), raw, "bound")
     coeffs = _need(data, "coeffs", raw)
+    # the constructors check the tables' shapes; a ValueError there (a ragged
+    # table, or an empty level, which makes no scenario) is this file's fault
     if space == "probability":
         try:
             ma, mb = len(coeffs), len(coeffs[0])
@@ -207,11 +209,10 @@ def parse_inequality_text(raw: str):
                 tuple(tuple(tuple(_rat(v, raw, "coefficient") for v in cell)
                             for cell in row) for row in block)
                 for block in coeffs)
-            if any(len(block) != mb or any(len(row) != da or any(len(cell) != db for cell in row)
-                                           for row in block) for block in table):
-                raise TypeError("ragged table")
             return BellInequality(Scenario(ma, mb, da, db), table, bound)
-        except (TypeError, IndexError, KeyError):
+        except ParseError:
+            raise
+        except (ValueError, TypeError, IndexError, KeyError):
             raise ParseError("probability coeffs must be nested [x][y][a][b]",
                              line=_line_of(raw, '"coeffs"')) from None
     if space == "correlator":
@@ -219,10 +220,10 @@ def parse_inequality_text(raw: str):
             ma, mb = len(coeffs), len(coeffs[0])
             corr = tuple(tuple(_rat(v, raw, "coefficient") for v in row)
                          for row in coeffs)
-            if any(len(row) != mb for row in corr):
-                raise TypeError("ragged table")
             return correlator_inequality(Scenario(ma, mb, 2, 2), corr, bound)
-        except (TypeError, IndexError, KeyError):
+        except ParseError:
+            raise
+        except (ValueError, TypeError, IndexError, KeyError):
             raise ParseError("correlator coeffs must be nested [x][y]",
                              line=_line_of(raw, '"coeffs"')) from None
     if space == "cut":

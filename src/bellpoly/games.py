@@ -55,18 +55,36 @@ def _check_weight_table(q, ma, mb):
 
 
 class _Game:
-    """The scenario, total weight and win rule (`winning_b`) of both kinds.
-    The total weight is summed once per game, as games are immutable: a
-    value report reads it twice (the no-signaling value and the clamp of
-    the norm bound)."""
+    """The scenario, weight tables, total weight and win rule (`winning_b`)
+    of both kinds. As games are immutable, each table is built once per
+    game, on first use, and is read-only: the integer weights
+    (`scaled_weights`), which the scan's functional and the total weight
+    read, and the float weights (`float_weights`), which every Fourier
+    block reads. A value report reads the total weight twice (the
+    no-signaling value and the clamp of the norm bound)."""
 
     @property
     def scenario(self) -> Scenario:
         return Scenario(self.ma, self.mb, self.d, self.d)
 
     @cached_property
-    def total_weight(self) -> Fraction:
+    def scaled_weights(self) -> tuple:
+        """q integer-scaled (`int_scaled`): a read-only array [x, y] and the
+        denominator."""
         Q, _, den = int_scaled(self.q)
+        Q.flags.writeable = False
+        return Q, den
+
+    @cached_property
+    def float_weights(self) -> np.ndarray:
+        """q as a read-only float array [x, y]."""
+        Q = np.array(self.q, dtype=float)
+        Q.flags.writeable = False
+        return Q
+
+    @cached_property
+    def total_weight(self) -> Fraction:
+        Q, den = self.scaled_weights
         return Fraction(int(Q.sum()), den)
 
     def win(self, a, b, x, y) -> bool:
@@ -256,7 +274,7 @@ def fourier_blocks(g, k: int) -> tuple:
     and a reflection cell phase k f_plus, where a + b = f_plus on a win."""
     if not 1 <= k <= g.d - 1:
         raise ValueError(f"k must be in 1..{g.d - 1}, got {k}")
-    q = np.array([[float(v) for v in row] for row in g.q])
+    q = g.float_weights
     if isinstance(g, LinearGame):
         return (_phased(q, k * np.array(g.f), g.d),)
     # rotation cells: f_minus = -shift, so -k f_minus = k shift; reflections: f_plus = shift
@@ -315,12 +333,16 @@ def int_scaled(values, bounds=()):
 
 
 def scaled_functionals(g):
-    """g's functional (as in `_win_coeffs`) integer-scaled (`int_scaled`):
-    an array [x, y, a, b] and the denominator."""
+    """g's functional (as in `_win_coeffs`) integer-scaled: an array
+    [x, y, a, b] built from g's integer weights (`scaled_weights`), and the
+    denominator. The winning outputs B[x, y, a] come from one array
+    expression per game kind, the table form of `winning_b`."""
     shape = (g.ma, g.mb, g.d)  # x, y, a
-    Q, _, den = int_scaled(g.q)
-    B = np.array([[[g.winning_b(a, x, y) for a in range(g.d)] for y in range(g.mb)]
-                  for x in range(g.ma)], dtype=np.int64).reshape(shape)
+    Q, den = g.scaled_weights
+    if isinstance(g, LinearGame):
+        B = (np.array(g.f, dtype=np.int64)[..., None] - np.arange(g.d)) % g.d
+    else:
+        B = np.array([[PERMS[name] for name in row] for row in g.perms], dtype=np.int64)
     C = np.zeros(shape + (g.d,), dtype=Q.dtype)
     C[np.ix_(*map(np.arange, shape)) + (B,)] = Q.reshape(shape[:2] + (1,))
     return C, den

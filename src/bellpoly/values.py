@@ -4,14 +4,18 @@ The classical optimum comes from one best-response scan (`_scan`), which
 facet tests share: it enumerates the response maps of the side with fewer,
 and the other side answers each with its best output per input, which is
 equivalent to enumerating all strategy pairs because that optimum decomposes
-across inputs. The scan runs on integer-scaled weights, and the winning
-strategy is re-verified in exact rational arithmetic before being returned.
+across inputs. The scan runs on the game's integer weights, built once per
+game (`scaled_weights`), and the winning strategy is re-verified in exact
+rational arithmetic before being returned: `strategy_value` reads only the
+rational weights q and the cellwise win rule, never the scan's table, and
+sums the won cells' numerators over the lcm of their denominators.
 
 Quantum upper bounds come from one formula (`_linear_bound`) over the norms
-of a game's Fourier blocks (`games.fourier_blocks`), each norm a certified
-interval (`NormBound`): a linear game's single block Phi_k has its spectral
-norm, and a 3-output unique game's two coset blocks their joint norm,
-bounded above by a one-dimensional eigenvalue envelope and below by
+of a game's Fourier blocks (`games.fourier_blocks`, read from the float
+weights built once per game), each norm a certified interval (`NormBound`):
+a linear game's single blocks Phi_k have their spectral norms, all from one
+stacked SVD, and a 3-output unique game's two coset blocks their joint
+norm, bounded above by a one-dimensional eigenvalue envelope and below by
 feasible points.
 """
 
@@ -21,7 +25,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, inf, log, log1p, sqrt
+from math import exp, inf, lcm, log, log1p, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -68,9 +72,13 @@ class ValueReport:
 
 
 def strategy_value(g, a_map, b_map) -> Fraction:
-    """Exact winning weight of a deterministic strategy pair."""
-    return sum((g.q[x][y] for x in range(g.ma) for y in range(g.mb)
-                if g.win(a_map[x], b_map[y], x, y)), Fraction(0))
+    """Exact winning weight of a deterministic strategy pair: the weights
+    q(x, y) of the cells it wins by the cellwise rule (`g.win`), summed as
+    numerators over the lcm of those weights' own denominators."""
+    won = [v for x, row in enumerate(g.q) for y, v in enumerate(row)
+           if v and g.win(a_map[x], b_map[y], x, y)]
+    den = lcm(*(v.denominator for v in won))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in won), den)
 
 
 def ns_value(g) -> Fraction:
@@ -280,6 +288,15 @@ def spectral_norm(m) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def spectral_norms(mats) -> list:
+    """The largest singular value of each of the equally shaped complex
+    arrays `mats`, from one stacked SVD; each equals its `spectral_norm`."""
+    arr = np.asarray(mats, dtype=complex)
+    if arr.size == 0:
+        return [0.0] * len(arr)
+    return np.linalg.svd(arr, compute_uv=False)[:, 0].tolist()
+
+
 def _bound_error_estimate(d, ma, mb, norms):
     # conservative envelope for LAPACK singular values: ~1e-15 relative each
     return sqrt(ma * mb) / d * sum(norms) * 1e-13 + 1e-15
@@ -425,8 +442,10 @@ class NormBound:
 
 def norm_bound(g, blocks) -> NormBound:
     """The norm bound of g from its Fourier blocks `blocks`, those of
-    `fourier_blocks(g, k)` for k = 1..d-1."""
-    norms = tuple((spectral_norm(*b),) * 2 if len(b) == 1 else gen_norm_detailed(*b)
+    `fourier_blocks(g, k)` for k = 1..d-1; the single blocks' norms come
+    from one `spectral_norms` call."""
+    tops = iter(spectral_norms([b[0] for b in blocks if len(b) == 1]))
+    norms = tuple((next(tops),) * 2 if len(b) == 1 else gen_norm_detailed(*b)
                   for b in blocks)
     upper = [hi for _, hi in norms]
     return NormBound(_linear_bound(g, upper), _bound_error_estimate(g.d, g.ma, g.mb, upper),

@@ -177,6 +177,21 @@ def test_ragged_coefficient_tables_are_exit_2(tmp_path, capsys, text):
     assert err.startswith("bellpoly: parse error") and "coeffs must be nested" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"space": "probability",\n "bound": 0,\n "coeffs": [[[[]]]]}',
+     "probability coeffs must be nested [x][y][a][b]"),
+    ('{"space": "correlator",\n "bound": 0,\n "coeffs": [[]]}',
+     "correlator coeffs must be nested [x][y]"),
+])
+def test_empty_coefficient_levels_are_parse_errors(tmp_path, capsys, text, message):
+    # an empty level makes no scenario; the file, not the library, is at fault
+    bad = tmp_path / "empty.json"
+    bad.write_text(text)
+    kind = "bell" if "probability" in text else "correlation"
+    assert run_cli(capsys, "facet-test", str(bad), "--polytope", kind) == \
+        (2, "", f"bellpoly: parse error: line 3: {message}\n")
+
+
 @pytest.mark.parametrize("argv, text, message", [
     (["analyze-game", "FILE"], '[{"kind": "linear"}]', "top level must be an object"),
     (["analyze-game", "FILE"],
@@ -269,6 +284,16 @@ def test_verification_failure_exits_4(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze-game", str(path))
     assert code == 4
     assert "verification" in err
+
+
+def test_a_scan_that_disagrees_with_its_witness_exits_4(tmp_path, capsys, monkeypatch):
+    import bellpoly.values as V
+    real = V.scaled_functionals
+    monkeypatch.setattr(V, "scaled_functionals", lambda g: (lambda C, den: (2 * C, den))(*real(g)))
+    path = write_game(tmp_path, make_nlc3_game())
+    code, out, err = run_cli(capsys, "analyze-game", path, "--classical")
+    assert (code, out) == (4, "")
+    assert "integer-scaled search disagrees with exact re-evaluation" in err
 
 
 def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):

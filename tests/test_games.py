@@ -1,4 +1,5 @@
 import cmath
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -280,16 +281,51 @@ def test_win_coeffs_match_the_cellwise_win_rule(nlc3_game, unique3_mixed):
 
 def test_scaled_functionals_match_the_cellwise_win_rule(nlc3_game, unique3_mixed):
     product = build_nlcd(NLCSpec(3, 2, (0, 0, 1), (F(1, 3),) * 3))
-    for g in (nlc3_game, unique3_mixed, product, subgame_restrict(product, {0: 2})):
+    games = [nlc3_game, unique3_mixed, product, subgame_restrict(product, {0: 2})]
+    rng = random.Random(5)
+    for d in (2, 3, 5, 7):
+        ma, mb = rng.randint(1, 5), rng.randint(1, 5)
+        q = [[F(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(mb)] for _ in range(ma)]
+        games.append(LinearGame(d, ma, mb, q, [[rng.randrange(d) for _ in range(mb)]
+                                               for _ in range(ma)]))
+    games.append(UniqueGame3(ma, mb, q, [[rng.choice(sorted(PERMS)) for _ in range(mb)]
+                                         for _ in range(ma)]))
+    # Python ints once d times the total weight could reach 2^62
+    big = LinearGame(2, 2, 2, [[2 ** 60] * 2] * 2, [[0, 1], [1, 0]])
+    for g in games + [big]:
         C, den = scaled_functionals(g)
-        assert C.dtype == np.int64
+        assert C.dtype == (object if g is big else np.int64)
         s = g.scenario
         assert C.tolist() == [[[[int(g.q[x][y] * den) if g.win(a, b, x, y) else 0
                                  for b in range(s.db)] for a in range(s.da)]
                                for y in range(s.mb)] for x in range(s.ma)]
-    # Python ints once d times the total weight could reach 2^62
-    big = LinearGame(2, 2, 2, [[2 ** 60] * 2] * 2, [[0, 1], [1, 0]])
-    assert scaled_functionals(big)[0].dtype == object
+
+
+def test_weight_tables_are_built_once_and_read_only(nlc3_game, unique3_mixed):
+    big = LinearGame(2, 1, 2, [[2 ** 62, F(1, 3)]], [[0, 1]])
+    for g in (nlc3_game, unique3_mixed, big):
+        Q, den = g.scaled_weights
+        assert g.scaled_weights[0] is Q and g.float_weights is g.float_weights
+        assert Q.tolist() == [[v * den for v in row] for row in g.q]
+        assert g.float_weights.tolist() == [[float(v) for v in row] for row in g.q]
+        for table in (Q, g.float_weights):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+    assert big.scaled_weights[0].dtype == object
+
+
+def test_a_restricted_game_builds_its_own_masked_tables(nlc2_and, unique3_mixed):
+    for g in (nlc2_and, unique3_mixed):
+        (Q, den), W = g.scaled_weights, g.float_weights  # the parent's, built first
+        frag = subgame_restrict(g, fix_a={0: 1}) if g is nlc2_and else \
+            subgame_restrict(g, fix_b={0: 0})
+        (fQ, fden), fW = frag.scaled_weights, frag.float_weights
+        assert fQ is not Q and fW is not W
+        assert fQ.tolist() == [[v * fden for v in row] for row in frag.q]
+        assert fW.tolist() == [[float(v) for v in row] for row in frag.q]
+        assert fW.tolist() != W.tolist()
+        assert (g.scaled_weights[0] is Q and g.float_weights is W
+                and W.tolist() == [[float(v) for v in row] for row in g.q])
 
 
 def test_correlator_and_probability_forms_agree(chsh_game):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpoly import (
+    PERMS,
     BudgetExceededError,
     LinearGame,
     UniqueGame3,
@@ -16,6 +17,7 @@ from bellpoly import (
     fourier_blocks,
     values,
 )
+from bellpoly.games import scaled_functionals
 from bellpoly.values import (
     ClassicalValue,
     classical_value,
@@ -87,13 +89,42 @@ def test_classical_value_worker_invariance(nlc3_game):
         (multi.value, multi.a_map, multi.b_map)
 
 
+def _fraction_sum(g, a_map, b_map):
+    return sum((g.q[x][y] for x in range(g.ma) for y in range(g.mb)
+                if g.win(a_map[x], b_map[y], x, y)), F(0))
+
+
 def test_strategy_value_matches_direct_sum(chsh_game):
     g = chsh_game
     a_map, b_map = (0, 1), (1, 0)
-    direct = sum(g.q[x][y]
-                 for x in range(2) for y in range(2)
-                 if g.win(a_map[x], b_map[y], x, y))
-    assert strategy_value(g, a_map, b_map) == direct
+    assert strategy_value(g, a_map, b_map) == _fraction_sum(g, a_map, b_map)
+
+
+def test_strategy_value_equals_the_fraction_sum_on_seeded_strategies():
+    rng = random.Random(19)
+    games = []
+    for d in (2, 3, 5):
+        for scale in (1, 2 ** 60):
+            ma, mb = rng.randint(1, 5), rng.randint(1, 5)
+            q = [[F(rng.randint(0, 9) * scale, rng.choice((1, 2, 3, 7, 12))) for _ in range(mb)]
+                 for _ in range(ma)]
+            q[0][0] = F(4 * scale)
+            f = [[rng.randrange(d) for _ in range(mb)] for _ in range(ma)]
+            games.append(LinearGame(d, ma, mb, q, f))
+        names = sorted(PERMS)
+        games.append(UniqueGame3(ma, mb, q, [[rng.choice(names) for _ in range(mb)]
+                                             for _ in range(ma)]))
+    # the functional takes Python ints once its weights could sum to 2^62
+    assert {scaled_functionals(g)[0].dtype for g in games} == {np.dtype(np.int64),
+                                                                np.dtype(object)}
+    for g in games:
+        for _ in range(30):
+            a_map = tuple(rng.randrange(g.d) for _ in range(g.ma))
+            b_map = tuple(rng.randrange(g.d) for _ in range(g.mb))
+            assert strategy_value(g, a_map, b_map) == _fraction_sum(g, a_map, b_map)
+    # a strategy that wins no cell
+    g = LinearGame(2, 2, 2, [[F(1, 3), 2 ** 61], [5, F(1, 7)]], [[0, 0], [0, 0]])
+    assert strategy_value(g, (0, 0), (1, 1)) == _fraction_sum(g, (0, 0), (1, 1)) == 0
 
 
 # --------------------------------------------------------------- norm bounds
@@ -316,9 +347,10 @@ def test_ns_value_equals_total_weight(corpus):
 
 
 def test_value_report_sums_the_total_weight_once(monkeypatch, corpus):
-    # g's weights are scaled twice: once for the scan's functional
-    # (`scaled_functionals`) and once for the total weight, which the
-    # no-signaling value and the norm bound's clamp both read
+    # g's weights are scaled once, into the integer table (`scaled_weights`)
+    # that the scan's functional and the total weight both read (the
+    # no-signaling value and the norm bound's clamp); a second report of
+    # the same game scales nothing
     from bellpoly import games
     for g in corpus:
         sums = []
@@ -326,8 +358,11 @@ def test_value_report_sums_the_total_weight_once(monkeypatch, corpus):
         monkeypatch.setattr(games, "int_scaled",
                             lambda x, *a, **k: sums.append(x is g.q) or real(x, *a, **k))
         rep = value_report(g)
+        first, sums[:] = sum(sums), []
+        again = value_report(g)
         monkeypatch.undo()
-        assert sum(sums) == 2 and rep.no_signaling == ns_value(g)
+        assert (first, sum(sums)) == (1, 0)
+        assert rep == again and rep.no_signaling == ns_value(g)
 
 
 def test_soundness_chain_over_corpus(corpus):
@@ -336,6 +371,16 @@ def test_soundness_chain_over_corpus(corpus):
         verify_value_report(rep)  # must not raise
         assert float(rep.classical) <= rep.quantum_upper_bound + 1e-9
         assert rep.quantum_upper_bound <= float(rep.no_signaling) + 1e-9
+
+
+def test_exact_value_rejects_a_scan_of_doctored_integer_weights(nlc3_game):
+    # the witness is re-checked on q, never on the scan's integer table, so
+    # a table that disagrees with q is caught
+    g = nlc3_game
+    Q, den = g.scaled_weights
+    g.__dict__["scaled_weights"] = (Q + 1, den)
+    with pytest.raises(VerificationError, match="disagrees with exact re-evaluation"):
+        classical_value(g)
 
 
 def test_verify_value_report_rejects_doctored_bound(nlc3_game):
@@ -395,11 +440,25 @@ def _counting(monkeypatch, module, name):
 
 def test_value_report_computes_each_quantity_once(monkeypatch, phi_ex_game):
     classical = _counting(monkeypatch, values, "classical_value")
-    norms = _counting(monkeypatch, values, "spectral_norm")
+    stacked = _counting(monkeypatch, values, "spectral_norms")
+    single = _counting(monkeypatch, values, "spectral_norm")
     rep = value_report(phi_ex_game, with_sufficient=True, workers=1)
     assert rep.no_advantage.holds  # the check reached its classical-value step
     assert len(classical) == 1
-    assert len(norms) == phi_ex_game.d - 1
+    # the d - 1 blocks' norms come from one stacked SVD
+    assert len(stacked) == 1 and len(stacked[0][0]) == phi_ex_game.d - 1 and not single
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 131])
+def test_norm_bound_stacks_the_per_block_spectral_norms(d):
+    rng = random.Random(d)
+    for _ in range(4 if d < 131 else 2):
+        ma, mb = rng.randint(1, 7), rng.randint(1, 7)
+        q = [[F(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(mb)] for _ in range(ma)]
+        f = [[rng.randrange(d) for _ in range(mb)] for _ in range(ma)]
+        g = LinearGame(d, ma, mb, q, f)
+        blocks = [fourier_blocks(g, k) for k in range(1, d)]
+        assert norm_bound(g, blocks).norms == tuple((spectral_norm(*b),) * 2 for b in blocks)
 
 
 def test_value_report_budget_covers_the_sufficient_check(phi_ex_game):
