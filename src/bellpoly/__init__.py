@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "errors": ("DEFAULT_BOX_BUDGET", "BudgetExceededError", "ParseError", "VerificationError"),
     "rational": ("format_rational", "parse_rational"),
-    "exactrank": ("affine_rank", "integer_rank", "matrix_rank_exact"),
+    "exactrank": ("affine_rank", "integer_rank"),
     "scenario": ("BellInequality", "DeterministicBox", "Scenario", "correlator_inequality",
                  "ns_polytope_dimension"),
     "games": ("PERMS", "REFLECTIONS", "ROTATIONS", "LinearGame", "NLCSpec", "UniqueGame3",

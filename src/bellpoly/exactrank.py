@@ -1,11 +1,9 @@
-"""Exact rank of rational matrices, by modular elimination with a certificate.
+"""Exact affine rank of integer points, by modular elimination with a certificate.
 
-The rows become one integer matrix M with N rows and n columns. Rows of
-integers are taken as they are; any other row is scaled once by the lcm of
-its denominators, which keeps its rank. M is an ``np.int64`` array while
-every entry is below 2^62 in absolute value, and an ``object`` array of
-Python ints otherwise. Its rank over Q is then bounded from both sides, and
-both bounds are exact:
+The points are the rows of a 2-D integer array, every |entry| below 2^62;
+any other input raises TypeError and is never rounded. The rows minus the
+first form one ``np.int64`` matrix M with N rows and n columns. Its rank
+over Q is then bounded from both sides, and both bounds are exact:
 
 * Lower bound. Gauss-Jordan elimination of M mod the prime p = 2^31 - 1,
   in int64, picks r pivot rows and r pivot columns whose r x r minor is
@@ -37,43 +35,15 @@ reference. Every rank returned is exact.
 """
 
 import random
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 P = 2 ** 31 - 1  # residues below 2^31, so a product of two stays below 2^62
-_INT64_MAX = 2 ** 62  # int64 entries stay below this, so one subtraction fits
+_ENTRY_BOUND = 2 ** 62  # |point entry| below this, so a row difference fits in int64
 # the largest N with 2 N^2 < P: distinct fractions with |num|, den <= N
 # differ mod P, so `_rational` rebuilds each of them
 _FRACTION_BOUND = 2 ** 15 - 1
-
-
-def _integer_array(rows):
-    """rows as a 2-D integer array when every entry is an integer, else None."""
-    try:
-        a = np.array(rows)
-    except (ValueError, OverflowError):
-        return None
-    if a.ndim != 2 or a.dtype.kind not in "bi":
-        return None  # Fractions, floats, or integers beyond int64
-    a = a.astype(np.int64, copy=False)
-    if a.size and (a.max() >= _INT64_MAX or a.min() <= -_INT64_MAX):
-        return a.astype(object)
-    return a
-
-
-def _scaled_rows(rows):
-    """Rational rows, each scaled by the lcm of its denominators."""
-    out = []
-    for row in rows:
-        fr = [Fraction(v) for v in row]
-        den = lcm(*(f.denominator for f in fr))
-        out.append([f.numerator * (den // f.denominator) for f in fr])
-    a = np.array(out, dtype=object)
-    if a.size and max(abs(v) for v in a.flat) < _INT64_MAX:
-        return a.astype(np.int64)
-    return a
 
 
 def _reduced_echelon_mod_p(A):
@@ -175,9 +145,9 @@ def _kernel_basis(S, pcols):
 
 def _annihilates(M, K) -> bool:
     """Whether M @ K == 0 exactly: in int64 when no sum can overflow, else
-    over Python ints."""
+    over Python ints (K from `_kernel_basis` is an object array)."""
     bound = int(np.abs(M).max(initial=0)) * int(np.abs(K).max(initial=0)) * M.shape[1]
-    if M.dtype != object and bound < 2 ** 63:
+    if bound < 2 ** 63:
         residual = M @ K.astype(np.int64)
     else:
         residual = M.astype(object) @ K.astype(object)
@@ -204,9 +174,9 @@ def _rank_if_certified(M, S):
 
 
 def _certified_rank(M):
-    """Rank over Q of the integer matrix M (int64 or object array). A wide M
-    is transposed first, which keeps its rank and shrinks the kernel basis
-    the certificate builds to fewer columns than M has rows."""
+    """Rank over Q of the int64 matrix M. A wide M is transposed first,
+    which keeps its rank and shrinks the kernel basis the certificate
+    builds to fewer columns than M has rows."""
     if M.size == 0:
         return 0
     if M.shape[0] < M.shape[1]:
@@ -258,28 +228,17 @@ def integer_rank(rows):
     return rank
 
 
-def matrix_rank_exact(rows):
-    """Rank over Q; rows may contain Fractions or ints."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    M = _integer_array(rows)
-    return _certified_rank(_scaled_rows(rows) if M is None else M)
-
-
 def affine_rank(points):
-    """Affine dimension of a finite point set with rational coordinates.
-
-    Empty input is the caller's problem (polytope code uses -1 by convention
-    and filters before calling). A single point has affine dimension 0.
-    """
-    pts = list(points)
-    if not pts:
+    """Affine dimension of the points that are the rows of `points`, a 2-D
+    bool or integer array (or nested Python ints) with every |entry| below
+    2^62; TypeError otherwise. A single point has dimension 0, and an empty
+    set raises ValueError (polytope code filters it out and uses -1)."""
+    if len(points) == 0:
         raise ValueError("affine rank of an empty point set")
-    M = _integer_array(pts)
-    if M is None:
-        base = [Fraction(v) for v in pts[0]]
-        M = _scaled_rows([[Fraction(v) - b for v, b in zip(p, base)] for p in pts[1:]])
-    else:
-        M = M[1:] - M[0]
-    return _certified_rank(M)
+    pts = np.asarray(points)
+    if pts.ndim != 2 or pts.dtype.kind not in "bi":
+        raise TypeError("affine_rank takes the points as rows of a 2-D integer array")
+    pts = pts.astype(np.int64, copy=False)
+    if pts.max(initial=0) >= _ENTRY_BOUND or pts.min(initial=0) <= -_ENTRY_BOUND:
+        raise TypeError("affine_rank takes entries below 2^62 in absolute value")
+    return _certified_rank(pts[1:] - pts[0])

@@ -11,11 +11,11 @@ Distributed-computation (NLC) instances are built from a compact spec and come
 out as linear games carrying their construction data, which the non-facet
 machinery needs later.
 
-Every game has one builder of its k-th Fourier blocks (`fourier_blocks`),
-complex arrays in the weighted convention: entry (x, y) is q(x, y) times a
-d-th root of unity. A linear game has one block, Phi_k with phase
-k f(x, y); a 3-output unique game has two, one per coset of its
-permutations. The norm bound reads both kinds the same way.
+Every game has one builder of its Fourier blocks for k = 1..d-1
+(`fourier_blocks`), complex arrays in the weighted convention: entry (x, y)
+is q(x, y) times a d-th root of unity. A linear game has one block per k,
+Phi_k with phase k f(x, y); a 3-output unique game has two, one per coset
+of its permutations. The norm bound reads both kinds the same way.
 """
 
 from __future__ import annotations
@@ -220,71 +220,64 @@ def build_nlc2(spec: NLCSpec) -> LinearGame:
         raise ValueError("build_nlc2 needs d = 2")
     if len(spec.g) != 2 ** spec.n:
         raise ValueError("build_nlc2 needs the full f-table; use build_nlcd for product form")
-    m = 2 ** spec.n
-    q = tuple(tuple(spec.p[x ^ y] / m for y in range(m)) for x in range(m))
-    f = tuple(tuple(spec.g[x ^ y] for y in range(m)) for x in range(m))
-    return LinearGame(2, m, m, q, f, n=spec.n, nlc=spec)
+    return build_nlc(spec)
 
 
 def build_nlc(spec: NLCSpec) -> LinearGame:
-    """Dispatch on the table shape: full d=2 truth tables go through
-    build_nlc2, product-form tables (any prime d, including 2) through
-    build_nlcd."""
-    if spec.d == 2 and len(spec.g) == 2 ** spec.n:
-        return build_nlc2(spec)
-    return build_nlcd(spec)
+    """Distributed-computation game for prime d: q(x,y) = p(z)/d^n and
+    f(x,y) = g(z) with z = x + y dit-wise mod d. A product-form table is
+    first written out on Z_d^n: g(z) = g(zt) * z_n and p(z) = p(zt)/d, where
+    zt is the string of the first n-1 dits."""
+    d, n = spec.d, spec.n
+    if not _is_prime(d):
+        raise ValueError(f"d = {d} is not prime")
+    g, p = spec.g, spec.p
+    if spec.is_product_form:
+        g = [gt * zn % d for gt in g for zn in range(d)]
+        p = [pt / d for pt in p for _ in range(d)]
+    m = d ** n
+    i, z = np.arange(m), np.zeros((m, m), dtype=np.int64)
+    for w in d ** np.arange(n):
+        z += (i[:, None] // w + i // w) % d * w
+    z = z.tolist()
+    q = [p_z / m for p_z in p]
+    return LinearGame(d, m, m, tuple(tuple(q[v] for v in row) for row in z),
+                      tuple(tuple(g[v] for v in row) for row in z), n=n, nlc=spec)
 
 
 def build_nlcd(spec: NLCSpec) -> LinearGame:
     """Product-form distributed-computation game for prime d:
     f(x,y) = g(xt + yt) * (x_n + y_n) and q(x,y) = p(xt + yt) / d^(n+1),
-    where xt is the string of the first n-1 dits (digit-wise sums mod d)."""
-    d = spec.d
-    if not _is_prime(d):
-        raise ValueError(f"d = {d} is not prime")
+    where xt is the string of the first n-1 dits (digit-wise sums mod d).
+    `build_nlc` checks that d is prime."""
     if not spec.is_product_form:
         raise ValueError("build_nlcd needs the product-form table g on Z_d^(n-1)")
-    n = spec.n
-    m = d ** n
-    den = d ** (n + 1)
-    q = [[None] * m for _ in range(m)]
-    f = [[0] * m for _ in range(m)]
-    for x in range(m):
-        xt, xn = divmod(x, d)
-        for y in range(m):
-            yt, yn = divmod(y, d)
-            zt = ditwise_add(xt, yt, d, n - 1)
-            q[x][y] = spec.p[zt] / den
-            f[x][y] = (spec.g[zt] * ((xn + yn) % d)) % d
-    return LinearGame(d, m, m, tuple(map(tuple, q)), tuple(map(tuple, f)),
-                      n=n, nlc=spec)
+    return build_nlc(spec)
 
 
 # ---------------------------------------------------------------------------
 # Fourier blocks
 # ---------------------------------------------------------------------------
 
-def fourier_blocks(g, k: int) -> tuple:
-    """The k-th Fourier blocks of g, complex arrays [x, y] whose entries are
-    q(x, y) zeta^(phase), zeta = exp(2 pi i / d): for a linear game one
+def fourier_blocks(g) -> tuple:
+    """The Fourier blocks of g for k = 1..d-1, one tuple per k, of complex
+    arrays [x, y] whose entries are q(x, y) zeta^(phase), zeta = exp(2 pi i / d),
+    read from one table of the d powers of zeta: for a linear game one
     block, Phi_k, of phase k f(x, y); for a 3-output unique game two, which
     partition q. Its permutations split into rotations (a -> a + c) and
     reflections (a -> c - a), and each input pair feeds one coset's block:
     a rotation cell has phase -k f_minus, where a - b = f_minus on a win,
     and a reflection cell phase k f_plus, where a + b = f_plus on a win."""
-    if not 1 <= k <= g.d - 1:
-        raise ValueError(f"k must be in 1..{g.d - 1}, got {k}")
-    q = g.float_weights
+    q, d = g.float_weights, g.d
+    roots = np.exp(2j * pi * np.arange(d) / d)
     if isinstance(g, LinearGame):
-        return (_phased(q, k * np.array(g.f), g.d),)
+        f = np.array(g.f, dtype=np.int64)
+        return tuple((q * roots[k * f % d],) for k in range(1, d))
     # rotation cells: f_minus = -shift, so -k f_minus = k shift; reflections: f_plus = shift
-    return tuple(_phased(q * [[name in shifts for name in row] for row in g.perms],
-                         [[k * shifts.get(name, 0) for name in row] for row in g.perms], 3)
-                 for shifts in (ROTATIONS, REFLECTIONS))
-
-
-def _phased(weights, exponents, d) -> np.ndarray:
-    return weights * np.exp(2j * pi * (np.asarray(exponents) % d) / d)
+    cosets = [(q * [[name in shifts for name in row] for row in g.perms],
+               np.array([[shifts.get(name, 0) for name in row] for row in g.perms]))
+              for shifts in (ROTATIONS, REFLECTIONS)]
+    return tuple(tuple(w * roots[k * s % d] for w, s in cosets) for k in range(1, d))
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def hadamard_diagonal_check(g: LinearGame, j: int, k: int, tol: float = HADAMARD
     if j not in (0, 1) or k not in (0, 1):
         raise ValueError("block selectors are bits")
     m = g.ma // 2  # the first input bit selects a block of m inputs
-    block = fourier_blocks(g, 1)[0][j * m:j * m + m, k * m:k * m + m]
+    block = fourier_blocks(g)[0][0][j * m:j * m + m, k * m:k * m + m]
     H = _sylvester_hadamard(m) / np.sqrt(m)
     D = H.conj().T @ block @ H
     off = D - np.diag(np.diag(D))

@@ -304,7 +304,7 @@ def _bound_error_estimate(d, ma, mb, norms):
 
 def norm_bound_linear(g) -> float:
     """Upper bound on the quantum value of a game (`norm_bound`)."""
-    return norm_bound(g, [fourier_blocks(g, k) for k in range(1, g.d)]).value
+    return norm_bound(g, fourier_blocks(g)).value
 
 
 def _linear_bound(g, norms) -> float:
@@ -442,8 +442,8 @@ class NormBound:
 
 def norm_bound(g, blocks) -> NormBound:
     """The norm bound of g from its Fourier blocks `blocks`, those of
-    `fourier_blocks(g, k)` for k = 1..d-1; the single blocks' norms come
-    from one `spectral_norms` call."""
+    `fourier_blocks(g)`; the single blocks' norms come from one
+    `spectral_norms` call."""
     tops = iter(spectral_norms([b[0] for b in blocks if len(b) == 1]))
     norms = tuple((next(tops),) * 2 if len(b) == 1 else gen_norm_detailed(*b)
                   for b in blocks)
@@ -469,16 +469,18 @@ def sufficient_no_advantage(g: LinearGame) -> NoAdvantageVerdict:
     with the reason named; the condition is one-sided and its failure proves
     nothing.
     """
-    blocks = [fourier_blocks(g, k) for k in range(1, g.d)]
-    return _no_advantage(g, blocks, norm_bound(g, blocks))
+    return _no_advantage(g)
 
 
-def _no_advantage(g, blocks, bound, cv=None) -> NoAdvantageVerdict:
-    """sufficient_no_advantage given g's Fourier blocks (Phi_k) and its norm
-    bound, and the classical value when it is known already (else it is
-    computed when needed)."""
+def _no_advantage(g, blocks=None, bound=None, cv=None) -> NoAdvantageVerdict:
+    """sufficient_no_advantage given g's Fourier blocks (Phi_k), its norm
+    bound and its classical value when they are known already; each is
+    computed when needed, and none for a game that is not linear."""
     if not isinstance(g, LinearGame):
         return NoAdvantageVerdict(reason="condition applies to linear games")
+    if blocks is None:
+        blocks = fourier_blocks(g)
+        bound = norm_bound(g, blocks)
     d, ma, mb = g.d, g.ma, g.mb
     mats = [phi for phi, in blocks]
     U, S, Vh = np.linalg.svd(mats[0])
@@ -529,7 +531,7 @@ def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_BOX_BUD
     is violated; that chain is a theorem, so a violation means a bug.
     """
     cv = classical_value(g, budget=budget, workers=workers)
-    blocks = [fourier_blocks(g, k) for k in range(1, g.d)]
+    blocks = fourier_blocks(g)
     bound = norm_bound(g, blocks)
     verdict = _no_advantage(g, blocks, bound, cv) if with_sufficient else None
     report = ValueReport(cv.value, ns_value(g), (cv.a_map, cv.b_map), bound, verdict)

@@ -68,8 +68,7 @@ def test_total_weight_one(nlc3_game, phi_ex_game):
 
 def test_game_matrix_entries(nlc3_game):
     g = nlc3_game
-    for k in (1, 2):
-        (z,) = fourier_blocks(g, k)
+    for k, (z,) in enumerate(fourier_blocks(g), 1):
         zeta = cmath.exp(2j * cmath.pi / 3)
         for x in range(3):
             for y in range(3):
@@ -78,10 +77,44 @@ def test_game_matrix_entries(nlc3_game):
                 assert abs(abs(z[x][y]) - float(g.q[x][y])) < 1e-15
 
 
-def test_game_matrix_k_out_of_range(nlc3_game):
-    for k in (0, 3):
-        with pytest.raises(ValueError):
-            fourier_blocks(nlc3_game, k)
+def test_game_matrix_k_out_of_range(nlc3_game, unique3_mixed):
+    # the blocks cover k = 1..d-1: none for k = 0 or k = d
+    assert [len(b) for b in fourier_blocks(nlc3_game)] == [1, 1]
+    assert [len(b) for b in fourier_blocks(unique3_mixed)] == [2, 2]
+
+
+def _rng_linear(rng, d):
+    ma, mb = rng.randint(1, 7), rng.randint(1, 7)
+    q = [[F(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(mb)] for _ in range(ma)]
+    return LinearGame(d, ma, mb, q, [[rng.randrange(d) for _ in range(mb)] for _ in range(ma)])
+
+
+def _rng_unique3(rng):
+    ma, mb = rng.randint(1, 6), rng.randint(1, 6)
+    q = [[F(rng.randint(0, 9), 9) for _ in range(mb)] for _ in range(ma)]
+    return UniqueGame3(ma, mb, q, [[rng.choice(sorted(PERMS)) for _ in range(mb)]
+                                   for _ in range(ma)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fourier_blocks_equal_one_exp_per_block(seed):
+    # each block read from the table of roots is bitwise the weights times
+    # exp(2 pi i (phase mod d) / d), one exp over the whole block
+    rng = random.Random(seed)
+    games = [_rng_linear(rng, d) for d in (2, 3, 5, 7, 131, 257)] + [_rng_unique3(rng)]
+    for g in games:
+        q = np.array(g.q, dtype=float)
+        if isinstance(g, LinearGame):
+            parts = [(q, np.array(g.f))]
+        else:
+            parts = [(q * [[name in shifts for name in row] for row in g.perms],
+                      np.array([[shifts.get(name, 0) for name in row] for row in g.perms]))
+                     for shifts in (ROTATIONS, REFLECTIONS)]
+        blocks = fourier_blocks(g)
+        assert len(blocks) == g.d - 1
+        for k, got in enumerate(blocks, 1):
+            want = [w * np.exp(2j * np.pi * (k * s % g.d) / g.d) for w, s in parts]
+            assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
 
 
 def test_roots_of_unity_sum_identity(nlc3_game):
@@ -132,6 +165,21 @@ def test_build_nlc_dispatch():
     assert full.f == build_nlc2(NLCSpec(2, 2, (0, 0, 0, 1), (F(1, 4),) * 4)).f
     prod = build_nlc(NLCSpec(3, 2, (0, 0, 1), (F(1, 3),) * 3))
     assert (prod.d, prod.ma, prod.n) == (3, 9, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_binary_product_form_is_its_full_table(n):
+    # a d = 2 product-form spec, g(z) = g(zt) z_n and p(z) = p(zt)/2, built
+    # as written out in full through build_nlc2
+    rng = random.Random(n)
+    g = tuple(rng.randrange(2) for _ in range(2 ** (n - 1)))
+    w = [rng.randint(1, 5) for _ in g]
+    p = tuple(F(v, sum(w)) for v in w)
+    full = NLCSpec(2, n, tuple(g[z // 2] * (z % 2) for z in range(2 ** n)),
+                   tuple(p[z // 2] / 2 for z in range(2 ** n)))
+    product, written = build_nlc(NLCSpec(2, n, g, p)), build_nlc2(full)
+    assert (product.q, product.f) == (written.q, written.f)
+    assert product == build_nlcd(NLCSpec(2, n, g, p))
 
 
 def test_nlcd_product_form_function():
@@ -227,7 +275,7 @@ def test_unique3_matrices_partition_weight(unique3_mixed, unique3_rotation):
     # each weighted cell is nonzero in exactly one block, its coset's, with
     # the cell's weight as its modulus
     for g in (unique3_mixed, unique3_rotation):
-        rot, ref = fourier_blocks(g, 1)
+        rot, ref = fourier_blocks(g)[0]
         for x in range(2):
             for y in range(2):
                 weighted = g.q[x][y] != 0
@@ -238,7 +286,7 @@ def test_unique3_matrices_partition_weight(unique3_mixed, unique3_rotation):
 
 
 def test_unique3_rotation_game_has_empty_reflection_block(unique3_rotation):
-    _, ref = fourier_blocks(unique3_rotation, 1)
+    _, ref = fourier_blocks(unique3_rotation)[0]
     assert not ref.any()
 
 

@@ -152,14 +152,14 @@ def test_phi_ex_norm_bound_tight(phi_ex_game):
 
 
 def test_phi_ex_block_norms(phi_ex_game):
-    norms = [spectral_norm(*fourier_blocks(phi_ex_game, k)) for k in (1, 2, 3)]
+    norms = [spectral_norm(*blocks) for blocks in fourier_blocks(phi_ex_game)]
     for got, want in zip(norms, (3 / 14, 1 / 4, 3 / 14)):
         assert abs(got - want) < 1e-12
 
 
 def test_nlc2_and_bound(nlc2_and):
     assert abs(norm_bound_linear(nlc2_and) - 0.75) < 1e-12
-    assert abs(spectral_norm(*fourier_blocks(nlc2_and, 1)) - 1 / 8) < 1e-12
+    assert abs(spectral_norm(*fourier_blocks(nlc2_and)[0]) - 1 / 8) < 1e-12
 
 
 def test_bound_clamped_at_total_weight(nlc2_xor):
@@ -230,12 +230,12 @@ def seeded_unique3(seed, ma, mb):
 
 
 def coset_pairs(games):
-    return [fourier_blocks(g, k) for g in games for k in (1, 2)]
+    return [blocks for g in games for blocks in fourier_blocks(g)]
 
 
 def bound_of(g):
     """The norm bound of g from its Fourier blocks."""
-    return norm_bound(g, [fourier_blocks(g, k) for k in range(1, g.d)])
+    return norm_bound(g, fourier_blocks(g))
 
 
 def test_gen_norm_interval_against_the_reference_ascent():
@@ -314,6 +314,13 @@ def test_unique3_no_advantage_inconclusive(unique3_mixed):
     verdict = sufficient_no_advantage(unique3_mixed)
     assert not verdict.holds and verdict.reason == "condition applies to linear games"
     assert value_report(unique3_mixed, with_sufficient=True).no_advantage == verdict
+
+
+def test_no_advantage_on_unique3_computes_no_joint_norm(monkeypatch, unique3_mixed):
+    calls = []
+    monkeypatch.setattr(values, "gen_norm_detailed", lambda *b: calls.append(b))
+    verdict = sufficient_no_advantage(unique3_mixed)
+    assert verdict.reason == "condition applies to linear games" and calls == []
 
 
 @pytest.mark.parametrize("game, reason", [
@@ -457,7 +464,7 @@ def test_norm_bound_stacks_the_per_block_spectral_norms(d):
         q = [[F(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(mb)] for _ in range(ma)]
         f = [[rng.randrange(d) for _ in range(mb)] for _ in range(ma)]
         g = LinearGame(d, ma, mb, q, f)
-        blocks = [fourier_blocks(g, k) for k in range(1, d)]
+        blocks = fourier_blocks(g)
         assert norm_bound(g, blocks).norms == tuple((spectral_norm(*b),) * 2 for b in blocks)
 
 
