@@ -26,17 +26,15 @@ _EXPORTS = {name: module for module, names in {
     "scenario": ("BellInequality", "DeterministicBox", "Scenario", "correlator_inequality",
                  "ns_polytope_dimension"),
     "games": ("PERMS", "REFLECTIONS", "ROTATIONS", "LinearGame", "NLCSpec", "UniqueGame3",
-              "build_nlc", "build_nlc2", "build_nlcd", "dits_to_index", "ditwise_add",
-              "fourier_blocks", "input_dits", "subgame_restrict", "to_bell_inequality",
-              "to_correlator_inequality"),
+              "build_nlc", "build_nlc2", "build_nlcd", "fourier_blocks", "input_dits",
+              "to_bell_inequality", "to_correlator_inequality"),
     "values": ("ClassicalValue", "NoAdvantageVerdict", "NormBound", "ValueReport",
                "classical_value", "gen_norm_detailed", "norm_bound", "norm_bound_linear",
                "ns_value", "spectral_norm", "strategy_value", "sufficient_no_advantage",
                "value_report", "verify_value_report"),
     "tightness": ("FacetReport", "LambdaProfile", "facet_test", "game_facet_test",
                   "hadamard_diagonal_check", "nlc2_block_symmetry", "nlc2_decompose",
-                  "nlcd_classical_formula", "nlcd_lambda", "nlcd_nonfacet_check",
-                  "saturating_boxes"),
+                  "nlcd_classical_formula", "nlcd_lambda", "nlcd_nonfacet_check"),
     "chsh": ("FaceVerdict", "SigmaLambdaCertificate", "WeightedCHSH", "canonicalize",
              "face_condition", "from_weights", "qubit_value_estimate",
              "sigma_lambda_certificate"),

@@ -234,8 +234,8 @@ def parse_inequality_text(raw: str):
             return CutInequality(n, pairs, bound)
         except ParseError:
             raise
-        except ValueError as e:  # an edge listed twice
-            raise ParseError(str(e), line=_line_of(raw, '"coeffs"')) from None
+        except ValueError as e:  # a negative vertex count, or an edge listed twice
+            raise ParseError(str(e), line=_line_of(raw, '"n"' if n < 0 else '"coeffs"')) from None
         except (TypeError, IndexError, KeyError):
             raise ParseError("cut coeffs must be [i, j, value] triples",
                              line=_line_of(raw, '"coeffs"')) from None

@@ -39,6 +39,8 @@ class Graph:
     edge_index: Mapping = field(init=False, compare=False, repr=False)
 
     def __init__(self, n: int, edges):
+        if int(n) < 0:
+            raise ValueError(f"vertex count {n} is negative")
         object.__setattr__(self, "n", int(n))
         norm = set()
         for e in edges:
@@ -71,33 +73,6 @@ def suspension(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # cuts
 # ---------------------------------------------------------------------------
-
-def _two_coloring(g: Graph, bits):
-    """Recover a vertex subset from an edge 0/1 vector, component by
-    component (smallest vertex of each component is placed outside), or
-    report that no subset induces these bits."""
-    edge_bit = dict(zip(g.sorted_edges, bits))
-    adj = {v: [] for v in range(g.n)}
-    for (i, j), b in edge_bit.items():
-        adj[i].append((j, b))
-        adj[j].append((i, b))
-    color = [None] * g.n
-    for start in range(g.n):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u, b in adj[v]:
-                want = color[v] ^ b
-                if color[u] is None:
-                    color[u] = want
-                    stack.append(u)
-                elif color[u] != want:
-                    raise ValueError("bit vector is not the incidence vector of any cut")
-    return frozenset(v for v in range(g.n) if color[v] == 1)
-
 
 # The bulk cut scan and the facet test's rank work on numpy arrays. They
 # import numpy, games and tightness where they run, so that building graphs,
@@ -143,16 +118,6 @@ class CutVector:
         object.__setattr__(self, "subset", s)
         object.__setattr__(self, "bits", tuple(((mask >> i) ^ (mask >> j)) & 1
                                                for i, j in graph.sorted_edges))
-
-    @staticmethod
-    def from_bits(graph: Graph, bits) -> "CutVector":
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != len(graph.sorted_edges) or any(b not in (0, 1) for b in bits):
-            raise ValueError("need one 0/1 entry per edge")
-        cv = CutVector(graph, _two_coloring(graph, bits))
-        if cv.bits != bits:
-            raise VerificationError("recovered subset does not reproduce the bits")
-        return cv
 
     def bit(self, i: int, j: int) -> int:
         try:
@@ -294,6 +259,8 @@ class CutInequality:
     bound: Fraction
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count {self.n} is negative")
         object.__setattr__(self, "edge_coeffs", _edge_table(self.edge_coeffs))
         object.__setattr__(self, "bound", Fraction(self.bound))
 

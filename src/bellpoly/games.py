@@ -20,7 +20,7 @@ of its permutations. The norm bound reads both kinds the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm, pi
@@ -77,7 +77,11 @@ class _Game:
 
     @cached_property
     def float_weights(self) -> np.ndarray:
-        """q as a read-only float array [x, y]."""
+        """q as a read-only float array [x, y]; ValueError when the total
+        weight, which bounds every weight, is beyond the float range."""
+        top = np.finfo(float).max
+        if self.total_weight > top:
+            raise ValueError(f"total weight beyond the float range (max {top:.17g})")
         Q = np.array(self.q, dtype=float)
         Q.flags.writeable = False
         return Q
@@ -199,20 +203,6 @@ def input_dits(x, d, n):
     return tuple(x // d ** (n - 1 - i) % d for i in range(n))
 
 
-def dits_to_index(dits, d):
-    v = 0
-    for t in dits:
-        v = v * d + t
-    return v
-
-
-def ditwise_add(u, v, d, n):
-    """Index of the digit-wise mod-d sum of two base-d encoded strings."""
-    du = input_dits(u, d, n)
-    dv = input_dits(v, d, n)
-    return dits_to_index(tuple((a + b) % d for a, b in zip(du, dv)), d)
-
-
 def build_nlc2(spec: NLCSpec) -> LinearGame:
     """Binary distributed-computation game: q(x,y) = p(x xor y)/2^n and
     f(x,y) = g(x xor y), any g: Z_2^n -> Z_2."""
@@ -281,7 +271,7 @@ def fourier_blocks(g) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Inequality views and subgames
+# Inequality views
 # ---------------------------------------------------------------------------
 
 def to_bell_inequality(g) -> BellInequality:
@@ -355,33 +345,3 @@ def to_correlator_inequality(g: LinearGame) -> BellInequality:
     bound = classical_value(g).value - g.total_weight / 2
     return correlator_inequality(g.scenario, corr, bound)
 
-
-def subgame_restrict(g, fix_a=None, fix_b=None):
-    """Zero out all weight outside a partial assignment of input dits.
-
-    fix_a / fix_b map dit positions (0 = first = most significant) to values.
-    The game shape is unchanged; only q is masked, so fragment inequalities
-    live in the same scenario and sum cell-wise to the original. The masked
-    game comes out of g's constructor; a linear one carries no NLC spec, as
-    the spec no longer describes its weights.
-    """
-    fix_a, fix_b = dict(fix_a or {}), dict(fix_b or {})
-    if not fix_a and not fix_b:
-        raise ValueError("empty restriction")
-    n, d = getattr(g, "n", 1), g.d
-    for pos, val in [*fix_a.items(), *fix_b.items()]:
-        if not 0 <= pos < n:
-            raise ValueError(f"dit position {pos} out of range for n = {n}")
-        if not 0 <= val < d:
-            raise ValueError(f"dit value {val} out of range for d = {d}")
-
-    def kept(m, fixes):
-        dits = [input_dits(i, d, n) for i in range(m)]
-        return [all(t[pos] == val for pos, val in fixes.items()) for t in dits]
-
-    keep_x, keep_y = kept(g.ma, fix_a), kept(g.mb, fix_b)
-    q = tuple(tuple(v if keep_x[x] and keep_y[y] else Fraction(0) for y, v in enumerate(row))
-              for x, row in enumerate(g.q))
-    if isinstance(g, LinearGame):
-        return replace(g, q=q, nlc=None)
-    return replace(g, q=q)

@@ -24,8 +24,7 @@ from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError, VerificationError
 from .exactrank import affine_rank
 from .games import (LinearGame, _win_coeffs, fourier_blocks, input_dits, int_scaled,
                     scaled_functionals)
-from .scenario import (BellInequality, DeterministicBox, _correlator_rows, _reduced_rows,
-                       ns_polytope_dimension)
+from .scenario import BellInequality, _correlator_rows, _reduced_rows, ns_polytope_dimension
 from .values import _exact_value, _pruned_scan, _scan
 
 HADAMARD_TOL = 1e-12
@@ -65,13 +64,9 @@ class LambdaProfile:
     def big_lambda(self) -> Fraction:
         return max(self.lambdas)
 
-    @property
-    def i_max(self) -> int:
-        return self.lambdas.index(self.big_lambda)
-
 
 # ---------------------------------------------------------------------------
-# saturating boxes and facet tests
+# facet tests
 # ---------------------------------------------------------------------------
 
 def _facet_report(kind, ambient, count, rows, trivial=False):
@@ -80,17 +75,6 @@ def _facet_report(kind, ambient, count, rows, trivial=False):
     vertices span ambient - 1 dimensions."""
     dim = affine_rank(rows) if count else -1
     return FacetReport(kind, ambient, count, dim, trivial_facet_class=trivial)
-
-
-def _valid_scan(C, target, budget, cols=1):
-    """`values._scan` of the integer functional C, with tie sets kept while
-    the rank rows, `cols` cells each, fit the budget; a box above the
-    integer bound raises ValueError naming the first box of largest value."""
-    scan = _scan(C, budget, ties=True, cols=cols)
-    if scan.top > target:
-        raise ValueError("inequality is violated by the deterministic box with "
-                         "a_map {} and b_map {}".format(*scan.box))
-    return scan
 
 
 def _bell_roots(s, scan, project, budget, cols):
@@ -111,25 +95,6 @@ def _bell_roots(s, scan, project, budget, cols):
     answers[len(base) + np.arange(len(k)), j] = o
     maps = np.concatenate([scan.maps, scan.maps[k]])
     return project(s, maps, answers) if scan.alice else project(s, answers, maps)
-
-
-def saturating_boxes(ineq: BellInequality, budget: int = DEFAULT_BOX_BUDGET):
-    """All deterministic boxes achieving the bound exactly, in lexicographic
-    order on (a_map, b_map): the optimal maps of `values._scan`, each with
-    every choice from the answering side's tie sets. A box above the bound
-    raises the ValueError of `facet_test`. The budget bounds the maps
-    scanned and the boxes listed."""
-    C, (target,), _ = int_scaled(ineq.coeffs, [ineq.bound])
-    scan = _valid_scan(C, target, budget)
-    if scan.top < target:
-        return []
-    if scan.count > budget:
-        raise BudgetExceededError(f"{scan.count} saturating boxes exceed the budget of {budget}")
-    boxes = []
-    for m, tie_sets in zip(scan.maps.tolist(), scan.ties):
-        for answers in itertools.product(*(np.flatnonzero(t).tolist() for t in tie_sets)):
-            boxes.append((tuple(m), answers) if scan.alice else (answers, tuple(m)))
-    return [DeterministicBox(ineq.scenario, a_map, b_map) for a_map, b_map in sorted(boxes)]
 
 
 def _polytope(kind, s):
@@ -161,14 +126,18 @@ def facet_test(ineq: BellInequality, kind: str, budget: int = DEFAULT_BOX_BUDGET
     saturating boxes are compared in minimal no-signaling coordinates.
     kind "correlation": binary outputs and a correlator-space inequality
     required; boxes are projected to their ma*mb full correlators. The
-    budget bounds the maps scanned and the cells of the rank matrix."""
+    budget bounds the maps scanned and the rank cells; a box above the
+    bound raises ValueError naming the first box of largest value."""
     ambient, _ = _polytope(kind, ineq.scenario)
     if kind == "correlation" and ineq.space != "correlator":
         raise ValueError("correlation facet test needs a correlator-space inequality")
     C, (target,), _ = int_scaled(ineq.coeffs, [ineq.bound])
     # single-cell nonnegativity written as <= : one negative coefficient, bound 0
     trivial = bool(target == 0 and np.count_nonzero(C) == 1 and C.min() < 0)
-    scan = _valid_scan(C, target, budget, ambient)
+    scan = _scan(C, budget, ties=True, cols=ambient)
+    if scan.top > target:
+        raise ValueError("inequality is violated by the deterministic box with "
+                         "a_map {} and b_map {}".format(*scan.box))
     return _face(kind, ineq.scenario, scan, target, budget, trivial)
 
 
@@ -350,7 +319,7 @@ def _product_spec(g):
 
 def nlcd_lambda(g: LinearGame) -> LambdaProfile:
     """Weighted histogram of the product-form table: lambda(i) = total p-mass
-    of the g-preimage of i. Ties in the argmax break toward the smallest i."""
+    of the g-preimage of i."""
     spec = _product_spec(g)
     lambdas = [Fraction(0)] * spec.d
     for z, gz in enumerate(spec.g):

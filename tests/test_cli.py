@@ -216,6 +216,10 @@ def test_empty_coefficient_levels_are_parse_errors(tmp_path, capsys, text, messa
      "cut facet tests need a cut-space inequality"),
     (["chsh", "nan", "1", "1", "1"], None, "line 1: P1: bad rational 'nan'"),
     (["chsh", "1", "1", "1/0", "1"], None, "line 1: P3: bad rational '1/0'"),
+    (["cut", "suspend", "--graph", "FILE"], "-1\n", "line 1: vertex count -1 is negative"),
+    (["cut", "cuts", "--graph", "FILE"], "-1\n", "line 1: vertex count -1 is negative"),
+    (["cut", "facet", "--ineq", "FILE"], '{"space": "cut", "bound": "0",\n "n": -2, "coeffs": []}',
+     "line 2: vertex count -2 is negative"),
 ])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, argv, text, message):
     if text is not None:
@@ -475,6 +479,24 @@ def test_analyze_game_with_weights_past_int64(tmp_path, capsys):
     r = json.loads(out, parse_constant=_reject_constant)["results"]
     assert r["classical_value"] == str(value)
     assert r["witness"] == {"a_map": list(a_map), "b_map": list(b_map)}
+
+
+@pytest.mark.parametrize("m, weight", [(2, "1e308"), (1, "1e400")])
+def test_total_weight_beyond_the_float_range_is_exit_2(tmp_path, capsys, m, weight):
+    # every weight of the 2 x 2 game is a float, their total is not; the
+    # 1 x 1 game's one weight is not
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "linear", "d": 2, "mA": m, "mB": m,
+                                "q": [[weight] * m] * m, "f": [[0] * m] * m}))
+    code, out, err = run_cli(capsys, "analyze-game", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("bellpoly: invalid input: total weight beyond the float range "
+                   "(max 1.7976931348623157e+308)\n")
+    path.write_text(path.read_text().replace(weight, "1e307"))
+    code, out, err = run_cli(capsys, "analyze-game", str(path))
+    assert (code, err) == (0, "")
+    r = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert r["total_weight"] == str(m * m * 10 ** 307) and r["soundness"] == "verified"
 
 
 def test_facet_test_nlc_computes_the_classical_value_once(tmp_path, capsys, monkeypatch):

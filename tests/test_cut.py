@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellpoly import BudgetExceededError, VerificationError
+from bellpoly import BudgetExceededError
 from bellpoly.cut import (
     CorrelatorInequality,
     CutInequality,
@@ -144,17 +144,6 @@ def test_cut_subset_canonical_excludes_vertex_zero():
     g = Graph.complete(4)
     assert CutVector(g, (0,)).subset == frozenset({1, 2, 3})
     assert CutVector(g, (0, 2)).subset == frozenset({1, 3})
-
-
-def test_from_bits_round_trip():
-    g = Graph.complete(4)
-    for cv in enumerate_cuts(g):
-        assert CutVector.from_bits(g, cv.bits) == cv
-
-
-def test_from_bits_rejects_non_cut():
-    with pytest.raises((VerificationError, ValueError)):
-        CutVector.from_bits(Graph.complete(3), (1, 0, 0))
 
 
 def test_cut_count_budget():

@@ -1,9 +1,9 @@
-"""Facet tests and saturating boxes from the best-response scan, against the
-full box scan of tests/classical_reference.py: every report, violation
-message and saturating-box list on seeded Bell and correlator functionals
-(1-4 inputs a side, 2-3 outputs, either side with fewer maps, all-zero
-inputs, coefficients past 2^62, bounds at, above and below the maximum);
-the budget on rank cells and listed boxes; the n = 4 NLC verdicts."""
+"""Facet tests from the best-response scan, against the full box scan of
+tests/classical_reference.py: every report and violation message on seeded
+Bell and correlator functionals (1-4 inputs a side, 2-3 outputs, either
+side with fewer maps, all-zero inputs, coefficients past 2^62, bounds at,
+above and below the maximum); the budget on maps and rank cells; the
+n = 4 NLC verdicts."""
 import json
 import random
 import tracemalloc
@@ -14,13 +14,13 @@ import pytest
 
 from bellpoly import (BellInequality, BudgetExceededError, NLCSpec, Scenario, build_nlc2,
                       classical_value, cli, correlator_inequality, exactrank, facet_test,
-                      nlc2_decompose, saturating_boxes, subgame_restrict, to_bell_inequality,
-                      to_correlator_inequality, values)
+                      nlc2_decompose, to_bell_inequality, to_correlator_inequality, values)
 from bellpoly.cut import CutInequality, Graph, cut_facet_test
 from bellpoly.exactrank import affine_rank
 from bellpoly.scenario import _correlator_rows, _reduced_rows, ns_polytope_dimension
 from bellpoly.tightness import game_facet_test
 from tests.classical_reference import box_values
+from tests.games_reference import subgame_restrict
 from tests.test_facet_verdicts import (GAMES, HYPERMETRIC_CASES, POSITIVITY_CASES, _scaled_bell,
                                        positivity)
 
@@ -29,8 +29,8 @@ BIG = 2 ** 63 + 1
 
 
 def by_boxes(ineq, kind):
-    """(kind, ambient, count, affine dimension, is_facet) and the saturating
-    boxes from every box's value, or the violation message."""
+    """(kind, ambient, count, affine dimension, is_facet) from every box's
+    value, or the violation message."""
     s = ineq.scenario
     V, target, A, B = box_values(ineq)
     flat = V.ravel().tolist()
@@ -47,21 +47,16 @@ def by_boxes(ineq, kind):
     else:
         ambient, project = s.ma * s.mb, _correlator_rows
     dim = affine_rank(project(s, rows_a, rows_b)) if hits else -1
-    boxes = list(zip(map(tuple, rows_a.tolist()), map(tuple, rows_b.tolist())))
-    return (kind, ambient, len(hits), dim, dim == ambient - 1), boxes
+    return kind, ambient, len(hits), dim, dim == ambient - 1
 
 
 def by_scan(ineq, kind):
     try:
         rep = facet_test(ineq, kind)
     except ValueError as exc:
-        with pytest.raises(ValueError) as again:
-            saturating_boxes(ineq)
-        assert str(again.value) == str(exc)
         return str(exc)
-    fields = (rep.polytope_kind, rep.ambient_dim, rep.saturating_count,
-              rep.saturating_affine_dim, rep.is_facet)
-    return fields, [(b.a_map, b.b_map) for b in saturating_boxes(ineq)]
+    return (rep.polytope_kind, rep.ambient_dim, rep.saturating_count,
+            rep.saturating_affine_dim, rep.is_facet)
 
 
 def _coefficient(rng, scale):
@@ -136,14 +131,10 @@ def test_rank_rows_and_listed_boxes_within_the_budget():
     ineq = positivity(3)
     rep = facet_test(ineq, "bell", budget=420)
     assert (rep.saturating_count, rep.saturating_affine_dim) == (48, 14)
-    assert len(saturating_boxes(ineq, budget=48)) == 48
     for budget in (8, 27, 28, 419):
         with pytest.raises(BudgetExceededError,
                            match=r"28 rank rows of 15 columns \(420 cells\)"):
             facet_test(ineq, "bell", budget=budget)
-    for budget in (8, 47):
-        with pytest.raises(BudgetExceededError, match="48 saturating boxes"):
-            saturating_boxes(ineq, budget=budget)
     with pytest.raises(BudgetExceededError, match="8 response maps"):
         facet_test(ineq, "bell", budget=7)
 
@@ -180,8 +171,6 @@ def test_many_optimal_maps_exceed_the_budget_in_bounded_memory(monkeypatch, tmp_
     try:
         with pytest.raises(BudgetExceededError, match=f"{17 * 2 ** m} rank rows"):
             facet_test(ineq, "bell", budget=2 ** m)
-        with pytest.raises(BudgetExceededError, match=f"{2 ** (2 * m)} saturating boxes"):
-            saturating_boxes(ineq, budget=2 ** m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -142,7 +142,7 @@ def test_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, cells):
             # +P(1, 1 | 1, 1) <= 0: violated first by a_map (0, 1), b_map (0, 1)
             lambda: facet_test(_scaled_bell(positivity(2, (1, 1, 1, 1)), -1), "bell"),
             lambda: facet_test(to_correlator_inequality(GAMES["nlc3-parity"]()), "correlation"),
-            lambda: tightness.saturating_boxes(to_bell_inequality(GAMES["nlc2-xor"]())),
+            lambda: facet_test(to_bell_inequality(GAMES["nlc2-xor"]()), "bell"),
             lambda: cut_facet_test(CutInequality.hypermetric((1, 1, 1, -1, -1, 0)),
                                    Graph.complete(6)),
             lambda: cut_facet_test(CutInequality(

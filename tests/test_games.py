@@ -17,11 +17,8 @@ from bellpoly import (
     build_nlc,
     build_nlc2,
     build_nlcd,
-    dits_to_index,
-    ditwise_add,
     fourier_blocks,
     input_dits,
-    subgame_restrict,
     to_bell_inequality,
     to_correlator_inequality,
 )
@@ -30,6 +27,7 @@ from bellpoly.values import classical_value
 from tests.behaviour_reference import (behaviour_from_box, enumerate_deterministic_boxes,
                                        evaluate, evaluate_box)
 from tests.conftest import rotation_game_to_linear
+from tests.games_reference import dits_to_index, ditwise_add, subgame_restrict
 
 F = Fraction
 

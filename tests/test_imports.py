@@ -102,6 +102,21 @@ def test_the_behaviour_model_is_not_in_the_library():
     assert not {"evaluate", "evaluate_box"} & set(vars(BellInequality))
 
 
+# code only the tests reached: deleted, or kept in tests/games_reference.py
+TEST_ONLY = {"games": ("subgame_restrict", "ditwise_add", "dits_to_index"),
+             "tightness": ("saturating_boxes",)}
+
+
+def test_test_only_code_is_not_in_the_library():
+    from bellpoly.cut import CutVector
+    from bellpoly.tightness import LambdaProfile
+    for module, names in TEST_ONLY.items():
+        sub = importlib.import_module(f"bellpoly.{module}")
+        for name in names:
+            assert not hasattr(sub, name) and name not in bellpoly.__all__, name
+    assert "from_bits" not in vars(CutVector) and "i_max" not in vars(LambdaProfile)
+
+
 def _names(tree, ctx):
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
 

@@ -26,42 +26,28 @@ from bellpoly import (
     nlcd_classical_formula,
     nlcd_lambda,
     nlcd_nonfacet_check,
-    saturating_boxes,
     to_bell_inequality,
     to_correlator_inequality,
 )
-from bellpoly.games import _win_coeffs, scaled_functionals, subgame_restrict
+from bellpoly.games import _win_coeffs, scaled_functionals
 from bellpoly.tightness import LambdaProfile, _separated, _sylvester_hadamard
 from bellpoly.values import classical_value
 from tests.behaviour_reference import enumerate_deterministic_boxes, evaluate_box
 from tests.classical_reference import by_all_pairs
+from tests.games_reference import subgame_restrict
 
 F = Fraction
 
 
-# ------------------------------------------------------------ saturating boxes
+# ---------------------------------------------------------------- facet tests
 
-def test_chsh_saturating_boxes(chsh_game):
-    ineq = to_bell_inequality(chsh_game)
-    boxes = saturating_boxes(ineq)
-    assert len(boxes) == 8
-    for b in boxes:
-        assert evaluate_box(ineq, b) == ineq.bound
-    keys = [(b.a_map, b.b_map) for b in boxes]
-    assert keys == sorted(keys)
-
-
-def test_saturating_boxes_budget(chsh_game):
-    with pytest.raises(BudgetExceededError):
-        saturating_boxes(to_bell_inequality(chsh_game), budget=3)
-    # the budget is checked before validity: CHSH <= -2 is invalid, yet the
-    # over-budget test raises BudgetExceededError (CLI exit 3, not 2)
+def test_facet_test_checks_the_budget_before_validity():
+    # CHSH <= -2 is invalid, yet the over-budget test raises
+    # BudgetExceededError (CLI exit 3, not 2)
     ineq = correlator_inequality(Scenario(2, 2, 2, 2), ((1, 1), (1, -1)), -2)
     with pytest.raises(BudgetExceededError):
         facet_test(ineq, "correlation", budget=3)
 
-
-# ---------------------------------------------------------------- facet tests
 
 def test_chsh_is_facet_in_bell_polytope(chsh_game):
     rep = facet_test(to_bell_inequality(chsh_game), "bell")
@@ -115,10 +101,6 @@ def test_facet_test_rejects_invalid_inequality():
     bell = BellInequality(s, ineq.coeffs, ineq.bound)
     with pytest.raises(ValueError, match="violated"):
         facet_test(bell, "bell")
-    # saturating_boxes rejects it as facet_test does
-    with pytest.raises(ValueError, match=r"violated by the deterministic box with a_map "
-                                         r"\(0, 0\) and b_map \(0, 0\)"):
-        saturating_boxes(ineq)
     assert facet_test(correlator_inequality(s, ((1, 1), (1, -1)), 2), "correlation").is_facet
 
 
@@ -320,7 +302,6 @@ def test_lambda_profile_mass_interpretation():
     # per-dit table (0, 0, 1) under the uniform distribution puts mass
     # 2/3 on output 0 and 1/3 on output 1
     assert prof.lambdas == (F(2, 3), F(1, 3), F(0))
-    assert prof.i_max == 0
     assert sum(prof.lambdas) == 1
 
 
