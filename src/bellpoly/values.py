@@ -4,7 +4,17 @@ The classical optimum comes from one best-response scan (`_scan`), which
 facet tests share: it enumerates the response maps of the side with fewer,
 and the other side answers each with its best output per input, which is
 equivalent to enumerating all strategy pairs because that optimum decomposes
-across inputs. The scan runs on the game's integer weights, built once per
+across inputs. When a value scan enumerates Alice's maps and a joint output
+shift a -> a + 1, b -> b + s (s = -1 for every linear game, +1 for a unique
+game of rotations only) keeps the functional, every map has the value of its
+shifted maps, and shifting an optimal map by minus its first output gives
+one answering 0 there, no later in lexicographic order: so the scan
+enumerates only the maps whose first output is 0, a d-th of them, and finds
+the same value and witness. Its partial sums are int32 when ma * mb times the
+largest |entry|, which bounds every sum it forms, is below 2^31. Facet-test
+scans, which count every optimal box, and scans of Bob's maps, whose
+witness is not kept by the shift, enumerate every map in the functional's
+own integers. The scan runs on the game's integer weights, built once per
 game (`scaled_weights`), and the winning strategy is re-verified in exact
 rational arithmetic before being returned: `strategy_value` reads only the
 rational weights q and the cellwise win rule, never the scan's table, and
@@ -189,14 +199,32 @@ def _digits(numbers, m, base):
     return np.asarray(numbers, dtype=np.int64)[..., None] // base ** np.arange(m)[::-1] % base
 
 
+def _shift_invariant(C) -> bool:
+    """Whether a joint output shift a -> a + 1, b -> b + s (mod d) keeps
+    C[x, y, a, b] for a step s of 1 or -1: whether C[:, :, a] is C[:, :, 0]
+    rolled by s * a along b, by one comparison per output a with a window of
+    C[:, :, 0] written twice over. A linear game's functional (b = f - a)
+    keeps the step -1, a unique game's of rotations only (b = a + c) the
+    step 1."""
+    d = C.shape[3]
+    twice = np.concatenate((C[:, :, 0], C[:, :, 0]), axis=2)
+    return any(all((C[:, :, a] == twice[..., -s * a % d:][..., :d]).all() for a in range(1, d))
+               for s in {1, d - 1})
+
+
 def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
     """Maximise the integer functional C[x, y, a, b] (int64, or Python ints
     when a sum could reach 2^62) over deterministic boxes, enumerating the
     maps of the side with fewer (Alice's on a tie) over partial-sum tables of
-    their high and low inputs; the budget on those maps is checked first.
-    With `ties`, the optimal maps and tie sets are kept only while their rank
-    rows, `cols` cells each, fit the budget. Results do not depend on
-    workers."""
+    their high and low inputs; the budget on those maps (all d^m of them) is
+    checked first. Without `ties`, a scan of Alice's maps on a functional
+    that a joint output shift keeps (`_shift_invariant`) fixes her first
+    input's output at 0, as the first optimal map of each shift orbit
+    answers 0 there, and folds that input's column into the high table; its
+    tables are int32 when ma * mb * max|C| < 2^31. With `ties`, or when Bob's
+    maps are enumerated, every map is scanned in C's dtype; with `ties`, the
+    optimal maps and tie sets are kept only while their rank rows, `cols`
+    cells each, fit the budget. Results do not depend on workers."""
     ma, mb, da, db = C.shape
     n_maps = min(da ** ma, db ** mb)
     if n_maps > budget:
@@ -205,8 +233,17 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
     alice = da ** ma <= db ** mb
     # E[i, b, j, c]: enumerated input i answered with c, answering input j with b
     E = C.transpose((0, 3, 1, 2) if alice else (1, 2, 0, 3))
+    n, base = E.shape[0], E.shape[-1]
+    lead = None  # the first input's column [b, j] when it answers 0 on every map
+    if alice and not ties and C.size:
+        if da == db and _shift_invariant(C):
+            lead, E = E[0, :, :, 0], E[1:]
+        if ma * mb * int(max(C.max(), -C.min())) < 2 ** 31:
+            E = E.astype(np.int32)
     h = len(E) // 2
     hi = np.ascontiguousarray(_partial_sums(E[:h]).transpose(2, 0, 1))
+    if lead is not None:
+        hi += lead
     lo = _partial_sums(E[h:])
 
     step = max(1, _SCAN_CELLS // max(1, lo[0].size))
@@ -228,7 +265,7 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
             else:
                 found.append((numbers, T))
 
-    a_map = _digits(key, len(E), E.shape[-1]) if alice else np.array(key, dtype=np.int64)
+    a_map = _digits(key, n, base) if alice else np.array(key, dtype=np.int64)
     b_map = C[np.arange(ma), :, a_map].sum(axis=0).argmax(axis=1)  # Bob's first best answers
     scan = _Scan(int(top), (tuple(a_map.tolist()), tuple(b_map.tolist())), alice)
     if not ties:
@@ -236,7 +273,7 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
     if found is None:
         return scan._replace(count=count, rows=rows)
     numbers, T = (np.concatenate(parts) for parts in zip(*found))
-    return scan._replace(count=count, rows=rows, maps=_digits(numbers, len(E), E.shape[-1]),
+    return scan._replace(count=count, rows=rows, maps=_digits(numbers, n, base),
                          ties=T)
 
 

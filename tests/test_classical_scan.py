@@ -1,9 +1,10 @@
 """classical_value against the plain-loop references of
 tests/classical_reference.py: value and lexicographically first witness on
 seeded small games (many ties, zero rows and columns, both enumerated
-sides), chunked and threaded scans, weights past int64 and large
-denominators, the budget's count of enumerated maps, and memory that does
-not grow with the number of optimal maps."""
+sides), chunked and threaded scans, scans of one map per output-shift orbit
+and the games they must not apply to, weights at the int32 boundary and past
+int64, large denominators, the budget's count of enumerated maps, and memory
+that does not grow with the number of optimal maps."""
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,11 +12,14 @@ from fractions import Fraction
 import pytest
 
 from bellpoly import BudgetExceededError, LinearGame, UniqueGame3, values
+from bellpoly.games import scaled_functionals
+from bellpoly.tightness import game_facet_test
 from bellpoly.values import classical_value
 from tests.classical_reference import by_alice_maps, by_all_pairs, by_prefix_search
 
 F = Fraction
 PERM_NAMES = ("e", "(01)", "(02)", "(12)", "(012)", "(021)")
+ROTATION_NAMES = ("e", "(012)", "(021)")
 
 
 def _weights(rng, ma, mb, choices, zero_row=False, zero_col=False):
@@ -35,11 +39,15 @@ def linear_game(seed, d, ma, mb, choices=(0, 1), **zeros):
     return LinearGame(d, ma, mb, q, [[rng.randrange(d) for _ in range(mb)] for _ in range(ma)])
 
 
-def unique3_game(seed, ma, mb):
+def unique3_game(seed, ma, mb, names=PERM_NAMES, choices=(0, 1)):
     rng = random.Random(f"unique3:{seed}:{ma}x{mb}")
-    q = _weights(rng, ma, mb, (0, 1))
-    return UniqueGame3(ma, mb, q, [[rng.choice(PERM_NAMES) for _ in range(mb)]
-                                   for _ in range(ma)])
+    q = _weights(rng, ma, mb, choices)
+    return UniqueGame3(ma, mb, q, [[rng.choice(names) for _ in range(mb)] for _ in range(ma)])
+
+
+# b0 = a0, b0 = a1, b1 = a1 and b1 = (01)(a0): all four cells are won only
+# when a0 is 2, the fixed point of (01), so no optimum answers 0 first
+REFLECTION_GAME = UniqueGame3(2, 2, [[F(1)] * 2] * 2, [["e", "(01)"], ["e", "e"]])
 
 
 def transpose(g):
@@ -96,14 +104,26 @@ def test_tall_game_and_its_transpose():
     assert found(transpose(g)) == by_alice_maps(transpose(g))
 
 
-def test_budget_counts_maps_of_the_enumerated_side(monkeypatch):
+def _recorded_tables(monkeypatch):
+    """The partial-sum tables each later scan builds, high then low."""
     tables = []
     real = values._partial_sums
     monkeypatch.setattr(values, "_partial_sums", lambda E: tables.append(real(E)) or tables[-1])
+    return tables
+
+
+def _maps_crossed(tables):
+    return [hi.shape[-1] * lo.shape[-1] for hi, lo in zip(tables[::2], tables[1::2])]
+
+
+def test_budget_counts_maps_of_the_enumerated_side(monkeypatch):
+    tables = _recorded_tables(monkeypatch)
     g = linear_game(22, 2, 22, 3, choices=(1, 2, 3))
     assert classical_value(g, budget=8).value == classical_value(transpose(g), budget=8).value
-    # each scan crosses a high and a low table of partial sums: 2^3 maps each
-    assert [hi.shape[-1] * lo.shape[-1] for hi, lo in zip(tables[::2], tables[1::2])] == [8, 8]
+    # each scan crosses a high and a low table of partial sums: the 2^3 Bob
+    # maps, then 2^2 of Alice's 2^3, her first output fixed at 0 on the
+    # transpose, which the output shift keeps; the budget counts all 2^3
+    assert _maps_crossed(tables) == [8, 4]
     with pytest.raises(BudgetExceededError):
         classical_value(g, budget=7)
     # four of six rows weigh nothing: 2^2 Alice maps are scanned
@@ -112,6 +132,57 @@ def test_budget_counts_maps_of_the_enumerated_side(monkeypatch):
     assert found(sparse, budget=4) == by_alice_maps(sparse)
     with pytest.raises(BudgetExceededError):
         classical_value(sparse, budget=3)
+
+
+# shift-invariant games: linear ones on d = 2..5 with a one-input Alice side,
+# zero rows and columns, and unique games of rotations only
+INVARIANT_GAMES = (
+    [linear_game(seed, d, ma, mb, **zeros) for d in (2, 3, 4, 5) for ma, mb in ((1, 3), (2, 3))
+     for seed in range(2) for zeros in ZEROS]
+    + [unique3_game(seed, ma, mb, ROTATION_NAMES) for ma, mb in ((1, 2), (2, 3), (3, 3))
+       for seed in range(4)])
+
+
+@pytest.mark.parametrize("g", INVARIANT_GAMES, ids=lambda g: f"{g.d}-{g.ma}x{g.mb}")
+def test_shift_invariant_games_match_all_pairs(g):
+    assert values._shift_invariant(scaled_functionals(g)[0])
+    assert found(g) == by_all_pairs(g)
+
+
+def test_reflection_game_is_scanned_on_every_map():
+    assert not values._shift_invariant(scaled_functionals(REFLECTION_GAME)[0])
+    assert found(REFLECTION_GAME) == by_all_pairs(REFLECTION_GAME) == (F(4), (2, 2), (2, 2))
+
+
+@pytest.mark.parametrize("g,maps", [
+    (linear_game(4, 3, 3, 4, choices=(1, 2)), 3 ** 2),
+    (unique3_game(4, 3, 4, ROTATION_NAMES, choices=(1, 2)), 3 ** 2),
+    (LinearGame(257, 1, 2, [[F(1, 3), F(2, 3)]], [[5, 7]]), 1),
+    (unique3_game(1, 3, 4, ("e", "(01)"), choices=(1, 2)), 3 ** 3),
+], ids=["linear", "rotations", "one-input", "mixed"])
+def test_only_invariant_scans_cross_a_dth_of_alice_maps(monkeypatch, g, maps):
+    tables = _recorded_tables(monkeypatch)
+    assert found(g) == by_alice_maps(g)
+    assert _maps_crossed(tables) == [maps]
+
+
+def test_facet_scans_cross_every_map(monkeypatch):
+    tables = _recorded_tables(monkeypatch)
+    game_facet_test(linear_game(4, 3, 3, 4, choices=(1, 2)), "bell")
+    assert _maps_crossed(tables) == [3 ** 3]
+
+
+@pytest.mark.parametrize("w,dtype", [(2 ** 27 - 1, "int32"), (2 ** 27, "int64")])
+def test_tables_are_int32_while_every_sum_fits(monkeypatch, w, dtype):
+    # 4 x 4 cells of weight up to w: the scan's sums are at most 16 w, just
+    # below 2^31 or at it
+    tables = _recorded_tables(monkeypatch)
+    rng = random.Random(w)
+    q = [[F(rng.choice((w, w - 1, w - 3))) for _ in range(4)] for _ in range(4)]
+    q[0][0] = F(w)
+    g = LinearGame(2, 4, 4, q, [[rng.randrange(2) for _ in range(4)] for _ in range(4)])
+    assert found(g) == by_alice_maps(g)
+    assert {t.dtype.name for t in tables} == {dtype}
 
 
 def test_weights_past_int64():
