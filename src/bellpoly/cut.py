@@ -147,7 +147,7 @@ def _cut_scan(ineq: "CutInequality", g: Graph):
     bitmasks of the cuts meeting the bound, and the bitmask of the first cut
     of largest value when that value exceeds the bound, else None."""
     import numpy as np
-    from .games import int_scaled
+    from .scenario import int_scaled
     cuts = _cut_masks(g)
     masks = np.arange(cuts.start, cuts.stop, cuts.step, dtype=np.int64)
     w, (target,), _ = int_scaled(ineq._coefficients(g), [ineq.bound])

@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm, pi
+from math import isqrt, pi
 
 import numpy as np
 
-from .scenario import BellInequality, Scenario, correlator_inequality
+from .scenario import _SIGNS, BellInequality, Scenario, int_scaled
 
 # permutations of {0,1,2} by cycle name; table[i] = image of i
 PERMS = {
@@ -276,49 +276,18 @@ def fourier_blocks(g) -> tuple:
 
 def to_bell_inequality(g) -> BellInequality:
     """The game as a linear functional on behaviours, bounded by its exact
-    classical value: sum q(x,y) P(win|x,y) <= omega_c."""
+    classical value: sum q(x,y) P(win|x,y) <= omega_c. Its table is g's
+    integer functional (`scaled_functionals`)."""
     from .values import classical_value  # deferred: values depends on games
 
-    return BellInequality(g.scenario, _win_coeffs(g), classical_value(g).value)
-
-
-def _win_coeffs(g) -> tuple:
-    """The game functional's coefficients q(x,y) [b wins against a at (x,y)],
-    indexed [x][y][a][b]. Cells with the same weight and winning answers
-    share one table."""
-    s = g.scenario
-    zero = Fraction(0)
-    tables = {}
-
-    def table(x, y):
-        q = g.q[x][y]
-        wins = tuple(g.winning_b(a, x, y) for a in range(s.da)) if q else ()
-        if (q, wins) not in tables:
-            tables[q, wins] = tuple(tuple(q if q and b == wins[a] else zero for b in range(s.db))
-                                    for a in range(s.da))
-        return tables[q, wins]
-    return tuple(tuple(table(x, y) for y in range(s.mb)) for x in range(s.ma))
-
-
-def int_scaled(values, bounds=()):
-    """The rationals `values` (any nesting, such as a coefficient table) and
-    `bounds` times their common denominator: an integer array of the values'
-    shape, the integer bounds and the denominator. The array is int64 unless
-    the sum of every |value| and |bound|, which bounds each sum formed from
-    them, reaches 2^62; then it holds Python ints."""
-    shaped = np.array(values, dtype=object)
-    flat = shaped.ravel().tolist()
-    den = lcm(*{v.denominator for v in flat}, *(b.denominator for b in bounds))
-    scaled = [v.numerator * (den // v.denominator) for v in flat]
-    targets = [b.numerator * (den // b.denominator) for b in bounds]
-    dtype = np.int64 if sum(map(abs, scaled)) + sum(map(abs, targets)) < 2 ** 62 else object
-    return np.array(scaled, dtype=dtype).reshape(shaped.shape), targets, den
+    C, den = scaled_functionals(g)
+    return BellInequality._of_integers(g.scenario, C, int(classical_value(g).value * den), den)
 
 
 def scaled_functionals(g):
-    """g's functional (as in `_win_coeffs`) integer-scaled: an array
-    [x, y, a, b] built from g's integer weights (`scaled_weights`), and the
-    denominator. The winning outputs B[x, y, a] come from one array
+    """g's functional, q(x, y) where b wins against a at (x, y), integer-scaled:
+    an array [x, y, a, b] built from g's integer weights (`scaled_weights`),
+    and the denominator. The winning outputs B[x, y, a] come from one array
     expression per game kind, the table form of `winning_b`."""
     shape = (g.ma, g.mb, g.d)  # x, y, a
     Q, den = g.scaled_weights
@@ -334,14 +303,16 @@ def scaled_functionals(g):
 def to_correlator_inequality(g: LinearGame) -> BellInequality:
     """Correlator-space view of a binary game: the win probability is
     W/2 + (1/2) sum q(x,y) (-1)^f(x,y) <A_x B_y>, so the correlator
-    coefficients are q(x,y)(-1)^f(x,y)/2 with bound omega_c - W/2."""
+    coefficients are q(x,y)(-1)^f(x,y)/2 with bound omega_c - W/2. Over the
+    denominator 2 den of g's integer weights Q (`scaled_weights`), the table
+    is Q (-1)^f times ((1, -1), (-1, 1)) and the bound 2 top - sum Q, where
+    top / den is the classical value."""
     from .values import classical_value
 
     if g.d != 2:
         raise ValueError("correlator form needs binary outputs")
-    corr = tuple(
-        tuple(g.q[x][y] * (1 if g.f[x][y] == 0 else -1) / 2 for y in range(g.mb))
-        for x in range(g.ma))
-    bound = classical_value(g).value - g.total_weight / 2
-    return correlator_inequality(g.scenario, corr, bound)
-
+    Q, den = g.scaled_weights
+    top = int(classical_value(g).value * den)
+    corr = np.where(np.array(g.f) == 0, Q, -Q)
+    return BellInequality._of_integers(g.scenario, corr[:, :, None, None] * _SIGNS,
+                                       2 * top - int(Q.sum()), 2 * den, "correlator")

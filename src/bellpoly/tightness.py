@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError, VerificationError
 from .exactrank import affine_rank
-from .games import (LinearGame, _win_coeffs, fourier_blocks, input_dits, int_scaled,
-                    scaled_functionals)
+from .games import LinearGame, fourier_blocks, input_dits, scaled_functionals
 from .scenario import BellInequality, _correlator_rows, _reduced_rows, ns_polytope_dimension
 from .values import _exact_value, _pruned_scan, _scan
 
@@ -126,12 +125,13 @@ def facet_test(ineq: BellInequality, kind: str, budget: int = DEFAULT_BOX_BUDGET
     saturating boxes are compared in minimal no-signaling coordinates.
     kind "correlation": binary outputs and a correlator-space inequality
     required; boxes are projected to their ma*mb full correlators. The
-    budget bounds the maps scanned and the rank cells; a box above the
+    scan reads the inequality's stored integer table and bound as they are.
+    The budget bounds the maps scanned and the rank cells; a box above the
     bound raises ValueError naming the first box of largest value."""
     ambient, _ = _polytope(kind, ineq.scenario)
     if kind == "correlation" and ineq.space != "correlator":
         raise ValueError("correlation facet test needs a correlator-space inequality")
-    C, (target,), _ = int_scaled(ineq.coeffs, [ineq.bound])
+    C, target = ineq.table, ineq.scaled_bound
     # single-cell nonnegativity written as <= : one negative coefficient, bound 0
     trivial = bool(target == 0 and np.count_nonzero(C) == 1 and C.min() < 0)
     scan = _scan(C, budget, ties=True, cols=ambient)
@@ -201,11 +201,12 @@ def _fragment_report(g, C, den, scan, bound, budget, restrictions=({0: 0}, {0: 1
     (by default, her first bit), or None when the argument does not apply:
     the fragment values do not sum to `bound`, or a fragment's face is not
     proper (`_proper`). A fragment is g's integer functional C
-    (denominator den) on the Alice inputs its restriction keeps; its value
-    is one `values._pruned_scan` of those rows. Each value must be attained
-    by its witness on C (and equal `expected`, if given), the restrictions
-    must split Alice's inputs, and the faces must not all be equal; else
-    VerificationError. The statistics come from g's scan `scan`, and are
+    (denominator den) on the Alice inputs its restriction keeps, zero on
+    the others; its value t / den is one `values._pruned_scan` of those
+    rows, and its inequality is that table over den with bound t / den.
+    Each value must be attained by its witness on C (and equal `expected`,
+    if given), the restrictions must split Alice's inputs, and the faces
+    must not all be equal; else VerificationError. The statistics come from g's scan `scan`, and are
     skipped, with a note, when it is None or kept no tie sets."""
     keep = np.array([[all(input_dits(x, g.d, g.n)[pos] == v for pos, v in fixes.items())
                       for x in range(g.ma)] for fixes in restrictions])
@@ -230,9 +231,7 @@ def _fragment_report(g, C, den, scan, bound, budget, restrictions=({0: 0}, {0: 1
     if Fraction(sum(targets), den) != bound or not _proper(C, keep, targets):
         return None
     _assert_distinct_faces(C, keep, targets, witnesses)
-    coeffs, zero = _win_coeffs(g), (((Fraction(0),) * g.d,) * g.d,) * g.mb
-    fragments = tuple(BellInequality(g.scenario, tuple(row if kept else zero for row, kept
-                                                       in zip(coeffs, k)), Fraction(t, den))
+    fragments = tuple(BellInequality._of_integers(g.scenario, C * k[:, None, None, None], t, den)
                       for k, t in zip(keep, targets))
     if scan is None or scan.maps is None:
         return FacetReport("bell", ns_polytope_dimension(g.scenario), -1, -1,

@@ -114,8 +114,8 @@ def is_no_signaling(b: Behaviour) -> bool:
 
 
 def evaluate_box(ineq: BellInequality, box: DeterministicBox) -> Fraction:
-    s = ineq.scenario
-    return sum((ineq.coeffs[x][y][box.a_map[x]][box.b_map[y]]
+    s, coeffs = ineq.scenario, ineq.coeffs
+    return sum((coeffs[x][y][box.a_map[x]][box.b_map[y]]
                 for x in range(s.ma) for y in range(s.mb)), Fraction(0))
 
 
@@ -126,7 +126,8 @@ def evaluate(ineq: BellInequality, b) -> Fraction:
     s = ineq.scenario
     if b.scenario != s:
         raise ValueError("behaviour scenario mismatch")
-    return sum((ineq.coeffs[x][y][a][bb] * b.table[x][y][a][bb]
+    coeffs = ineq.coeffs
+    return sum((coeffs[x][y][a][bb] * b.table[x][y][a][bb]
                 for x in range(s.ma) for y in range(s.mb)
                 for a in range(s.da) for bb in range(s.db)), Fraction(0))
 

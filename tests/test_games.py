@@ -22,12 +22,14 @@ from bellpoly import (
     to_bell_inequality,
     to_correlator_inequality,
 )
-from bellpoly.games import _win_coeffs, scaled_functionals
+from bellpoly.games import scaled_functionals
+from bellpoly.tightness import facet_test
 from bellpoly.values import classical_value
 from tests.behaviour_reference import (behaviour_from_box, enumerate_deterministic_boxes,
                                        evaluate, evaluate_box)
 from tests.conftest import rotation_game_to_linear
-from tests.games_reference import dits_to_index, ditwise_add, subgame_restrict
+from tests.games_reference import (_win_coeffs, dits_to_index, ditwise_add, fraction_inequalities,
+                                   subgame_restrict)
 
 F = Fraction
 
@@ -390,6 +392,60 @@ def test_correlator_and_probability_forms_agree(chsh_game):
 def test_correlator_form_requires_binary(nlc3_game):
     with pytest.raises(ValueError):
         to_correlator_inequality(nlc3_game)
+
+
+def _seeded_bridge_games():
+    """Seeded linear games on d = 2, 3, 5 outputs, NLC games and unique3 games,
+    small enough for a facet test of each."""
+    rng = random.Random(23)
+    games = []
+    for d in (2, 2, 3, 3, 5):
+        ma, mb = rng.randint(1, 3), rng.randint(1, 3)
+        q = [[F(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(mb)] for _ in range(ma)]
+        games.append(LinearGame(d, ma, mb, q, [[rng.randrange(d) for _ in range(mb)]
+                                               for _ in range(ma)]))
+    # weights of even numerators: the correlator table's q/2 is in lower terms
+    games.append(LinearGame(2, 2, 2, [[F(2, 3)] * 2] * 2, [[0, 0], [0, 1]]))
+    games += [build_nlc2(NLCSpec(2, 2, (0, 0, 0, 1), (F(1, 4),) * 4)),
+              build_nlc2(NLCSpec(2, 3, (0, 1, 1, 0, 1, 0, 0, 0), (F(1, 8),) * 8)),
+              build_nlcd(NLCSpec(3, 2, (0, 0, 1), (F(1, 2), F(1, 3), F(1, 6))))]
+    for _ in range(2):
+        ma, mb = rng.randint(1, 3), rng.randint(1, 3)
+        games.append(UniqueGame3(ma, mb, [[F(rng.randint(0, 3), 4) for _ in range(mb)]
+                                          for _ in range(ma)],
+                                 [[rng.choice(sorted(PERMS)) for _ in range(mb)]
+                                  for _ in range(ma)]))
+    return games
+
+
+def test_game_inequalities_equal_the_fraction_built_ones():
+    # the integer tables, built from the integer functional, hold the same
+    # rationals as the cellwise Fraction tables: equal, of equal hash, and
+    # of equal facet reports
+    for g in _seeded_bridge_games():
+        bell, corr = fraction_inequalities(g)
+        built = [(to_bell_inequality(g), bell, "bell")]
+        if corr is not None:
+            built.append((to_correlator_inequality(g), corr, "correlation"))
+        for ineq, reference, kind in built:
+            assert ineq == reference and hash(ineq) == hash(reference)
+            assert (ineq.coeffs, ineq.bound, ineq.corr) == \
+                (reference.coeffs, reference.bound, reference.corr)
+            assert facet_test(ineq, kind) == facet_test(reference, kind)
+
+
+def test_game_inequalities_of_large_weights_hold_python_ints():
+    # the weights fit int64 (sum below 2^62), but the correlator table holds
+    # 4 times their sum in entries, and the Bell table 2 times it plus the bound
+    g = LinearGame(2, 2, 2, [[2 ** 60, 2 ** 60 + 1], [2 ** 60 + 3, 5]], [[0, 1], [1, 1]])
+    assert g.scaled_weights[0].dtype == np.int64
+    bell, corr = fraction_inequalities(g)
+    for ineq, reference, kind in ((to_bell_inequality(g), bell, "bell"),
+                                  (to_correlator_inequality(g), corr, "correlation")):
+        assert ineq.table.dtype == reference.table.dtype == object
+        assert ineq == reference and hash(ineq) == hash(reference)
+        assert ineq.coeffs == reference.coeffs and ineq.bound == reference.bound
+        assert facet_test(ineq, kind) == facet_test(reference, kind)
 
 
 def test_evaluate_on_behaviour_matches_box(chsh_game):

@@ -13,6 +13,7 @@ from bellpoly import (
     ns_polytope_dimension,
 )
 from bellpoly.scenario import _correlator_rows, _reduced_rows
+from bellpoly.tightness import facet_test
 from tests.behaviour_reference import (
     Behaviour,
     affine_dimension,
@@ -51,6 +52,58 @@ def test_probability_table_must_match_the_scenario():
     short_cell = ((((F(1),), (F(0), F(1))),) * 2,) * 2
     with pytest.raises(ValueError, match="2 x 2 x 2 x 2"):
         BellInequality(Scenario(2, 2, 2, 2), short_cell, F(1))
+
+
+def test_correlator_space_cells_must_be_correlator_cells():
+    # CHSH plus the no-signalling null term P(0.|00) - P(0.|01) on its x = 0
+    # cells: valid on every box, but not sum corr(x, y) <A_x B_y>, so `corr`
+    # (which reads one entry per cell) would describe another inequality
+    chsh = correlator_inequality(Scenario(2, 2, 2, 2), [[1, 1], [1, -1]], 2)
+    cells = [[[list(row) for row in cell] for cell in block] for block in chsh.coeffs]
+    for b in range(2):
+        cells[0][0][0][b] += 1
+        cells[0][1][0][b] -= 1
+    with pytest.raises(ValueError, match="correlator"):
+        BellInequality(Scenario(2, 2, 2, 2), cells, 2, space="correlator")
+    # the same table is a probability-space inequality, and the correlator
+    # cells alone make the correlator-space one
+    assert BellInequality(Scenario(2, 2, 2, 2), cells, 2).corr is None
+    assert BellInequality(Scenario(2, 2, 2, 2), chsh.coeffs, 2, space="correlator") == chsh
+    with pytest.raises(ValueError, match="binary"):
+        BellInequality(Scenario(1, 1, 3, 3), ((((F(0),) * 3,) * 3,),), 0, space="correlator")
+
+
+def test_coefficients_and_bound_are_read_as_exact_rationals():
+    # a float is read exactly at construction, so the facet test sees -1/2
+    s = Scenario(1, 1, 2, 2)
+    half = BellInequality(s, ((((-0.5, 0), (0, 0)),),), 0.0)
+    exact = BellInequality(s, ((((F(-1, 2), 0), (0, 0)),),), 0)
+    assert half == exact and half.coeffs[0][0][0][0] == F(-1, 2) and half.bound == 0
+    assert BellInequality(s, exact.coeffs, 0.25).bound == F(1, 4)
+    assert facet_test(half, "bell") == facet_test(exact, "bell")
+    # a value Fraction cannot take fails there, not in a later scan
+    for bad in (float("nan"), float("inf"), "half"):
+        with pytest.raises(ValueError):
+            BellInequality(s, ((((bad, 0), (0, 0)),),), 0)
+        with pytest.raises(ValueError):
+            BellInequality(s, exact.coeffs, bad)
+    with pytest.raises(TypeError):
+        BellInequality(s, ((((F(1), 0), (0, {})),),), 0)
+
+
+def test_inequality_stores_one_read_only_integer_table():
+    chsh = correlator_inequality(Scenario(2, 2, 2, 2), [[F(1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]],
+                                 1)
+    # in lowest terms over the common denominator: cells of +-1/2 and bound 1
+    assert (chsh.den, chsh.scaled_bound, chsh.table.dtype) == (2, 2, np.int64)
+    assert chsh.table[1, 1].tolist() == [[-1, 1], [1, -1]]
+    assert chsh.corr == ((F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2))) and chsh.bound == 1
+    with pytest.raises(ValueError):
+        chsh.table[0, 0, 0, 0] = 5
+    # Python ints once the sum of every |entry| and |bound| reaches 2^62
+    for total, dtype in ((2 ** 62 - 1, np.int64), (2 ** 62, object)):
+        ineq = BellInequality(Scenario(1, 1, 2, 2), ((((total - 1, 0), (0, 0)),),), -1)
+        assert ineq.table.dtype == dtype and ineq.coeffs[0][0][0][0] == total - 1
 
 
 def test_box_count():

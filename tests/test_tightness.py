@@ -29,12 +29,12 @@ from bellpoly import (
     to_bell_inequality,
     to_correlator_inequality,
 )
-from bellpoly.games import _win_coeffs, scaled_functionals
+from bellpoly.games import scaled_functionals
 from bellpoly.tightness import LambdaProfile, _separated, _sylvester_hadamard
 from bellpoly.values import classical_value
 from tests.behaviour_reference import enumerate_deterministic_boxes, evaluate_box
 from tests.classical_reference import by_all_pairs
-from tests.games_reference import subgame_restrict
+from tests.games_reference import _win_coeffs, subgame_restrict
 
 F = Fraction
 
@@ -151,13 +151,13 @@ def test_nlc2_and_decomposition(nlc2_and):
 
 def test_nlc2_decompose_fragment_coefficients_sum(nlc2_and):
     rep = nlc2_decompose(nlc2_and)
-    whole = to_bell_inequality(nlc2_and)
+    whole = to_bell_inequality(nlc2_and).coeffs
+    parts = [fr.coeffs for fr in rep.decomposition]
     for x in range(4):
         for y in range(4):
             for a in range(2):
                 for b in range(2):
-                    total = sum(fr.coeffs[x][y][a][b] for fr in rep.decomposition)
-                    assert total == whole.coeffs[x][y][a][b]
+                    assert sum(part[x][y][a][b] for part in parts) == whole[x][y][a][b]
 
 
 def test_nlc2_decompose_without_stats(nlc2_and):
