@@ -281,11 +281,9 @@ def _cmd_analyze_game(args):
     from .games import UniqueGame3
     from .values import value_report
     _at_least(args.budget, 0, "--budget")
-    _at_least(args.workers, 1, "--workers")
     raw = open(args.path, "rb").read()
     g = parse_game_text(raw.decode())
-    rep = value_report(g, with_sufficient=args.sufficient,
-                       budget=args.budget, workers=args.workers)
+    rep = value_report(g, with_sufficient=args.sufficient, budget=args.budget)
     everything = not (args.classical or args.bound or args.sufficient)
     results = {"kind": "unique3" if isinstance(g, UniqueGame3) else "linear",
                "scenario": _scenario_dict(g),
@@ -496,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     g1.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET,
                     help="most response maps to enumerate, counted on the side "
                          "enumerated after inputs of zero weight are dropped")
-    g1.add_argument("--workers", type=int, default=None)
     g1.add_argument("--timing", action="store_true")
 
     g2 = sub.add_parser("facet-test", help="exact facet test of a game or inequality file")

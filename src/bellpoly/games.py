@@ -27,6 +27,7 @@ from math import isqrt, pi
 
 import numpy as np
 
+from .errors import DEFAULT_BOX_BUDGET
 from .scenario import _SIGNS, BellInequality, Scenario, int_scaled
 
 # permutations of {0,1,2} by cycle name; table[i] = image of i
@@ -277,11 +278,13 @@ def fourier_blocks(g) -> tuple:
 def to_bell_inequality(g) -> BellInequality:
     """The game as a linear functional on behaviours, bounded by its exact
     classical value: sum q(x,y) P(win|x,y) <= omega_c. Its table is g's
-    integer functional (`scaled_functionals`)."""
-    from .values import classical_value  # deferred: values depends on games
+    integer functional (`scaled_functionals`), built once and scanned for
+    the value."""
+    from .values import _exact_value, _pruned_scan  # deferred: values depends on games
 
     C, den = scaled_functionals(g)
-    return BellInequality._of_integers(g.scenario, C, int(classical_value(g).value * den), den)
+    cv = _exact_value(g, _pruned_scan(C, DEFAULT_BOX_BUDGET), den)
+    return BellInequality._of_integers(g.scenario, C, int(cv.value * den), den)
 
 
 def scaled_functionals(g):

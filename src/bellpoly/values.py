@@ -31,8 +31,6 @@ feasible points.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, inf, lcm, log, log1p, sqrt
@@ -181,19 +179,6 @@ def _scan_chunk(hi, lo, start, stop, alice, ties, full=None):
     return top, key, (k + start * L, rows, _box_count(sizes, on_top, d), T)
 
 
-def _chunk_results(f, ranges, workers):
-    """f on each range, in order; with several workers, that many at a time
-    in threads, so at most that many results wait to be read."""
-    if len(ranges) > 1 and workers is None:
-        workers = os.cpu_count() or 1
-    if len(ranges) == 1 or workers == 1:
-        yield from map(f, ranges)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for r in range(0, len(ranges), workers):
-            yield from ex.map(f, ranges[r:r + workers])
-
-
 def _digits(numbers, m, base):
     """The m-digit base-`base` strings of the numbers, most significant first."""
     return np.asarray(numbers, dtype=np.int64)[..., None] // base ** np.arange(m)[::-1] % base
@@ -212,7 +197,7 @@ def _shift_invariant(C) -> bool:
                for s in {1, d - 1})
 
 
-def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
+def _scan(C, budget, ties=False, cols=1) -> _Scan:
     """Maximise the integer functional C[x, y, a, b] (int64, or Python ints
     when a sum could reach 2^62) over deterministic boxes, enumerating the
     maps of the side with fewer (Alice's on a tie) over partial-sum tables of
@@ -224,7 +209,9 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
     tables are int32 when ma * mb * max|C| < 2^31. With `ties`, or when Bob's
     maps are enumerated, every map is scanned in C's dtype; with `ties`, the
     optimal maps and tie sets are kept only while their rank rows, `cols`
-    cells each, fit the budget. Results do not depend on workers."""
+    cells each, fit the budget. The high digit strings are scanned in slabs
+    of at most `_SCAN_CELLS` partial sums, in order, so a top whose rank rows
+    exceed the budget builds no tie sets in later slabs."""
     ma, mb, da, db = C.shape
     n_maps = min(da ** ma, db ** mb)
     if n_maps > budget:
@@ -247,11 +234,10 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
     lo = _partial_sums(E[h:])
 
     step = max(1, _SCAN_CELLS // max(1, lo[0].size))
-    ranges = [(r, min(r + step, len(hi))) for r in range(0, len(hi), step)]
     top = key = full = None
     found, count, rows = [], 0, 0
-    for t, k, part in _chunk_results(lambda r: _scan_chunk(hi, lo, *r, alice, ties, full),
-                                     ranges, workers):
+    for r in range(0, len(hi), step):
+        t, k, part = _scan_chunk(hi, lo, r, min(r + step, len(hi)), alice, ties, full)
         if top is not None and t < top:
             continue
         if top is None or t > top:
@@ -277,7 +263,7 @@ def _scan(C, budget, workers=None, ties=False, cols=1) -> _Scan:
                          ties=T)
 
 
-def _pruned_scan(C, budget, workers=None) -> _Scan:
+def _pruned_scan(C, budget) -> _Scan:
     """`_scan` of the integer functional C[x, y, a, b] without the Alice and
     Bob inputs whose cells are all zero (C is copied only when one is
     dropped); the scan's box is given on every input, a dropped input
@@ -285,20 +271,20 @@ def _pruned_scan(C, budget, workers=None) -> _Scan:
     weighed = (C != 0).any(axis=(2, 3))
     rows, cols = np.flatnonzero(weighed.any(axis=1)), np.flatnonzero(weighed.any(axis=0))
     if len(rows) == C.shape[0] and len(cols) == C.shape[1]:
-        return _scan(C, budget, workers)
-    scan = _scan(C[np.ix_(rows, cols)], budget, workers)
+        return _scan(C, budget)
+    scan = _scan(C[np.ix_(rows, cols)], budget)
     a_map, b_map = np.zeros(C.shape[0], dtype=np.int64), np.zeros(C.shape[1], dtype=np.int64)
     a_map[rows], b_map[cols] = scan.box
     return scan._replace(box=(tuple(a_map.tolist()), tuple(b_map.tolist())))
 
 
-def classical_value(g, budget: int = DEFAULT_BOX_BUDGET, workers: int = None) -> ClassicalValue:
+def classical_value(g, budget: int = DEFAULT_BOX_BUDGET) -> ClassicalValue:
     """Exact classical optimum with the lexicographically first optimal
     (a_map, b_map) as witness, re-evaluated in exact rationals: one
     `_pruned_scan` of the integer game functional, whose budget counts the
     maps of the side with fewer."""
     C, den = scaled_functionals(g)
-    return _exact_value(g, _pruned_scan(C, budget, workers), den)
+    return _exact_value(g, _pruned_scan(C, budget), den)
 
 
 def _exact_value(g, scan, den) -> ClassicalValue:
@@ -560,14 +546,14 @@ def _no_advantage(g, blocks=None, bound=None, cv=None) -> NoAdvantageVerdict:
     return NoAdvantageVerdict(strategy=(a_map, b_map))
 
 
-def value_report(g, with_sufficient: bool = False, budget: int = DEFAULT_BOX_BUDGET,
-                 workers: int = None) -> ValueReport:
+def value_report(g, with_sufficient: bool = False,
+                 budget: int = DEFAULT_BOX_BUDGET) -> ValueReport:
     """Bundle of the exact values and the norm bound, cross-checked.
 
     Raises VerificationError if the chain omega_c <= bound + 1e-9 <= W + 1e-9
     is violated; that chain is a theorem, so a violation means a bug.
     """
-    cv = classical_value(g, budget=budget, workers=workers)
+    cv = classical_value(g, budget=budget)
     blocks = fourier_blocks(g)
     bound = norm_bound(g, blocks)
     verdict = _no_advantage(g, blocks, bound, cv) if with_sufficient else None

@@ -1,10 +1,11 @@
 """classical_value against the plain-loop references of
 tests/classical_reference.py: value and lexicographically first witness on
 seeded small games (many ties, zero rows and columns, both enumerated
-sides), chunked and threaded scans, scans of one map per output-shift orbit
-and the games they must not apply to, weights at the int32 boundary and past
-int64, large denominators, the budget's count of enumerated maps, and memory
-that does not grow with the number of optimal maps."""
+sides), scans of one, several and many chunks, scans of one map per
+output-shift orbit and the games they must not apply to, weights at the
+int32 boundary and past int64, large denominators, the budget's count of
+enumerated maps, and memory that does not grow with the number of optimal
+maps."""
 import random
 import tracemalloc
 from fractions import Fraction
@@ -81,21 +82,24 @@ def test_value_and_witness_match_all_pairs(g):
     assert by_prefix_search(g) == expected
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_chunked_scans_match_all_pairs(monkeypatch, workers):
+def test_chunked_scans_match_all_pairs(monkeypatch):
     # a few partial sums per chunk: every scan above spans several chunks
     monkeypatch.setattr(values, "_SCAN_CELLS", 4)
     for g in small_games()[::3]:
-        assert found(g, workers=workers) == by_all_pairs(g)
+        assert found(g) == by_all_pairs(g)
 
 
 @pytest.mark.parametrize("ma,mb", [(16, 16), (24, 14)])
-def test_worker_invariance_across_chunks(ma, mb):
-    # scans of several chunks each: 2^16 Alice maps, then 2^14 Bob maps
+def test_chunk_count_invariance(monkeypatch, ma, mb):
+    # 2^15 Alice maps (one per shift orbit), then 2^14 Bob maps, in chunks of
+    # one high digit string, in a few chunks at the default size, in one chunk
     g = linear_game(5, 2, ma, mb)
-    solo = found(g, workers=1)
-    assert found(g, workers=2) == found(g, workers=3) == solo
-    assert classical_value(transpose(g), workers=1).value == solo[0]
+    results = []
+    for cells in (4, values._SCAN_CELLS, 2 ** 40):
+        monkeypatch.setattr(values, "_SCAN_CELLS", cells)
+        results.append(found(g))
+    assert results[0] == results[1] == results[2]
+    assert classical_value(transpose(g)).value == results[0][0]
 
 
 def test_tall_game_and_its_transpose():

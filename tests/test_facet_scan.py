@@ -265,9 +265,7 @@ def test_chunks_past_the_budget_build_no_tie_sets(monkeypatch, alice):
         built.append(result[2][3] is not None)
         return result
     monkeypatch.setattr(values, "_scan_chunk", recorded)
-    for workers in (1, 2):
-        over = values._scan(C, 2 ** 8, workers=workers, ties=True, cols=100)
-        assert over.alice == alice and over.maps is None and over.ties is None
-        assert over[:5] == kept[:5]
-        if workers == 1:
-            assert built[0] and built.count(False) > len(built) // 2
+    over = values._scan(C, 2 ** 8, ties=True, cols=100)
+    assert over.alice == alice and over.maps is None and over.ties is None
+    assert over[:5] == kept[:5]
+    assert built[0] and built.count(False) > len(built) // 2

@@ -163,7 +163,7 @@ def test_parse_graph_text(text):
 @example(EMPTY_SIDES[1], None, ["analyze-game", "PATH", "--classical", "--sufficient"])
 @given(game_docs(), garbles, st.sampled_from([
     ["analyze-game", "PATH"], ["analyze-game", "PATH", "--classical", "--sufficient"],
-    ["analyze-game", "PATH", "--budget", "8"], ["analyze-game", "PATH", "--workers", "2"],
+    ["analyze-game", "PATH", "--budget", "8"], ["analyze-game", "PATH", "--bound"],
     ["facet-test", "PATH", "--polytope", "bell"],
     ["facet-test", "PATH", "--polytope", "correlation"]]))
 def test_cli_on_game_files(doc, garble, argv):

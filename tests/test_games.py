@@ -434,6 +434,23 @@ def test_game_inequalities_equal_the_fraction_built_ones():
             assert facet_test(ineq, kind) == facet_test(reference, kind)
 
 
+def test_bell_inequality_builds_the_functional_once(monkeypatch):
+    # the bound comes from a scan of the table the inequality stores, so one
+    # functional is built per call, wherever the value scan looks it up
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return scaled_functionals(g)
+    monkeypatch.setattr("bellpoly.games.scaled_functionals", counted)
+    monkeypatch.setattr("bellpoly.values.scaled_functionals", counted)
+    for g in _seeded_bridge_games():
+        calls.clear()
+        ineq = to_bell_inequality(g)
+        assert calls == [g]
+        assert ineq.bound == classical_value(g).value
+
+
 def test_game_inequalities_of_large_weights_hold_python_ints():
     # the weights fit int64 (sum below 2^62), but the correlator table holds
     # 4 times their sum in entries, and the Bell table 2 times it plus the bound

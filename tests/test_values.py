@@ -82,13 +82,6 @@ def test_classical_value_budget(phi_ex_game):
         classical_value(phi_ex_game, budget=9)
 
 
-def test_classical_value_worker_invariance(nlc3_game):
-    solo = classical_value(nlc3_game, workers=1)
-    multi = classical_value(nlc3_game, workers=3)
-    assert (solo.value, solo.a_map, solo.b_map) == \
-        (multi.value, multi.a_map, multi.b_map)
-
-
 def _fraction_sum(g, a_map, b_map):
     return sum((g.q[x][y] for x in range(g.ma) for y in range(g.mb)
                 if g.win(a_map[x], b_map[y], x, y)), F(0))
@@ -431,7 +424,7 @@ def test_classical_value_beyond_int8_outputs(d, f):
     ma, mb = len(f), len(f[0])
     g = LinearGame(d, ma, mb, ((F(1, ma * mb),) * mb,) * ma, f)
     value, a_map, b_map = by_alice_maps(g)
-    assert classical_value(g, workers=1) == ClassicalValue(value, a_map, b_map)
+    assert classical_value(g) == ClassicalValue(value, a_map, b_map)
 
 
 def _counting(monkeypatch, module, name):
@@ -449,7 +442,7 @@ def test_value_report_computes_each_quantity_once(monkeypatch, phi_ex_game):
     classical = _counting(monkeypatch, values, "classical_value")
     stacked = _counting(monkeypatch, values, "spectral_norms")
     single = _counting(monkeypatch, values, "spectral_norm")
-    rep = value_report(phi_ex_game, with_sufficient=True, workers=1)
+    rep = value_report(phi_ex_game, with_sufficient=True)
     assert rep.no_advantage.holds  # the check reached its classical-value step
     assert len(classical) == 1
     # the d - 1 blocks' norms come from one stacked SVD
