@@ -239,14 +239,17 @@ def test_budget_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
-def test_workers_option_is_exit_2(tmp_path, capsys):
-    # the scan is serial and takes no worker count: the option is unknown
-    path = write_game(tmp_path, make_chsh_game())
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("m", [2, 18])
+def test_workers_below_one_are_exit_2(tmp_path, capsys, workers, m):
+    # the scan is serial and takes no worker count: --workers is an unknown
+    # option, refused before any scan of a one-chunk or a many-chunk game
+    game = LinearGame(2, m, m, ((F(1, m * m),) * m,) * m, ((0,) * m,) * m)
     with pytest.raises(SystemExit) as exit_:
-        cli.main(["analyze-game", path, "--workers", "2"])
+        cli.main(["analyze-game", write_game(tmp_path, game), f"--workers={workers}"])
     out, err = capsys.readouterr()
     assert (exit_.value.code, out) == (2, "")
-    assert "unrecognized arguments: --workers 2" in err
+    assert f"unrecognized arguments: --workers={workers}" in err
 
 
 def test_negative_budgets_are_exit_2(tmp_path, capsys):
