@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import VerificationError
-from .rational import parse_rational
+from .rational import as_rational, parse_rational
 
 CERT_TOLERANCE = 1e-10
 
@@ -37,7 +37,7 @@ class WeightedCHSH:
     def __post_init__(self):
         if len(self.p) != 4:
             raise ValueError("four weights required")
-        object.__setattr__(self, "p", tuple(Fraction(v) for v in self.p))
+        object.__setattr__(self, "p", tuple(map(as_rational, self.p)))
         if any(v < 0 for v in self.p):
             raise ValueError("canonical weights are nonnegative")
         if sum(self.p) != 1:

@@ -46,8 +46,11 @@ def _float_field(value: float, precision: float) -> dict:
     return {"value": _finite(value), "precision": _finite(precision)}
 
 
-def _line_of(raw: str, needle: str) -> int:
-    for i, line in enumerate(raw.splitlines(), start=1):
+def _line_of(raw: str, needle: str, key: str = None) -> int:
+    """The first line holding needle, searched from the line of the key
+    `key` on when one is given (the table the value sits in); else line 1."""
+    start = _line_of(raw, f'"{key}"') if key else 1
+    for i, line in enumerate(raw.splitlines()[start - 1:], start=start):
         if needle in line:
             return i
     return 1
@@ -67,11 +70,11 @@ def _load_json(raw: str) -> dict:
     return data
 
 
-def _rat(value, raw: str, what: str) -> Fraction:
+def _rat(value, raw: str, what: str, key: str = None) -> Fraction:
     try:
         return parse_rational(value, where=what)
     except ParseError as e:
-        raise ParseError(str(e), line=_line_of(raw, str(value))) from None
+        raise ParseError(str(e), line=_line_of(raw, str(value), key)) from None
 
 
 def _need(data, key, raw):
@@ -80,9 +83,9 @@ def _need(data, key, raw):
     return data[key]
 
 
-def _int_at(value, raw, what) -> int:
+def _int_at(value, raw, what, key=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} must be an integer", line=_line_of(raw, str(value)))
+        raise ParseError(f"{what} must be an integer", line=_line_of(raw, str(value), key))
     return value
 
 
@@ -103,13 +106,13 @@ def parse_game_text(raw: str):
         d = _int_at(_need(data, "d", raw), raw, "d")
         ma = _int_at(_need(data, "mA", raw), raw, "mA")
         mb = _int_at(_need(data, "mB", raw), raw, "mB")
-        q = _table(data, "q", raw, ma, mb, lambda v: _rat(v, raw, "weight"))
-        f = _table(data, "f", raw, ma, mb, lambda v: _int_at(v, raw, "f entry"))
+        q = _table(data, "q", raw, ma, mb, lambda v: _rat(v, raw, "weight", "q"))
+        f = _table(data, "f", raw, ma, mb, lambda v: _int_at(v, raw, "f entry", "f"))
         for row in f:
             for v in row:
                 if not 0 <= v < d:
                     raise ParseError(f"f entry {v} outside Z_{d}",
-                                     line=_line_of(raw, str(v)))
+                                     line=_line_of(raw, str(v), "f"))
         n = _int_at(data.get("n", 1), raw, "n")
         try:
             return LinearGame(d, ma, mb, q, f, n=n)
@@ -118,7 +121,7 @@ def parse_game_text(raw: str):
     if kind == "unique3":
         ma = _int_at(_need(data, "mA", raw), raw, "mA")
         mb = _int_at(_need(data, "mB", raw), raw, "mB")
-        q = _table(data, "q", raw, ma, mb, lambda v: _rat(v, raw, "weight"))
+        q = _table(data, "q", raw, ma, mb, lambda v: _rat(v, raw, "weight", "q"))
         perms = _table(data, "perms", raw, ma, mb, str)
         try:
             return UniqueGame3(ma, mb, q, perms)
@@ -133,8 +136,8 @@ def parse_game_text(raw: str):
         g, p = _need(sub, "g", raw), _need(sub, "p", raw)
         if not isinstance(g, list) or not isinstance(p, list):
             raise ParseError('"g" and "p" must be lists', line=_line_of(raw, '"nlc"'))
-        g = [_int_at(v, raw, "g entry") for v in g]
-        p = [_rat(v, raw, "probability") for v in p]
+        g = [_int_at(v, raw, "g entry", "g") for v in g]
+        p = [_rat(v, raw, "probability", "p") for v in p]
         try:
             return build_nlc(NLCSpec(d, n, tuple(g), tuple(p)))
         except ValueError as e:
@@ -206,7 +209,7 @@ def parse_inequality_text(raw: str):
             ma, mb = len(coeffs), len(coeffs[0])
             da, db = len(coeffs[0][0]), len(coeffs[0][0][0])
             table = tuple(
-                tuple(tuple(tuple(_rat(v, raw, "coefficient") for v in cell)
+                tuple(tuple(tuple(_rat(v, raw, "coefficient", "coeffs") for v in cell)
                             for cell in row) for row in block)
                 for block in coeffs)
             return BellInequality(Scenario(ma, mb, da, db), table, bound)
@@ -218,7 +221,7 @@ def parse_inequality_text(raw: str):
     if space == "correlator":
         try:
             ma, mb = len(coeffs), len(coeffs[0])
-            corr = tuple(tuple(_rat(v, raw, "coefficient") for v in row)
+            corr = tuple(tuple(_rat(v, raw, "coefficient", "coeffs") for v in row)
                          for row in coeffs)
             return correlator_inequality(Scenario(ma, mb, 2, 2), corr, bound)
         except ParseError:
@@ -229,8 +232,9 @@ def parse_inequality_text(raw: str):
     if space == "cut":
         n = _int_at(_need(data, "n", raw), raw, "n")
         try:
-            pairs = [((_int_at(e[0], raw, "edge endpoint"), _int_at(e[1], raw, "edge endpoint")),
-                      _rat(e[2], raw, "coefficient")) for e in coeffs]
+            pairs = [((_int_at(e[0], raw, "edge endpoint", "coeffs"),
+                       _int_at(e[1], raw, "edge endpoint", "coeffs")),
+                      _rat(e[2], raw, "coefficient", "coeffs")) for e in coeffs]
             return CutInequality(n, pairs, bound)
         except ParseError:
             raise
@@ -404,9 +408,10 @@ def _read_graph(path):
 
 
 def _graph_or_complete(args, n):
-    """The --graph file's graph, or K_n without one."""
-    from .cut import Graph
-    return Graph.complete(n) if args.graph is None else _read_graph(args.graph)[0]
+    """The --graph file's graph, or K_n without one, whose cuts the caller
+    enumerates: past their limit, that error comes before K_n is built."""
+    from .cut import _enumerable_complete
+    return _enumerable_complete(n) if args.graph is None else _read_graph(args.graph)[0]
 
 
 def _cmd_cut(args):
@@ -439,8 +444,8 @@ def _cmd_cut(args):
                _digest(str(args.n).encode())
     if sub == "hypermetric":
         b = _parse_b(args.b)
-        return {"b": list(b), "n": len(b),
-                "valid": hypermetric_valid(b, _graph_or_complete(args, len(b)))}, \
+        g = None if args.graph is None else _read_graph(args.graph)[0]  # K_len(b) by default
+        return {"b": list(b), "n": len(b), "valid": hypermetric_valid(b, g)}, \
                _digest(args.b.encode())
     if sub == "facet":
         if args.ineq is not None:
@@ -451,7 +456,8 @@ def _cmd_cut(args):
             rep = cut_facet_test(ineq, _graph_or_complete(args, ineq.n))
             return _facet_report_dict(rep), _digest(raw)
         b = _parse_b(args.b)
-        rep = cut_facet_test(CutInequality.hypermetric(b), _graph_or_complete(args, len(b)))
+        g = _graph_or_complete(args, len(b))
+        rep = cut_facet_test(CutInequality.hypermetric(b), g)
         return _facet_report_dict(rep, {"b": list(b)}), _digest(args.b.encode())
     if sub == "pentagonal":
         rep = pentagonal_report()

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Tuple
 
 from .errors import BudgetExceededError, VerificationError
+from .rational import as_rational
 
 CUT_ENUM_MAX_VERTICES = 20
 _CHUNK_CELLS = 1 << 20  # values per chunk of a cut scan, to bound its memory
@@ -86,6 +87,13 @@ def _cut_masks(g: Graph) -> range:
         raise BudgetExceededError(
             f"{g.n} vertices exceed the cut enumeration limit of {CUT_ENUM_MAX_VERTICES}")
     return range(0, 1 << g.n, 2)
+
+
+def _enumerable_complete(n: int) -> Graph:
+    """K_n, for a caller that enumerates its cuts next: past the enumeration
+    limit, that limit's error comes before the n^2 edges are built."""
+    _cut_masks(Graph(n, ()))
+    return Graph.complete(n)
 
 
 def _cut_rows(g: Graph, masks):
@@ -177,8 +185,8 @@ class NCBehaviour:
     fulls: Mapping
 
     def __init__(self, graph: Graph, singles, fulls):
-        singles = tuple(Fraction(v) for v in singles)
-        fulls = {(min(i, j), max(i, j)): Fraction(v) for (i, j), v in dict(fulls).items()}
+        singles = tuple(map(as_rational, singles))
+        fulls = {(min(i, j), max(i, j)): as_rational(v) for (i, j), v in dict(fulls).items()}
         if len(singles) != graph.n:
             raise ValueError("one single correlator per vertex required")
         if set(fulls) != set(graph.sorted_edges):
@@ -245,7 +253,7 @@ def _edge_table(coeffs) -> dict:
         e = (min(i, j), max(i, j))
         if e in table:
             raise ValueError(f"edge {e} is listed twice")
-        table[e] = Fraction(v)
+        table[e] = as_rational(v)
     return table
 
 
@@ -262,7 +270,7 @@ class CutInequality:
         if self.n < 0:
             raise ValueError(f"vertex count {self.n} is negative")
         object.__setattr__(self, "edge_coeffs", _edge_table(self.edge_coeffs))
-        object.__setattr__(self, "bound", Fraction(self.bound))
+        object.__setattr__(self, "bound", as_rational(self.bound))
 
     @staticmethod
     def hypermetric(b) -> "CutInequality":
@@ -297,12 +305,12 @@ class CorrelatorInequality:
     bound: Fraction
 
     def __post_init__(self):
-        singles = tuple(Fraction(v) for v in self.single_coeffs)
+        singles = tuple(map(as_rational, self.single_coeffs))
         if len(singles) != self.n:
             raise ValueError("one single coefficient per observable required")
         object.__setattr__(self, "pair_coeffs", _edge_table(self.pair_coeffs))
         object.__setattr__(self, "single_coeffs", singles)
-        object.__setattr__(self, "bound", Fraction(self.bound))
+        object.__setattr__(self, "bound", as_rational(self.bound))
 
     def evaluate_behaviour(self, nc: NCBehaviour) -> Fraction:
         total = sum((c * nc.fulls[e] for e, c in self.pair_coeffs.items()), Fraction(0))
@@ -321,15 +329,17 @@ class CorrelatorInequality:
         return CutInequality(self.n + 1, coeffs, self.bound - shift)
 
 
-def hypermetric_valid(b, g: Graph) -> bool:
-    """Exhaustive check of sum b_i b_j x_ij <= 0 over every cut of g.
+def hypermetric_valid(b, g: Graph = None) -> bool:
+    """Exhaustive check of sum b_i b_j x_ij <= 0 over every cut of g, by
+    default the complete graph on len(b) vertices, built after b's checks.
     Requires sum(b) == 1, the normalization under which the family is valid
     on cut polytopes."""
     b = tuple(int(v) for v in b)
-    if len(b) != g.n:
+    if g is not None and len(b) != g.n:
         raise ValueError("one coefficient per vertex required")
     if sum(b) != 1:
         raise ValueError(f"coefficient sum is {sum(b)}, hypermetric form needs 1")
+    g = g or _enumerable_complete(len(b))
     restricted = {(i, j): b[i] * b[j] for i, j in g.sorted_edges}
     return _cut_scan(CutInequality(g.n, restricted, 0), g)[1] is None
 

@@ -28,6 +28,7 @@ from math import isqrt, pi
 import numpy as np
 
 from .errors import DEFAULT_BOX_BUDGET
+from .rational import as_rational
 from .scenario import _SIGNS, BellInequality, Scenario, int_scaled
 
 # permutations of {0,1,2} by cycle name; table[i] = image of i
@@ -47,7 +48,7 @@ REFLECTIONS = {name: t[0] for name, t in PERMS.items() if name not in ROTATIONS}
 def _check_weight_table(q, ma, mb):
     if ma < 1 or mb < 1:
         raise ValueError("each side needs at least one input")
-    q = tuple(tuple(Fraction(v) for v in row) for row in q)
+    q = tuple(tuple(map(as_rational, row)) for row in q)
     if len(q) != ma or any(len(row) != mb for row in q):
         raise ValueError("weight table shape does not match input counts")
     if any(v < 0 for row in q for v in row):
@@ -178,7 +179,7 @@ class NLCSpec:
         if self.d < 2:
             raise ValueError("d must be at least 2")
         g = tuple(int(v) for v in self.g)
-        p = tuple(Fraction(v) for v in self.p)
+        p = tuple(map(as_rational, self.p))
         if len(g) != len(p):
             raise ValueError("g and p must share an index set")
         full = self.d == 2 and len(g) == 2 ** self.n

@@ -1,4 +1,5 @@
-"""Rational parsing/formatting for the "num/den" file and report convention."""
+"""Rational parsing/formatting for the "num/den" file and report convention,
+and the exact reader the constructors share."""
 
 from fractions import Fraction
 
@@ -24,6 +25,18 @@ def parse_rational(value, where=""):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational {value!r} ({exc})") from None
     raise ParseError(f"{where}: cannot read {type(value).__name__} as rational")
+
+
+def as_rational(v) -> Fraction:
+    """v as an exact rational (a float exactly); ValueError or TypeError
+    when `Fraction` cannot take it: NaN or infinity, a string that is no
+    number, a sequence."""
+    if isinstance(v, Fraction):
+        return v
+    try:
+        return Fraction(v)
+    except OverflowError:  # an infinite float
+        raise ValueError(f"cannot read {v!r} as a rational") from None
 
 
 def format_rational(q):

@@ -23,6 +23,8 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .rational import as_rational
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -98,28 +100,16 @@ def _correlator_rows(s: Scenario, A, B) -> np.ndarray:
 _SIGNS = np.array([[1, -1], [-1, 1]])  # a correlator cell [a][b] is c (-1)^(a xor b)
 
 
-def _rational(v) -> Fraction:
-    """v as an exact rational (a float exactly); ValueError or TypeError
-    when `Fraction` cannot take it: NaN or infinity, a string that is no
-    number, a sequence."""
-    if isinstance(v, Fraction):
-        return v
-    try:
-        return Fraction(v)
-    except OverflowError:  # an infinite float
-        raise ValueError(f"cannot read {v!r} as a rational") from None
-
-
 def int_scaled(values, bounds=()):
     """The rationals `values` (any nesting, such as a coefficient table) and
-    `bounds`, each read with `Fraction`, times their common denominator: an
-    integer array of the values' shape, the integer bounds and the
+    `bounds`, each read with `as_rational`, times their common denominator:
+    an integer array of the values' shape, the integer bounds and the
     denominator. The array is int64 unless the sum of every |value| and
     |bound|, which bounds each sum formed from them, reaches 2^62; then it
     holds Python ints."""
     shaped = np.asarray(values, dtype=object)
-    flat = list(map(_rational, shaped.ravel().tolist()))
-    bounds = list(map(_rational, bounds))
+    flat = list(map(as_rational, shaped.ravel().tolist()))
+    bounds = list(map(as_rational, bounds))
     den = lcm(*{v.denominator for v in flat}, *(b.denominator for b in bounds))
     scaled = [v.numerator * (den // v.denominator) for v in flat]
     targets = [b.numerator * (den // b.denominator) for b in bounds]
@@ -233,5 +223,5 @@ def correlator_inequality(s: Scenario, corr, bound) -> BellInequality:
     if s.da != 2 or s.db != 2:
         raise ValueError("correlator inequalities need binary outputs")
     # cell [a][b] is corr(x, y) (-1)^(a xor b)
-    coeffs = tuple(tuple(((c, -c), (-c, c)) for c in map(_rational, row)) for row in corr)
+    coeffs = tuple(tuple(((c, -c), (-c, c)) for c in map(as_rational, row)) for row in corr)
     return BellInequality(s, coeffs, bound, space="correlator")

@@ -120,27 +120,15 @@ def _partial_sums(E):
 _SCAN_CELLS = 1 << 18  # partial sums per slab of a scan, to bound its memory
 
 
-def _box_count(sizes, on_top, d) -> int:
-    """The boxes answering the maps on_top selects with one best output per
-    input: over those maps, the product of their tie-set sizes (inputs on
-    axis 1 of `sizes`; exact in int64 when the answering side, on d
-    outputs, has fewer than 2^63 maps)."""
-    n = sizes.shape[1]
-    sizes = sizes.prod(axis=1, dtype=np.int64 if d ** n < 2 ** 63 else object)[on_top]
-    sizes, repeats = np.unique(sizes, return_counts=True)
-    return sum(int(s) * int(r) for s, r in zip(sizes.tolist(), repeats.tolist()))
-
-
-def _scan_chunk(hi, lo, start, stop, alice, ties, full=None):
+def _scan_chunk(hi, lo, start, stop, alice, ties):
     """The best total over the maps whose high digits are strings start..stop
     of hi ([s, b, j]) and low digits any string of lo ([b, j, s]), the two
     partial-sum tables; a key whose least value over the chunks attaining the
     best names the witness (the first such map when Alice's are enumerated,
     else the least of Alice's first best answers to such maps); with `ties`,
     the numbers of those maps, their rank rows and boxes, and the tie sets
-    against them ([map, j, b]). When the best is at most `full`, a top whose
-    rank rows already exceed the budget, no tie sets are built: the tie-set
-    sizes and first best answers come from comparisons over the whole slab."""
+    against them ([map, j, b]), built for those maps only, a bounded number
+    of them at a time."""
     d, L = lo.shape[0], lo.shape[2]
     best = hi[start:stop, 0, :, None] + lo[0]
     for b in range(1, d):
@@ -150,33 +138,23 @@ def _scan_chunk(hi, lo, start, stop, alice, ties, full=None):
     if alice and not ties:
         return top, start * L + int(totals.argmax()), None
     k = np.flatnonzero(totals == top)
-    if full is not None and top <= full:
-        T, on_top = None, (totals == top).reshape(len(best), L)
-        sizes = np.zeros(best.shape, dtype=np.min_scalar_type(d))  # [high map, j, low map]
-        first = None if alice else np.empty(best.shape, dtype=np.int64)
-        score, tie = np.empty_like(best), np.empty(best.shape, dtype=bool)
-        for b in reversed(range(d)):
-            np.equal(np.add(hi[start:stop, b, :, None], lo[b], out=score), best, out=tie)
-            sizes += tie
-            if not alice:
-                first[tie] = b
-        answers = None if alice else first.transpose(0, 2, 1)[on_top]
-    else:
-        c, l = np.divmod(k, L)
-        T = np.empty((len(k), lo.shape[1], d), dtype=bool)
-        step = max(1, _SCAN_CELLS // lo[..., 0].size)  # maps at a time, to bound the slab
-        for r in range(0, len(k), step):
-            cr, lr = c[r:r + step], l[r:r + step]
-            scores = hi[start + cr] + lo[:, :, lr].transpose(2, 0, 1)  # [map, output, input]
-            T[r:r + step] = (scores == best[cr, None, :, lr]).transpose(0, 2, 1)
-        answers = None if alice else T.argmax(axis=2)
+    c, l = np.divmod(k, L)
+    T = np.empty((len(k), lo.shape[1], d), dtype=bool)
+    step = max(1, _SCAN_CELLS // lo[..., 0].size)  # maps at a time, to bound the slab
+    for r in range(0, len(k), step):
+        cr, lr = c[r:r + step], l[r:r + step]
+        scores = hi[start + cr] + lo[:, :, lr].transpose(2, 0, 1)  # [map, output, input]
+        T[r:r + step] = (scores == best[cr, None, :, lr]).transpose(0, 2, 1)
+    answers = None if alice else T.argmax(axis=2)
     key = start * L + int(k[0]) if alice else tuple(answers[np.lexsort(answers.T[::-1])[0]])
     if not ties:
         return top, key, None
-    if T is not None:
-        on_top, sizes = slice(None), T.sum(axis=2)
-    rows = int(sizes.sum(axis=1, dtype=np.int64)[on_top].sum()) - len(k) * (sizes.shape[1] - 1)
-    return top, key, (k + start * L, rows, _box_count(sizes, on_top, d), T)
+    sizes = T.sum(axis=2)
+    rows = int(sizes.sum(dtype=np.int64)) - len(k) * (sizes.shape[1] - 1)
+    # a map's boxes: the product of its tie-set sizes, exact in int64 when
+    # the answering side has fewer than 2^63 maps
+    boxes = sizes.prod(axis=1, dtype=np.int64 if d ** sizes.shape[1] < 2 ** 63 else object)
+    return top, key, (k + start * L, rows, sum(boxes.tolist()), T)
 
 
 def _digits(numbers, m, base):
@@ -210,8 +188,8 @@ def _scan(C, budget, ties=False, cols=1) -> _Scan:
     maps are enumerated, every map is scanned in C's dtype; with `ties`, the
     optimal maps and tie sets are kept only while their rank rows, `cols`
     cells each, fit the budget. The high digit strings are scanned in slabs
-    of at most `_SCAN_CELLS` partial sums, in order, so a top whose rank rows
-    exceed the budget builds no tie sets in later slabs."""
+    of at most `_SCAN_CELLS` partial sums, in order, and a top whose rank
+    rows exceed the budget keeps no tie sets."""
     ma, mb, da, db = C.shape
     n_maps = min(da ** ma, db ** mb)
     if n_maps > budget:
@@ -234,10 +212,10 @@ def _scan(C, budget, ties=False, cols=1) -> _Scan:
     lo = _partial_sums(E[h:])
 
     step = max(1, _SCAN_CELLS // max(1, lo[0].size))
-    top = key = full = None
+    top = key = None
     found, count, rows = [], 0, 0
     for r in range(0, len(hi), step):
-        t, k, part = _scan_chunk(hi, lo, r, min(r + step, len(hi)), alice, ties, full)
+        t, k, part = _scan_chunk(hi, lo, r, min(r + step, len(hi)), alice, ties)
         if top is not None and t < top:
             continue
         if top is None or t > top:
@@ -247,7 +225,7 @@ def _scan(C, budget, ties=False, cols=1) -> _Scan:
             numbers, chunk_rows, chunk_count, T = part
             count, rows = count + chunk_count, rows + chunk_rows
             if found is None or rows * cols > budget:
-                found, full = None, top  # later chunks at this top build no tie sets
+                found = None
             else:
                 found.append((numbers, T))
 

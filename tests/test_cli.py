@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bellpoly import LinearGame, NLCSpec, build_nlc, build_nlcd, cli, value_report
-from bellpoly.cut import CutInequality, Graph
+from bellpoly.cut import CUT_ENUM_MAX_VERTICES, CutInequality, Graph
 from bellpoly.scenario import Scenario, correlator_inequality
 from tests.conftest import (
     make_chsh_game,
@@ -220,6 +220,10 @@ def test_empty_coefficient_levels_are_parse_errors(tmp_path, capsys, text, messa
     (["cut", "cuts", "--graph", "FILE"], "-1\n", "line 1: vertex count -1 is negative"),
     (["cut", "facet", "--ineq", "FILE"], '{"space": "cut", "bound": "0",\n "n": -2, "coeffs": []}',
      "line 2: vertex count -2 is negative"),
+    # the value 2 first appears on line 3, as d; the error names f's line
+    (["analyze-game", "FILE"],
+     '{\n "kind": "linear",\n "d": 2,\n "mA": 1,\n "mB": 1,\n "q": [["1"]],\n "f": [[2]]\n}',
+     "line 7: f entry 2 outside Z_2"),
 ])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, argv, text, message):
     if text is not None:
@@ -573,6 +577,32 @@ def test_cut_ce1_beyond_the_vertex_limit_is_exit_3(capsys):
         assert (code, out) == (3, "")
         assert f"{n} observables need the suspension K_{int(n) + 1}" in err
         assert "cut enumeration limit of 20 vertices" in err
+
+
+ONE_AND_ZEROS, ONES = ",".join(["1"] + ["0"] * 2999), ",".join(["1"] * 3000)
+TOO_MANY_VERTICES = "3000 vertices exceed the cut enumeration limit of 20"
+
+
+@pytest.mark.parametrize("sub, b, code, message", [
+    ("facet", ONE_AND_ZEROS, 3, f"budget exceeded: {TOO_MANY_VERTICES}"),
+    ("facet", ONES, 3, f"budget exceeded: {TOO_MANY_VERTICES}"),
+    ("hypermetric", ONE_AND_ZEROS, 3, f"budget exceeded: {TOO_MANY_VERTICES}"),
+    ("hypermetric", ONES, 2, "invalid input: coefficient sum is 3000, hypermetric form needs 1"),
+], ids=["facet-sum-1", "facet-sum-3000", "hypermetric-sum-1", "hypermetric-sum-3000"])
+def test_an_oversized_b_fails_before_k_n_is_built(monkeypatch, capsys, sub, b, code, message):
+    # 3000 vertices make about 4.5 million edges; the limit and sum checks
+    # come first, with the messages they gave after building them
+    sizes = []
+
+    def spy(real):
+        def call(arg):
+            sizes.append(arg if isinstance(arg, int) else len(arg))
+            return real(arg)
+        return staticmethod(call)
+    monkeypatch.setattr(Graph, "complete", spy(Graph.complete))
+    monkeypatch.setattr(CutInequality, "hypermetric", spy(CutInequality.hypermetric))
+    assert run_cli(capsys, "cut", sub, f"--b={b}") == (code, "", f"bellpoly: {message}\n")
+    assert all(n <= CUT_ENUM_MAX_VERTICES for n in sizes)
 
 
 def test_cut_ce1_negative_n_is_exit_2(capsys):

@@ -242,13 +242,13 @@ def test_verdicts_take_the_reconstruction_path(monkeypatch):
 
 
 @pytest.mark.parametrize("alice", [True, False])
-def test_chunks_past_the_budget_build_no_tie_sets(monkeypatch, alice):
+def test_chunks_past_the_budget_keep_no_tie_sets(monkeypatch, alice):
     # a 0/1 functional where every other input of the enumerated side and
     # every third of the answering side weigh nothing, so many maps are
     # optimal, with tie sets of size 2. Once the rank rows at the running
-    # top exceed the budget, later chunks at that top build no tie sets,
-    # yet the top, witness, box count and rank rows are those of the scan
-    # that keeps every tie set
+    # top exceed the budget, the scan keeps no maps or tie sets, yet the
+    # top, witness, box count and rank rows are those of the scan that
+    # keeps every tie set
     rng = random.Random(f"past-the-budget:{alice}")
     ma, mb = (8, 9) if alice else (9, 8)
     weighs = [[(x if alice else y) % 2 and (y if alice else x) % 3 for y in range(mb)]
@@ -258,14 +258,6 @@ def test_chunks_past_the_budget_build_no_tie_sets(monkeypatch, alice):
     monkeypatch.setattr(values, "_SCAN_CELLS", 1 << 6)
     kept = values._scan(C, 2 ** 30, ties=True)
     assert kept.count > kept.rows and kept.rows * 100 > 2 ** 8
-    built, chunk = [], values._scan_chunk
-
-    def recorded(*args):
-        result = chunk(*args)
-        built.append(result[2][3] is not None)
-        return result
-    monkeypatch.setattr(values, "_scan_chunk", recorded)
     over = values._scan(C, 2 ** 8, ties=True, cols=100)
     assert over.alice == alice and over.maps is None and over.ties is None
     assert over[:5] == kept[:5]
-    assert built[0] and built.count(False) > len(built) // 2

@@ -5,6 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bellpoly import format_rational, parse_rational
+from bellpoly.chsh import WeightedCHSH
+from bellpoly.cut import CorrelatorInequality, CutInequality, Graph, NCBehaviour
+from bellpoly.games import LinearGame, NLCSpec, UniqueGame3
+from bellpoly.scenario import BellInequality, Scenario
 
 
 def test_parse_plain_integer():
@@ -38,3 +42,25 @@ def test_format_reduced_form():
 @given(st.fractions(max_denominator=10**6))
 def test_round_trip(value):
     assert parse_rational(format_rational(value)) == value
+
+
+INFINITE_INPUTS = {
+    "LinearGame": lambda v: LinearGame(2, 1, 1, ((v,),), ((0,),)),
+    "UniqueGame3": lambda v: UniqueGame3(1, 1, ((v,),), (("e",),)),
+    "NLCSpec": lambda v: NLCSpec(2, 1, (0, 1), (v, Fraction(1, 2))),
+    "CutInequality coefficient": lambda v: CutInequality(2, {(0, 1): v}, 0),
+    "CutInequality bound": lambda v: CutInequality(2, {(0, 1): 1}, v),
+    "CorrelatorInequality": lambda v: CorrelatorInequality(2, {(0, 1): v}, (0, 0), 0),
+    "NCBehaviour": lambda v: NCBehaviour(Graph.complete(2), (v, 0), {(0, 1): 0}),
+    "WeightedCHSH": lambda v: WeightedCHSH((v, 0, 0, 0)),
+    "BellInequality": lambda v: BellInequality(Scenario(1, 1, 2, 2), ((((v, 0), (0, 0)),),), 0),
+}
+
+
+@pytest.mark.parametrize("v", [float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", sorted(INFINITE_INPUTS))
+def test_constructors_refuse_an_infinite_float_with_value_error(name, v):
+    # every constructor reads its rationals with `rational.as_rational`, so an
+    # infinite float is a ValueError, not Fraction's OverflowError
+    with pytest.raises(ValueError, match="cannot read -?inf as a rational"):
+        INFINITE_INPUTS[name](v)
