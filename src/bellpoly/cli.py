@@ -415,8 +415,9 @@ def _graph_or_complete(args, n):
 
 
 def _cmd_cut(args):
-    from .cut import (CutInequality, ce1_inequalities, ce_gap_report, cut_facet_test,
-                      enumerate_cuts, hypermetric_valid, pentagonal_report, suspension)
+    from .cut import (CutInequality, _check_facet_graph, ce1_inequalities, ce_gap_report,
+                      cut_facet_test, enumerate_cuts, hypermetric_valid, pentagonal_report,
+                      suspension)
     sub = args.subcommand
     if sub in ("suspend", "cuts") and args.graph is None:
         raise ParseError(f"{sub} needs --graph", line=1)
@@ -457,6 +458,7 @@ def _cmd_cut(args):
             return _facet_report_dict(rep), _digest(raw)
         b = _parse_b(args.b)
         g = _graph_or_complete(args, len(b))
+        _check_facet_graph(len(b), g)  # before the len(b)^2 / 2 coefficients are built
         rep = cut_facet_test(CutInequality.hypermetric(b), g)
         return _facet_report_dict(rep, {"b": list(b)}), _digest(args.b.encode())
     if sub == "pentagonal":

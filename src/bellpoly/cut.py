@@ -344,15 +344,23 @@ def hypermetric_valid(b, g: Graph = None) -> bool:
     return _cut_scan(CutInequality(g.n, restricted, 0), g)[1] is None
 
 
+def _check_facet_graph(n: int, g: Graph):
+    """ValueError unless g can carry the facet test of an inequality on n
+    vertices: its vertex count is checked first, then that it is complete.
+    Both read only g and n, so a caller can check before it builds the
+    inequality."""
+    if g.n != n:
+        raise ValueError("inequality and graph vertex counts differ")
+    if not g.is_complete:
+        raise ValueError("cut facet tests are run on complete graphs")
+
+
 def cut_facet_test(ineq: CutInequality, g: Graph):
     """Exact facet test against the cut polytope of a complete graph: the
     inequality must be valid everywhere; its roots (cuts meeting the bound)
     must affinely span one dimension below the edge count."""
     from .tightness import _facet_report
-    if not g.is_complete:
-        raise ValueError("cut facet tests are run on complete graphs")
-    if ineq.n != g.n:
-        raise ValueError("inequality and graph vertex counts differ")
+    _check_facet_graph(ineq.n, g)
     roots, worst = _cut_scan(ineq, g)
     if worst is not None:
         raise ValueError("inequality is violated at the cut with subset "

@@ -23,10 +23,12 @@ sums the won cells' numerators over the lcm of their denominators.
 Quantum upper bounds come from one formula (`_linear_bound`) over the norms
 of a game's Fourier blocks (`games.fourier_blocks`, read from the float
 weights built once per game), each norm a certified interval (`NormBound`):
-a linear game's single blocks Phi_k have their spectral norms, all from one
+a linear game's single blocks Phi_k have their spectral norms, from one
 stacked SVD, and a 3-output unique game's two coset blocks their joint
-norm, bounded above by a one-dimensional eigenvalue envelope and below by
-feasible points.
+norm, bounded above by a one-dimensional eigenvalue envelope, minimised by
+a safeguarded secant search, and below by feasible points. The weights are
+real, so the blocks of d - k are the entrywise conjugates of those of k,
+with the same norms: each is computed once, for k = 1..d // 2.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from math import exp, inf, lcm, log, log1p, sqrt
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError, VerificationError
 from .games import LinearGame, fourier_blocks, scaled_functionals
@@ -164,15 +167,17 @@ def _digits(numbers, m, base):
 
 def _shift_invariant(C) -> bool:
     """Whether a joint output shift a -> a + 1, b -> b + s (mod d) keeps
-    C[x, y, a, b] for a step s of 1 or -1: whether C[:, :, a] is C[:, :, 0]
-    rolled by s * a along b, by one comparison per output a with a window of
-    C[:, :, 0] written twice over. A linear game's functional (b = f - a)
-    keeps the step -1, a unique game's of rotations only (b = a + c) the
-    step 1."""
+    C[x, y, a, b] for a step s of -1 or 1: whether C[:, :, a, b] is
+    C[:, :, 0, (b - s a) mod d], by one comparison per step with a strided
+    view, no copy, of C[:, :, 0] written twice over, whose window a (for
+    s = -1) or d - a (for s = 1) is that row. A linear game's functional
+    (b = f - a) keeps the step -1, a unique game's of rotations only
+    (b = a + c) the step 1."""
     d = C.shape[3]
-    twice = np.concatenate((C[:, :, 0], C[:, :, 0]), axis=2)
-    return any(all((C[:, :, a] == twice[..., -s * a % d:][..., :d]).all() for a in range(1, d))
-               for s in {1, d - 1})
+    twice = np.concatenate((C[:, :, 0],) * 2, axis=2)
+    x, y, b = twice.strides
+    windows = as_strided(twice, C.shape[:2] + (d + 1, d), (x, y, b, b), writeable=False)
+    return bool((C == windows[..., :d, :]).all() or (C == windows[..., d:0:-1, :]).all())
 
 
 def _scan(C, budget, ties=False, cols=1) -> _Scan:
@@ -351,14 +356,20 @@ def gen_norm_detailed(a, b):
     for every s, with equality at the minimum over s: a complex quadratic
     problem with two constraints has no duality gap (the S-lemma; Polik &
     Terlaky, SIAM Review 49 (2007)). lambda_max is convex in t = log s, with
-    derivative v^dag (s P - Q / s) v at a top eigenvector v, and its minimum
-    is bisected on that sign inside the bracket that (1+s) ||a||^2 <= N^2 <=
-    (||a|| + ||b||)^2 and its mirror image give. The upper end is the square
-    root of the least lambda_max seen plus a float error term for forming
-    the matrix and for eigh; it is valid whatever s the bisection reaches.
+    derivative s ||a^dag v||^2 - ||b^dag v||^2 / s at a top eigenvector v,
+    and its minimum is searched for inside the bracket that
+    (1+s) ||a||^2 <= N^2 <= (||a|| + ||b||)^2 and its mirror image give: a
+    secant step on that derivative through the bracket's ends (Illinois: the
+    derivative of an end kept twice in a row is halved), and a bisection
+    step while an end's derivative is unknown, when the secant point leaves
+    the bracket, or after two steps in a row that did not halve it. Every
+    step keeps the side of the bracket that the derivative's sign leaves.
+    The upper end is the square root of the least lambda_max seen plus a
+    float error term for forming the matrix and for eigh; every s gives an
+    upper bound, so it is valid whatever points the search visits.
 
     Lower end: a top eigenvector v gives the unit pair x1 ~ a^dag v,
-    x2 ~ b^dag v, of value at least ||a^dag v|| + ||b^dag v||. The bisection
+    x2 ~ b^dag v, of value at least ||a^dag v|| + ||b^dag v||. The search
     stops once that meets the upper end within twice its error term; failing
     that, a monotone alternating ascent (x1 <- a^dag y / ||.||, and the same
     for x2, with y = a x1 + b x2) starts from each vector of the top
@@ -387,9 +398,16 @@ def gen_norm_detailed(a, b):
     fa, fb = np.linalg.norm(A) ** 2, np.linalg.norm(B) ** 2
     r = nb / na
     lo, hi = 2 * log(r) - log1p(2 * r), log(r) + log(2 + r)
+    dlo = dhi = None  # the derivative at lo and at hi, once a step has landed there
+    moved, slow = 0, 0  # the end the last step moved (-1 lo, 1 hi); steps that did not halve
     lower, upper = 1.0, inf
     while hi - lo > 4 * eps * max(1.0, -lo, hi):
+        width = hi - lo
         t = (lo + hi) / 2
+        if dlo is not None and dhi is not None and slow < 2:
+            secant = hi - dhi * width / (dhi - dlo)
+            if lo < secant < hi:
+                t = secant
         s = exp(t)
         w, V = np.linalg.eigh((1 + s) * P + (1 + 1 / s) * Q)
         bound = sqrt(w[-1] + err * ((1 + s) * fa + (1 + 1 / s) * fb))
@@ -400,10 +418,19 @@ def gen_norm_detailed(a, b):
         lower = max(lower, pa + pb)
         if lower >= upper - 2 * slack:
             break
-        if s * pa * pa > pb * pb / s:
-            hi = t
+        slope = s * pa * pa - pb * pb / s
+        # Illinois: an end kept twice in a row has its derivative halved
+        if slope > 0:
+            hi, dhi = t, slope
+            if moved == 1 and dlo is not None:
+                dlo /= 2
+            moved = 1
         else:
-            lo = t
+            lo, dlo = t, slope
+            if moved == -1 and dhi is not None:
+                dhi /= 2
+            moved = -1
+        slow = slow + 1 if hi - lo > width / 2 else 0
     upper = min(upper, (na + nb) / c)
     goal = upper - 2 * slack  # the lower end meets the upper end within its error term
     if lower < goal:
@@ -424,7 +451,8 @@ class NormBound:
     """A game's norm bound, `_linear_bound` at the upper ends of certified
     intervals (lower, upper) for the norms of its k-th Fourier blocks,
     k = 1..d-1: the spectral norm of one block, the joint norm
-    (`gen_norm_detailed`) of two."""
+    (`gen_norm_detailed`) of two. One interval is computed per conjugate
+    pair of blocks, k and d - k, and stands at both indices."""
     value: float
     error: float   # the float envelope of value
     norms: tuple   # (lower, upper) per k
@@ -443,11 +471,14 @@ class NormBound:
 
 def norm_bound(g, blocks) -> NormBound:
     """The norm bound of g from its Fourier blocks `blocks`, those of
-    `fourier_blocks(g)`; the single blocks' norms come from one
-    `spectral_norms` call."""
-    tops = iter(spectral_norms([b[0] for b in blocks if len(b) == 1]))
-    norms = tuple((next(tops),) * 2 if len(b) == 1 else gen_norm_detailed(*b)
-                  for b in blocks)
+    `fourier_blocks(g)`. The weights are real, so block d - k is the
+    entrywise conjugate of block k and has its norms: they are computed for
+    k = 1..d // 2 only, the single blocks' from one `spectral_norms` call,
+    and block d - k takes block k's interval."""
+    half = blocks[:g.d // 2]
+    tops = iter(spectral_norms([b[0] for b in half if len(b) == 1]))
+    own = [(next(tops),) * 2 if len(b) == 1 else gen_norm_detailed(*b) for b in half]
+    norms = tuple(own[min(k, g.d - k) - 1] for k in range(1, g.d))
     upper = [hi for _, hi in norms]
     return NormBound(_linear_bound(g, upper), _bound_error_estimate(g.d, g.ma, g.mb, upper),
                      norms)

@@ -164,8 +164,9 @@ def test_reflection_game_is_scanned_on_every_map():
     (linear_game(4, 3, 3, 4, choices=(1, 2)), 3 ** 2),
     (unique3_game(4, 3, 4, ROTATION_NAMES, choices=(1, 2)), 3 ** 2),
     (LinearGame(257, 1, 2, [[F(1, 3), F(2, 3)]], [[5, 7]]), 1),
+    (linear_game(4, 131, 2, 2, choices=(1, 2)), 131),
     (unique3_game(1, 3, 4, ("e", "(01)"), choices=(1, 2)), 3 ** 3),
-], ids=["linear", "rotations", "one-input", "mixed"])
+], ids=["linear", "rotations", "one-input", "linear-131", "mixed"])
 def test_only_invariant_scans_cross_a_dth_of_alice_maps(monkeypatch, g, maps):
     tables = _recorded_tables(monkeypatch)
     assert found(g) == by_alice_maps(g)

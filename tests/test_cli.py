@@ -530,9 +530,10 @@ def test_analyze_game_unique3_runs_the_ascent_once(tmp_path, capsys, monkeypatch
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     code, out, _ = run_cli(capsys, "analyze-game", write_game(tmp_path, make_unique3_rotation()))
     assert code == 0
-    assert len(calls) == 2  # one joint norm per coset pair k = 1, 2
+    assert len(calls) == 1  # one joint norm for the conjugate coset pairs k = 1, 2
     r = json.loads(out)["results"]
     assert r["bound_certified"] is True and len(r["joint_norms"]) == 2
+    assert r["joint_norms"][0] == r["joint_norms"][1]
     assert "bound_converged" not in r
 
 
@@ -603,6 +604,24 @@ def test_an_oversized_b_fails_before_k_n_is_built(monkeypatch, capsys, sub, b, c
     monkeypatch.setattr(CutInequality, "hypermetric", spy(CutInequality.hypermetric))
     assert run_cli(capsys, "cut", sub, f"--b={b}") == (code, "", f"bellpoly: {message}\n")
     assert all(n <= CUT_ENUM_MAX_VERTICES for n in sizes)
+
+
+@pytest.mark.parametrize("graph_text, b, message", [
+    ("3\n0 1\n1 2\n", ONE_AND_ZEROS, "inequality and graph vertex counts differ"),
+    ("5\n0 1\n1 2\n2 3\n3 4\n", "1,1,1,-1,-1", "cut facet tests are run on complete graphs"),
+], ids=["vertex-count", "incomplete"])
+def test_cut_facet_refuses_the_graph_before_building_the_inequality(
+        tmp_path, monkeypatch, capsys, graph_text, b, message):
+    # a 3000-entry --b has about 4.5 million edge coefficients: the graph is
+    # checked against len(b) first, then for completeness, and neither check
+    # builds them
+    graph = tmp_path / "g.txt"
+    graph.write_text(graph_text)
+    built = []
+    monkeypatch.setattr(CutInequality, "hypermetric", staticmethod(built.append))
+    code, out, err = run_cli(capsys, "cut", "facet", "--graph", str(graph), f"--b={b}")
+    assert (code, out, built) == (2, "", [])
+    assert message in err and "Traceback" not in err
 
 
 def test_cut_ce1_negative_n_is_exit_2(capsys):

@@ -248,6 +248,34 @@ def test_gen_norm_interval_against_the_reference_ascent():
         assert max(spectral_norm(a), spectral_norm(b)) <= hi <= spectral_norm(a) + spectral_norm(b)
 
 
+def ascent_corpus():
+    """The unique games of `test_gen_norm_interval_against_the_reference_ascent`."""
+    games = [make_unique3_rotation(), make_unique3_mixed(), make_unique3_frustrated()]
+    for seed in range(250):
+        g = seeded_unique3(seed, 2 + seed % 5, 2 + seed // 5 % 5)
+        games.append(g if seed % 3 else UniqueGame3(
+            g.ma, g.mb, ((F(1, g.ma * g.mb),) * g.mb,) * g.ma, g.perms))
+    return games
+
+
+# eigh calls of a bisection on t = log s, with the same bracket and stop
+# test, over the coset pairs of `ascent_corpus`
+BISECTION_EIGH_CALLS = 11389
+
+
+def test_gen_norm_search_takes_at_most_half_the_bisections_eigh_calls(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(0) or real(*a, **k))
+    pairs = coset_pairs(ascent_corpus())
+    intervals = [gen_norm_detailed(a, b) for a, b in pairs]
+    assert 0 < len(calls) <= BISECTION_EIGH_CALLS // 2
+    monkeypatch.undo()
+    for (a, b), (lo, hi) in zip(pairs, intervals):
+        assert lo <= hi and hi - lo <= 1e-9
+        assert hi >= ascent(a, b)[0] - 1e-12
+
+
 def test_gen_norm_certifies_where_the_ascent_label_did_not():
     # the old label certified a joint norm only when the ascent reached
     # ||a|| + ||b||, which this game's k = 1 pair falls short of
@@ -445,8 +473,8 @@ def test_value_report_computes_each_quantity_once(monkeypatch, phi_ex_game):
     rep = value_report(phi_ex_game, with_sufficient=True)
     assert rep.no_advantage.holds  # the check reached its classical-value step
     assert len(classical) == 1
-    # the d - 1 blocks' norms come from one stacked SVD
-    assert len(stacked) == 1 and len(stacked[0][0]) == phi_ex_game.d - 1 and not single
+    # the d // 2 norms of the conjugate pairs of blocks come from one stacked SVD
+    assert len(stacked) == 1 and len(stacked[0][0]) == phi_ex_game.d // 2 and not single
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 131])
@@ -458,7 +486,40 @@ def test_norm_bound_stacks_the_per_block_spectral_norms(d):
         f = [[rng.randrange(d) for _ in range(mb)] for _ in range(ma)]
         g = LinearGame(d, ma, mb, q, f)
         blocks = fourier_blocks(g)
-        assert norm_bound(g, blocks).norms == tuple((spectral_norm(*b),) * 2 for b in blocks)
+        norms = norm_bound(g, blocks).norms
+        assert len(norms) == d - 1
+        for k, b in enumerate(blocks, 1):
+            if k <= d // 2:
+                assert norms[k - 1] == (spectral_norm(*b),) * 2
+            else:
+                assert norms[k - 1] == norms[d - k - 1]
+
+
+def seeded_linear(d, seed):
+    rng = random.Random(f"{d}:{seed}")
+    ma, mb = rng.randint(1, 6), rng.randint(1, 6)
+    q = [[F(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(mb)] for _ in range(ma)]
+    return LinearGame(d, ma, mb, q, [[rng.randrange(d) for _ in range(mb)] for _ in range(ma)])
+
+
+@pytest.mark.parametrize("g", [seeded_linear(d, seed) for d in (3, 4, 5, 7, 131)
+                               for seed in range(3)]
+                         + [seeded_unique3(seed, 2 + seed % 3, 2 + seed // 3 % 3)
+                            for seed in range(12)],
+                         ids=lambda g: f"{g.d}-{g.ma}x{g.mb}")
+def test_norm_bound_computes_one_norm_per_conjugate_pair(g):
+    # block d - k is the entrywise conjugate of block k, so it takes k's
+    # interval, and its own norm agrees with it to rounding
+    blocks, d = fourier_blocks(g), g.d
+    norms = norm_bound(g, blocks).norms
+    assert len(norms) == d - 1
+
+    def own(b):
+        return (spectral_norm(*b),) * 2 if len(b) == 1 else gen_norm_detailed(*b)
+    for k in range(1, d // 2 + 1):
+        assert norms[d - k - 1] == norms[k - 1] == own(blocks[k - 1])
+        mirrored = own(blocks[d - k - 1])[1]
+        assert abs(mirrored - norms[k - 1][1]) <= 1e-12 * norms[k - 1][1]
 
 
 def test_value_report_budget_covers_the_sufficient_check(phi_ex_game):
