@@ -43,6 +43,10 @@ PERMS = {
 # by shift pi(0): rotations pi(a) = a + shift, reflections pi(a) = shift - a (mod 3)
 ROTATIONS = {name: t[0] for name, t in PERMS.items() if t[1] == (t[0] + 1) % 3}
 REFLECTIONS = {name: t[0] for name, t in PERMS.items() if name not in ROTATIONS}
+# PERMS as a read-only array [permutation, a], rows in the order of PERMS
+_PERM_IMAGES = np.array(list(PERMS.values()), dtype=np.int64)
+_PERM_IMAGES.flags.writeable = False
+_PERM_INDEX = {name: i for i, name in enumerate(PERMS)}
 
 
 def _check_weight_table(q, ma, mb):
@@ -57,12 +61,14 @@ def _check_weight_table(q, ma, mb):
 
 
 class _Game:
-    """The scenario, weight tables, total weight and win rule (`winning_b`)
-    of both kinds. As games are immutable, each table is built once per
-    game, on first use, and is read-only: the integer weights
-    (`scaled_weights`), which the scan's functional and the total weight
-    read, and the float weights (`float_weights`), which every Fourier
-    block reads. A value report reads the total weight twice (the
+    """The scenario, weight tables, total weight and win rule of both kinds.
+    The win rule is one array expression per kind (`winning_b`), which the
+    functional's table and the exact re-check of a strategy both call. As
+    games are immutable, each table is built once per game, on first use,
+    and is read-only: the integer weights (`scaled_weights`), which the
+    scan's functional and the total weight read, the float weights
+    (`float_weights`), which every Fourier block reads, and the table the
+    win rule reads. A value report reads the total weight twice (the
     no-signaling value and the clamp of the norm bound)."""
 
     @property
@@ -93,7 +99,8 @@ class _Game:
         Q, den = self.scaled_weights
         return Fraction(int(Q.sum()), den)
 
-    def win(self, a, b, x, y) -> bool:
+    def win(self, a, b, x, y):
+        """Whether b wins against a at (x, y), cellwise over broadcast arrays."""
         return b == self.winning_b(a, x, y)
 
 
@@ -122,9 +129,17 @@ class LinearGame(_Game):
         if self.n > 1 and (self.ma != self.d ** self.n or self.mb != self.d ** self.n):
             raise ValueError("dit-structured games need ma = mb = d^n")
 
-    def winning_b(self, a, x, y) -> int:
-        # the unique Bob output that wins against a on (x, y): a + b = f(x, y) mod d
-        return (self.f[x][y] - a) % self.d
+    @cached_property
+    def f_table(self) -> np.ndarray:
+        """f as a read-only int array [x, y]."""
+        f = np.array(self.f, dtype=np.int64)
+        f.flags.writeable = False
+        return f
+
+    def winning_b(self, a, x, y):
+        """The Bob output that wins against a at (x, y), a + b = f(x, y) mod d,
+        cellwise over broadcast arrays (or scalars)."""
+        return (self.f_table[x, y] - a) % self.d
 
 
 @dataclass(frozen=True)
@@ -147,8 +162,18 @@ class UniqueGame3(_Game):
                     raise ValueError(f"unknown permutation {name!r}; use {sorted(PERMS)}")
         object.__setattr__(self, "perms", perms)
 
-    def winning_b(self, a, x, y) -> int:
-        return PERMS[self.perms[x][y]][a]
+    @cached_property
+    def perm_indexes(self) -> np.ndarray:
+        """perms as a read-only int array [x, y] of their rows in PERMS."""
+        index = np.array([[_PERM_INDEX[name] for name in row] for row in self.perms],
+                         dtype=np.int64)
+        index.flags.writeable = False
+        return index
+
+    def winning_b(self, a, x, y):
+        """The Bob output that wins against a at (x, y), pi_{x,y}(a), cellwise
+        over broadcast arrays (or scalars)."""
+        return _PERM_IMAGES[self.perm_indexes[x, y], a]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +280,8 @@ def fourier_blocks(g) -> tuple:
     """The Fourier blocks of g for k = 1..d-1, one tuple per k, of complex
     arrays [x, y] whose entries are q(x, y) zeta^(phase), zeta = exp(2 pi i / d),
     read from one table of the d powers of zeta: for a linear game one
-    block, Phi_k, of phase k f(x, y); for a 3-output unique game two, which
+    block, Phi_k, of phase k f(x, y), all d - 1 of them from one broadcast
+    over k (views of one array); for a 3-output unique game two, which
     partition q. Its permutations split into rotations (a -> a + c) and
     reflections (a -> c - a), and each input pair feeds one coset's block:
     a rotation cell has phase -k f_minus, where a - b = f_minus on a win,
@@ -263,8 +289,8 @@ def fourier_blocks(g) -> tuple:
     q, d = g.float_weights, g.d
     roots = np.exp(2j * pi * np.arange(d) / d)
     if isinstance(g, LinearGame):
-        f = np.array(g.f, dtype=np.int64)
-        return tuple((q * roots[k * f % d],) for k in range(1, d))
+        k = np.arange(1, d)[:, None, None]
+        return tuple((block,) for block in q * roots[k * g.f_table % d])
     # rotation cells: f_minus = -shift, so -k f_minus = k shift; reflections: f_plus = shift
     cosets = [(q * [[name in shifts for name in row] for row in g.perms],
                np.array([[shifts.get(name, 0) for name in row] for row in g.perms]))
@@ -291,16 +317,12 @@ def to_bell_inequality(g) -> BellInequality:
 def scaled_functionals(g):
     """g's functional, q(x, y) where b wins against a at (x, y), integer-scaled:
     an array [x, y, a, b] built from g's integer weights (`scaled_weights`),
-    and the denominator. The winning outputs B[x, y, a] come from one array
-    expression per game kind, the table form of `winning_b`."""
-    shape = (g.ma, g.mb, g.d)  # x, y, a
+    and the denominator. The winning outputs B[x, y, a] come from one call
+    of the win rule (`winning_b`) on broadcast index grids."""
     Q, den = g.scaled_weights
-    if isinstance(g, LinearGame):
-        B = (np.array(g.f, dtype=np.int64)[..., None] - np.arange(g.d)) % g.d
-    else:
-        B = np.array([[PERMS[name] for name in row] for row in g.perms], dtype=np.int64)
-    C = np.zeros(shape + (g.d,), dtype=Q.dtype)
-    C[np.ix_(*map(np.arange, shape)) + (B,)] = Q.reshape(shape[:2] + (1,))
+    x, y, a = np.ix_(np.arange(g.ma), np.arange(g.mb), np.arange(g.d))
+    C = np.zeros((g.ma, g.mb, g.d, g.d), dtype=Q.dtype)
+    C[x, y, a, g.winning_b(a, x, y)] = Q[..., None]
     return C, den
 
 
@@ -317,6 +339,6 @@ def to_correlator_inequality(g: LinearGame) -> BellInequality:
         raise ValueError("correlator form needs binary outputs")
     Q, den = g.scaled_weights
     top = int(classical_value(g).value * den)
-    corr = np.where(np.array(g.f) == 0, Q, -Q)
+    corr = np.where(g.f_table == 0, Q, -Q)
     return BellInequality._of_integers(g.scenario, corr[:, :, None, None] * _SIGNS,
                                        2 * top - int(Q.sum()), 2 * den, "correlator")

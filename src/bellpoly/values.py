@@ -10,15 +10,19 @@ game of rotations only) keeps the functional, every map has the value of its
 shifted maps, and shifting an optimal map by minus its first output gives
 one answering 0 there, no later in lexicographic order: so the scan
 enumerates only the maps whose first output is 0, a d-th of them, and finds
-the same value and witness. Its partial sums are int32 when ma * mb times the
-largest |entry|, which bounds every sum it forms, is below 2^31. Facet-test
-scans, which count every optimal box, and scans of Bob's maps, whose
-witness is not kept by the shift, enumerate every map in the functional's
-own integers. The scan runs on the game's integer weights, built once per
-game (`scaled_weights`), and the winning strategy is re-verified in exact
-rational arithmetic before being returned: `strategy_value` reads only the
-rational weights q and the cellwise win rule, never the scan's table, and
-sums the won cells' numerators over the lcm of their denominators.
+the same value and witness. Facet-test scans, which count every optimal
+box, and scans of Bob's maps, whose witness is not kept by the shift,
+enumerate every map. Every scan, a value, facet or Bob-side one, holds its
+partial sums in the narrowest integers that ma * mb times the largest
+|entry|, which bounds every sum it forms, fits: int16 below 2^15, int32
+below 2^31, else the functional's own int64 or Python ints. The scan runs
+on the game's integer weights, built once per game (`scaled_weights`), and
+the winning strategy is re-verified in exact rational arithmetic before
+being returned: `strategy_value` finds the won cells by one call of the
+game's array-valued win rule (`winning_b`), the rule the functional's table
+is built from, and sums their rational weights q as numerators over the
+lcm of their denominators; it never reads the integer weights or the
+scan's table.
 
 Quantum upper bounds come from one formula (`_linear_bound`) over the norms
 of a game's Fourier blocks (`games.fourier_blocks`, read from the float
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import exp, inf, lcm, log, log1p, sqrt
 from typing import NamedTuple
 
@@ -82,14 +87,31 @@ class ValueReport:
         return self.norm_bound.error
 
 
+def _outputs(side, outputs, m, d) -> np.ndarray:
+    """A response map as an int array, or ValueError unless it gives one
+    integer output in Z_d to each of m inputs."""
+    arr = np.asarray(outputs)
+    listed = arr.tolist()
+    if arr.shape != (m,) or arr.dtype.kind not in "iu" or not 0 <= min(listed) <= max(listed) < d:
+        raise ValueError(f"{side} must give one output in Z_{d} to each of {m} inputs, "
+                         f"got {outputs!r}")
+    return arr
+
+
 def strategy_value(g, a_map, b_map) -> Fraction:
-    """Exact winning weight of a deterministic strategy pair: the weights
-    q(x, y) of the cells it wins by the cellwise rule (`g.win`), summed as
-    numerators over the lcm of those weights' own denominators."""
-    won = [v for x, row in enumerate(g.q) for y, v in enumerate(row)
-           if v and g.win(a_map[x], b_map[y], x, y)]
-    den = lcm(*(v.denominator for v in won))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in won), den)
+    """Exact winning weight of a deterministic strategy pair: the rational
+    weights q(x, y) of the cells it wins, found by one call of the win rule
+    (`g.winning_b`) at (x, y, a_map[x]) compared with b_map[y], summed as
+    numerators over the lcm of those weights' own denominators. A map whose
+    length is not the side's input count, or with an output outside Z_d,
+    raises ValueError."""
+    a = _outputs("a_map", a_map, g.ma, g.d)
+    b = _outputs("b_map", b_map, g.mb, g.d)
+    wins = g.winning_b(a[:, None], np.arange(g.ma)[:, None], np.arange(g.mb)) == b
+    won = list(compress(chain.from_iterable(g.q), wins.ravel().tolist()))
+    dens = [v.denominator for v in won]
+    den = lcm(*dens)
+    return Fraction(sum([v.numerator * (den // d) for v, d in zip(won, dens)]), den)
 
 
 def ns_value(g) -> Fraction:
@@ -125,18 +147,19 @@ _SCAN_CELLS = 1 << 18  # partial sums per slab of a scan, to bound its memory
 
 def _scan_chunk(hi, lo, start, stop, alice, ties):
     """The best total over the maps whose high digits are strings start..stop
-    of hi ([s, b, j]) and low digits any string of lo ([b, j, s]), the two
-    partial-sum tables; a key whose least value over the chunks attaining the
+    of hi and low digits any string of lo, the two partial-sum tables
+    ([b, j, s]); a key whose least value over the chunks attaining the
     best names the witness (the first such map when Alice's are enumerated,
     else the least of Alice's first best answers to such maps); with `ties`,
     the numbers of those maps, their rank rows and boxes, and the tie sets
     against them ([map, j, b]), built for those maps only, a bounded number
     of them at a time."""
     d, L = lo.shape[0], lo.shape[2]
-    best = hi[start:stop, 0, :, None] + lo[0]
+    # best[j, c, l]: the best answer's score at input j against map (c, l)
+    best = hi[0, :, start:stop, None] + lo[0, :, None, :]
     for b in range(1, d):
-        np.maximum(best, hi[start:stop, b, :, None] + lo[b], out=best)
-    totals = best.sum(axis=1).ravel()
+        np.maximum(best, hi[b, :, start:stop, None] + lo[b, :, None, :], out=best)
+    totals = best.sum(axis=0, dtype=best.dtype).ravel()
     top = totals.max()
     if alice and not ties:
         return top, start * L + int(totals.argmax()), None
@@ -146,8 +169,8 @@ def _scan_chunk(hi, lo, start, stop, alice, ties):
     step = max(1, _SCAN_CELLS // lo[..., 0].size)  # maps at a time, to bound the slab
     for r in range(0, len(k), step):
         cr, lr = c[r:r + step], l[r:r + step]
-        scores = hi[start + cr] + lo[:, :, lr].transpose(2, 0, 1)  # [map, output, input]
-        T[r:r + step] = (scores == best[cr, None, :, lr]).transpose(0, 2, 1)
+        scores = hi[:, :, start + cr] + lo[:, :, lr]  # [output, input, map]
+        T[r:r + step] = (scores == best[:, cr, lr]).transpose(2, 1, 0)
     answers = None if alice else T.argmax(axis=2)
     key = start * L + int(k[0]) if alice else tuple(answers[np.lexsort(answers.T[::-1])[0]])
     if not ties:
@@ -180,6 +203,16 @@ def _shift_invariant(C) -> bool:
     return bool((C == windows[..., :d, :]).all() or (C == windows[..., d:0:-1, :]).all())
 
 
+def _narrow_dtype(C):
+    """The narrowest of int16 and int32 that holds every partial sum a scan
+    of C[x, y, a, b] forms, each at most ma * mb * max|C| in size, or None
+    (keep C's int64 or Python ints)."""
+    if not C.size:
+        return None
+    bound = C.shape[0] * C.shape[1] * int(max(C.max(), -C.min()))
+    return np.int16 if bound < 2 ** 15 else np.int32 if bound < 2 ** 31 else None
+
+
 def _scan(C, budget, ties=False, cols=1) -> _Scan:
     """Maximise the integer functional C[x, y, a, b] (int64, or Python ints
     when a sum could reach 2^62) over deterministic boxes, enumerating the
@@ -188,13 +221,15 @@ def _scan(C, budget, ties=False, cols=1) -> _Scan:
     checked first. Without `ties`, a scan of Alice's maps on a functional
     that a joint output shift keeps (`_shift_invariant`) fixes her first
     input's output at 0, as the first optimal map of each shift orbit
-    answers 0 there, and folds that input's column into the high table; its
-    tables are int32 when ma * mb * max|C| < 2^31. With `ties`, or when Bob's
-    maps are enumerated, every map is scanned in C's dtype; with `ties`, the
-    optimal maps and tie sets are kept only while their rank rows, `cols`
-    cells each, fit the budget. The high digit strings are scanned in slabs
-    of at most `_SCAN_CELLS` partial sums, in order, and a top whose rank
-    rows exceed the budget keeps no tie sets."""
+    answers 0 there, and folds that input's column into the high table.
+    With `ties`, or when Bob's maps are enumerated, every map is scanned;
+    with `ties`, the optimal maps and tie sets are kept only while their
+    rank rows, `cols` cells each, fit the budget. Every scan's tables, the
+    folded column and the maps' totals are int16 when ma * mb * max|C| <
+    2^15, int32 when it is below 2^31, else in C's dtype (`_narrow_dtype`),
+    as that product bounds every sum. The high digit strings are scanned
+    in slabs of at most `_SCAN_CELLS` partial sums, in order, and a top
+    whose rank rows exceed the budget keeps no tie sets."""
     ma, mb, da, db = C.shape
     n_maps = min(da ** ma, db ** mb)
     if n_maps > budget:
@@ -205,22 +240,22 @@ def _scan(C, budget, ties=False, cols=1) -> _Scan:
     E = C.transpose((0, 3, 1, 2) if alice else (1, 2, 0, 3))
     n, base = E.shape[0], E.shape[-1]
     lead = None  # the first input's column [b, j] when it answers 0 on every map
-    if alice and not ties and C.size:
-        if da == db and _shift_invariant(C):
-            lead, E = E[0, :, :, 0], E[1:]
-        if ma * mb * int(max(C.max(), -C.min())) < 2 ** 31:
-            E = E.astype(np.int32)
+    if alice and not ties and da == db and C.size and _shift_invariant(C):
+        lead, E = E[0, :, :, 0], E[1:]
+    narrow = _narrow_dtype(C)
+    if narrow is not None:
+        E = E.astype(narrow)
+        lead = None if lead is None else lead.astype(narrow)
     h = len(E) // 2
-    hi = np.ascontiguousarray(_partial_sums(E[:h]).transpose(2, 0, 1))
+    hi, lo = _partial_sums(E[:h]), _partial_sums(E[h:])
     if lead is not None:
-        hi += lead
-    lo = _partial_sums(E[h:])
+        hi += lead[..., None]
 
     step = max(1, _SCAN_CELLS // max(1, lo[0].size))
     top = key = None
     found, count, rows = [], 0, 0
-    for r in range(0, len(hi), step):
-        t, k, part = _scan_chunk(hi, lo, r, min(r + step, len(hi)), alice, ties)
+    for r in range(0, hi.shape[2], step):
+        t, k, part = _scan_chunk(hi, lo, r, min(r + step, hi.shape[2]), alice, ties)
         if top is not None and t < top:
             continue
         if top is None or t > top:

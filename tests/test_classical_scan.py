@@ -3,9 +3,9 @@ tests/classical_reference.py: value and lexicographically first witness on
 seeded small games (many ties, zero rows and columns, both enumerated
 sides), scans of one, several and many chunks, scans of one map per
 output-shift orbit and the games they must not apply to, weights at the
-int32 boundary and past int64, large denominators, the budget's count of
-enumerated maps, and memory that does not grow with the number of optimal
-maps."""
+int16 and int32 boundaries and past int64, large denominators, the
+budget's count of enumerated maps, and memory that does not grow with the
+number of optimal maps."""
 import random
 import tracemalloc
 from fractions import Fraction
@@ -183,6 +183,19 @@ def test_facet_scans_cross_every_map(monkeypatch):
 def test_tables_are_int32_while_every_sum_fits(monkeypatch, w, dtype):
     # 4 x 4 cells of weight up to w: the scan's sums are at most 16 w, just
     # below 2^31 or at it
+    tables = _recorded_tables(monkeypatch)
+    rng = random.Random(w)
+    q = [[F(rng.choice((w, w - 1, w - 3))) for _ in range(4)] for _ in range(4)]
+    q[0][0] = F(w)
+    g = LinearGame(2, 4, 4, q, [[rng.randrange(2) for _ in range(4)] for _ in range(4)])
+    assert found(g) == by_alice_maps(g)
+    assert {t.dtype.name for t in tables} == {dtype}
+
+
+@pytest.mark.parametrize("w,dtype", [(2 ** 11 - 1, "int16"), (2 ** 11, "int32")])
+def test_tables_are_int16_while_every_sum_fits(monkeypatch, w, dtype):
+    # 4 x 4 cells of weight up to w: the scan's sums are at most 16 w, just
+    # below 2^15 or at it
     tables = _recorded_tables(monkeypatch)
     rng = random.Random(w)
     q = [[F(rng.choice((w, w - 1, w - 3))) for _ in range(4)] for _ in range(4)]

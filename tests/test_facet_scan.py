@@ -2,8 +2,9 @@
 tests/classical_reference.py: every report and violation message on seeded
 Bell and correlator functionals (1-4 inputs a side, 2-3 outputs, either
 side with fewer maps, all-zero inputs, coefficients past 2^62, bounds at,
-above and below the maximum); the budget on maps and rank cells; the
-n = 4 NLC verdicts."""
+above and below the maximum); int16 and int32 tables at their edges on
+either enumerated side; the budget on maps and rank cells; the n = 4 NLC
+verdicts."""
 import json
 import random
 import tracemalloc
@@ -20,6 +21,7 @@ from bellpoly.exactrank import affine_rank
 from bellpoly.scenario import _correlator_rows, _reduced_rows, ns_polytope_dimension
 from bellpoly.tightness import game_facet_test
 from tests.classical_reference import box_values
+from tests.test_classical_scan import _recorded_tables
 from tests.games_reference import subgame_restrict
 from tests.test_facet_verdicts import (GAMES, HYPERMETRIC_CASES, POSITIVITY_CASES, _scaled_bell,
                                        positivity)
@@ -121,6 +123,25 @@ def test_cases_cover_the_shapes():
     assert any(bob_fewer for bob_fewer, *_ in shapes)
     assert {ma for _, ma, _, _, _ in shapes} == {mb for _, _, mb, _, _ in shapes} == {1, 2, 3, 4}
     assert {da for *_, da, _ in shapes} == {2, 3}
+
+
+@pytest.mark.parametrize("ma,mb,w,dtype", [
+    (4, 4, 2 ** 11 - 1, "int16"), (4, 4, 2 ** 11, "int32"),
+    (4, 2, 2 ** 12 - 2, "int16"), (4, 2, 2 ** 12, "int32"),
+], ids=["alice-int16", "alice-int32", "bob-int16", "bob-int32"])
+def test_facet_scan_tables_are_int16_while_every_sum_fits(monkeypatch, ma, mb, w, dtype):
+    # binary functionals whose largest |coefficient| is w, bounded by their
+    # maximum: every sum of the scan is at most ma mb w, 2^15 - 16 or 2^15.
+    # The 4 x 2 ones are scanned on Bob's 2^2 maps
+    rng = random.Random(f"{ma}x{mb}:{w}")
+    coeffs = [[[[F(rng.choice((w, -w, w - 1, 0))) for _ in range(2)] for _ in range(2)]
+               for _ in range(mb)] for _ in range(ma)]
+    coeffs[0][0][0][0] = F(w)
+    probe = BellInequality(Scenario(ma, mb, 2, 2), coeffs, F(0))
+    ineq = with_bound(probe, F(max(box_values(probe)[0].ravel().tolist())))
+    tables = _recorded_tables(monkeypatch)
+    assert by_scan(ineq, "bell") == by_boxes(ineq, "bell")
+    assert len(tables) == 2 and {t.dtype.name for t in tables} == {dtype}
 
 
 def test_rank_rows_and_listed_boxes_within_the_budget():

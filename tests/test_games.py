@@ -117,6 +117,32 @@ def test_fourier_blocks_equal_one_exp_per_block(seed):
             assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 131])
+def test_fourier_blocks_equal_the_blocks_built_per_k(d):
+    # the one broadcast over k = 1..d-1 gives bitwise the blocks of one
+    # expression per k
+    g = _rng_linear(random.Random(d), d)
+    q, f = np.array(g.q, dtype=float), np.array(g.f)
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    want = [q * roots[k * f % d] for k in range(1, d)]
+    assert [b.tobytes() for b, in fourier_blocks(g)] == [b.tobytes() for b in want]
+
+
+def test_winning_b_on_arrays_equals_the_scalar_rule():
+    rng = random.Random(11)
+    games = [_rng_linear(rng, d) for d in (2, 3, 5, 7)] + [_rng_unique3(rng) for _ in range(3)]
+    for g in games:
+        x, y, a = np.ix_(np.arange(g.ma), np.arange(g.mb), np.arange(g.d))
+        B = g.winning_b(a, x, y)
+        assert B.shape == (g.ma, g.mb, g.d)
+        for i in range(g.ma):
+            for j in range(g.mb):
+                rule = ([(g.f[i][j] - c) % g.d for c in range(g.d)] if isinstance(g, LinearGame)
+                        else list(PERMS[g.perms[i][j]]))
+                assert B[i, j].tolist() == rule
+                assert [g.winning_b(c, i, j) for c in range(g.d)] == rule
+
+
 def test_roots_of_unity_sum_identity(nlc3_game):
     # Summing zeta^(k f) over k = 0..d-1 hits d exactly when f = 0.
     g = nlc3_game

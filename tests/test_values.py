@@ -411,6 +411,43 @@ def test_exact_value_rejects_a_scan_of_doctored_integer_weights(nlc3_game):
         classical_value(g)
 
 
+def test_exact_value_rejects_a_scan_of_a_doctored_functional(monkeypatch, chsh_game, nlc3_game):
+    # one won cell of the witness doubled in C: the scan's top exceeds the
+    # value of its own box, which the re-check reads from q and the win rule
+    real = values.scaled_functionals
+
+    def doubled(g):
+        C, den = real(g)
+        cell = (0, 0) + tuple(side[0] for side in by_alice_maps(g)[1:])
+        assert C[cell] > 0  # the witness wins it
+        C = C.copy()
+        C[cell] *= 2
+        return C, den
+    monkeypatch.setattr(values, "scaled_functionals", doubled)
+    for g in (chsh_game, nlc3_game):
+        with pytest.raises(VerificationError, match="integer-scaled search disagrees"):
+            classical_value(g)
+        with pytest.raises(VerificationError, match="integer-scaled search disagrees"):
+            value_report(g, with_sufficient=True)
+
+
+@pytest.mark.parametrize("game,a_map,b_map", [
+    ("linear", (0, 0, 1, 1), (0, 0)),
+    ("linear", (0, 0), (0, 0, 9)),
+    ("linear", (0,), (0, 0)),
+    ("linear", (3, 0), (0, 0)),
+    ("linear", (0, 0), (0, -1)),
+    ("unique3", (-1, 0), (0, 0)),
+    ("unique3", (3, 0), (0, 0)),
+    ("unique3", (0.0, 0), (0, 0)),
+], ids=["long-a", "long-b", "short-a", "a-past-d", "negative-b", "unique3-negative-a",
+        "unique3-a-past-d", "float-a"])
+def test_strategy_value_refuses_malformed_maps(chsh_game, unique3_mixed, game, a_map, b_map):
+    g = chsh_game if game == "linear" else unique3_mixed
+    with pytest.raises(ValueError, match=r"must give one output in Z_\d+ to each of 2 inputs"):
+        strategy_value(g, a_map, b_map)
+
+
 def test_verify_value_report_rejects_doctored_bound(nlc3_game):
     rep = value_report(nlc3_game)
     bad = dataclasses.replace(rep, norm_bound=dataclasses.replace(rep.norm_bound, value=0.5))
