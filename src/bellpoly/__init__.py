@@ -40,8 +40,9 @@ _EXPORTS = {name: module for module, names in {
              "sigma_lambda_certificate"),
     "cut": ("CorrelatorInequality", "CutInequality", "CutVector", "Graph", "NCBehaviour",
             "OrthogonalSetCensus", "behaviour_to_cut", "ce1_inequalities", "ce_gap_report",
-            "cut_facet_test", "enumerate_cuts", "hypermetric_valid", "maximal_orthogonal_sets",
-            "pentagonal_contextuality_inequality", "pentagonal_report", "suspension"),
+            "cut_facet_test", "enumerate_cuts", "hypermetric_facet_test", "hypermetric_valid",
+            "maximal_orthogonal_sets", "pentagonal_contextuality_inequality",
+            "pentagonal_report", "suspension"),
 }.items() for name in names}
 
 __all__ = sorted(_EXPORTS)

@@ -8,9 +8,11 @@ report is strict JSON. Exit codes: 0 success, 2 malformed input, 3 enumeration
 budget exceeded or out of memory, 4 internal cross-check failure (a computed
 certificate contradicted an exact recomputation; deliberately loud).
 
-Each subcommand and file parser imports the modules it computes with when it
-runs, so `--help`, argument errors, `chsh` and the cut subcommands that build
-no array (`suspend`, `cuts`, `ce1`, `ce-gap`) start without numpy.
+Argument rules live in the parser: each command and cut operation declares
+only the options it reads, so a stray or missing option exits 2 there. Each
+handler imports the modules it computes with when it runs, so `--help`,
+argument errors, `chsh` and the cut operations that build no array
+(`suspend`, `cuts`, `ce1`, `ce-gap`) start without numpy.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _rat(value, raw: str, what: str, key: str = None) -> Fraction:
         raise ParseError(str(e), line=_line_of(raw, str(value), key)) from None
 
 
-def _need(data, key, raw):
+def _need(data, key):
     if key not in data:
         raise ParseError(f"missing key {key!r}", line=1)
     return data[key]
@@ -90,7 +92,7 @@ def _int_at(value, raw, what, key=None) -> int:
 
 
 def _table(data, key, raw, rows, cols, convert):
-    t = _need(data, key, raw)
+    t = _need(data, key)
     if not isinstance(t, list) or len(t) != rows \
             or any(not isinstance(r, list) or len(r) != cols for r in t):
         raise ParseError(f"{key!r} must be a {rows} x {cols} table",
@@ -101,11 +103,11 @@ def _table(data, key, raw, rows, cols, convert):
 def parse_game_text(raw: str):
     from .games import NLCSpec, LinearGame, UniqueGame3, build_nlc
     data = _load_json(raw)
-    kind = _need(data, "kind", raw)
+    kind = _need(data, "kind")
     if kind == "linear":
-        d = _int_at(_need(data, "d", raw), raw, "d")
-        ma = _int_at(_need(data, "mA", raw), raw, "mA")
-        mb = _int_at(_need(data, "mB", raw), raw, "mB")
+        d = _int_at(_need(data, "d"), raw, "d")
+        ma = _int_at(_need(data, "mA"), raw, "mA")
+        mb = _int_at(_need(data, "mB"), raw, "mB")
         q = _table(data, "q", raw, ma, mb, lambda v: _rat(v, raw, "weight", "q"))
         f = _table(data, "f", raw, ma, mb, lambda v: _int_at(v, raw, "f entry", "f"))
         for row in f:
@@ -119,8 +121,8 @@ def parse_game_text(raw: str):
         except ValueError as e:
             raise ParseError(str(e), line=1) from None
     if kind == "unique3":
-        ma = _int_at(_need(data, "mA", raw), raw, "mA")
-        mb = _int_at(_need(data, "mB", raw), raw, "mB")
+        ma = _int_at(_need(data, "mA"), raw, "mA")
+        mb = _int_at(_need(data, "mB"), raw, "mB")
         q = _table(data, "q", raw, ma, mb, lambda v: _rat(v, raw, "weight", "q"))
         perms = _table(data, "perms", raw, ma, mb, str)
         try:
@@ -128,12 +130,12 @@ def parse_game_text(raw: str):
         except ValueError as e:
             raise ParseError(str(e), line=_line_of(raw, '"perms"')) from None
     if kind == "nlc":
-        d = _int_at(_need(data, "d", raw), raw, "d")
-        sub = _need(data, "nlc", raw)
+        d = _int_at(_need(data, "d"), raw, "d")
+        sub = _need(data, "nlc")
         if not isinstance(sub, dict):
             raise ParseError('"nlc" must be an object', line=_line_of(raw, '"nlc"'))
-        n = _int_at(_need(sub, "n", raw), raw, "n")
-        g, p = _need(sub, "g", raw), _need(sub, "p", raw)
+        n = _int_at(_need(sub, "n"), raw, "n")
+        g, p = _need(sub, "g"), _need(sub, "p")
         if not isinstance(g, list) or not isinstance(p, list):
             raise ParseError('"g" and "p" must be lists', line=_line_of(raw, '"nlc"'))
         g = [_int_at(v, raw, "g entry", "g") for v in g]
@@ -199,9 +201,9 @@ def parse_inequality_text(raw: str):
     from .cut import CutInequality
     from .scenario import BellInequality, Scenario, correlator_inequality
     data = _load_json(raw)
-    space = _need(data, "space", raw)
-    bound = _rat(_need(data, "bound", raw), raw, "bound")
-    coeffs = _need(data, "coeffs", raw)
+    space = _need(data, "space")
+    bound = _rat(_need(data, "bound"), raw, "bound")
+    coeffs = _need(data, "coeffs")
     # the constructors check the tables' shapes; a ValueError there (a ragged
     # table, or an empty level, which makes no scenario) is this file's fault
     if space == "probability":
@@ -230,7 +232,7 @@ def parse_inequality_text(raw: str):
             raise ParseError("correlator coeffs must be nested [x][y]",
                              line=_line_of(raw, '"coeffs"')) from None
     if space == "cut":
-        n = _int_at(_need(data, "n", raw), raw, "n")
+        n = _int_at(_need(data, "n"), raw, "n")
         try:
             pairs = [((_int_at(e[0], raw, "edge endpoint", "coeffs"),
                        _int_at(e[1], raw, "edge endpoint", "coeffs")),
@@ -270,14 +272,9 @@ def _inequality_dict(ineq) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _scenario_dict(g):
-    s = g.scenario
-    return {"mA": s.ma, "mB": s.mb, "dA": s.da, "dB": s.db}
-
-
 def _at_least(value, low, flag):
     """Reject a numeric option below its least value as a parse error."""
-    if value is not None and value < low:
+    if value < low:
         raise ParseError(f"{flag} must be at least {low}, got {value}")
 
 
@@ -289,8 +286,9 @@ def _cmd_analyze_game(args):
     g = parse_game_text(raw.decode())
     rep = value_report(g, with_sufficient=args.sufficient, budget=args.budget)
     everything = not (args.classical or args.bound or args.sufficient)
+    s = g.scenario
     results = {"kind": "unique3" if isinstance(g, UniqueGame3) else "linear",
-               "scenario": _scenario_dict(g),
+               "scenario": {"mA": s.ma, "mB": s.mb, "dA": s.da, "dB": s.db},
                "total_weight": format_rational(rep.no_signaling),
                "soundness": "verified"}
     if args.classical or everything:
@@ -407,81 +405,70 @@ def _read_graph(path):
     return parse_graph_text(raw.decode()), raw
 
 
-def _graph_or_complete(args, n):
-    """The --graph file's graph, or K_n without one, whose cuts the caller
-    enumerates: past their limit, that error comes before K_n is built."""
-    from .cut import _enumerable_complete
-    return _enumerable_complete(n) if args.graph is None else _read_graph(args.graph)[0]
+def _graph_option(args):
+    """The --graph file's graph, or None for the library's default K_n."""
+    return None if args.graph is None else _read_graph(args.graph)[0]
 
 
-def _cmd_cut(args):
-    from .cut import (CutInequality, _check_facet_graph, ce1_inequalities, ce_gap_report,
-                      cut_facet_test, enumerate_cuts, hypermetric_valid, pentagonal_report,
-                      suspension)
-    sub = args.subcommand
-    if sub in ("suspend", "cuts") and args.graph is None:
-        raise ParseError(f"{sub} needs --graph", line=1)
-    if sub == "hypermetric" and args.b is None:
-        raise ParseError("hypermetric needs --b", line=1)
-    if sub == "facet" and args.b is None and args.ineq is None:
-        raise ParseError("facet needs --b or --ineq", line=1)
-    if sub == "suspend":
-        g, raw = _read_graph(args.graph)
-        return {"graph": _graph_dict(g),
-                "suspension": _graph_dict(suspension(g))}, _digest(raw)
-    if sub == "cuts":
-        g, raw = _read_graph(args.graph)
-        cuts = enumerate_cuts(g)
-        return {"count": len(cuts),
-                "cuts": [{"subset": sorted(cv.subset), "bits": list(cv.bits)}
-                         for cv in cuts]}, _digest(raw)
-    if sub == "ce1":
-        if args.n is None:
-            raise ParseError("ce1 needs --n", line=1)
-        _at_least(args.n, 0, "--n")
-        ineqs = ce1_inequalities(args.n)
-        return {"n": args.n, "count": len(ineqs),
-                "inequalities": [_correlator_ineq_dict(q) for q in ineqs]}, \
-               _digest(str(args.n).encode())
-    if sub == "hypermetric":
-        b = _parse_b(args.b)
-        g = None if args.graph is None else _read_graph(args.graph)[0]  # K_len(b) by default
-        return {"b": list(b), "n": len(b), "valid": hypermetric_valid(b, g)}, \
-               _digest(args.b.encode())
-    if sub == "facet":
-        if args.ineq is not None:
-            raw = open(args.ineq, "rb").read()
-            ineq = parse_inequality_text(raw.decode())
-            if not isinstance(ineq, CutInequality):
-                raise ParseError("cut facet tests need a cut-space inequality", line=1)
-            rep = cut_facet_test(ineq, _graph_or_complete(args, ineq.n))
-            return _facet_report_dict(rep), _digest(raw)
-        b = _parse_b(args.b)
-        g = _graph_or_complete(args, len(b))
-        _check_facet_graph(len(b), g)  # before the len(b)^2 / 2 coefficients are built
-        rep = cut_facet_test(CutInequality.hypermetric(b), g)
-        return _facet_report_dict(rep, {"b": list(b)}), _digest(args.b.encode())
-    if sub == "pentagonal":
-        rep = pentagonal_report()
-        return {"inequality": _correlator_ineq_dict(rep["inequality"]),
-                "cut_form": _inequality_dict(rep["cut_form"]),
-                "hypermetric_b": list(rep["hypermetric_b"]),
-                "valid_on_k5": rep["valid_on_k5"],
-                "deterministic_max": format_rational(rep["deterministic_max"]),
-                "facet": _facet_report_dict(rep["facet"])}, _digest(b"pentagonal")
-    if sub == "ce-gap":
-        rep = ce_gap_report()
-        return {"behaviour": {
-                    "singles": [format_rational(v) for v in rep["singles"]],
-                    "fulls": [[i, j, format_rational(c)] for (i, j), c in rep["fulls"]]},
-                "checks": {
-                    "positivity_min": format_rational(rep["positivity_min"]),
-                    "ce1_count": rep["ce1_count"],
-                    "ce1_max": format_rational(rep["ce1_max"]),
-                    "pentagonal_value": format_rational(rep["pentagonal_value"]),
-                    "pentagonal_bound": format_rational(rep["pentagonal_bound"]),
-                }}, _digest(b"ce-gap")
-    raise ParseError(f"unknown cut subcommand {sub!r}", line=1)
+def _cut_suspend(args):
+    from .cut import suspension
+    g, raw = _read_graph(args.graph)
+    return {"graph": _graph_dict(g), "suspension": _graph_dict(suspension(g))}, _digest(raw)
+
+
+def _cut_cuts(args):
+    from .cut import enumerate_cuts
+    g, raw = _read_graph(args.graph)
+    cuts = [{"subset": sorted(cv.subset), "bits": list(cv.bits)} for cv in enumerate_cuts(g)]
+    return {"count": len(cuts), "cuts": cuts}, _digest(raw)
+
+
+def _cut_ce1(args):
+    from .cut import ce1_inequalities
+    _at_least(args.n, 0, "--n")
+    ineqs = [_correlator_ineq_dict(q) for q in ce1_inequalities(args.n)]
+    return {"n": args.n, "count": len(ineqs), "inequalities": ineqs}, _digest(str(args.n).encode())
+
+
+def _cut_hypermetric(args):
+    from .cut import hypermetric_valid
+    b = _parse_b(args.b)
+    return {"b": list(b), "n": len(b), "valid": hypermetric_valid(b, _graph_option(args))}, \
+        _digest(args.b.encode())
+
+
+def _cut_facet(args):
+    from .cut import CutInequality, cut_facet_test, hypermetric_facet_test
+    if args.ineq is not None:
+        raw = open(args.ineq, "rb").read()
+        ineq = parse_inequality_text(raw.decode())
+        if not isinstance(ineq, CutInequality):
+            raise ParseError("cut facet tests need a cut-space inequality", line=1)
+        return _facet_report_dict(cut_facet_test(ineq, _graph_option(args))), _digest(raw)
+    b = _parse_b(args.b)
+    return _facet_report_dict(hypermetric_facet_test(b, _graph_option(args)), {"b": list(b)}), \
+        _digest(args.b.encode())
+
+
+def _cut_pentagonal(args):
+    from .cut import pentagonal_report
+    rep = pentagonal_report()
+    return {"inequality": _correlator_ineq_dict(rep["inequality"]),
+            "cut_form": _inequality_dict(rep["cut_form"]),
+            "hypermetric_b": list(rep["hypermetric_b"]), "valid_on_k5": rep["valid_on_k5"],
+            "deterministic_max": format_rational(rep["deterministic_max"]),
+            "facet": _facet_report_dict(rep["facet"])}, _digest(b"pentagonal")
+
+
+def _cut_ce_gap(args):
+    from .cut import ce_gap_report
+    rep = ce_gap_report()
+    checks = {key: format_rational(rep[key]) for key in
+              ("positivity_min", "ce1_max", "pentagonal_value", "pentagonal_bound")}
+    return {"behaviour": {
+                "singles": [format_rational(v) for v in rep["singles"]],
+                "fulls": [[i, j, format_rational(c)] for (i, j), c in rep["fulls"]]},
+            "checks": dict(checks, ce1_count=rep["ce1_count"])}, _digest(b"ce-gap")
 
 
 # ---------------------------------------------------------------------------
@@ -493,52 +480,53 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="nonlocal game values, facet tests, "
                                              "and cut-polytope contextuality checks")
     sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--timing", action="store_true")
 
-    g1 = sub.add_parser("analyze-game", help="classical/no-signaling values and norm bounds")
+    def command(parent, name, handler, **kw):
+        p = parent.add_parser(name, parents=[common], **kw)
+        p.set_defaults(handler=handler)
+        return p
+
+    g1 = command(sub, "analyze-game", _cmd_analyze_game,
+                 help="classical/no-signaling values and norm bounds")
     g1.add_argument("path")
-    g1.add_argument("--classical", action="store_true")
-    g1.add_argument("--bound", action="store_true")
-    g1.add_argument("--sufficient", action="store_true")
+    for flag in ("--classical", "--bound", "--sufficient"):
+        g1.add_argument(flag, action="store_true")
     g1.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET,
                     help="most response maps to enumerate, counted on the side "
                          "enumerated after inputs of zero weight are dropped")
-    g1.add_argument("--timing", action="store_true")
 
-    g2 = sub.add_parser("facet-test", help="exact facet test of a game or inequality file")
+    g2 = command(sub, "facet-test", _cmd_facet_test,
+                 help="exact facet test of a game or inequality file")
     g2.add_argument("path")
     g2.add_argument("--polytope", choices=("bell", "correlation"), required=True)
     g2.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET,
                     help="most response maps in any one scan (of a game or a fragment), "
                          "on the side with fewer; also caps the cells (rows times "
                          "ambient columns) of the exact rank")
-    g2.add_argument("--timing", action="store_true")
 
-    g3 = sub.add_parser("chsh", help="canonical form, face verdict, certificates")
-    g3.add_argument("p1")
-    g3.add_argument("p2")
-    g3.add_argument("p3")
-    g3.add_argument("p4")
-    g3.add_argument("--timing", action="store_true")
+    g3 = command(sub, "chsh", _cmd_chsh, help="canonical form, face verdict, certificates")
+    for name in ("p1", "p2", "p3", "p4"):
+        g3.add_argument(name)
 
-    g4 = sub.add_parser("cut", help="cut polytope and exclusivity operations")
-    g4.add_argument("subcommand", choices=("suspend", "cuts", "ce1", "hypermetric",
-                                           "facet", "pentagonal", "ce-gap"))
-    g4.add_argument("--graph", help="graph file (suspend, cuts; hypermetric and facet "
-                                    "decide on it in place of the complete graph)")
-    g4.add_argument("--n", type=int, help="observable count (ce1)")
-    g4.add_argument("--b", help="comma-separated hypermetric coefficients")
-    g4.add_argument("--ineq", help="cut-space inequality file (facet)")
-    g4.add_argument("--timing", action="store_true")
-
+    ops = sub.add_parser("cut", help="cut polytope and exclusivity operations") \
+        .add_subparsers(dest="subcommand", required=True)
+    for name, handler in (("suspend", _cut_suspend), ("cuts", _cut_cuts)):
+        command(ops, name, handler).add_argument("--graph", required=True, help="graph file")
+    command(ops, "ce1", _cut_ce1).add_argument("--n", type=int, required=True,
+                                               help="observable count")
+    hyper = command(ops, "hypermetric", _cut_hypermetric)
+    hyper.add_argument("--b", required=True, help="comma-separated hypermetric coefficients")
+    hyper.add_argument("--graph", help="graph file, in place of the complete graph K_n")
+    facet = command(ops, "facet", _cut_facet)
+    what = facet.add_mutually_exclusive_group(required=True)
+    what.add_argument("--b", help="comma-separated hypermetric coefficients")
+    what.add_argument("--ineq", help="cut-space inequality file")
+    facet.add_argument("--graph", help="complete graph file, in place of K_n")
+    command(ops, "pentagonal", _cut_pentagonal)
+    command(ops, "ce-gap", _cut_ce_gap)
     return ap
-
-
-_DISPATCH = {
-    "analyze-game": _cmd_analyze_game,
-    "facet-test": _cmd_facet_test,
-    "chsh": _cmd_chsh,
-    "cut": _cmd_cut,
-}
 
 
 def main(argv=None) -> int:
@@ -546,7 +534,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        results, digest = _DISPATCH[args.command](args)
+        results, digest = args.handler(args)
     except ParseError as e:
         print(f"bellpoly: parse error: {e}", file=sys.stderr)
         return 2

@@ -344,23 +344,33 @@ def hypermetric_valid(b, g: Graph = None) -> bool:
     return _cut_scan(CutInequality(g.n, restricted, 0), g)[1] is None
 
 
-def _check_facet_graph(n: int, g: Graph):
-    """ValueError unless g can carry the facet test of an inequality on n
-    vertices: its vertex count is checked first, then that it is complete.
-    Both read only g and n, so a caller can check before it builds the
-    inequality."""
+def hypermetric_facet_test(b, g: Graph = None):
+    """`cut_facet_test` of sum b_i b_j x_ij <= 0 on g, by default the
+    complete graph on len(b) vertices; g's checks come before the
+    len(b)^2 / 2 coefficients are built."""
+    g = _facet_graph(len(b), g)
+    return cut_facet_test(CutInequality.hypermetric(b), g)
+
+
+def _facet_graph(n: int, g: Graph = None) -> Graph:
+    """g, by default K_n, once checked to carry the facet test of an
+    inequality on n vertices: first the enumeration limit when K_n is built
+    (before it is), then g's vertex count, then that g is complete."""
+    g = g or _enumerable_complete(n)
     if g.n != n:
         raise ValueError("inequality and graph vertex counts differ")
     if not g.is_complete:
         raise ValueError("cut facet tests are run on complete graphs")
+    return g
 
 
-def cut_facet_test(ineq: CutInequality, g: Graph):
-    """Exact facet test against the cut polytope of a complete graph: the
-    inequality must be valid everywhere; its roots (cuts meeting the bound)
-    must affinely span one dimension below the edge count."""
+def cut_facet_test(ineq: CutInequality, g: Graph = None):
+    """Exact facet test against the cut polytope of g, a complete graph on
+    ineq's n vertices, by default K_n: the inequality must be valid
+    everywhere; its roots (cuts meeting the bound) must affinely span one
+    dimension below the edge count."""
     from .tightness import _facet_report
-    _check_facet_graph(ineq.n, g)
+    g = _facet_graph(ineq.n, g)
     roots, worst = _cut_scan(ineq, g)
     if worst is not None:
         raise ValueError("inequality is violated at the cut with subset "
@@ -529,7 +539,7 @@ def pentagonal_report() -> dict:
     largest value by the bound 2, and its roots attain it."""
     ineq = pentagonal_contextuality_inequality()
     cut_form = ineq.to_cut_form()
-    facet = cut_facet_test(cut_form, Graph.complete(5))
+    facet = cut_facet_test(cut_form)
     if not facet.saturating_count:
         raise VerificationError("no deterministic behaviour attains the pentagonal bound")
     return {"inequality": ineq, "cut_form": cut_form, "hypermetric_b": PENT_B,

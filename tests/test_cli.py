@@ -208,9 +208,12 @@ def test_empty_coefficient_levels_are_parse_errors(tmp_path, capsys, text, messa
      '{"space": "cut", "n": 3, "bound": "0", "coeffs": [[0, 1]]}', "[i, j, value] triples"),
     (["chsh", "0", "0", "0", "0"], None, "weights cannot all be zero"),
     (["cut", "hypermetric", "--b", "1,x"], None, "comma-separated integers"),
-    (["cut", "hypermetric"], None, "hypermetric needs --b"),
-    (["cut", "facet"], None, "facet needs --b or --ineq"),
-    (["cut", "ce1"], None, "ce1 needs --n"),
+    # the graph files that hypermetric and facet read in place of K_n
+    (["cut", "hypermetric", "--b=1,1,-1", "--graph", "FILE"], "three\n0 1\n",
+     "first line must be the vertex count"),
+    (["cut", "facet", "--b", "1,x"], None, "comma-separated integers"),
+    (["cut", "facet", "--b=1,1,-1", "--graph", "FILE"], "3\n0 1 2\n",
+     "line 2: edge lines read 'i j'"),
     (["cut", "facet", "--ineq", "FILE"],
      '{"space": "correlator", "bound": "2", "coeffs": [["1", "1"], ["1", "-1"]]}',
      "cut facet tests need a cut-space inequality"),
@@ -234,6 +237,26 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, argv, text, message)
     assert (code, out) == (2, "")
     assert err.startswith("bellpoly: parse error") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["cut", "hypermetric"], ["--b"]),
+    (["cut", "facet"], ["--b", "--ineq"]),
+    (["cut", "ce1"], ["--n"]),
+    (["cut", "suspend"], ["--graph"]),
+    (["cut", "ce1", "--n", "3", "--graph", "F"], ["--graph"]),
+    (["cut", "pentagonal", "--graph", "F"], ["--graph"]),
+    (["cut", "facet", "--b=1,1,-1", "--ineq", "F"], ["--b", "--ineq"]),
+], ids=["hypermetric-needs-b", "facet-needs-b-or-ineq", "ce1-needs-n", "suspend-needs-graph",
+        "ce1-stray-graph", "pentagonal-stray-graph", "facet-b-and-ineq"])
+def test_cut_option_errors_exit_2_in_the_parser(capsys, argv, options):
+    # each cut operation declares only the options it reads: a missing or a
+    # stray one is refused by argparse, before any file is opened
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert all(option in err for option in options) and "Traceback" not in err
 
 
 def test_budget_exit_code(tmp_path, capsys):
@@ -706,11 +729,6 @@ def test_cut_ce_gap(capsys):
     assert checks["pentagonal_value"] == "10/3"
     assert checks["ce1_max"] == "1"
     assert checks["positivity_min"] == "0"
-
-
-def test_cut_missing_graph_argument(capsys):
-    code, _, err = run_cli(capsys, "cut", "suspend")
-    assert code == 2
 
 
 def test_graph_parse_error_line_numbers(tmp_path, capsys):

@@ -12,6 +12,7 @@ from bellpoly.cut import (
     Event,
     Graph,
     NCBehaviour,
+    CUT_ENUM_MAX_VERTICES,
     _cut_masks,
     _cut_rows,
     _mask_subset,
@@ -21,6 +22,7 @@ from bellpoly.cut import (
     ce_gap_report,
     cut_facet_test,
     enumerate_cuts,
+    hypermetric_facet_test,
     hypermetric_valid,
     maximal_orthogonal_sets,
     pentagonal_contextuality_inequality,
@@ -439,6 +441,36 @@ def test_facet_test_requires_complete_graph():
     ineq = CutInequality.hypermetric((1, 1, -1))
     with pytest.raises(ValueError):
         cut_facet_test(ineq, Graph(3, [(0, 1)]))
+
+
+def test_hypermetric_facet_test_is_the_facet_test_of_its_inequality():
+    # the hypermetric family of acceptance criterion 9, on K_5 to K_8
+    for n in range(5, 9):
+        b = (1,) * (n - 2) + (-1, 4 - n)
+        assert hypermetric_facet_test(b) == \
+            cut_facet_test(CutInequality.hypermetric(b), Graph.complete(n))
+
+
+def test_cut_facet_test_defaults_to_the_complete_graph():
+    g4 = Graph.complete(4)
+    for ineq in (CutInequality.hypermetric((1, 1, -1, 0)),
+                 CutInequality.hypermetric((1, 1, 1, -1, -1)),
+                 CutInequality(4, {e: F(1) for e in g4.sorted_edges}, F(6))):
+        assert cut_facet_test(ineq) == cut_facet_test(ineq, Graph.complete(ineq.n))
+
+
+@pytest.mark.parametrize("b, g, error", [
+    ((1,) + (0,) * CUT_ENUM_MAX_VERTICES, None, BudgetExceededError),
+    ((1, 1, -1), Graph.complete(4), ValueError),
+    ((1, 1, 1, -1, -1), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), ValueError),
+], ids=["past-the-vertex-limit", "vertex-count", "incomplete"])
+def test_hypermetric_facet_test_refuses_before_building_the_inequality(
+        monkeypatch, b, g, error):
+    built = []
+    monkeypatch.setattr(CutInequality, "hypermetric", staticmethod(built.append))
+    with pytest.raises(error):
+        hypermetric_facet_test(b, g)
+    assert built == []
 
 
 # ------------------------------------------------------------ pentagonal gap

@@ -60,7 +60,9 @@ def test_package_import_loads_no_numpy():
     (["cut", "ce1", "--n", "4"], 0),
     (["cut", "ce-gap"], 0),
     (["--help"], 0),
-    (["cut", "ce1"], 2),  # parse error: ce1 needs --n
+    (["cut", "ce1"], 2),  # argparse refuses it: ce1 needs --n
+    (["cut", "facet", "--help"], 0),
+    (["cut", "pentagonal", "--graph", "{graph}"], 2),  # argparse refuses a stray option
 ])
 def test_commands_without_arrays_load_no_numpy(tmp_path, argv, code):
     graph = tmp_path / "c4.txt"
