@@ -9,7 +9,9 @@ budget exceeded or out of memory, 4 internal cross-check failure (a computed
 certificate contradicted an exact recomputation; deliberately loud).
 
 Argument rules live in the parser: each command and cut operation declares
-only the options it reads, so a stray or missing option exits 2 there. Each
+only the options it reads, so a stray or missing option exits 2 there. One
+rule is checked before it: a cut option given before the operation name
+exits 2 with the order `bellpoly cut OPERATION [options]`. Each
 handler imports the modules it computes with when it runs, so `--help`,
 argument errors, `chsh` and the cut operations that build no array
 (`suspend`, `cuts`, `ce1`, `ce-gap`) start without numpy.
@@ -186,11 +188,24 @@ def parse_graph_text(raw: str):
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError("edge endpoints must be integers", line=ln) from None
-        edges.append((i, j))
+        edges.append(((i, j), ln))
     try:
-        return Graph(n, edges)
+        return Graph(n, [edge for edge, _ in edges])
     except ValueError as e:
-        raise ParseError(str(e), line=1) from None
+        # a vertex-count error is line 1's; an edge error is the line of the
+        # first edge the graph refuses on its own
+        line = 1 if _refused(n, ()) else \
+            next((ln for edge, ln in edges if _refused(n, [edge])), 1)
+        raise ParseError(str(e), line=line) from None
+
+
+def _refused(n, edges) -> bool:
+    from .cut import Graph
+    try:
+        Graph(n, edges)
+    except ValueError:
+        return True
+    return False
 
 
 def serialize_graph(g) -> str:
@@ -334,7 +349,6 @@ def _facet_report_dict(rep, extra=None):
 
 
 def _cmd_facet_test(args):
-    from .cut import CutInequality
     from .tightness import facet_test, game_facet_test
     _at_least(args.budget, 0, "--budget")
     raw = open(args.path, "rb").read()
@@ -342,6 +356,7 @@ def _cmd_facet_test(args):
     if "kind" in _load_json(text):
         rep, bound = game_facet_test(parse_game_text(text), args.polytope, budget=args.budget)
     else:
+        from .cut import CutInequality
         ineq = parse_inequality_text(text)
         if isinstance(ineq, CutInequality):
             raise ParseError("cut-space inequalities go through the cut subcommand", line=1)
@@ -529,9 +544,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _refuse_option_before_operation(parser, argv):
+    """Exit 2 when an option comes between `cut` and its operation name:
+    argparse would read the option's value as the operation and name that
+    value as an invalid choice."""
+    if argv[:1] == ["cut"] and argv[1:2] and argv[1].startswith("-") \
+            and argv[1] not in ("-h", "--help"):
+        parser.error(f"option {argv[1]} comes before the operation; "
+                     "the order is bellpoly cut OPERATION [options]")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    _refuse_option_before_operation(parser, argv)
+    args = parser.parse_args(argv)
     started = time.monotonic()
     try:
         results, digest = args.handler(args)

@@ -11,7 +11,12 @@ evaluates in bulk and facet tests rank on the tail shared with Bell
 inequalities (`tightness._facet_report`), behaviours and inequalities over
 rationals, plus the exclusivity (sum over mutually exclusive events <= 1)
 inequalities for the pairwise-measurement scenario and the pentagonal
-inequality that separates them from the noncontextual set.
+inequality that separates them from the noncontextual set. The census of
+maximal mutually exclusive event sets works on integers: events are indexes
+in sorted (i, j, a, b) order, the exclusivity graph's neighbour bitmasks are
+unions of per-(observable, value) masks (no pair loop), Bron-Kerbosch runs
+on those bitmasks, and a maximal set in no known family raises
+VerificationError.
 """
 
 from __future__ import annotations
@@ -415,22 +420,6 @@ class Event:
     b: int
 
 
-def _events(n):
-    return [Event(i, j, a, b)
-            for i, j in itertools.combinations(range(n), 2)
-            for a in (1, -1) for b in (1, -1)]
-
-
-def _orthogonal(e: Event, f: Event) -> bool:
-    if (e.i, e.j) == (f.i, f.j):
-        return (e.a, e.b) != (f.a, f.b)
-    shared = {e.i: e.a, e.j: e.b}
-    for v, val in ((f.i, f.a), (f.j, f.b)):
-        if v in shared:
-            return shared[v] != val
-    return False
-
-
 @dataclass(frozen=True)
 class OrthogonalSetCensus:
     normalization: tuple  # size-4 sets, one per context
@@ -438,80 +427,103 @@ class OrthogonalSetCensus:
     triples: tuple        # size-3 sets over a vertex triangle
 
 
-def _classify_maximal(events):
-    contexts = {(e.i, e.j) for e in events}
-    if len(events) == 4 and len(contexts) == 1:
-        return "normalization"
-    if len(events) == 4 and len(contexts) == 2:
-        (c1, c2) = sorted(contexts)
-        shared = set(c1) & set(c2)
-        if len(shared) == 1:
-            v = shared.pop()
-            by_ctx = {c1: [], c2: []}
-            for e in events:
-                by_ctx[(e.i, e.j)].append(e)
-            if all(len(v2) == 2 for v2 in by_ctx.values()):
-                def shared_val(e):
-                    return e.a if e.i == v else e.b
-                s1 = {shared_val(e) for e in by_ctx[c1]}
-                s2 = {shared_val(e) for e in by_ctx[c2]}
-                if len(s1) == 1 and len(s2) == 1 and s1 != s2:
-                    return "protocol"
-    if len(events) == 3 and len(contexts) == 3:
-        verts = set()
-        for c in contexts:
-            verts |= set(c)
-        if len(verts) == 3:
-            return "triple"
-    return None
+def _exclusivity_graph(n: int):
+    """The events (i, j, a, b) of n observables (i < j, a and b = +-1) in
+    sorted order, which is `Event` order, and each event's neighbour bitmask
+    in the exclusivity graph (bit y for event y). Two events are exclusive
+    exactly when they give a shared observable opposite values, so the
+    neighbours of (i, j, a, b) are mask[i, -a] | mask[j, -b], where
+    mask[v, s] holds the events that give observable v the value s."""
+    events = [(i, j, a, b) for i, j in itertools.combinations(range(n), 2)
+              for a in (-1, 1) for b in (-1, 1)]
+    mask = dict.fromkeys(itertools.product(range(n), (-1, 1)), 0)
+    for x, (i, j, a, b) in enumerate(events):
+        mask[i, a] |= 1 << x
+        mask[j, b] |= 1 << x
+    return events, [mask[i, -a] | mask[j, -b] for i, j, a, b in events]
+
+
+def _bits(m: int):
+    """The set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def _maximal_cliques(adj):
-    """Every maximal clique of the graph {vertex: set of neighbours}, by
-    Bron-Kerbosch with Tomita pivoting: each call branches only on the
-    candidates not adjacent to a pivot chosen to cover most candidates."""
+    """Every maximal clique, as its vertices in increasing order, of the
+    graph on vertices 0..len(adj)-1 where vertex v has neighbour bitmask
+    adj[v]: Bron-Kerbosch with Tomita pivoting on bitmasks, where each call
+    branches only on the candidates not adjacent to a pivot chosen to cover
+    most candidates."""
     cliques = []
 
     def expand(clique, cand, excluded):
-        if not cand and not excluded:
-            cliques.append(clique)
+        if not cand:
+            if not excluded:
+                cliques.append(tuple(_bits(clique)))
             return
-        pivot = max(cand | excluded, key=lambda u: len(cand & adj[u]))
-        for v in cand - adj[pivot]:
-            expand(clique + [v], cand & adj[v], excluded & adj[v])
-            cand = cand - {v}
-            excluded = excluded | {v}
+        most = -1
+        for u in _bits(cand | excluded):
+            covered = (cand & adj[u]).bit_count()
+            if covered > most:
+                most, pivot = covered, u
+        for v in _bits(cand & ~adj[pivot]):
+            bit = 1 << v
+            expand(clique | bit, cand & adj[v], excluded & adj[v])
+            cand ^= bit
+            excluded |= bit
 
-    expand([], set(adj), set())
+    expand(0, (1 << len(adj)) - 1, 0)
     return cliques
+
+
+def _family(members):
+    """The census family of a maximal exclusive set, given as its (i, j, a, b)
+    tuples, or None when it is in none of the three."""
+    contexts = sorted({(i, j) for i, j, _, _ in members})
+    if len(members) == 4 and len(contexts) == 1:
+        return "normalization"
+    if len(members) == 4 and len(contexts) == 2:
+        shared = set(contexts[0]) & set(contexts[1])
+        if len(shared) == 1:
+            (v,) = shared
+            values = [[a if i == v else b for i, j, a, b in members if (i, j) == c]
+                      for c in contexts]
+            if all(len(s) == 2 and s[0] == s[1] for s in values) \
+                    and values[0][0] != values[1][0]:
+                return "protocol"
+    if len(members) == 3 and len(contexts) == 3 \
+            and len({v for c in contexts for v in c}) == 3:
+        return "triples"
+    return None
 
 
 def maximal_orthogonal_sets(n: int) -> OrthogonalSetCensus:
     """Enumerate every maximal set of mutually exclusive events and sort them
-    into the three families that exist in this scenario; any unclassifiable
-    maximal set would falsify that census and aborts loudly."""
+    into the three families that exist in this scenario. The exclusivity
+    graph is built from bitmasks with no pair loop: mask[v, s] holds the
+    events that give observable v the value s, and the neighbours of event
+    (i, j, a, b) are mask[i, -a] | mask[j, -b]. Bron-Kerbosch with Tomita
+    pivoting enumerates its maximal cliques on those bitmasks. A maximal set
+    that no family covers would falsify the census and raises
+    VerificationError. Each family's sets, and each set's events, come in
+    sorted order."""
     if not 3 <= n <= 6:
         raise BudgetExceededError("event census supported for 3 <= n <= 6")
-    evs = _events(n)
-    adj = {x: set() for x in range(len(evs))}
-    for x, y in itertools.combinations(range(len(evs)), 2):
-        if _orthogonal(evs[x], evs[y]):
-            adj[x].add(y)
-            adj[y].add(x)
-    buckets = {"normalization": [], "protocol": [], "triple": []}
+    events, adj = _exclusivity_graph(n)
+    families = {"normalization": [], "protocol": [], "triples": []}
     for clique in _maximal_cliques(adj):
-        members = tuple(sorted((evs[x] for x in clique),
-                               key=lambda e: (e.i, e.j, e.a, e.b)))
-        kind = _classify_maximal(members)
+        kind = _family([events[x] for x in clique])
         if kind is None:
             raise VerificationError(
-                f"unclassified maximal orthogonal set of size {len(members)}")
-        buckets[kind].append(members)
-    for key in buckets:
-        buckets[key].sort()
-    return OrthogonalSetCensus(tuple(buckets["normalization"]),
-                               tuple(buckets["protocol"]),
-                               tuple(buckets["triple"]))
+                f"unclassified maximal orthogonal set of size {len(clique)}")
+        families[kind].append(clique)
+    objects = [Event(*e) for e in events]
+    return OrthogonalSetCensus(**{kind: tuple(tuple(objects[x] for x in clique)
+                                              for clique in sorted(cliques))
+                                  for kind, cliques in families.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -737,3 +737,30 @@ def test_graph_parse_error_line_numbers(tmp_path, capsys):
     code, _, err = run_cli(capsys, "cut", "cuts", "--graph", str(graph))
     assert code == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3\n0 1\n0 5\n", "line 3: edge (0, 5) references a missing vertex"),
+    ("3\n1 1\n", "line 2: self-loop at vertex 1"),
+    ("3\n0 1\n\n2 2\n0 7\n", "line 4: self-loop at vertex 2"),
+    ("-2\n0 1\n", "line 1: vertex count -2 is negative"),
+])
+def test_graph_errors_name_the_edge_line(tmp_path, capsys, text, message):
+    # an edge the graph refuses is reported at its own line; a vertex-count
+    # error stays at line 1
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    code, out, err = run_cli(capsys, "cut", "cuts", "--graph", str(graph))
+    assert (code, out) == (2, "")
+    assert err == f"bellpoly: parse error: {message}\n"
+
+
+@pytest.mark.parametrize("option", ["--graph", "--graph=g.txt", "--timing"])
+def test_cut_option_before_the_operation_names_the_order(capsys, option):
+    # argparse alone would read the option's value as the operation name
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["cut", option, "g.txt", "suspend"])
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert f"option {option} comes before the operation" in err
+    assert "bellpoly cut OPERATION [options]" in err and "invalid choice" not in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellpoly import BudgetExceededError
+from bellpoly import BudgetExceededError, VerificationError
 from bellpoly.cut import (
     CorrelatorInequality,
     CutInequality,
@@ -15,6 +15,7 @@ from bellpoly.cut import (
     CUT_ENUM_MAX_VERTICES,
     _cut_masks,
     _cut_rows,
+    _exclusivity_graph,
     _mask_subset,
     _maximal_cliques,
     behaviour_to_cut,
@@ -29,6 +30,7 @@ from bellpoly.cut import (
     pentagonal_report,
     suspension,
 )
+from tests import census_reference
 from tests.behaviour_reference import (ce1_from_triple_set, ce_gap_certificate,
                                        ce_gap_grid_search, cut_to_behaviour)
 
@@ -276,15 +278,60 @@ def test_maximal_cliques_match_brute_force():
                 adj[y].add(x)
         graphs.append(adj)
     for adj in graphs:
-        found = [frozenset(c) for c in _maximal_cliques(adj)]
+        masks = [sum(1 << u for u in adj[v]) for v in range(len(adj))]
+        found = [frozenset(c) for c in _maximal_cliques(masks)]
         assert len(found) == len(set(found))
         assert set(found) == _brute_force_maximal_cliques(adj)
+
+
+def test_census_matches_the_pairwise_reference():
+    # every family, every set and every event, in order
+    for n in (3, 4, 5, 6):
+        assert maximal_orthogonal_sets(n) == census_reference.maximal_orthogonal_sets(n)
+
+
+def _adjacency_mismatches(events, adj):
+    """Event pairs (x, y) where bit y of adj[x] disagrees with the pairwise
+    exclusivity rule; a pair (x, x) is exclusive for no event."""
+    return [(x, y) for x, e in enumerate(events) for y, f in enumerate(events)
+            if bool(adj[x] >> y & 1) != (x != y and census_reference.orthogonal(Event(*e),
+                                                                                 Event(*f)))]
+
+
+def test_mask_adjacency_matches_the_pairwise_rule():
+    for n in (3, 4, 5, 6):
+        events, adj = _exclusivity_graph(n)
+        assert events == sorted(events)
+        assert [Event(*e) for e in events] == sorted(census_reference.events(n))
+        assert _adjacency_mismatches(events, adj) == []
+
+
+def test_adjacency_check_catches_a_wrong_neighbour_mask():
+    # wrong masks: one bit flipped, each event's own context left out, and
+    # each mask given to the next event
+    events, adj = _exclusivity_graph(4)
+    flipped = list(adj)
+    flipped[5] ^= 1 << 17
+    same_context_missed = [m & ~(0b1111 << (x & ~3)) for x, m in enumerate(adj)]
+    for wrong in (flipped, same_context_missed, adj[-1:] + adj[:-1]):
+        assert _adjacency_mismatches(events, wrong) != []
 
 
 def test_census_size_bounds():
     for n in (2, 7):
         with pytest.raises(BudgetExceededError):
             maximal_orthogonal_sets(n)
+
+
+def test_census_raises_on_a_maximal_set_in_no_family(monkeypatch):
+    # with every pair of events called exclusive, the one maximal set holds
+    # all 12 events, which no family covers
+    from bellpoly import cut
+    events, _ = _exclusivity_graph(3)
+    every = [((1 << len(events)) - 1) ^ (1 << x) for x in range(len(events))]
+    monkeypatch.setattr(cut, "_exclusivity_graph", lambda n: (events, every))
+    with pytest.raises(VerificationError, match="unclassified maximal orthogonal set of size 12"):
+        maximal_orthogonal_sets(3)
 
 
 def test_census_sets_are_mutually_orthogonal():
@@ -314,11 +361,11 @@ def test_triples_map_onto_ce1():
 
 
 def test_event_orthogonality_unit():
-    from bellpoly.cut import _orthogonal
-    assert _orthogonal(Event(0, 1, 1, 1), Event(0, 1, 1, -1))
-    assert _orthogonal(Event(0, 1, 1, 1), Event(0, 2, -1, 1))
-    assert not _orthogonal(Event(0, 1, 1, 1), Event(0, 2, 1, 1))
-    assert not _orthogonal(Event(0, 1, 1, 1), Event(2, 3, 1, 1))
+    orthogonal = census_reference.orthogonal
+    assert orthogonal(Event(0, 1, 1, 1), Event(0, 1, 1, -1))
+    assert orthogonal(Event(0, 1, 1, 1), Event(0, 2, -1, 1))
+    assert not orthogonal(Event(0, 1, 1, 1), Event(0, 2, 1, 1))
+    assert not orthogonal(Event(0, 1, 1, 1), Event(2, 3, 1, 1))
 
 
 # --------------------------------------------------------------- hypermetric

@@ -22,9 +22,10 @@ FORBIDDEN = ("scipy", "networkx")
 
 
 def _modules_after(code, expect_exit=0):
-    """Top-level names of the modules loaded by a fresh interpreter that
-    runs `code` with the package on its path; `code` must exit with
-    expect_exit, and the module list is printed on stderr after it ran."""
+    """Full names of the modules loaded by a fresh interpreter that runs
+    `code` with the package on its path (a package is listed whenever one
+    of its submodules is); `code` must exit with expect_exit, and the module
+    list is printed on stderr after it ran."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -34,7 +35,7 @@ def _modules_after(code, expect_exit=0):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == expect_exit, run.stderr
-    return {m.split(".")[0] for m in run.stderr.rsplit("MODULES ", 1)[1].split()}
+    return set(run.stderr.rsplit("MODULES ", 1)[1].split())
 
 
 def _cli_modules(argv, expect_exit=0):
@@ -63,6 +64,7 @@ def test_package_import_loads_no_numpy():
     (["cut", "ce1"], 2),  # argparse refuses it: ce1 needs --n
     (["cut", "facet", "--help"], 0),
     (["cut", "pentagonal", "--graph", "{graph}"], 2),  # argparse refuses a stray option
+    (["cut", "--graph", "{graph}", "suspend"], 2),  # an option before the operation
 ])
 def test_commands_without_arrays_load_no_numpy(tmp_path, argv, code):
     graph = tmp_path / "c4.txt"
@@ -74,6 +76,17 @@ def test_commands_without_arrays_load_no_numpy(tmp_path, argv, code):
 def test_command_that_scans_cuts_loads_numpy():
     # the guard above can fail: a cut scan imports numpy where it runs
     assert "numpy" in _cli_modules(["cut", "hypermetric", "--b", "1,1,-1"])
+
+
+def test_facet_test_of_a_game_file_loads_no_cut_module(tmp_path):
+    # bellpoly.cut is read only to refuse a cut-space inequality file
+    game = tmp_path / "chsh.json"
+    game.write_text('{"kind": "linear", "d": 2, "mA": 2, "mB": 2, '
+                    '"q": [["1/4", "1/4"], ["1/4", "1/4"]], "f": [[0, 0], [0, 1]]}')
+    ineq = tmp_path / "chsh-correlator.json"
+    ineq.write_text('{"space": "correlator", "bound": "2", "coeffs": [["1", "1"], ["1", "-1"]]}')
+    assert "bellpoly.cut" not in _cli_modules(["facet-test", str(game), "--polytope", "bell"])
+    assert "bellpoly.cut" in _cli_modules(["facet-test", str(ineq), "--polytope", "correlation"])
 
 
 def test_every_export_is_its_submodule_object():
