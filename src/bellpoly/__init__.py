@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "errors": ("DEFAULT_BOX_BUDGET", "BudgetExceededError", "ParseError", "VerificationError"),
     "rational": ("format_rational", "parse_rational"),
-    "exactrank": ("affine_rank", "integer_rank"),
+    "exactrank": ("FacetReport", "affine_rank", "integer_rank"),
     "scenario": ("BellInequality", "DeterministicBox", "Scenario", "correlator_inequality",
                  "ns_polytope_dimension"),
     "games": ("PERMS", "REFLECTIONS", "ROTATIONS", "LinearGame", "NLCSpec", "UniqueGame3",
@@ -32,9 +32,9 @@ _EXPORTS = {name: module for module, names in {
                "classical_value", "gen_norm_detailed", "norm_bound", "norm_bound_linear",
                "ns_value", "spectral_norm", "strategy_value", "sufficient_no_advantage",
                "value_report", "verify_value_report"),
-    "tightness": ("FacetReport", "LambdaProfile", "facet_test", "game_facet_test",
-                  "hadamard_diagonal_check", "nlc2_block_symmetry", "nlc2_decompose",
-                  "nlcd_classical_formula", "nlcd_lambda", "nlcd_nonfacet_check"),
+    "tightness": ("LambdaProfile", "facet_test", "game_facet_test", "hadamard_diagonal_check",
+                  "nlc2_block_symmetry", "nlc2_decompose", "nlcd_classical_formula", "nlcd_lambda",
+                  "nlcd_nonfacet_check"),
     "chsh": ("FaceVerdict", "SigmaLambdaCertificate", "WeightedCHSH", "canonicalize",
              "face_condition", "from_weights", "qubit_value_estimate",
              "sigma_lambda_certificate"),

@@ -15,17 +15,17 @@ certificate for the no-advantage case and a closed-form single-qubit oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import VerificationError
 from .rational import as_rational, parse_rational
+from .records import record
 
 CERT_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
+@record
 class WeightedCHSH:
     """Canonical weight vector. p is (p1, p2, p3, p4), nonnegative, summing
     to 1. For the generic class the matrix is [[p1, p2], [p3, -p4]] with p4
@@ -106,7 +106,7 @@ def from_weights(values) -> WeightedCHSH:
 # exact face decision
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class FaceVerdict:
     verdict: str  # NontrivialFace | QuantumViolation | Trivial
     algebraically_trivial: bool
@@ -144,7 +144,7 @@ def face_condition(w: WeightedCHSH) -> FaceVerdict:
 # spectral-radius certificate (numeric cross-check)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SigmaLambdaCertificate:
     phi: tuple
     sigma: tuple       # diagonal of the row-sum matrix

@@ -4,8 +4,9 @@ Reports are canonical JSON: two-space indent, sorted keys, trailing newline.
 Exact quantities appear as "num/den" strings; floating-point quantities are
 objects {"value": ..., "precision": ...} so the printed digits carry their
 own error bar; a float that is infinite or undefined prints as null, so every
-report is strict JSON. Exit codes: 0 success, 2 malformed input, 3 enumeration
-budget exceeded or out of memory, 4 internal cross-check failure (a computed
+report is strict JSON. Exit codes: 0 success, 2 malformed input or a report
+that cannot be written (a full disk, a closed pipe), 3 enumeration budget
+exceeded or out of memory, 4 internal cross-check failure (a computed
 certificate contradicted an exact recomputation; deliberately loud).
 
 Argument rules live in the parser: each command and cut operation declares
@@ -14,15 +15,23 @@ rule is checked before it: a cut option given before the operation name
 exits 2 with the order `bellpoly cut OPERATION [options]`. Each
 handler imports the modules it computes with when it runs, so `--help`,
 argument errors, `chsh` and the cut operations that build no array
-(`suspend`, `cuts`, `ce1`, `ce-gap`) start without numpy.
+(`suspend`, `cuts`, `ce1`, `ce-gap`) start without numpy, the cut facet
+tests (`facet`, `pentagonal`) without the game modules, and `facet-test`
+of an inequality file without `cut`.
+
+`main(argv)` prints the report and returns the exit code, and touches the
+process no further, so tests and library callers run it in process. `run`
+is the process entry of `bellpoly` and `python -m bellpoly.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -213,7 +222,6 @@ def serialize_graph(g) -> str:
 
 
 def parse_inequality_text(raw: str):
-    from .cut import CutInequality
     from .scenario import BellInequality, Scenario, correlator_inequality
     data = _load_json(raw)
     space = _need(data, "space")
@@ -247,6 +255,7 @@ def parse_inequality_text(raw: str):
             raise ParseError("correlator coeffs must be nested [x][y]",
                              line=_line_of(raw, '"coeffs"')) from None
     if space == "cut":
+        from .cut import CutInequality
         n = _int_at(_need(data, "n"), raw, "n")
         try:
             pairs = [((_int_at(e[0], raw, "edge endpoint", "coeffs"),
@@ -353,13 +362,13 @@ def _cmd_facet_test(args):
     _at_least(args.budget, 0, "--budget")
     raw = open(args.path, "rb").read()
     text = raw.decode()
-    if "kind" in _load_json(text):
+    data = _load_json(text)
+    if "kind" in data:
         rep, bound = game_facet_test(parse_game_text(text), args.polytope, budget=args.budget)
+    elif data.get("space") == "cut":  # refused before parsing it would load bellpoly.cut
+        raise ParseError("cut-space inequalities go through the cut subcommand", line=1)
     else:
-        from .cut import CutInequality
         ineq = parse_inequality_text(text)
-        if isinstance(ineq, CutInequality):
-            raise ParseError("cut-space inequalities go through the cut subcommand", line=1)
         rep, bound = facet_test(ineq, args.polytope, budget=args.budget), ineq.bound
     return _facet_report_dict(rep, {"bound": format_rational(bound)}), _digest(raw)
 
@@ -590,5 +599,26 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """The process entry of `bellpoly` and `python -m bellpoly.cli`: `main`
+    on the command line, the report flushed, then exit with main's code, or
+    with 2 when the report cannot be written (a full disk, a closed pipe).
+    The heap is frozen first (`gc.freeze`), so that the interpreter's
+    teardown does not walk every object numpy and the command made."""
+    try:
+        try:
+            code = main()
+        except SystemExit as e:  # argparse's --help and usage errors
+            code = e.code
+        sys.stdout.flush()
+    except OSError as e:
+        print(f"bellpoly: cannot write report: {e}", file=sys.stderr)
+        # the unwritten report stays buffered: the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,7 +8,7 @@ edges via <M_i> = 1 - 2 x_{iO} and pair correlators to ordinary edges via
 inequality type each (`CorrelatorInequality.to_cut_form` changes them): cuts
 as integer arrays of edge incidence rows, which one scan (`_cut_scan`)
 evaluates in bulk and facet tests rank on the tail shared with Bell
-inequalities (`tightness._facet_report`), behaviours and inequalities over
+inequalities (`exactrank._facet_report`), behaviours and inequalities over
 rationals, plus the exclusivity (sum over mutually exclusive events <= 1)
 inequalities for the pairwise-measurement scenario and the pentagonal
 inequality that separates them from the noncontextual set. The census of
@@ -22,18 +22,18 @@ VerificationError.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Tuple
 
 from .errors import BudgetExceededError, VerificationError
 from .rational import as_rational
+from .records import field, record
 
 CUT_ENUM_MAX_VERTICES = 20
 _CHUNK_CELLS = 1 << 20  # values per chunk of a cut scan, to bound its memory
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Undirected graph on vertices 0..n-1 with no self-loops.
 
@@ -81,9 +81,10 @@ def suspension(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 # The bulk cut scan and the facet test's rank work on numpy arrays. They
-# import numpy, games and tightness where they run, so that building graphs,
-# cuts, behaviours and exclusivity inequalities (`cut suspend`, `cuts`,
-# `ce1`, `ce-gap`) starts no numpy.
+# import numpy, scenario and exactrank where they run, so that building
+# graphs, cuts, behaviours and exclusivity inequalities (`cut suspend`,
+# `cuts`, `ce1`, `ce-gap`) starts no numpy, and no cut operation loads the
+# game modules.
 
 def _cut_masks(g: Graph) -> range:
     """Every cut of g as a vertex bitmask (bit v for vertex v), vertex 0
@@ -111,7 +112,7 @@ def _cut_rows(g: Graph, masks):
     return (((m >> ends[:, 0]) ^ (m >> ends[:, 1])) & 1).astype(np.int8)
 
 
-@dataclass(frozen=True)
+@record
 class CutVector:
     """Edge incidence vector of a vertex subset. The stored subset is the
     canonical representative not containing vertex 0 (a set and its
@@ -180,7 +181,7 @@ def _cut_scan(ineq: "CutInequality", g: Graph):
 # behaviours
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class NCBehaviour:
     """Single and pair correlators of dichotomic measurements on a
     compatibility graph. Pairwise joint distributions must be nonnegative:
@@ -262,7 +263,7 @@ def _edge_table(coeffs) -> dict:
     return table
 
 
-@dataclass(frozen=True)
+@record
 class CutInequality:
     """sum_{i<j} c_ij x_ij <= bound in the cut coordinates of a graph on n
     vertices: edge_coeffs maps edges (i, j), i < j, to their rational
@@ -299,7 +300,7 @@ class CutInequality:
                    Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
 class CorrelatorInequality:
     """sum_{i<j} c_ij <M_iM_j> + sum_i s_i <M_i> <= bound on n dichotomic
     observables: pair_coeffs maps pairs (i, j), i < j, to c_ij, and
@@ -374,7 +375,7 @@ def cut_facet_test(ineq: CutInequality, g: Graph = None):
     ineq's n vertices, by default K_n: the inequality must be valid
     everywhere; its roots (cuts meeting the bound) must affinely span one
     dimension below the edge count."""
-    from .tightness import _facet_report
+    from .exactrank import _facet_report
     g = _facet_graph(ineq.n, g)
     roots, worst = _cut_scan(ineq, g)
     if worst is not None:
@@ -411,7 +412,7 @@ def ce1_inequalities(n: int):
     return out
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Event:
     """Outcome pair (a, b) of the joint measurement of observables i < j."""
     i: int
@@ -420,7 +421,7 @@ class Event:
     b: int
 
 
-@dataclass(frozen=True)
+@record
 class OrthogonalSetCensus:
     normalization: tuple  # size-4 sets, one per context
     protocol: tuple       # size-4 sets split over two contexts sharing a vertex

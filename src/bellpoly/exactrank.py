@@ -32,12 +32,18 @@ check too, p divides every r x r minor the elimination could have used, so
 the rank mod p is below the rank over Q. The rank then comes from
 `integer_rank`, Bareiss elimination over Z, which stays public as the
 reference. Every rank returned is exact.
+
+The facet tests of every polytope end here (`_facet_report`): a face's
+vertex count and the rows spanning its affine hull give its `FacetReport`.
+So a cut facet test, which needs only this tail, loads no game module.
 """
 
 import random
 from math import gcd
 
 import numpy as np
+
+from .records import record
 
 P = 2 ** 31 - 1  # residues below 2^31, so a product of two stays below 2^62
 _ENTRY_BOUND = 2 ** 62  # |point entry| below this, so a row difference fits in int64
@@ -242,3 +248,37 @@ def affine_rank(points):
     if pts.max(initial=0) >= _ENTRY_BOUND or pts.min(initial=0) <= -_ENTRY_BOUND:
         raise TypeError("affine_rank takes entries below 2^62 in absolute value")
     return _certified_rank(pts[1:] - pts[0])
+
+
+# ---------------------------------------------------------------------------
+# the facet-test tail
+# ---------------------------------------------------------------------------
+
+@record
+class FacetReport:
+    """Outcome of a facet test.
+
+    saturating_affine_dim is -1 when the saturating set is empty or (for a
+    decomposition verdict whose facet test exceeds the budget) when the
+    statistics were skipped; `notes` says which. A facet's saturating set
+    spans ambient_dim - 1 dimensions, which defines is_facet.
+    """
+    polytope_kind: str
+    ambient_dim: int
+    saturating_count: int
+    saturating_affine_dim: int
+    decomposition: tuple = None
+    trivial_facet_class: bool = False
+    notes: tuple = ()
+
+    @property
+    def is_facet(self) -> bool:
+        return self.saturating_affine_dim == self.ambient_dim - 1
+
+
+def _facet_report(kind, ambient, count, rows, trivial=False):
+    """The facet-test tail, given the number of vertices meeting the bound
+    and integer coordinate rows spanning their affine hull: a facet's
+    vertices span ambient - 1 dimensions."""
+    dim = affine_rank(rows) if count else -1
+    return FacetReport(kind, ambient, count, dim, trivial_facet_class=trivial)

@@ -20,7 +20,6 @@ of its permutations. The norm bound reads both kinds the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, pi
@@ -29,6 +28,7 @@ import numpy as np
 
 from .errors import DEFAULT_BOX_BUDGET
 from .rational import as_rational
+from .records import record
 from .scenario import _SIGNS, BellInequality, Scenario, int_scaled
 
 # permutations of {0,1,2} by cycle name; table[i] = image of i
@@ -104,7 +104,7 @@ class _Game:
         return b == self.winning_b(a, x, y)
 
 
-@dataclass(frozen=True)
+@record
 class LinearGame(_Game):
     d: int
     ma: int
@@ -142,7 +142,7 @@ class LinearGame(_Game):
         return (self.f_table[x, y] - a) % self.d
 
 
-@dataclass(frozen=True)
+@record
 class UniqueGame3(_Game):
     ma: int
     mb: int
@@ -184,7 +184,7 @@ def _is_prime(d):
     return d >= 2 and all(d % i for i in range(2, isqrt(d) + 1))
 
 
-@dataclass(frozen=True)
+@record
 class NLCSpec:
     """Compact description of a distributed-computation game.
 

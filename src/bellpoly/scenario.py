@@ -17,16 +17,16 @@ the facet tests scan as it is; box coordinates are integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
 from .rational import as_rational
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     ma: int
     mb: int
@@ -54,7 +54,7 @@ def ns_polytope_dimension(s: Scenario) -> int:
             + s.mb * (s.db - 1))
 
 
-@dataclass(frozen=True)
+@record
 class DeterministicBox:
     scenario: Scenario
     a_map: tuple
@@ -117,7 +117,7 @@ def int_scaled(values, bounds=()):
     return np.array(scaled, dtype=dtype).reshape(shaped.shape), targets, den
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class BellInequality:
     """A linear functional sum c(a,b,x,y) P(a,b|x,y) <= bound, stored once,
     as integers over their least common denominator `den`: the read-only

@@ -4,8 +4,8 @@ Bell and correlation facet tests read the classical value's best-response
 scan (`values._scan`): its top value rejects an invalid inequality, and its
 optimal maps and tie sets give the saturating count and boxes spanning the
 saturating set's affine hull. With the cut polytope's own vertex scan (`cut`)
-they end in `_facet_report`, which decides facet-ness by the exact affine
-rank. A game's verdict scans its integer functional once (`_game_scan`)
+they end in `exactrank._facet_report`, which decides facet-ness by the exact
+affine rank. A game's verdict scans its integer functional once (`_game_scan`)
 for its bound and its face. Decompositions (`_fragment_report`, for both NLC
 families) write the game inequality as a sum of valid fragment inequalities,
 the game's functional on some of Alice's inputs, with distinct faces, which
@@ -15,43 +15,21 @@ rules out facet-ness without a rank computation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError, VerificationError
-from .exactrank import affine_rank
+from .exactrank import FacetReport, _facet_report
 from .games import LinearGame, fourier_blocks, input_dits, scaled_functionals
+from .records import record, replace
 from .scenario import BellInequality, _correlator_rows, _reduced_rows, ns_polytope_dimension
 from .values import _exact_value, _pruned_scan, _scan
 
 HADAMARD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FacetReport:
-    """Outcome of a facet test.
-
-    saturating_affine_dim is -1 when the saturating set is empty or (for a
-    decomposition verdict whose facet test exceeds the budget) when the
-    statistics were skipped; `notes` says which. A facet's saturating set
-    spans ambient_dim - 1 dimensions, which defines is_facet.
-    """
-    polytope_kind: str
-    ambient_dim: int
-    saturating_count: int
-    saturating_affine_dim: int
-    decomposition: tuple = None
-    trivial_facet_class: bool = False
-    notes: tuple = ()
-
-    @property
-    def is_facet(self) -> bool:
-        return self.saturating_affine_dim == self.ambient_dim - 1
-
-
-@dataclass(frozen=True)
+@record
 class LambdaProfile:
     lambdas: tuple  # lambda(i) for i in Z_d
 
@@ -67,14 +45,6 @@ class LambdaProfile:
 # ---------------------------------------------------------------------------
 # facet tests
 # ---------------------------------------------------------------------------
-
-def _facet_report(kind, ambient, count, rows, trivial=False):
-    """The facet-test tail, given the number of vertices meeting the bound
-    and integer coordinate rows spanning their affine hull: a facet's
-    vertices span ambient - 1 dimensions."""
-    dim = affine_rank(rows) if count else -1
-    return FacetReport(kind, ambient, count, dim, trivial_facet_class=trivial)
-
 
 def _bell_roots(s, scan, project, budget, cols):
     """Rows spanning the affine hull of the boxes of value scan.top: per

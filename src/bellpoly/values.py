@@ -37,7 +37,6 @@ with the same norms: each is computed once, for k = 1..d // 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import exp, inf, lcm, log, log1p, sqrt
@@ -48,19 +47,20 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError, VerificationError
 from .games import LinearGame, fourier_blocks, scaled_functionals
+from .records import record
 
 ROOT_OF_UNITY_TOL = 1e-9
 DEGENERACY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class ClassicalValue:
     value: Fraction
     a_map: tuple
     b_map: tuple
 
 
-@dataclass(frozen=True)
+@record
 class NoAdvantageVerdict:
     strategy: tuple = None  # (a_map, b_map) when the condition holds
     reason: str = None      # set when inconclusive
@@ -70,7 +70,7 @@ class NoAdvantageVerdict:
         return self.strategy is not None
 
 
-@dataclass(frozen=True)
+@record
 class ValueReport:
     classical: Fraction
     no_signaling: Fraction
@@ -481,7 +481,7 @@ def gen_norm_detailed(a, b):
     return min(float(c * lower), upper), upper
 
 
-@dataclass(frozen=True)
+@record
 class NormBound:
     """A game's norm bound, `_linear_bound` at the upper ends of certified
     intervals (lower, upper) for the norms of its k-th Fourier blocks,

@@ -1,7 +1,7 @@
 """Shared game corpus used across the test modules.
 
 Every fixture returns freshly constructed objects so that tests cannot
-leak mutations into each other (the dataclasses are frozen anyway, but
+leak mutations into each other (the records are frozen anyway, but
 lists of games are rebuilt per test).
 """
 from fractions import Fraction

@@ -5,10 +5,10 @@ the tests' reference: the library builds dit-structured games
 (`tightness._fragment_report`) from integer arrays and never calls these;
 the tests check it against them.
 """
-from dataclasses import replace
 from fractions import Fraction
 
 from bellpoly.games import LinearGame, input_dits
+from bellpoly.records import replace
 from bellpoly.scenario import BellInequality, correlator_inequality
 from bellpoly.values import classical_value
 

@@ -351,7 +351,7 @@ def test_facet_test_nlc2_and_bell(tmp_path, capsys):
 
 def test_facet_test_splits_a_binary_game_by_its_bits_not_its_file_kind(tmp_path, capsys):
     # the AND game as an nlc file and as a linear file with "n": 2
-    from dataclasses import replace
+    from bellpoly.records import replace
     game = make_nlc2_and()
     linear = replace(game, nlc=None)
     assert '"kind": "linear"' in cli.serialize_game(linear)
@@ -430,6 +430,7 @@ def test_facet_test_rejects_cut_space_file(tmp_path, capsys):
     path.write_text(cli.serialize_inequality(ineq))
     code, _, err = run_cli(capsys, "facet-test", str(path), "--polytope", "bell")
     assert code == 2
+    assert "cut-space inequalities go through the cut subcommand" in err
 
 
 # ------------------------------------------------------------------------ chsh

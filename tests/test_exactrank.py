@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpoly import (CutInequality, Graph, affine_rank, cut_facet_test, exactrank, facet_test,
-                      integer_rank, tightness, to_bell_inequality, to_correlator_inequality)
+                      integer_rank, to_bell_inequality, to_correlator_inequality)
 from tests.conftest import make_chsh_game
 
 F = Fraction
@@ -93,8 +93,8 @@ def test_affine_rank_takes_entries_just_below_the_bound():
 def test_facet_tests_hand_the_rank_integer_arrays(monkeypatch):
     # the one rank call that Bell, correlation and cut facet tests share
     seen = []
-    rank_of = tightness.affine_rank
-    monkeypatch.setattr(tightness, "affine_rank",
+    rank_of = exactrank.affine_rank
+    monkeypatch.setattr(exactrank, "affine_rank",
                         lambda rows: seen.append((type(rows), rows.dtype.kind)) or rank_of(rows))
     chsh = make_chsh_game()
     facet_test(to_bell_inequality(chsh), "bell")

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from bellpoly import (BellInequality, NLCSpec, Scenario, build_nlc2, cut, facet_test,
-                      integer_rank, tightness, to_bell_inequality, to_correlator_inequality,
+from bellpoly import (BellInequality, NLCSpec, Scenario, build_nlc2, cut, exactrank,
+                      facet_test, integer_rank, to_bell_inequality, to_correlator_inequality,
                       values)
 from bellpoly.cut import CutInequality, Graph, cut_facet_test
 from tests.conftest import make_chsh_game, make_nlc2_and, make_nlc2_xor
@@ -25,7 +25,7 @@ def bareiss_affine_rank(points):
 def with_bareiss(monkeypatch, run):
     with monkeypatch.context() as m:
         # the one rank call that Bell, correlation and cut facet tests share
-        m.setattr(tightness, "affine_rank", bareiss_affine_rank)
+        m.setattr(exactrank, "affine_rank", bareiss_affine_rank)
         return run()
 
 

@@ -2,9 +2,11 @@
 dependency (scipy and networkx alone used to cost about 500 ms of every
 bellpoly process's startup), `import bellpoly` and the commands that build
 no array load no numpy (about 165 ms of a process), every lazy export is
-its submodule's object, and the package carries no unused import, constant
-or private function or class, and no `assert` statement (stdlib `ast`
-checks, as no linter is installed)."""
+its submodule's object, the cut facet tests load no game module and
+`facet-test` of an inequality file no `bellpoly.cut`, and the package
+carries no unused import, constant or private function or class, no
+`assert` statement and no `dataclasses` import (stdlib `ast` checks, as no
+linter is installed)."""
 import ast
 import importlib
 import os
@@ -79,14 +81,43 @@ def test_command_that_scans_cuts_loads_numpy():
 
 
 def test_facet_test_of_a_game_file_loads_no_cut_module(tmp_path):
-    # bellpoly.cut is read only to refuse a cut-space inequality file
-    game = tmp_path / "chsh.json"
-    game.write_text('{"kind": "linear", "d": 2, "mA": 2, "mB": 2, '
-                    '"q": [["1/4", "1/4"], ["1/4", "1/4"]], "f": [[0, 0], [0, 1]]}')
-    ineq = tmp_path / "chsh-correlator.json"
-    ineq.write_text('{"space": "correlator", "bound": "2", "coeffs": [["1", "1"], ["1", "-1"]]}')
-    assert "bellpoly.cut" not in _cli_modules(["facet-test", str(game), "--polytope", "bell"])
-    assert "bellpoly.cut" in _cli_modules(["facet-test", str(ineq), "--polytope", "correlation"])
+    # nor of an inequality file: a cut-space file is refused by its "space"
+    # key, before bellpoly.cut would be read to parse it
+    files = {
+        "chsh.json": '{"kind": "linear", "d": 2, "mA": 2, "mB": 2, '
+                     '"q": [["1/4", "1/4"], ["1/4", "1/4"]], "f": [[0, 0], [0, 1]]}',
+        "chsh-correlator.json": '{"space": "correlator", "bound": "2", '
+                                '"coeffs": [["1", "1"], ["1", "-1"]]}',
+        "positivity-cell.json": '{"space": "probability", "bound": "0", "coeffs": '
+                                '[[[["-1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]], '
+                                '[[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]]}',
+        "triangle.json": '{"space": "cut", "n": 3, "bound": "0", '
+                         '"coeffs": [[0, 1, "1"], [1, 2, "1"], [0, 2, "-1"]]}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        polytope = "bell" if name == "positivity-cell.json" else "correlation"
+        code = 2 if name == "triangle.json" else 0
+        assert "bellpoly.cut" not in _cli_modules(
+            ["facet-test", str(tmp_path / name), "--polytope", polytope], code), name
+
+
+@pytest.mark.parametrize("argv", [["cut", "facet", "--b=1,1,1,-1,-1"], ["cut", "pentagonal"]])
+def test_cut_facet_tests_load_no_game_module(argv):
+    # the rank tail they share with Bell facet tests lives in exactrank
+    loaded = _cli_modules(argv)
+    assert "bellpoly.exactrank" in loaded
+    assert loaded & {"bellpoly.games", "bellpoly.values", "bellpoly.tightness"} == set()
+
+
+def test_no_module_imports_dataclasses():
+    # records come from bellpoly.records, which compiles no code per class
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "bellpoly").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert found == []
 
 
 def test_every_export_is_its_submodule_object():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -18,6 +17,7 @@ from bellpoly import (
     values,
 )
 from bellpoly.games import scaled_functionals
+from bellpoly.records import replace
 from bellpoly.values import (
     ClassicalValue,
     classical_value,
@@ -450,11 +450,11 @@ def test_strategy_value_refuses_malformed_maps(chsh_game, unique3_mixed, game, a
 
 def test_verify_value_report_rejects_doctored_bound(nlc3_game):
     rep = value_report(nlc3_game)
-    bad = dataclasses.replace(rep, norm_bound=dataclasses.replace(rep.norm_bound, value=0.5))
+    bad = replace(rep, norm_bound=replace(rep.norm_bound, value=0.5))
     assert bad.quantum_upper_bound == 0.5
     with pytest.raises(VerificationError):
         verify_value_report(bad)
-    bad2 = dataclasses.replace(rep, norm_bound=dataclasses.replace(rep.norm_bound, value=1.5))
+    bad2 = replace(rep, norm_bound=replace(rep.norm_bound, value=1.5))
     with pytest.raises(VerificationError):
         verify_value_report(bad2)
 
