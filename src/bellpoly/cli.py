@@ -264,7 +264,7 @@ def parse_inequality_text(raw: str):
             return CutInequality(n, pairs, bound)
         except ParseError:
             raise
-        except ValueError as e:  # a negative vertex count, or an edge listed twice
+        except ValueError as e:  # a negative vertex count, or a bad or repeated edge
             raise ParseError(str(e), line=_line_of(raw, '"n"' if n < 0 else '"coeffs"')) from None
         except (TypeError, IndexError, KeyError):
             raise ParseError("cut coeffs must be [i, j, value] triples",
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     what = facet.add_mutually_exclusive_group(required=True)
     what.add_argument("--b", help="comma-separated hypermetric coefficients")
     what.add_argument("--ineq", help="cut-space inequality file")
-    facet.add_argument("--graph", help="complete graph file, in place of K_n")
+    facet.add_argument("--graph", help="graph file, in place of the complete graph K_n")
     command(ops, "pentagonal", _cut_pentagonal)
     command(ops, "ce-gap", _cut_ce_gap)
     return ap

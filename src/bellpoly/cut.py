@@ -5,10 +5,11 @@ polytope that is affinely isomorphic to the cut polytope of the suspension
 graph of G (one apex adjacent to everything): single correlators map to apex
 edges via <M_i> = 1 - 2 x_{iO} and pair correlators to ordinary edges via
 <M_i M_j> = 1 - 2 x_{ij}. This module keeps both pictures exact, one
-inequality type each (`CorrelatorInequality.to_cut_form` changes them): cuts
-as integer arrays of edge incidence rows, which one scan (`_cut_scan`)
-evaluates in bulk and facet tests rank on the tail shared with Bell
-inequalities (`exactrank._facet_report`), behaviours and inequalities over
+inequality type each (`CorrelatorInequality.to_cut_form` changes them): the
+cuts of any graph, each distinct cut once (`_cut_masks`), as integer arrays
+of edge incidence rows, which one scan (`_cut_scan`) evaluates in bulk and
+facet tests on any graph rank on the tail shared with Bell inequalities
+(`exactrank._facet_report`), behaviours and inequalities over
 rationals, plus the exclusivity (sum over mutually exclusive events <= 1)
 inequalities for the pairwise-measurement scenario and the pentagonal
 inequality that separates them from the noncontextual set. The census of
@@ -48,14 +49,7 @@ class Graph:
         if int(n) < 0:
             raise ValueError(f"vertex count {n} is negative")
         object.__setattr__(self, "n", int(n))
-        norm = set()
-        for e in edges:
-            i, j = e
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) references a missing vertex")
-            norm.add((min(i, j), max(i, j)))
+        norm = {_edge(e, n) for e in edges}
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "sorted_edges", tuple(sorted(norm)))
         object.__setattr__(self, "edge_index",
@@ -65,9 +59,15 @@ class Graph:
     def complete(n: int) -> "Graph":
         return Graph(n, itertools.combinations(range(n), 2))
 
-    @property
-    def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+
+def _edge(e, n: int) -> tuple:
+    """(i, j) = e as (min, max), once checked to join two distinct vertices of 0..n-1."""
+    i, j = e
+    if i == j:
+        raise ValueError(f"self-loop at vertex {i}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"edge ({i}, {j}) references a missing vertex")
+    return (min(i, j), max(i, j))
 
 
 def suspension(g: Graph) -> Graph:
@@ -86,20 +86,27 @@ def suspension(g: Graph) -> Graph:
 # `cuts`, `ce1`, `ce-gap`) starts no numpy, and no cut operation loads the
 # game modules.
 
-def _cut_masks(g: Graph) -> range:
-    """Every cut of g as a vertex bitmask (bit v for vertex v), vertex 0
-    outside, in bitmask order over vertices 1..n-1: the even masks."""
+def _cut_masks(g: Graph):
+    """Each distinct cut of g once, as its first vertex bitmask (bit v for
+    vertex v): the even masks that keep the top vertex of each component but
+    vertex 0's outside, as flipping a component flips its top bit."""
+    tops = _other_tops(g)
+    return (m for m in range(0, 1 << g.n, 2) if not m & tops)
+
+
+def _other_tops(g: Graph) -> int:
+    """The top vertex of each component of g but vertex 0's, as a bitmask:
+    one pass over the edges merges component bitmasks (after the limit)."""
     if g.n > CUT_ENUM_MAX_VERTICES:
         raise BudgetExceededError(
             f"{g.n} vertices exceed the cut enumeration limit of {CUT_ENUM_MAX_VERTICES}")
-    return range(0, 1 << g.n, 2)
-
-
-def _enumerable_complete(n: int) -> Graph:
-    """K_n, for a caller that enumerates its cuts next: past the enumeration
-    limit, that limit's error comes before the n^2 edges are built."""
-    _cut_masks(Graph(n, ()))
-    return Graph.complete(n)
+    comp = [1 << v for v in range(g.n)]
+    for i, j in g.sorted_edges:
+        if not comp[i] >> j & 1:
+            merged = comp[i] | comp[j]
+            for v in _bits(merged):
+                comp[v] = merged
+    return sum(1 << (c.bit_length() - 1) for c in set(comp) if not c & 1)
 
 
 def _cut_rows(g: Graph, masks):
@@ -145,25 +152,20 @@ def _mask_subset(mask: int, n: int) -> frozenset:
 
 
 def enumerate_cuts(g: Graph):
-    """All distinct cut vectors, deduplicated across subsets that cut the
-    same edges (relevant for disconnected graphs), in subset bitmask order
-    over vertices 1..n-1."""
-    first = {}
-    for mask in _cut_masks(g):
-        cv = CutVector(g, _mask_subset(mask, g.n))
-        first.setdefault(cv.bits, cv)
-    return list(first.values())
+    """Each distinct cut vector of g once, from the first subset of vertices
+    1..n-1 in bitmask order that cuts its edges (`_cut_masks`)."""
+    return [CutVector(g, _mask_subset(mask, g.n)) for mask in _cut_masks(g)]
 
 
 def _cut_scan(ineq: "CutInequality", g: Graph):
-    """One pass over every cut of g with ineq's integer-scaled values, in
-    chunks that bound its memory (the vertex limit is checked first): the
-    bitmasks of the cuts meeting the bound, and the bitmask of the first cut
-    of largest value when that value exceeds the bound, else None."""
+    """One pass over the cuts of g (`_cut_masks`) with ineq's integer-scaled
+    values, in chunks that bound its memory (the vertex limit is checked
+    first): the bitmasks of the cuts meeting the bound, and the bitmask of
+    the first cut of largest value when it exceeds the bound, else None."""
     import numpy as np
     from .scenario import int_scaled
-    cuts = _cut_masks(g)
-    masks = np.arange(cuts.start, cuts.stop, cuts.step, dtype=np.int64)
+    masks = np.arange(0, 1 << g.n, 2, dtype=np.int64)
+    masks = masks[masks & _other_tops(g) == 0]
     w, (target,), _ = int_scaled(ineq._coefficients(g), [ineq.bound])
     step = max(1, _CHUNK_CELLS // max(1, len(w)))
     roots, top, first = [], None, None
@@ -251,12 +253,12 @@ def behaviour_to_cut(b: NCBehaviour) -> CutVector:
 # inequalities
 # ---------------------------------------------------------------------------
 
-def _edge_table(coeffs) -> dict:
-    """{(i, j): Fraction} with i < j from a mapping or from (edge, value)
-    pairs; an edge given twice, in either order, is a ValueError."""
+def _edge_table(coeffs, n: int) -> dict:
+    """{(i, j): Fraction} with i < j from a mapping or (edge, value) pairs; a
+    pair `_edge` refuses, or an edge given twice in either order, is a ValueError."""
     table = {}
-    for (i, j), v in coeffs.items() if hasattr(coeffs, "items") else coeffs:
-        e = (min(i, j), max(i, j))
+    for e, v in coeffs.items() if hasattr(coeffs, "items") else coeffs:
+        e = _edge(e, n)
         if e in table:
             raise ValueError(f"edge {e} is listed twice")
         table[e] = as_rational(v)
@@ -275,15 +277,15 @@ class CutInequality:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count {self.n} is negative")
-        object.__setattr__(self, "edge_coeffs", _edge_table(self.edge_coeffs))
+        object.__setattr__(self, "edge_coeffs", _edge_table(self.edge_coeffs, self.n))
         object.__setattr__(self, "bound", as_rational(self.bound))
 
     @staticmethod
-    def hypermetric(b) -> "CutInequality":
-        """sum_{i<j} b_i b_j x_ij <= 0 on the complete graph on len(b) vertices."""
+    def hypermetric(b, g: Graph = None) -> "CutInequality":
+        """sum b_i b_j x_ij <= 0 over g's edges, by default those of K_len(b)."""
         b = tuple(int(v) for v in b)
-        return CutInequality(len(b), {(i, j): b[i] * b[j] for i, j
-                                      in itertools.combinations(range(len(b)), 2)}, 0)
+        edges = itertools.combinations(range(len(b)), 2) if g is None else g.sorted_edges
+        return CutInequality(len(b), {(i, j): b[i] * b[j] for i, j in edges}, 0)
 
     def _coefficients(self, g: Graph) -> list:
         """The coefficients on g's edges, in g's edge order; ValueError when
@@ -314,7 +316,7 @@ class CorrelatorInequality:
         singles = tuple(map(as_rational, self.single_coeffs))
         if len(singles) != self.n:
             raise ValueError("one single coefficient per observable required")
-        object.__setattr__(self, "pair_coeffs", _edge_table(self.pair_coeffs))
+        object.__setattr__(self, "pair_coeffs", _edge_table(self.pair_coeffs, self.n))
         object.__setattr__(self, "single_coeffs", singles)
         object.__setattr__(self, "bound", as_rational(self.bound))
 
@@ -345,35 +347,33 @@ def hypermetric_valid(b, g: Graph = None) -> bool:
         raise ValueError("one coefficient per vertex required")
     if sum(b) != 1:
         raise ValueError(f"coefficient sum is {sum(b)}, hypermetric form needs 1")
-    g = g or _enumerable_complete(len(b))
-    restricted = {(i, j): b[i] * b[j] for i, j in g.sorted_edges}
-    return _cut_scan(CutInequality(g.n, restricted, 0), g)[1] is None
+    g = _facet_graph(len(b), g)
+    return _cut_scan(CutInequality.hypermetric(b, g), g)[1] is None
 
 
 def hypermetric_facet_test(b, g: Graph = None):
-    """`cut_facet_test` of sum b_i b_j x_ij <= 0 on g, by default the
-    complete graph on len(b) vertices; g's checks come before the
-    len(b)^2 / 2 coefficients are built."""
+    """`cut_facet_test` of the form `hypermetric_valid` checks, on g, by
+    default K_len(b); g's checks come before the form is built."""
     g = _facet_graph(len(b), g)
-    return cut_facet_test(CutInequality.hypermetric(b), g)
+    return cut_facet_test(CutInequality.hypermetric(b, g), g)
 
 
 def _facet_graph(n: int, g: Graph = None) -> Graph:
-    """g, by default K_n, once checked to carry the facet test of an
-    inequality on n vertices: first the enumeration limit when K_n is built
-    (before it is), then g's vertex count, then that g is complete."""
-    g = g or _enumerable_complete(n)
+    """g, by default K_n, once checked to carry the cuts of an inequality on
+    n vertices: first the enumeration limit when K_n is built (before its
+    n^2 edges are), then g's vertex count."""
+    if g is None:
+        _other_tops(Graph(n, ()))
+        g = Graph.complete(n)
     if g.n != n:
         raise ValueError("inequality and graph vertex counts differ")
-    if not g.is_complete:
-        raise ValueError("cut facet tests are run on complete graphs")
     return g
 
 
 def cut_facet_test(ineq: CutInequality, g: Graph = None):
-    """Exact facet test against the cut polytope of g, a complete graph on
-    ineq's n vertices, by default K_n: the inequality must be valid
-    everywhere; its roots (cuts meeting the bound) must affinely span one
+    """Exact facet test against the cut polytope of g, any graph on ineq's n
+    vertices, by default K_n: the inequality must be valid at every cut; its
+    roots (the distinct cuts meeting the bound) must affinely span one
     dimension below the edge count."""
     from .exactrank import _facet_report
     g = _facet_graph(ineq.n, g)

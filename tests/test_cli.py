@@ -620,9 +620,9 @@ def test_an_oversized_b_fails_before_k_n_is_built(monkeypatch, capsys, sub, b, c
     sizes = []
 
     def spy(real):
-        def call(arg):
+        def call(arg, *rest):
             sizes.append(arg if isinstance(arg, int) else len(arg))
-            return real(arg)
+            return real(arg, *rest)
         return staticmethod(call)
     monkeypatch.setattr(Graph, "complete", spy(Graph.complete))
     monkeypatch.setattr(CutInequality, "hypermetric", spy(CutInequality.hypermetric))
@@ -632,17 +632,16 @@ def test_an_oversized_b_fails_before_k_n_is_built(monkeypatch, capsys, sub, b, c
 
 @pytest.mark.parametrize("graph_text, b, message", [
     ("3\n0 1\n1 2\n", ONE_AND_ZEROS, "inequality and graph vertex counts differ"),
-    ("5\n0 1\n1 2\n2 3\n3 4\n", "1,1,1,-1,-1", "cut facet tests are run on complete graphs"),
-], ids=["vertex-count", "incomplete"])
+], ids=["vertex-count"])
 def test_cut_facet_refuses_the_graph_before_building_the_inequality(
         tmp_path, monkeypatch, capsys, graph_text, b, message):
-    # a 3000-entry --b has about 4.5 million edge coefficients: the graph is
-    # checked against len(b) first, then for completeness, and neither check
-    # builds them
+    # a 3000-entry --b would weigh each of the graph's edges: the graph is
+    # checked against len(b) before CutInequality.hypermetric builds that form
     graph = tmp_path / "g.txt"
     graph.write_text(graph_text)
     built = []
-    monkeypatch.setattr(CutInequality, "hypermetric", staticmethod(built.append))
+    monkeypatch.setattr(CutInequality, "hypermetric",
+                        staticmethod(lambda *args: built.append(args)))
     code, out, err = run_cli(capsys, "cut", "facet", "--graph", str(graph), f"--b={b}")
     assert (code, out, built) == (2, "", [])
     assert message in err and "Traceback" not in err
@@ -674,8 +673,11 @@ def test_cut_hypermetric_decides_on_the_graph_file(tmp_path, capsys):
                            "--b=1,1,1,-1,-1")
     assert code == 0
     assert json.loads(out)["results"]["valid"] is False
+    # cut facet judges that same form on the graph, and names the first cut
+    # of largest value, {1, 4}
     code, out, err = run_cli(capsys, "cut", "facet", "--graph", str(graph), "--b=1,1,1,-1,-1")
-    assert (code, out) == (2, "") and "complete graphs" in err
+    assert (code, out) == (2, "")
+    assert err == "bellpoly: invalid input: inequality is violated at the cut with subset [1, 4]\n"
     code, out, err = run_cli(capsys, "cut", "hypermetric", "--graph", str(graph), "--b=1,1,-1")
     assert (code, out) == (2, "") and "one coefficient per vertex" in err
 
@@ -700,6 +702,35 @@ def test_cut_facet_rejects_an_edge_listed_twice(tmp_path, capsys, coeffs):
     code, out, err = run_cli(capsys, "cut", "facet", "--ineq", str(path))
     assert (code, out) == (2, "")
     assert "line 2: edge (0, 1) is listed twice" in err
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ('[[0, 1, "1"], [0, 7, "-1"]]', "edge (0, 7) references a missing vertex"),
+    ('[[2, 2, "1"]]', "self-loop at vertex 2"),
+], ids=["past-n", "self-pair"])
+def test_cut_facet_refuses_an_edge_off_the_vertices(tmp_path, capsys, coeffs, message):
+    path = tmp_path / "off.json"
+    path.write_text('{"space": "cut", "n": 3, "bound": "0",\n "coeffs": ' + coeffs + "}\n")
+    code, out, err = run_cli(capsys, "cut", "facet", "--ineq", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"bellpoly: parse error: line 2: {message}\n"
+
+
+@pytest.mark.parametrize("graph_text, ineq_text, expected", [
+    ("5\n0 1\n1 2\n2 3\n0 3\n0 4\n1 4\n2 4\n3 4\n",
+     '[[0, 1, "1"], [1, 2, "-1"], [2, 3, "-1"], [0, 3, "-1"]]', [8, 7, True]),
+    ("5\n0 1\n1 2\n2 3\n0 3\n0 2\n0 4\n1 4\n2 4\n3 4\n",
+     '[[0, 1, "1"], [1, 2, "-1"], [2, 3, "-1"], [0, 3, "-1"]]', [8, 7, False]),
+], ids=["nabla-C4", "nabla-C4-chord"])
+def test_cut_facet_of_a_cut_space_file_on_a_graph_file(tmp_path, capsys, graph_text,
+                                                       ineq_text, expected):
+    graph, ineq = tmp_path / "g.txt", tmp_path / "cycle.json"
+    graph.write_text(graph_text)
+    ineq.write_text('{"space": "cut", "n": 5, "bound": "0", "coeffs": ' + ineq_text + "}\n")
+    code, out, _ = run_cli(capsys, "cut", "facet", "--ineq", str(ineq), "--graph", str(graph))
+    r = json.loads(out)["results"]
+    assert code == 0
+    assert [r["saturating_count"], r["saturating_affine_dim"], r["is_facet"]] == expected
 
 
 @pytest.mark.parametrize("coeffs", ['[[true, 2, "-1"], [0.0, 1, "-1"]]',

@@ -15,6 +15,7 @@ from bellpoly.cut import (
     CUT_ENUM_MAX_VERTICES,
     _cut_masks,
     _cut_rows,
+    _cut_scan,
     _exclusivity_graph,
     _mask_subset,
     _maximal_cliques,
@@ -30,6 +31,7 @@ from bellpoly.cut import (
     pentagonal_report,
     suspension,
 )
+from bellpoly.exactrank import integer_rank
 from tests import census_reference
 from tests.behaviour_reference import (ce1_from_triple_set, ce_gap_certificate,
                                        ce_gap_grid_search, cut_to_behaviour)
@@ -55,9 +57,7 @@ def test_graph_rejects_bad_edges():
 
 def test_complete_graph():
     k4 = Graph.complete(4)
-    assert k4.is_complete
-    assert len(k4.sorted_edges) == 6
-    assert not Graph(3, [(0, 1)]).is_complete
+    assert k4.sorted_edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_suspension_adds_apex_last():
@@ -65,7 +65,7 @@ def test_suspension_adds_apex_last():
     s = suspension(p3)
     assert s.n == 4
     assert set(s.sorted_edges) == {(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)}
-    assert suspension(Graph.complete(4)).is_complete
+    assert suspension(Graph.complete(4)) == Graph.complete(5)
 
 
 # ---------------------------------------------------------------------- cuts
@@ -101,6 +101,10 @@ def _cuts_reference(g):
 def test_enumerate_cuts_order_and_dedupe(g):
     cuts = enumerate_cuts(g)
     assert [(cv.subset, cv.bits) for cv in cuts] == _cuts_reference(g)
+    # the scan reads the same masks: the zero form meets its bound 0 at each
+    roots, worst = _cut_scan(CutInequality(g.n, {}, 0), g)
+    assert [_mask_subset(m, g.n) for m in roots.tolist()] == [cv.subset for cv in cuts]
+    assert worst is None
     assert all(type(b) is int for cv in cuts for b in cv.bits)
     assert all(CutVector(g, cv.subset).bits == cv.bits for cv in cuts)
 
@@ -449,6 +453,37 @@ def test_inequalities_reject_an_edge_listed_twice():
             CorrelatorInequality(3, coeffs, (0, 0, 0), 1)
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ({(1, 1): 2}, "self-loop at vertex 1"),
+    ({(0, 1): 1, (0, 7): 1}, r"edge \(0, 7\) references a missing vertex"),
+    ([((3, 0), 1)], r"edge \(3, 0\) references a missing vertex"),
+    ({(-1, 2): 1}, r"edge \(-1, 2\) references a missing vertex"),
+], ids=["self-pair", "past-n", "at-n", "negative"])
+def test_inequalities_refuse_a_pair_off_their_vertices(coeffs, message):
+    # the messages a Graph gives for the same edge
+    with pytest.raises(ValueError, match=message):
+        Graph(3, list(dict(coeffs)))
+    with pytest.raises(ValueError, match=message):
+        CutInequality(3, coeffs, 0)
+    with pytest.raises(ValueError, match=message):
+        CorrelatorInequality(3, coeffs, (0, 0, 0), 1)
+
+
+def test_to_cut_form_puts_each_single_on_its_own_apex_edge():
+    # a pair (0, 3) of three observables would name the apex edge of
+    # observable 0, the edge that carries the single's coefficient
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) references a missing vertex"):
+        CorrelatorInequality(3, {(0, 3): 1}, (5, 0, 0), 1).to_cut_form()
+    ineq = CorrelatorInequality(3, {(0, 2): 1, (1, 2): -2}, (5, 0, -1), 1)
+    cut_form = ineq.to_cut_form()
+    assert cut_form.edge_coeffs == {(0, 2): -2, (1, 2): 4, (0, 3): -10, (1, 3): 0, (2, 3): 2}
+    g = Graph.complete(3)
+    for signs in itertools.product((1, -1), repeat=3):
+        beh = NCBehaviour.deterministic(g, signs)
+        assert cut_form.evaluate_cut(behaviour_to_cut(beh)) - cut_form.bound == \
+            ineq.evaluate_behaviour(beh) - ineq.bound
+
+
 # ---------------------------------------------------------------- facet tests
 
 def test_triangle_is_facet_of_cut_k4():
@@ -484,9 +519,9 @@ def test_facet_test_rejects_invalid_inequality():
         cut_facet_test(ineq, g)
 
 
-def test_facet_test_requires_complete_graph():
+def test_facet_test_refuses_a_coefficient_off_the_graph():
     ineq = CutInequality.hypermetric((1, 1, -1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge of the graph"):
         cut_facet_test(ineq, Graph(3, [(0, 1)]))
 
 
@@ -509,15 +544,128 @@ def test_cut_facet_test_defaults_to_the_complete_graph():
 @pytest.mark.parametrize("b, g, error", [
     ((1,) + (0,) * CUT_ENUM_MAX_VERTICES, None, BudgetExceededError),
     ((1, 1, -1), Graph.complete(4), ValueError),
-    ((1, 1, 1, -1, -1), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), ValueError),
-], ids=["past-the-vertex-limit", "vertex-count", "incomplete"])
+], ids=["past-the-vertex-limit", "vertex-count"])
 def test_hypermetric_facet_test_refuses_before_building_the_inequality(
         monkeypatch, b, g, error):
+    # CutInequality.hypermetric builds the form on the graph's edges
     built = []
-    monkeypatch.setattr(CutInequality, "hypermetric", staticmethod(built.append))
+    monkeypatch.setattr(CutInequality, "hypermetric",
+                        staticmethod(lambda *args: built.append(args)))
     with pytest.raises(error):
         hypermetric_facet_test(b, g)
     assert built == []
+
+
+def test_hypermetric_facet_test_judges_the_form_hypermetric_valid_reads():
+    # on the path 0-1-2-3-4 the form keeps the four path edges only; the cut
+    # {1, 4} scores b0 b1 + b1 b2 + b3 b4 = 3 > 0, the first of largest value
+    p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    b = (1, 1, 1, -1, -1)
+    assert CutInequality.hypermetric(b, p5).edge_coeffs == \
+        {(0, 1): 1, (1, 2): 1, (2, 3): -1, (3, 4): 1}
+    assert not hypermetric_valid(b, p5)
+    with pytest.raises(ValueError, match=r"violated at the cut with subset \[1, 4\]$"):
+        hypermetric_facet_test(b, p5)
+    # on K_n it is the form CutInequality.hypermetric(b) builds
+    for b in ((1, 1, -1), (1, 1, 1, -1, -1), (2, 1, 1, -1, -1, -1, 0, 0)):
+        assert CutInequality.hypermetric(b, Graph.complete(len(b))) == \
+            CutInequality.hypermetric(b)
+
+
+def _cycle_edges(cycle):
+    return [(min(e), max(e)) for e in zip(cycle, cycle[1:] + cycle[:1])]
+
+
+def _cycle_inequality(n, cycle):
+    """x_f - x(C - f) <= 0 for the cycle C through these vertices and its
+    first edge f: the cycle inequality with one odd edge."""
+    return CutInequality(n, {e: 1 if k == 0 else -1
+                             for k, e in enumerate(_cycle_edges(cycle))}, 0)
+
+
+C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+@pytest.mark.parametrize("graph, cycle, expected", [
+    (suspension(Graph(4, C4_EDGES)), (0, 1, 2, 3), (8, 8, 7, True)),
+    (suspension(Graph(4, C4_EDGES + [(0, 2)])), (0, 1, 2, 3), (9, 8, 7, False)),
+    (suspension(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])), (0, 1, 2, 3, 4),
+     (10, 10, 9, True)),
+], ids=["nabla-C4", "nabla-C4-chord", "nabla-C5"])
+def test_cycle_inequality_on_suspended_cycles(graph, cycle, expected):
+    # the KCBS scenario is the 5-cycle; a chord makes the 4-cycle's roots
+    # span a face of dimension 7 in 9
+    rep = cut_facet_test(_cycle_inequality(graph.n, cycle), graph)
+    assert (rep.ambient_dim, rep.saturating_count, rep.saturating_affine_dim,
+            rep.is_facet) == expected
+
+
+def test_saturating_count_counts_each_distinct_cut_once():
+    # the edges 01 and 23 on four vertices: each cut has two vertex masks,
+    # and x01 <= 1 is met by the two cuts that cut 01
+    g = Graph(4, [(0, 1), (2, 3)])
+    rep = cut_facet_test(CutInequality(4, {(0, 1): 1}, 1), g)
+    assert (rep.ambient_dim, rep.saturating_count, rep.saturating_affine_dim,
+            rep.is_facet) == (2, 2, 1, True)
+    # an isolated vertex adds no cut: x01 <= 1 is met once, at an end of the
+    # segment CUT(G)
+    rep = cut_facet_test(CutInequality(3, {(0, 1): 1}, 1), Graph(3, [(0, 1)]))
+    assert (rep.saturating_count, rep.saturating_affine_dim, rep.is_facet) == (1, 0, True)
+
+
+def _labelled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+
+
+def _cycles(n):
+    """Every cycle of K_n once, as its vertices from the least one, turning
+    towards the smaller of its two neighbours."""
+    for k in range(3, n + 1):
+        for vs in itertools.combinations(range(n), k):
+            for rest in itertools.permutations(vs[1:]):
+                if rest[0] < rest[-1]:
+                    yield (vs[0],) + rest
+
+
+def _facet_reference(ineq, g):
+    """(saturating count, affine dimension of the roots) by evaluating each
+    distinct cut and ranking the roots with a leading 1, by Bareiss."""
+    cuts = enumerate_cuts(g)
+    values = [ineq.evaluate_cut(cv) for cv in cuts]
+    assert max(values) <= ineq.bound
+    roots = [(1,) + cv.bits for cv, v in zip(cuts, values) if v == ineq.bound]
+    return len(roots), integer_rank(roots) - 1
+
+
+@pytest.mark.parametrize("n, checks", [(3, 13), (4, 236), (5, 7744)])
+def test_barahona_mahjoub_facets_on_every_small_graph(n, checks):
+    # Barahona & Mahjoub (Math. Programming 36, 1986), on every labelled
+    # graph with n vertices, disconnected ones included: -x_e <= 0 is a
+    # facet of CUT(G) iff e lies in no triangle, and a cycle inequality with
+    # one odd edge is one iff its cycle is chordless
+    rng = random.Random(1986 + n)
+    cycles = [(c, _cycle_edges(c)) for c in _cycles(n)]
+    done = 0
+    for g in _labelled_graphs(n):
+        cases = []
+        for i, j in g.sorted_edges:
+            in_triangle = any((min(i, v), max(i, v)) in g.edges
+                              and (min(j, v), max(j, v)) in g.edges for v in range(n))
+            cases.append((CutInequality(n, {(i, j): -1}, 0), not in_triangle))
+        for cycle, edges in cycles:
+            if g.edges.issuperset(edges):
+                chords = [e for e in g.edges if set(e) <= set(cycle) and e not in edges]
+                cases.append((_cycle_inequality(n, cycle), not chords))
+        for ineq, facet in cases:
+            rep = cut_facet_test(ineq, g)
+            assert rep.is_facet == facet, (g, ineq)
+            if rng.random() < 0.05:
+                assert (rep.saturating_count, rep.saturating_affine_dim) == \
+                    _facet_reference(ineq, g)
+        done += len(cases)
+    assert done == checks
 
 
 # ------------------------------------------------------------ pentagonal gap
