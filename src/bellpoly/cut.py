@@ -6,18 +6,17 @@ graph of G (one apex adjacent to everything): single correlators map to apex
 edges via <M_i> = 1 - 2 x_{iO} and pair correlators to ordinary edges via
 <M_i M_j> = 1 - 2 x_{ij}. This module keeps both pictures exact, one
 inequality type each (`CorrelatorInequality.to_cut_form` changes them): the
-cuts of any graph, each distinct cut once (`_cut_masks`), as integer arrays
-of edge incidence rows, which one scan (`_cut_scan`) evaluates in bulk and
-facet tests on any graph rank on the tail shared with Bell inequalities
-(`exactrank._facet_report`), behaviours and inequalities over
-rationals, plus the exclusivity (sum over mutually exclusive events <= 1)
-inequalities for the pairwise-measurement scenario and the pentagonal
-inequality that separates them from the noncontextual set. The census of
-maximal mutually exclusive event sets works on integers: events are indexes
-in sorted (i, j, a, b) order, the exclusivity graph's neighbour bitmasks are
-unions of per-(observable, value) masks (no pair loop), Bron-Kerbosch runs
-on those bitmasks, and a maximal set in no known family raises
-VerificationError.
+distinct cuts of any graph (`_cut_masks`) as integer arrays of edge incidence
+rows, which one scan (`_cut_scan`) evaluates in bulk and facet tests rank on
+the tail shared with Bell inequalities (`exactrank._facet_report`),
+behaviours and inequalities over rationals, plus the exclusivity (sum over
+mutually exclusive events <= 1) inequalities for the pairwise-measurement
+scenario and the pentagonal inequality that separates them from the
+noncontextual set. The census of maximal mutually exclusive event sets works
+on integers: events are indexes in sorted (i, j, a, b) order, the exclusivity
+graph's neighbour bitmasks are unions of per-(observable, value) masks (no
+pair loop), Bron-Kerbosch runs on those bitmasks, and a maximal set in no
+known family raises VerificationError.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class Graph:
 
 
 def _edge(e, n: int) -> tuple:
-    """(i, j) = e as (min, max), once checked to join two distinct vertices of 0..n-1."""
+    """e as (min, max), once checked to join two distinct vertices in 0..n-1."""
     i, j = e
     if i == j:
         raise ValueError(f"self-loop at vertex {i}")
@@ -158,14 +157,15 @@ def enumerate_cuts(g: Graph):
 
 
 def _cut_scan(ineq: "CutInequality", g: Graph):
-    """One pass over the cuts of g (`_cut_masks`) with ineq's integer-scaled
-    values, in chunks that bound its memory (the vertex limit is checked
-    first): the bitmasks of the cuts meeting the bound, and the bitmask of
-    the first cut of largest value when it exceeds the bound, else None."""
+    """One pass over the cuts of g (`_cut_masks`' rule, in numpy) with
+    ineq's integer-scaled values, in chunks that bound its memory, after the
+    vertex limit: the bitmasks of the cuts meeting the bound, and the bitmask
+    of the first cut of largest value when it exceeds the bound, else None."""
     import numpy as np
     from .scenario import int_scaled
+    tops = _other_tops(g)
     masks = np.arange(0, 1 << g.n, 2, dtype=np.int64)
-    masks = masks[masks & _other_tops(g) == 0]
+    masks = masks[masks & tops == 0]
     w, (target,), _ = int_scaled(ineq._coefficients(g), [ineq.bound])
     step = max(1, _CHUNK_CELLS // max(1, len(w)))
     roots, top, first = [], None, None

@@ -630,6 +630,24 @@ def test_an_oversized_b_fails_before_k_n_is_built(monkeypatch, capsys, sub, b, c
     assert all(n <= CUT_ENUM_MAX_VERTICES for n in sizes)
 
 
+@pytest.mark.parametrize("n", [40, 63, 64])
+def test_a_graph_file_past_the_vertex_limit_is_exit_3(tmp_path, capsys, n):
+    # the limit comes before the 2^(n-1) cut masks of the file's graph are
+    # made: about 4 TiB of them at n = 40, and from n = 63 on 1 << n does not
+    # fit an int64
+    graph = tmp_path / "path.txt"
+    graph.write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    ineq = tmp_path / "ineq.json"
+    ineq.write_text('{"space": "cut", "n": %d, "bound": "1", "coeffs": [[0, 1, "1"]]}' % n)
+    b = ",".join(["1"] + ["0"] * (n - 1))
+    for args in (["facet", "--ineq", str(ineq)], ["facet", f"--b={b}"],
+                 ["hypermetric", f"--b={b}"]):
+        code, out, err = run_cli(capsys, "cut", *args, "--graph", str(graph))
+        assert (code, out) == (3, "")
+        assert err == (f"bellpoly: budget exceeded: {n} vertices exceed "
+                       "the cut enumeration limit of 20\n")
+
+
 @pytest.mark.parametrize("graph_text, b, message", [
     ("3\n0 1\n1 2\n", ONE_AND_ZEROS, "inequality and graph vertex counts differ"),
 ], ids=["vertex-count"])

@@ -437,6 +437,27 @@ def test_cut_facet_test_names_the_first_maximizing_cut():
         cut_facet_test(big, Graph.complete(21))
 
 
+@pytest.mark.parametrize("n", [40, 64])
+def test_a_given_graph_past_the_vertex_limit_is_refused_before_any_cut(monkeypatch, n):
+    # a given graph meets the limit only where its cuts are enumerated, and
+    # there it must come before the 2^(n-1) masks are made (about 4 TiB of
+    # them at n = 40; at n = 64, 1 << n no longer fits an int64)
+    import numpy as np
+    made = []
+    real = np.arange
+    monkeypatch.setattr(np, "arange", lambda *a, **k: made.append(a) or real(*a, **k))
+    path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    b = (1,) + (0,) * (n - 1)
+    limit = f"{n} vertices exceed the cut enumeration limit of {CUT_ENUM_MAX_VERTICES}"
+    for check in (lambda: cut_facet_test(CutInequality(n, {(0, 1): 1}, 1), path),
+                  lambda: hypermetric_valid(b, path),
+                  lambda: hypermetric_facet_test(b, path),
+                  lambda: enumerate_cuts(path)):
+        with pytest.raises(BudgetExceededError, match=f"^{limit}$"):
+            check()
+    assert made == []
+
+
 def test_evaluate_cut_rejects_missing_edge_and_correlator_form():
     cv = CutVector(Graph(3, [(0, 1)]), {1})
     with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge"):
