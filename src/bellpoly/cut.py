@@ -6,13 +6,14 @@ graph of G (one apex adjacent to everything): single correlators map to apex
 edges via <M_i> = 1 - 2 x_{iO} and pair correlators to ordinary edges via
 <M_i M_j> = 1 - 2 x_{ij}. This module keeps both pictures exact, one
 inequality type each (`CorrelatorInequality.to_cut_form` changes them): the
-distinct cuts of any graph (`_cut_masks`) as integer arrays of edge incidence
-rows, which one scan (`_cut_scan`) evaluates in bulk and facet tests rank on
-the tail shared with Bell inequalities (`exactrank._facet_report`),
-behaviours and inequalities over rationals, plus the exclusivity (sum over
-mutually exclusive events <= 1) inequalities for the pairwise-measurement
-scenario and the pentagonal inequality that separates them from the
-noncontextual set. The census of maximal mutually exclusive event sets works
+distinct cuts of any graph, each named by one vertex mask under the rule
+`Graph.representatives` owns (which `CutVector`, `_cut_masks` and
+`_cut_scan` share), as integer arrays of edge incidence rows, which one scan
+(`_cut_scan`) evaluates in bulk and facet tests rank on the tail shared with
+Bell inequalities (`exactrank._facet_report`), behaviours and inequalities
+over rationals, plus the exclusivity (sum over mutually exclusive events
+<= 1) inequalities for the pairwise-measurement scenario and the pentagonal
+inequality that separates them from the noncontextual set. The census of maximal mutually exclusive event sets works
 on integers: events are indexes in sorted (i, j, a, b) order, the exclusivity
 graph's neighbour bitmasks are unions of per-(observable, value) masks (no
 pair loop), Bron-Kerbosch runs on those bitmasks, and a maximal set in no
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Tuple
 
 from .errors import BudgetExceededError, VerificationError
 from .rational import as_rational
-from .records import field, record
+from .records import record
 
 CUT_ENUM_MAX_VERTICES = 20
 _CHUNK_CELLS = 1 << 20  # values per chunk of a cut scan, to bound its memory
@@ -35,28 +37,49 @@ _CHUNK_CELLS = 1 << 20  # values per chunk of a cut scan, to bound its memory
 
 @record
 class Graph:
-    """Undirected graph on vertices 0..n-1 with no self-loops.
-
-    sorted_edges fixes the coordinate order of cut vectors; edge_index maps
-    each edge to its coordinate. Both are derived from edges once, here."""
+    """Undirected graph on vertices 0..n-1 with no self-loops. Its derived
+    values are cached properties: sorted_edges fixes the coordinate order of
+    cut vectors, and `representatives` is the one rule that names a cut."""
     n: int
     edges: frozenset
-    sorted_edges: Tuple[Tuple[int, int], ...] = field(init=False, compare=False, repr=False)
-    edge_index: Mapping = field(init=False, compare=False, repr=False)
 
-    def __init__(self, n: int, edges):
-        if int(n) < 0:
-            raise ValueError(f"vertex count {n} is negative")
-        object.__setattr__(self, "n", int(n))
-        norm = {_edge(e, n) for e in edges}
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "sorted_edges", tuple(sorted(norm)))
-        object.__setattr__(self, "edge_index",
-                           {e: k for k, e in enumerate(self.sorted_edges)})
+    def __post_init__(self):
+        _check_count(self.n)
+        object.__setattr__(self, "edges", frozenset(_edge(e, self.n) for e in self.edges))
+
+    @cached_property
+    def sorted_edges(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(sorted(self.edges))
+
+    @cached_property
+    def components(self) -> tuple:
+        """Each component's vertex bitmask, in order of least vertex."""
+        comp = [1 << v for v in range(self.n)]
+        for i, j in self.sorted_edges:
+            if not comp[i] >> j & 1:
+                merged = comp[i] | comp[j]
+                for v in _bits(merged):
+                    comp[v] = merged
+        return tuple(dict.fromkeys(comp))
+
+    @cached_property
+    def representatives(self) -> int:
+        """Vertex 0 and the top vertex of every other component, as a
+        bitmask. Moving a component across a cut flips its representative
+        and keeps the cut's edges, so a vertex mask names a cut exactly when
+        it has no representative bit."""
+        return sum(1 if c & 1 else 1 << (c.bit_length() - 1) for c in self.components)
 
     @staticmethod
     def complete(n: int) -> "Graph":
         return Graph(n, itertools.combinations(range(n), 2))
+
+
+def _check_count(n) -> None:
+    if not isinstance(n, int):
+        raise ValueError(f"vertex count {n!r} is not an integer")
+    if n < 0:
+        raise ValueError(f"vertex count {n} is negative")
 
 
 def _edge(e, n: int) -> tuple:
@@ -85,27 +108,20 @@ def suspension(g: Graph) -> Graph:
 # `cuts`, `ce1`, `ce-gap`) starts no numpy, and no cut operation loads the
 # game modules.
 
-def _cut_masks(g: Graph):
-    """Each distinct cut of g once, as its first vertex bitmask (bit v for
-    vertex v): the even masks that keep the top vertex of each component but
-    vertex 0's outside, as flipping a component flips its top bit."""
-    tops = _other_tops(g)
-    return (m for m in range(0, 1 << g.n, 2) if not m & tops)
-
-
-def _other_tops(g: Graph) -> int:
-    """The top vertex of each component of g but vertex 0's, as a bitmask:
-    one pass over the edges merges component bitmasks (after the limit)."""
-    if g.n > CUT_ENUM_MAX_VERTICES:
+def _check_limit(n: int) -> None:
+    """BudgetExceededError when n vertices have too many cuts to enumerate."""
+    if n > CUT_ENUM_MAX_VERTICES:
         raise BudgetExceededError(
-            f"{g.n} vertices exceed the cut enumeration limit of {CUT_ENUM_MAX_VERTICES}")
-    comp = [1 << v for v in range(g.n)]
-    for i, j in g.sorted_edges:
-        if not comp[i] >> j & 1:
-            merged = comp[i] | comp[j]
-            for v in _bits(merged):
-                comp[v] = merged
-    return sum(1 << (c.bit_length() - 1) for c in set(comp) if not c & 1)
+            f"{n} vertices exceed the cut enumeration limit of {CUT_ENUM_MAX_VERTICES}")
+
+
+def _cut_masks(g: Graph):
+    """Each distinct cut of g once, after the vertex limit, as the vertex
+    bitmask (bit v for vertex v) that names it (`Graph.representatives`);
+    vertex 0 is a representative, so only even masks are read."""
+    _check_limit(g.n)
+    reps = g.representatives
+    return (m for m in range(0, 1 << g.n, 2) if not m & reps)
 
 
 def _cut_rows(g: Graph, masks):
@@ -120,30 +136,30 @@ def _cut_rows(g: Graph, masks):
 
 @record
 class CutVector:
-    """Edge incidence vector of a vertex subset. The stored subset is the
-    canonical representative not containing vertex 0 (a set and its
-    complement cut the same edges)."""
+    """Edge incidence vector of a vertex subset. The stored subset names the
+    cut by the graph's rule (`Graph.representatives`): each component whose
+    representative lies in the subset moves across, so on a connected graph
+    a subset holding vertex 0 is complemented."""
     graph: Graph
     subset: frozenset
-    bits: tuple = field(compare=False)
 
-    def __init__(self, graph: Graph, subset):
-        s = frozenset(subset)
-        if not s <= set(range(graph.n)):
+    def __post_init__(self):
+        g, s = self.graph, frozenset(self.subset)
+        if not s <= set(range(g.n)):
             raise ValueError("subset references a missing vertex")
-        if 0 in s:
-            s = frozenset(range(graph.n)) - s
-        mask = sum(1 << v for v in s)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "subset", s)
-        object.__setattr__(self, "bits", tuple(((mask >> i) ^ (mask >> j)) & 1
-                                               for i, j in graph.sorted_edges))
+        named = sum(1 << v for v in s) & g.representatives
+        moved = sum(c for c in g.components if c & named)
+        object.__setattr__(self, "subset", s ^ _mask_subset(moved, g.n))
+
+    @cached_property
+    def bits(self) -> tuple:
+        mask = sum(1 << v for v in self.subset)
+        return tuple(((mask >> i) ^ (mask >> j)) & 1 for i, j in self.graph.sorted_edges)
 
     def bit(self, i: int, j: int) -> int:
-        try:
-            return self.bits[self.graph.edge_index[(min(i, j), max(i, j))]]
-        except KeyError:
-            raise ValueError(f"({i}, {j}) is not an edge of the graph") from None
+        if (min(i, j), max(i, j)) not in self.graph.edges:
+            raise ValueError(f"({i}, {j}) is not an edge of the graph")
+        return int((i in self.subset) != (j in self.subset))
 
 
 def _mask_subset(mask: int, n: int) -> frozenset:
@@ -157,15 +173,15 @@ def enumerate_cuts(g: Graph):
 
 
 def _cut_scan(ineq: "CutInequality", g: Graph):
-    """One pass over the cuts of g (`_cut_masks`' rule, in numpy) with
+    """One pass over the cuts of g (`_cut_masks`' masks, in numpy) with
     ineq's integer-scaled values, in chunks that bound its memory, after the
     vertex limit: the bitmasks of the cuts meeting the bound, and the bitmask
     of the first cut of largest value when it exceeds the bound, else None."""
     import numpy as np
     from .scenario import int_scaled
-    tops = _other_tops(g)
+    _check_limit(g.n)
     masks = np.arange(0, 1 << g.n, 2, dtype=np.int64)
-    masks = masks[masks & tops == 0]
+    masks = masks[masks & g.representatives == 0]
     w, (target,), _ = int_scaled(ineq._coefficients(g), [ineq.bound])
     step = max(1, _CHUNK_CELLS // max(1, len(w)))
     roots, top, first = [], None, None
@@ -192,17 +208,16 @@ class NCBehaviour:
     singles: tuple
     fulls: Mapping
 
-    def __init__(self, graph: Graph, singles, fulls):
-        singles = tuple(map(as_rational, singles))
-        fulls = {(min(i, j), max(i, j)): as_rational(v) for (i, j), v in dict(fulls).items()}
-        if len(singles) != graph.n:
+    def __post_init__(self):
+        singles = tuple(map(as_rational, self.singles))
+        fulls = {(min(i, j), max(i, j)): as_rational(v) for (i, j), v in dict(self.fulls).items()}
+        if len(singles) != self.graph.n:
             raise ValueError("one single correlator per vertex required")
-        if set(fulls) != set(graph.sorted_edges):
+        if fulls.keys() != self.graph.edges:
             raise ValueError("one full correlator per edge required")
         for (i, j), entry in _joint_entries(singles, fulls):
             if entry < 0:
                 raise ValueError(f"joint distribution of ({i}, {j}) has a negative entry")
-        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "singles", singles)
         object.__setattr__(self, "fulls", fulls)
 
@@ -275,8 +290,7 @@ class CutInequality:
     bound: Fraction
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count {self.n} is negative")
+        _check_count(self.n)
         object.__setattr__(self, "edge_coeffs", _edge_table(self.edge_coeffs, self.n))
         object.__setattr__(self, "bound", as_rational(self.bound))
 
@@ -290,7 +304,7 @@ class CutInequality:
     def _coefficients(self, g: Graph) -> list:
         """The coefficients on g's edges, in g's edge order; ValueError when
         an edge with a coefficient is not one of g's."""
-        missing = [e for e in self.edge_coeffs if e not in g.edge_index]
+        missing = [e for e in self.edge_coeffs if e not in g.edges]
         if missing:
             raise ValueError(f"{missing[0]} is not an edge of the graph")
         zero = Fraction(0)
@@ -313,6 +327,7 @@ class CorrelatorInequality:
     bound: Fraction
 
     def __post_init__(self):
+        _check_count(self.n)
         singles = tuple(map(as_rational, self.single_coeffs))
         if len(singles) != self.n:
             raise ValueError("one single coefficient per observable required")
@@ -363,7 +378,7 @@ def _facet_graph(n: int, g: Graph = None) -> Graph:
     n vertices: first the enumeration limit when K_n is built (before its
     n^2 edges are), then g's vertex count."""
     if g is None:
-        _other_tops(Graph(n, ()))
+        _check_limit(n)
         g = Graph.complete(n)
     if g.n != n:
         raise ValueError("inequality and graph vertex counts differ")

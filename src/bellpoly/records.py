@@ -1,46 +1,29 @@
 """Frozen record classes, built without code generation.
 
 `record` makes a class a frozen record. Its fields are its own annotations,
-in order, and a class attribute gives a field its default. It installs
-methods that every record shares, where `dataclasses` compiles source per
-class: `__init__`, which calls `__post_init__` when the class has one;
-`__repr__` in the dataclass format; `__eq__` and `__hash__` over the
-compared fields, for two records of one class; `<`, `<=`, `>` and `>=` with
-`order=True`; and `__setattr__` and `__delattr__`, which raise
-AttributeError. A class keeps any of these it defines itself, and both
-`__eq__` and `__hash__` when it defines `__eq__`. Instances keep a
-`__dict__`, so `functools.cached_property` works on them.
+in order, and a class attribute gives a field its default; every field is
+taken by `__init__`, compared and shown, with no per-field options. A value
+that the fields decide is a `functools.cached_property` of the class, not a
+field: instances keep a `__dict__`, so the cache works on them and stays out
+of equality, hash and repr. `record` installs methods that every record
+shares, where `dataclasses` compiles source per class: `__init__`, which
+calls `__post_init__` when the class has one; `__repr__` in the dataclass
+format; `__eq__` and `__hash__` over the fields, for two records of one
+class; `<`, `<=`, `>` and `>=` with `order=True`; and `__setattr__` and
+`__delattr__`, which raise AttributeError. A class keeps any of these it
+defines itself, and both `__eq__` and `__hash__` when it defines `__eq__`.
 """
 
 import operator
-
-
-class field:
-    """A field's options, given as its class attribute: init=False leaves it
-    out of `__init__` (the class's own constructor sets it), compare=False
-    out of equality, hash and order, and repr=False out of the repr."""
-
-    def __init__(self, *, init=True, compare=True, repr=True):
-        self.init, self.compare, self.repr = init, compare, repr
 
 
 def record(cls=None, *, order=False):
     """Make cls a frozen record; used as @record or @record(order=True)."""
     if cls is None:
         return lambda cls: record(cls, order=order)
-    specs = {}
-    for name in cls.__annotations__:
-        specs[name] = vars(cls).get(name)
-        if isinstance(specs[name], field):
-            delattr(cls, name)  # a field's options, not its default
-        else:
-            specs[name] = _PLAIN
-    cls._record_init = tuple(name for name, spec in specs.items() if spec.init)
-    cls._record_defaults = {name: vars(cls)[name] for name in cls._record_init
-                            if name in vars(cls)}
-    cls._record_repr = tuple(name for name, spec in specs.items() if spec.repr)
-    cls._record_key = operator.attrgetter(*(name for name, spec in specs.items()
-                                            if spec.compare))
+    cls._record_fields = names = tuple(cls.__annotations__)
+    cls._record_defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    cls._record_key = operator.attrgetter(*names)
     cls._record_post_init = getattr(cls, "__post_init__", None)
     methods = {"__init__": _init, "__repr__": _repr,
                "__setattr__": _setattr, "__delattr__": _delattr}
@@ -58,10 +41,9 @@ def replace(obj, **changes):
     """A copy of the record obj with the given fields changed, built by its
     class's constructor, so `__post_init__` checks it again (as
     `dataclasses.replace`)."""
-    return type(obj)(**{name: getattr(obj, name) for name in obj._record_init} | changes)
+    return type(obj)(**{name: getattr(obj, name) for name in obj._record_fields} | changes)
 
 
-_PLAIN = field()
 _set = object.__setattr__
 
 
@@ -69,7 +51,7 @@ def _init(self, *args, **kwargs):
     # the fields go in as one dict, the instance's __dict__, not one
     # attribute at a time
     cls = type(self)
-    names = cls._record_init
+    names = cls._record_fields
     if kwargs or len(args) != len(names):
         kwargs = _bind(cls, args, kwargs)
     else:
@@ -81,9 +63,9 @@ def _init(self, *args, **kwargs):
 
 
 def _bind(cls, args, kwargs) -> dict:
-    """Every init field's value, from the arguments and the defaults; a
-    TypeError for the arguments a generated __init__ refuses."""
-    names = cls._record_init
+    """Every field's value, from the arguments and the defaults; a TypeError
+    for the arguments a generated __init__ refuses."""
+    names = cls._record_fields
     state = {**cls._record_defaults, **kwargs}
     state.update(zip(names, args))
     if len(args) > len(names) or len(state) != len(names) \
@@ -94,7 +76,7 @@ def _bind(cls, args, kwargs) -> dict:
 
 
 def _repr(self):
-    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_repr)
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_fields)
     return f"{type(self).__qualname__}({fields})"
 
 

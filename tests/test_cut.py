@@ -83,6 +83,10 @@ def test_disconnected_cut_vectors_dedupe():
     assert len(cuts) == 2
     assert sorted(c.bits for c in cuts) == [(0,), (1,)]
     assert len(enumerate_cuts(Graph(2, []))) == 1
+    # {2} and {3} both cut edge 23 alone: one cut, one vector, the one listed
+    g = Graph(4, [(0, 1), (2, 3)])
+    assert CutVector(g, {2}) == CutVector(g, {3})
+    assert CutVector(g, {3}) in enumerate_cuts(g)
 
 
 def _cuts_reference(g):
@@ -152,6 +156,55 @@ def test_cut_subset_canonical_excludes_vertex_zero():
     g = Graph.complete(4)
     assert CutVector(g, (0,)).subset == frozenset({1, 2, 3})
     assert CutVector(g, (0, 2)).subset == frozenset({1, 3})
+
+
+def _components_by_bfs(n, edges):
+    adjacent = {v: set() for v in range(n)}
+    for i, j in edges:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    seen, components = set(), []
+    for root in range(n):
+        if root in seen:
+            continue
+        component, frontier = {root}, [root]
+        while frontier:
+            frontier = [w for v in frontier for w in adjacent[v] if w not in component]
+            component.update(frontier)
+        seen |= component
+        components.append(component)
+    return components
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_subset_of_every_small_graph_names_the_listed_cut(n):
+    # every labelled graph on n vertices, every vertex subset: the vector of
+    # the subset is the one listed cut with its bits, and the graph has
+    # 2^(n - c) cuts for c components
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        edges = [e for k, e in enumerate(pairs) if chosen >> k & 1]
+        g = Graph(n, edges)
+        components = _components_by_bfs(n, edges)
+        assert g.components == tuple(sum(1 << v for v in c) for c in components)
+        cuts = enumerate_cuts(g)
+        assert len(cuts) == 2 ** (n - len(components))
+        by_bits = {cv.bits: cv for cv in cuts}
+        assert len(by_bits) == len(cuts)
+        for mask in range(1 << n):
+            subset = _mask_subset(mask, n)
+            bits = tuple(int((i in subset) != (j in subset)) for i, j in g.sorted_edges)
+            assert CutVector(g, subset) == by_bits[bits]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Graph(2.5, [(0, 2)]),
+    lambda: CutInequality(2.5, {(0, 2): 1}, 0),
+    lambda: CorrelatorInequality(2.0, {(0, 1): 1}, (0, 0), 1),
+], ids=["graph", "cut-inequality", "correlator-inequality"])
+def test_a_count_that_is_not_an_integer_is_refused(make):
+    with pytest.raises(ValueError, match=r"^vertex count 2\.\d is not an integer$"):
+        make()
 
 
 def test_cut_count_budget():

@@ -16,7 +16,7 @@ from bellpoly import (ClassicalValue, CorrelatorInequality, CutInequality, CutVe
                       pentagonal_contextuality_inequality, sigma_lambda_certificate,
                       to_bell_inequality, value_report)
 from bellpoly.cut import Event
-from bellpoly.records import field, record, replace
+from bellpoly.records import record, replace
 from tests.conftest import make_chsh_game, make_nlc3_game, make_unique3_mixed, make_unique3_rotation
 
 F = Fraction
@@ -71,7 +71,7 @@ def test_every_record_class_has_a_case():
     import bellpoly
     records = {name for name in bellpoly.__all__
                if isinstance(getattr(bellpoly, name), type)
-               and "_record_init" in vars(getattr(bellpoly, name))}
+               and "_record_fields" in vars(getattr(bellpoly, name))}
     assert records | {"Event"} == set(CASES)
 
 
@@ -123,10 +123,12 @@ def test_records_of_another_class_with_equal_fields_differ():
 
 def test_repr_is_the_dataclass_format():
     assert repr(Scenario(2, 3, 2, 2)) == "Scenario(ma=2, mb=3, da=2, db=2)"
-    # fields with repr=False stay out; compare=False ones stay in
-    assert repr(Graph(2, [(1, 0)])) == "Graph(n=2, edges=frozenset({(0, 1)}))"
-    assert repr(CutVector(Graph(2, [(0, 1)]), {1})) == \
-        "CutVector(graph=Graph(n=2, edges=frozenset({(0, 1)})), subset=frozenset({1}), bits=(1,))"
+    # every field is shown; derived values, cached properties, are not
+    cv = CutVector(Graph(2, [(1, 0)]), {1})
+    assert (cv.bits, cv.graph.sorted_edges) == ((1,), ((0, 1),))
+    assert repr(cv.graph) == "Graph(n=2, edges=frozenset({(0, 1)}))"
+    assert repr(cv) == \
+        "CutVector(graph=Graph(n=2, edges=frozenset({(0, 1)})), subset=frozenset({1}))"
     assert repr(Event(0, 1, 1, -1)) == "Event(i=0, j=1, a=1, b=-1)"
     assert repr(FacetReport("bell", 8, 3, 2)) == (
         "FacetReport(polytope_kind='bell', ambient_dim=8, saturating_count=3, "
@@ -153,8 +155,8 @@ def test_event_order_is_field_order():
         Scenario(1, 1, 1, 1) < Scenario(2, 2, 2, 2)  # order only where asked for
 
 
-# classes whose constructor takes their init fields
-REPLACEABLE = sorted(set(CASES) - {"CutVector", "BellInequality"})
+# classes whose constructor takes their fields
+REPLACEABLE = sorted(set(CASES) - {"BellInequality"})
 
 
 @pytest.mark.parametrize("name", REPLACEABLE)
@@ -163,7 +165,7 @@ def test_replace_round_trips(name):
     a = make()
     assert replace(a) == a and replace(a) is not a
     # every field the constructor takes, replaced by other's, makes other
-    assert replace(a, **{f: getattr(other, f) for f in type(a)._record_init}) == other
+    assert replace(a, **{f: getattr(other, f) for f in type(a)._record_fields}) == other
     assert a == make()  # and leaves a as it was
 
 
@@ -173,10 +175,14 @@ def test_replace_checks_again_and_refuses_what_the_constructor_refuses():
         replace(Scenario(2, 2, 2, 2), ma=0)
     with pytest.raises(TypeError):
         replace(Scenario(2, 2, 2, 2), mc=3)
+    # the constructor canonicalizes again: {0, 2} and {1} name one cut of K_3
+    cv = CutVector(Graph.complete(3), {1})
+    assert replace(cv, subset={0, 2}) == cv and replace(cv, subset={0, 2}).subset == {1}
+    with pytest.raises(ValueError, match="missing vertex"):
+        replace(cv, subset={3})
     # a constructor of other arguments than its fields, as under dataclasses
-    for a in (CutVector(Graph.complete(3), {1}), to_bell_inequality(make_chsh_game())):
-        with pytest.raises(TypeError):
-            replace(a)
+    with pytest.raises(TypeError):
+        replace(to_bell_inequality(make_chsh_game()))
 
 
 def test_constructor_arguments_follow_the_generated_rules():
@@ -202,12 +208,10 @@ def test_a_record_class_is_defined_without_exec(monkeypatch):
         class Pair:
             left: int
             right: int = 0
-            cache: dict = field(init=False, compare=False, repr=False)
 
-            def __init__(self, left, right=0):
-                object.__setattr__(self, "left", left)
-                object.__setattr__(self, "right", right)
-                object.__setattr__(self, "cache", {})
+            @cached_property
+            def total(self):
+                return self.left + self.right
 
         @record
         class Checked:
@@ -224,7 +228,10 @@ def test_a_record_class_is_defined_without_exec(monkeypatch):
 
     assert Pair(1) < Pair(1, 2) and Pair(1, 2) == Pair(1, 2)
     assert repr(Pair(1)) == f"{Pair.__qualname__}(left=1, right=0)"
-    assert hash(Pair(1, 2)) == hash(Pair(1, 2)) and "cache" not in vars(Pair)
+    p = Pair(1, 2)
+    assert p.total == 3 and "total" in vars(p)  # a cached value is not a field:
+    assert p == Pair(1, 2) and hash(p) == hash(Pair(1, 2))  # out of equality and hash
+    assert repr(p) == f"{Pair.__qualname__}(left=1, right=2)" and Pair._record_fields == ("left", "right")
     c = Checked(3)
     assert (c.double, c.double, c.label) == (6, 6, "x")  # the cached value sits in vars(c)
     assert replace(c, label="y") == Checked(3, "y")
