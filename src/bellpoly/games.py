@@ -60,6 +60,12 @@ def _check_weight_table(q, ma, mb):
     return q
 
 
+def _is_power(m, d, n) -> bool:
+    """Whether m = d^n, for d >= 2 and n >= 0. As d^n >= 2^n > m once
+    n >= m.bit_length(), that is checked first, and a huge n takes no power."""
+    return n < m.bit_length() and m == d ** n
+
+
 class _Game:
     """The scenario, weight tables, total weight and win rule of both kinds.
     The win rule is one array expression per kind (`winning_b`), which the
@@ -126,7 +132,8 @@ class LinearGame(_Game):
         object.__setattr__(self, "f", f)
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.n > 1 and (self.ma != self.d ** self.n or self.mb != self.d ** self.n):
+        if self.n > 1 and not (_is_power(self.ma, self.d, self.n)
+                               and _is_power(self.mb, self.d, self.n)):
             raise ValueError("dit-structured games need ma = mb = d^n")
 
     @cached_property
@@ -207,8 +214,8 @@ class NLCSpec:
         p = tuple(map(as_rational, self.p))
         if len(g) != len(p):
             raise ValueError("g and p must share an index set")
-        full = self.d == 2 and len(g) == 2 ** self.n
-        product = len(g) == self.d ** (self.n - 1)
+        full = self.d == 2 and _is_power(len(g), 2, self.n)
+        product = _is_power(len(g), self.d, self.n - 1)
         if not (full or product):
             raise ValueError(
                 f"table length {len(g)} matches neither a full d=2 table (2^n) "
@@ -222,7 +229,7 @@ class NLCSpec:
 
     @property
     def is_product_form(self) -> bool:
-        return len(self.g) == self.d ** (self.n - 1)
+        return _is_power(len(self.g), self.d, self.n - 1)
 
 
 def input_dits(x, d, n):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,19 @@ def test_analyze_phi_ex_sufficient(tmp_path, capsys):
                                              "b_map": [0, 2, 1, 3]}
 
 
+def test_analyze_phi_ex_sufficient_at_large_weights(tmp_path, capsys):
+    # weights times 10^9: the soundness chain and the verdict read their
+    # tolerance relative to the total weight
+    g = make_phi_ex_game()
+    big = LinearGame(g.d, g.ma, g.mb, [[v * 10 ** 9 for v in row] for row in g.q], g.f)
+    code, out, err = run_cli(capsys, "analyze-game", write_game(tmp_path, big), "--sufficient")
+    assert (code, err) == (0, "")
+    r = json.loads(out)["results"]
+    assert r["no_advantage"]["verdict"] == "Holds"
+    assert r["no_advantage"]["strategy"] == {"a_map": [0, 2, 3, 1],
+                                             "b_map": [0, 2, 1, 3]}
+
+
 def test_analyze_unique3_reports_joint_norms(tmp_path, capsys):
     path = write_game(tmp_path, make_unique3_rotation())
     code, out, _ = run_cli(capsys, "analyze-game", path, "--bound")
@@ -148,6 +162,21 @@ def test_malformed_linear_game_is_exit_2(tmp_path, capsys, text):
     code, out, err = run_cli(capsys, "analyze-game", str(bad))
     assert code == 2
     assert out == ""
+    assert err.startswith("bellpoly: parse error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "linear", "d": 3, "mA": 1, "mB": 1, "n": 100000000, "q": [[1]], "f": [[0]]}',
+    '{"kind": "nlc", "d": 3, "nlc": {"n": 100000000, "g": [0], "p": [1]}}',
+])
+def test_huge_dit_counts_are_exit_2_at_once(tmp_path, capsys, text):
+    # refused before d^n, a number of 10^8 bits, is computed
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze-game", str(bad))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
     assert err.startswith("bellpoly: parse error") and "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 import cmath
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,19 @@ def test_nlcd_product_form_function():
 def test_nlcd_rejects_full_table_for_d3():
     with pytest.raises(ValueError):
         NLCSpec(3, 2, (0,) * 9, (F(1, 9),) * 9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: LinearGame(3, 1, 1, ((F(1),),), ((0,),), n=n),
+    lambda n: NLCSpec(3, n, (0,), (F(1),)),
+])
+def test_huge_dit_counts_are_refused_at_once(build):
+    # d^n >= 2^n exceeds the table length once n reaches its bit length, so
+    # no power of 10^8 bits is computed
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        build(10 ** 8)
+    assert time.perf_counter() - start < 1
 
 
 def test_nlc_spec_distribution_must_normalize():

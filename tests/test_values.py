@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from bellpoly import (
     PERMS,
     BudgetExceededError,
     LinearGame,
+    NLCSpec,
     UniqueGame3,
     VerificationError,
+    build_nlc2,
+    build_nlcd,
     fourier_blocks,
     values,
 )
@@ -32,9 +36,11 @@ from bellpoly.values import (
     verify_value_report,
 )
 from tests.classical_reference import by_alice_maps
-from tests.conftest import (make_unique3_frustrated, make_unique3_mixed, make_unique3_rotation,
+from tests.conftest import (make_chsh_game, make_nlc2_and, make_nlc3_game, make_phi_ex_game,
+                            make_unique3_frustrated, make_unique3_mixed, make_unique3_rotation,
                             rotation_game_to_linear)
 from tests.gen_norm_reference import ascent
+from tests.no_advantage_reference import extract
 
 F = Fraction
 
@@ -324,38 +330,71 @@ def test_phi_ex_no_advantage_holds(phi_ex_game):
     assert verdict.strategy == ((0, 2, 3, 1), (0, 2, 1, 3))
 
 
-def test_nlc3_no_advantage_inconclusive(nlc3_game):
-    verdict = sufficient_no_advantage(nlc3_game)
-    assert not verdict.holds
-    assert verdict.strategy is None
-    assert "degenerate" in verdict.reason
+NO_ADVANTAGE_CASES = [
+    # the zero game: c = bound = W = 0
+    (LinearGame(3, 1, 1, [[0]], [[2]]), ((0,), (0,))),
+    # one Alice input: c = W, which the clamp makes the bound
+    (LinearGame(6, 1, 3, [[1, 1, 2]], [[5, 4, 2]]), ((0,), (5, 4, 2))),
+    (LinearGame(6, 3, 2, [[2, 1], [0, 2], [1, 1]], [[3, 4], [5, 5], [5, 5]]), None),
+    (LinearGame(6, 3, 3, [[1, 1, 0], [1, 1, 1], [1, 1, 1]], [[4, 2, 0], [2, 2, 0], [1, 3, 3]]),
+     None),
+    # criterion 1: the bound exceeds c = 2/3
+    (make_nlc3_game(), None),
+    # the AND game and the uniform ternary product-form game g = (0, 1, 2):
+    # the bound meets c, though Phi_1's top singular value is degenerate
+    (make_nlc2_and(), ((0,) * 4, (0,) * 4)),
+    (build_nlcd(NLCSpec(3, 2, (0, 1, 2), (F(1, 3),) * 3)), ((0,) * 9, (0,) * 9)),
+    # a unique game with a reflection: c = W, through the clamp
+    (make_unique3_mixed(), ((0, 0), (0, 1))),
+]
 
 
-def test_unique3_no_advantage_inconclusive(unique3_mixed):
-    verdict = sufficient_no_advantage(unique3_mixed)
-    assert not verdict.holds and verdict.reason == "condition applies to linear games"
-    assert value_report(unique3_mixed, with_sufficient=True).no_advantage == verdict
-
-
-def test_no_advantage_on_unique3_computes_no_joint_norm(monkeypatch, unique3_mixed):
-    calls = []
-    monkeypatch.setattr(values, "gen_norm_detailed", lambda *b: calls.append(b))
-    verdict = sufficient_no_advantage(unique3_mixed)
-    assert verdict.reason == "condition applies to linear games" and calls == []
-
-
-@pytest.mark.parametrize("game, reason", [
-    ((3, 1, 1, [[0]], [[2]]), "zero game matrix"),
-    ((6, 1, 3, [[1, 1, 2]], [[5, 4, 2]]), "right vector entries not d-th roots of unity"),
-    ((6, 3, 2, [[2, 1], [0, 2], [1, 1]], [[3, 4], [5, 5], [5, 5]]),
-     "left vector entries not d-th roots of unity"),
-    ((6, 3, 3, [[1, 1, 0], [1, 1, 1], [1, 1, 1]], [[4, 2, 0], [2, 2, 0], [1, 3, 3]]),
-     "phase substitution fails at k = 2")])
-def test_no_advantage_reasons(game, reason):
-    g = LinearGame(*game)
+@pytest.mark.parametrize("g, strategy", NO_ADVANTAGE_CASES,
+                         ids=["zero", "one-alice-input", "d6-3x2", "d6-3x3", "nlc3", "and",
+                              "product-012", "unique3-mixed"])
+def test_no_advantage_verdicts(g, strategy):
+    # Holds with the classical witness exactly when c meets the bound
     verdict = sufficient_no_advantage(g)
-    assert (verdict.holds, verdict.strategy, verdict.reason) == (False, None, reason)
+    reason = None if strategy else "classical value does not meet the bound"
+    assert (verdict.strategy, verdict.reason) == (strategy, reason)
     assert value_report(g, with_sufficient=True).no_advantage == verdict
+    cv = classical_value(g)
+    assert strategy in (None, (cv.a_map, cv.b_map))
+
+
+def _seeded_small_linear(seed):
+    rng = random.Random(seed)
+    d, ma, mb = rng.randint(2, 5), rng.randint(1, 4), rng.randint(1, 4)
+    return LinearGame(d, ma, mb, [[rng.randint(0, 3) for _ in range(mb)] for _ in range(ma)],
+                      [[rng.randrange(d) for _ in range(mb)] for _ in range(ma)])
+
+
+def test_no_advantage_holds_wherever_the_phase_extraction_does():
+    # the paper's condition: a strategy read off the roots-of-unity phases
+    # of Phi_1's top singular pair attains the norm bound, so the verdict
+    # holds, and that strategy attains the classical value
+    games = [make_phi_ex_game(), make_nlc3_game(), make_chsh_game()]
+    games += [build_nlc2(NLCSpec(2, 2, t, (F(1, 4),) * 4)) for t in product((0, 1), repeat=4)]
+    games += [build_nlcd(NLCSpec(3, 2, t, (F(1, 3),) * 3)) for t in product(range(3), repeat=3)]
+    games += [_seeded_small_linear(seed) for seed in range(300)]
+    extracted = 0
+    for g in games:
+        strategy = extract(g)
+        if strategy is not None:
+            extracted += 1
+            assert sufficient_no_advantage(g).holds
+            assert strategy_value(g, *strategy) == classical_value(g).value
+    assert extracted >= 50
+
+
+@pytest.mark.parametrize("scale", [10 ** 9, 10 ** 12, 10 ** 15])
+def test_no_advantage_holds_at_any_weight_scale(phi_ex_game, scale):
+    # the tolerances of the verdict and of the soundness chain scale with W
+    g = phi_ex_game
+    big = LinearGame(g.d, g.ma, g.mb, [[v * scale for v in row] for row in g.q], g.f)
+    rep = value_report(big, with_sufficient=True)
+    assert rep.classical == F(13, 14) * scale and rep.no_signaling == scale
+    assert rep.no_advantage.strategy == ((0, 2, 3, 1), (0, 2, 1, 3))
 
 
 # -------------------------------------------------------------- value reports
@@ -508,7 +547,7 @@ def test_value_report_computes_each_quantity_once(monkeypatch, phi_ex_game):
     stacked = _counting(monkeypatch, values, "spectral_norms")
     single = _counting(monkeypatch, values, "spectral_norm")
     rep = value_report(phi_ex_game, with_sufficient=True)
-    assert rep.no_advantage.holds  # the check reached its classical-value step
+    assert rep.no_advantage.holds  # the verdict read the report's classical value
     assert len(classical) == 1
     # the d // 2 norms of the conjugate pairs of blocks come from one stacked SVD
     assert len(stacked) == 1 and len(stacked[0][0]) == phi_ex_game.d // 2 and not single
