@@ -19,6 +19,13 @@ argument errors, `chsh` and the cut operations that build no array
 tests (`facet`, `pentagonal`) without the game modules, and `facet-test`
 of an inequality file without `cut`.
 
+Each report's `input_digest` is the sha256 of its input, taken with the
+interpreter's built-in SHA-256 module (`_sha2`, `_sha256` before Python
+3.12) as `random` does for its sha512; `hashlib` would load OpenSSL's
+`_hashlib` and map libcrypto in every process, about 3.6 MB of peak memory
+and a few milliseconds. `hashlib` serves only a build without the built-in
+hashes, and the digest bytes are the same either way.
+
 `main(argv)` prints the report and returns the exit code, and touches the
 process no further, so tests and library callers run it in process. `run`
 is the process entry of `bellpoly` and `python -m bellpoly.cli`.
@@ -28,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import math
 import os
@@ -40,13 +46,21 @@ from . import __version__
 from .errors import DEFAULT_BOX_BUDGET, BudgetExceededError, ParseError, VerificationError
 from .rational import format_rational, parse_rational
 
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + sha256(data).hexdigest()
 
 
 def _finite(x: float):

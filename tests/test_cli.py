@@ -1,7 +1,12 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +71,36 @@ def test_reports_are_canonical_json(tmp_path, capsys):
     assert code == 0
     parsed = json.loads(out)
     assert out == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+
+
+DIGESTED = (b"", b"9/20 5/20 5/20 1/20", bytes(range(256)) * 4096)  # the last is 1 MiB
+
+
+def test_input_digest_is_hashlib_sha256(capsys):
+    for data in DIGESTED:
+        assert cli._digest(data) == "sha256:" + hashlib.sha256(data).hexdigest()
+    code, out, _ = run_cli(capsys, "chsh", "9/20", "5/20", "5/20", "1/20")
+    assert code == 0
+    assert json.loads(out)["input_digest"] == \
+        "sha256:" + hashlib.sha256(b"9/20 5/20 5/20 1/20").hexdigest()
+
+
+def test_input_digest_falls_back_to_hashlib():
+    # a build without the built-in hash modules: bellpoly.cli still imports,
+    # and hashlib gives the same digest
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from bellpoly import cli\n"
+            "assert cli.sha256 is hashlib.sha256, cli.sha256\n"
+            "for data in (b'', b'9/20 5/20 5/20 1/20', bytes(range(256)) * 4096):\n"
+            "    assert cli._digest(data) == 'sha256:' + hashlib.sha256(data).hexdigest()\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # ---------------------------------------------------------------- analyze-game

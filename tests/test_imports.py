@@ -1,9 +1,11 @@
 """Import guards: the command-line front end loads no heavy optional
 dependency (scipy and networkx alone used to cost about 500 ms of every
 bellpoly process's startup), `import bellpoly` and the commands that build
-no array load no numpy (about 165 ms of a process), every lazy export is
-its submodule's object, the cut facet tests load no game module and
-`facet-test` of an inequality file no `bellpoly.cut`, and the package
+no array load no numpy (about 85 ms of a process on a quiet 2-vCPU host,
+up to 145 ms under load), no command loads OpenSSL (`_hashlib` or `ssl`),
+every lazy export is its submodule's object, the cut facet tests load no
+game module and `facet-test` of an inequality file no `bellpoly.cut`, and
+the package
 carries no unused import, constant or private function or class, no
 `assert` statement and no `dataclasses` import (stdlib `ast` checks, as no
 linter is installed)."""
@@ -75,6 +77,37 @@ def test_commands_without_arrays_load_no_numpy(tmp_path, argv, code):
     assert "numpy" not in _cli_modules(argv, expect_exit=code)
 
 
+GAME = ('{"kind": "linear", "d": 2, "mA": 2, "mB": 2, '
+        '"q": [["1/4", "1/4"], ["1/4", "1/4"]], "f": [[0, 0], [0, 1]]}')
+CORRELATOR = '{"space": "correlator", "bound": "2", "coeffs": [["1", "1"], ["1", "-1"]]}'
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["chsh", "9/20", "5/20", "5/20", "1/20"], 0),
+    (["cut", "suspend", "--graph", "{graph}"], 0),
+    (["cut", "cuts", "--graph", "{graph}"], 0),
+    (["cut", "ce1", "--n", "4"], 0),
+    (["cut", "ce-gap"], 0),
+    (["cut", "hypermetric", "--b", "1,1,-1"], 0),
+    (["cut", "facet", "--b=1,1,1,-1,-1"], 0),
+    (["cut", "pentagonal"], 0),
+    (["analyze-game", "{game}"], 0),
+    (["facet-test", "{game}", "--polytope", "bell"], 0),
+    (["facet-test", "{correlator}", "--polytope", "correlation"], 0),
+    (["--help"], 0),
+    (["cut", "ce1"], 2),  # argparse refuses it: ce1 needs --n
+])
+def test_no_command_loads_openssl(tmp_path, argv, code):
+    # the input digest comes from the interpreter's built-in SHA-256
+    # module; hashlib would load OpenSSL's _hashlib (about 3.6 MB of memory)
+    files = {"{graph}": ("c4.txt", "4\n0 1\n1 2\n2 3\n0 3\n"),
+             "{game}": ("chsh.json", GAME), "{correlator}": ("chsh-correlator.json", CORRELATOR)}
+    for name, text in files.values():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / files[a][0]) if a in files else a for a in argv]
+    assert _cli_modules(argv, expect_exit=code) & {"_hashlib", "ssl"} == set()
+
+
 def test_command_that_scans_cuts_loads_numpy():
     # the guard above can fail: a cut scan imports numpy where it runs
     assert "numpy" in _cli_modules(["cut", "hypermetric", "--b", "1,1,-1"])
@@ -84,10 +117,8 @@ def test_facet_test_of_a_game_file_loads_no_cut_module(tmp_path):
     # nor of an inequality file: a cut-space file is refused by its "space"
     # key, before bellpoly.cut would be read to parse it
     files = {
-        "chsh.json": '{"kind": "linear", "d": 2, "mA": 2, "mB": 2, '
-                     '"q": [["1/4", "1/4"], ["1/4", "1/4"]], "f": [[0, 0], [0, 1]]}',
-        "chsh-correlator.json": '{"space": "correlator", "bound": "2", '
-                                '"coeffs": [["1", "1"], ["1", "-1"]]}',
+        "chsh.json": GAME,
+        "chsh-correlator.json": CORRELATOR,
         "positivity-cell.json": '{"space": "probability", "bound": "0", "coeffs": '
                                 '[[[["-1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]], '
                                 '[[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]]}',
