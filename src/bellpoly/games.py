@@ -1,11 +1,13 @@
 """Game constructors and their Fourier blocks.
 
-Two game families are first-class here:
+Two game families are first-class here, with a rational weight q(x, y) on
+each input pair and one win rule: b wins against a iff b = shift + sign a
+(mod d), a shift composed with a coset representative.
 
-  * linear games over Z_d: win iff (a + b) mod d == f(x, y), with a rational
-    weight q(x, y) on each input pair;
-  * three-output unique games: win iff b == pi_{x,y}(a) for a permutation of
-    {0,1,2} attached to each input pair.
+  * linear games over Z_d, win iff (a + b) mod d == f(x, y): every cell a
+    reflection, sign -1 and shift f(x, y);
+  * three-output unique games, win iff b == pi_{x,y}(a) for a permutation of
+    {0,1,2}: a rotation (sign +1) or a reflection (-1), shift pi(0).
 
 Distributed-computation (NLC) instances are built from a compact spec and come
 out as linear games carrying their construction data, which the non-facet
@@ -13,13 +15,13 @@ machinery needs later.
 
 Every game has one builder of its Fourier blocks for k = 1..d-1
 (`fourier_blocks`), complex arrays in the weighted convention: entry (x, y)
-is q(x, y) times a d-th root of unity. A linear game has one block per k,
-Phi_k with phase k f(x, y); a 3-output unique game has two, one per coset
-of its permutations. The norm bound reads both kinds the same way.
+is q(x, y) times a d-th root of unity, one block per coset of the kind.
+The norm bound reads both kinds the same way.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, pi
@@ -43,21 +45,19 @@ PERMS = {
 # by shift pi(0): rotations pi(a) = a + shift, reflections pi(a) = shift - a (mod 3)
 ROTATIONS = {name: t[0] for name, t in PERMS.items() if t[1] == (t[0] + 1) % 3}
 REFLECTIONS = {name: t[0] for name, t in PERMS.items() if name not in ROTATIONS}
-# PERMS as a read-only array [permutation, a], rows in the order of PERMS
-_PERM_IMAGES = np.array(list(PERMS.values()), dtype=np.int64)
-_PERM_IMAGES.flags.writeable = False
-_PERM_INDEX = {name: i for i, name in enumerate(PERMS)}
 
 
-def _check_weight_table(q, ma, mb):
-    if ma < 1 or mb < 1:
-        raise ValueError("each side needs at least one input")
-    q = tuple(tuple(map(as_rational, row)) for row in q)
-    if len(q) != ma or any(len(row) != mb for row in q):
-        raise ValueError("weight table shape does not match input counts")
-    if any(v < 0 for row in q for v in row):
-        raise ValueError("weights must be nonnegative")
-    return q
+def _index(v, name):
+    """v as an int; ValueError for anything else, such as a float."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} {v!r} is not an integer") from None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _is_power(m, d, n) -> bool:
@@ -68,14 +68,28 @@ def _is_power(m, d, n) -> bool:
 
 class _Game:
     """The scenario, weight tables, total weight and win rule of both kinds.
-    The win rule is one array expression per kind (`winning_b`), which the
-    functional's table and the exact re-check of a strategy both call. As
-    games are immutable, each table is built once per game, on first use,
-    and is read-only: the integer weights (`scaled_weights`), which the
-    scan's functional and the total weight read, the float weights
-    (`float_weights`), which every Fourier block reads, and the table the
-    win rule reads. A value report reads the total weight twice (the
-    no-signaling value and the clamp of the norm bound)."""
+    A kind supplies only its cells' (sign, shift) table (`sign_shift`) and
+    its cosets, the signs it uses (`COSETS`), which the one win rule
+    (`winning_b`) and the Fourier blocks read. Each table is built once per
+    game, on first use, and is read-only."""
+
+    def _check_fields(self, *ints):
+        """Read ma, mb and the named fields as ints, and q as the weights."""
+        for name in ("ma", "mb", *ints):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
+        if self.ma < 1 or self.mb < 1:
+            raise ValueError("each side needs at least one input")
+        q = self._table("weight", self.q, as_rational)
+        if any(v < 0 for row in q for v in row):
+            raise ValueError("weights must be nonnegative")
+        object.__setattr__(self, "q", q)
+
+    def _table(self, name, rows, cell) -> tuple:
+        """rows as an ma x mb tuple of tuples of cell(entry)."""
+        table = tuple(tuple(map(cell, row)) for row in rows)
+        if len(table) != self.ma or any(len(row) != self.mb for row in table):
+            raise ValueError(f"{name} table shape does not match input counts")
+        return table
 
     @property
     def scenario(self) -> Scenario:
@@ -86,8 +100,7 @@ class _Game:
         """q integer-scaled (`int_scaled`): a read-only array [x, y] and the
         denominator."""
         Q, _, den = int_scaled(self.q)
-        Q.flags.writeable = False
-        return Q, den
+        return _read_only(Q), den
 
     @cached_property
     def float_weights(self) -> np.ndarray:
@@ -96,14 +109,18 @@ class _Game:
         top = np.finfo(float).max
         if self.total_weight > top:
             raise ValueError(f"total weight beyond the float range (max {top:.17g})")
-        Q = np.array(self.q, dtype=float)
-        Q.flags.writeable = False
-        return Q
+        return _read_only(np.array(self.q, dtype=float))
 
     @cached_property
     def total_weight(self) -> Fraction:
         Q, den = self.scaled_weights
         return Fraction(int(Q.sum()), den)
+
+    def winning_b(self, a, x, y):
+        """The Bob output that wins against a at (x, y), shift + sign a mod d,
+        cellwise over broadcast arrays (or scalars)."""
+        sign, shift = self.sign_shift
+        return (shift[x, y] + sign[x, y] * a) % self.d
 
     def win(self, a, b, x, y):
         """Whether b wins against a at (x, y), cellwise over broadcast arrays."""
@@ -120,13 +137,13 @@ class LinearGame(_Game):
     n: int = 1  # dits per input when inputs range over Z_d^n
     nlc: "NLCSpec" = None
 
+    COSETS = (-1,)
+
     def __post_init__(self):
+        self._check_fields("d", "n")
         if self.d < 2:
             raise ValueError("need at least two outputs")
-        object.__setattr__(self, "q", _check_weight_table(self.q, self.ma, self.mb))
-        f = tuple(tuple(int(v) for v in row) for row in self.f)
-        if len(f) != self.ma or any(len(row) != self.mb for row in f):
-            raise ValueError("winning-value table shape does not match input counts")
+        f = self._table("winning-value", self.f, lambda v: _index(v, "winning value"))
         if any(not 0 <= v < self.d for row in f for v in row):
             raise ValueError("winning values must lie in Z_d")
         object.__setattr__(self, "f", f)
@@ -137,16 +154,10 @@ class LinearGame(_Game):
             raise ValueError("dit-structured games need ma = mb = d^n")
 
     @cached_property
-    def f_table(self) -> np.ndarray:
-        """f as a read-only int array [x, y]."""
+    def sign_shift(self) -> np.ndarray:
+        """A read-only int array [sign/shift, x, y]: sign -1 and shift f."""
         f = np.array(self.f, dtype=np.int64)
-        f.flags.writeable = False
-        return f
-
-    def winning_b(self, a, x, y):
-        """The Bob output that wins against a at (x, y), a + b = f(x, y) mod d,
-        cellwise over broadcast arrays (or scalars)."""
-        return (self.f_table[x, y] - a) % self.d
+        return _read_only(np.stack([np.full_like(f, -1), f]))
 
 
 @record
@@ -157,30 +168,23 @@ class UniqueGame3(_Game):
     perms: tuple  # [x][y] permutation names
 
     d = 3
+    n = 1
+    nlc = None
+    COSETS = (1, -1)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _check_weight_table(self.q, self.ma, self.mb))
-        perms = tuple(tuple(str(v) for v in row) for row in self.perms)
-        if len(perms) != self.ma or any(len(row) != self.mb for row in perms):
-            raise ValueError("permutation table shape does not match input counts")
-        for row in perms:
-            for name in row:
-                if name not in PERMS:
-                    raise ValueError(f"unknown permutation {name!r}; use {sorted(PERMS)}")
+        self._check_fields()
+        perms = self._table("permutation", self.perms, str)
+        if unknown := [name for row in perms for name in row if name not in PERMS]:
+            raise ValueError(f"unknown permutation {unknown[0]!r}; use {sorted(PERMS)}")
         object.__setattr__(self, "perms", perms)
 
     @cached_property
-    def perm_indexes(self) -> np.ndarray:
-        """perms as a read-only int array [x, y] of their rows in PERMS."""
-        index = np.array([[_PERM_INDEX[name] for name in row] for row in self.perms],
-                         dtype=np.int64)
-        index.flags.writeable = False
-        return index
-
-    def winning_b(self, a, x, y):
-        """The Bob output that wins against a at (x, y), pi_{x,y}(a), cellwise
-        over broadcast arrays (or scalars)."""
-        return _PERM_IMAGES[self.perm_indexes[x, y], a]
+    def sign_shift(self) -> np.ndarray:
+        """A read-only int array [sign/shift, x, y] of ROTATIONS (+1), REFLECTIONS (-1)."""
+        cells = [[(1, ROTATIONS[p]) if p in ROTATIONS else (-1, REFLECTIONS[p]) for p in row]
+                 for row in self.perms]
+        return _read_only(np.array(cells, dtype=np.int64).transpose(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +210,13 @@ class NLCSpec:
     p: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _index(self.d, "d"))
+        object.__setattr__(self, "n", _index(self.n, "n"))
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.d < 2:
             raise ValueError("d must be at least 2")
-        g = tuple(int(v) for v in self.g)
+        g = tuple(_index(v, "g entry") for v in self.g)
         p = tuple(map(as_rational, self.p))
         if len(g) != len(p):
             raise ValueError("g and p must share an index set")
@@ -284,25 +290,18 @@ def build_nlcd(spec: NLCSpec) -> LinearGame:
 # ---------------------------------------------------------------------------
 
 def fourier_blocks(g) -> tuple:
-    """The Fourier blocks of g for k = 1..d-1, one tuple per k, of complex
-    arrays [x, y] whose entries are q(x, y) zeta^(phase), zeta = exp(2 pi i / d),
-    read from one table of the d powers of zeta: for a linear game one
-    block, Phi_k, of phase k f(x, y), all d - 1 of them from one broadcast
-    over k (views of one array); for a 3-output unique game two, which
-    partition q. Its permutations split into rotations (a -> a + c) and
-    reflections (a -> c - a), and each input pair feeds one coset's block:
-    a rotation cell has phase -k f_minus, where a - b = f_minus on a win,
-    and a reflection cell phase k f_plus, where a + b = f_plus on a win."""
-    q, d = g.float_weights, g.d
+    """The Fourier blocks of g for k = 1..d-1, one tuple per k of complex
+    arrays [x, y], one per coset s of g's kind (`COSETS`), in that order:
+    q(x, y) zeta^(k shift(x, y)), zeta = exp(2 pi i / d), on the cells of
+    sign s, 0 (weight 0, phase 0) on the rest; views of one broadcast over
+    k per coset, read from one table of the d powers of zeta. A linear game
+    has one block, Phi_k of phase k f; a 3-output unique game two, which
+    partition q: rotations (phase k shift = -k f_minus) and reflections."""
+    q, d, (sign, shift) = g.float_weights, g.d, g.sign_shift
     roots = np.exp(2j * pi * np.arange(d) / d)
-    if isinstance(g, LinearGame):
-        k = np.arange(1, d)[:, None, None]
-        return tuple((block,) for block in q * roots[k * g.f_table % d])
-    # rotation cells: f_minus = -shift, so -k f_minus = k shift; reflections: f_plus = shift
-    cosets = [(q * [[name in shifts for name in row] for row in g.perms],
-               np.array([[shifts.get(name, 0) for name in row] for row in g.perms]))
-              for shifts in (ROTATIONS, REFLECTIONS)]
-    return tuple(tuple(w * roots[k * s % d] for w, s in cosets) for k in range(1, d))
+    k = np.arange(1, d)[:, None, None]
+    inside = [sign == s for s in g.COSETS]
+    return tuple(zip(*(q * m * roots[k * shift * m % d] for m in inside)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +345,6 @@ def to_correlator_inequality(g: LinearGame) -> BellInequality:
         raise ValueError("correlator form needs binary outputs")
     Q, den = g.scaled_weights
     top = int(classical_value(g).value * den)
-    corr = np.where(g.f_table == 0, Q, -Q)
+    corr = np.where(g.sign_shift[1] == 0, Q, -Q)
     return BellInequality._of_integers(g.scenario, corr[:, :, None, None] * _SIGNS,
                                        2 * top - int(Q.sum()), 2 * den, "correlator")

@@ -280,7 +280,7 @@ def nlc2_block_symmetry(g: LinearGame) -> bool:
 # ---------------------------------------------------------------------------
 
 def _product_spec(g):
-    spec = getattr(g, "nlc", None)
+    spec = g.nlc
     if spec is None or not spec.is_product_form:
         raise ValueError("game does not carry a product-form construction")
     return spec
@@ -344,8 +344,8 @@ def game_facet_test(g, kind: str, budget: int = DEFAULT_BOX_BUDGET):
     the game's (`nlc2_decompose`). Otherwise the rank decides. Bound and
     face come from one scan of the win functional: the correlator one is it
     minus q(x, y)/2 per cell, with the same optimal boxes and tie sets."""
-    spec = getattr(g, "nlc", None)
-    split = kind == "bell" and getattr(g, "n", 1) >= 2
+    spec = g.nlc
+    split = kind == "bell" and g.n >= 2
     if (split and g.d != 2 and spec is not None and spec.is_product_form
             and nlcd_lambda(g).big_lambda >= Fraction(1, 2)):
         rep = nlcd_nonfacet_check(g, budget)

@@ -10,6 +10,9 @@ best one. `by_prefix_search` suits games with few Bob maps and many Alice
 maps: it fixes the outputs one at a time, keeping the smallest output that
 some completion of the prefix still lifts to the optimum.
 
+Each reads the winning answers from the game's own fields, f or perms
+(`games_reference.winning_answer`), not from the library's win rule.
+
 `box_values` is the reference for facet tests: the value of an inequality
 on every deterministic box, scored pair by pair.
 """
@@ -18,6 +21,8 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+
+from tests.games_reference import winning_answer
 
 
 def _scaled(g):
@@ -34,7 +39,7 @@ def by_alice_maps(g):
         for y in range(g.mb):
             scores = [0] * g.d
             for x in range(g.ma):
-                scores[g.winning_b(a_map[x], x, y)] += Q[x][y]
+                scores[winning_answer(g, a_map[x], x, y)] += Q[x][y]
             top = max(scores)
             total += top
             b_map.append(scores.index(top))
@@ -50,7 +55,8 @@ def by_all_pairs(g):
     best = None
     for a_map in itertools.product(range(g.d), repeat=g.ma):
         for b_map in itertools.product(range(g.d), repeat=g.mb):
-            total = sum(Q[x][y] for x, y in cells if g.win(a_map[x], b_map[y], x, y))
+            total = sum(Q[x][y] for x, y in cells
+                        if b_map[y] == winning_answer(g, a_map[x], x, y))
             if best is None or total > best[0]:
                 best = (total, a_map, b_map)
     return Fraction(best[0], den), best[1], best[2]
@@ -69,7 +75,8 @@ def by_prefix_search(g):
                 continue
             total = 0
             for x in range(g.ma):
-                scores = [sum(Q[x][y] for y in range(g.mb) if g.win(a, b_map[y], x, y))
+                scores = [sum(Q[x][y] for y in range(g.mb)
+                              if b_map[y] == winning_answer(g, a, x, y))
                           for a in range(g.d)]
                 total += scores[a_prefix[x]] if x < len(a_prefix) else max(scores)
             top = total if top is None else max(top, total)

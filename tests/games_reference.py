@@ -1,13 +1,15 @@
-"""Dit-string helpers, subgames and the cellwise game functional, kept as
-the tests' reference: the library builds dit-structured games
-(`games.build_nlc`), game inequalities (`games.to_bell_inequality`,
+"""Dit-string helpers, subgames, the win rule and the cellwise game
+functional, kept as the tests' reference: the library builds dit-structured
+games (`games.build_nlc`), game inequalities (`games.to_bell_inequality`,
 `games.to_correlator_inequality`) and their fragments
 (`tightness._fragment_report`) from integer arrays and never calls these;
-the tests check it against them.
+the tests check it against them. The win rule (`winning_answer`) reads
+only the game's own fields, f or perms, never the library's (sign, shift)
+table or `winning_b`.
 """
 from fractions import Fraction
 
-from bellpoly.games import LinearGame, input_dits
+from bellpoly.games import PERMS, LinearGame, UniqueGame3, input_dits
 from bellpoly.records import replace
 from bellpoly.scenario import BellInequality, correlator_inequality
 from bellpoly.values import classical_value
@@ -29,6 +31,14 @@ def ditwise_add(u, v, d, n):
     return dits_to_index(tuple((a + b) % d for a, b in zip(du, dv)), d)
 
 
+def winning_answer(g, a, x, y) -> int:
+    """The Bob output that wins against a at (x, y): (f(x, y) - a) mod d in
+    a linear game, pi_{x,y}(a) in a unique game."""
+    if isinstance(g, UniqueGame3):
+        return PERMS[g.perms[x][y]][a]
+    return (g.f[x][y] - a) % g.d
+
+
 def _win_coeffs(g) -> tuple:
     """The game functional's coefficients q(x,y) [b wins against a at (x,y)],
     indexed [x][y][a][b], as Fractions. Cells with the same weight and
@@ -39,7 +49,7 @@ def _win_coeffs(g) -> tuple:
 
     def table(x, y):
         q = g.q[x][y]
-        wins = tuple(g.winning_b(a, x, y) for a in range(s.da)) if q else ()
+        wins = tuple(winning_answer(g, a, x, y) for a in range(s.da)) if q else ()
         if (q, wins) not in tables:
             tables[q, wins] = tuple(tuple(q if q and b == wins[a] else zero for b in range(s.db))
                                     for a in range(s.da))
@@ -72,7 +82,7 @@ def subgame_restrict(g, fix_a=None, fix_b=None):
     fix_a, fix_b = dict(fix_a or {}), dict(fix_b or {})
     if not fix_a and not fix_b:
         raise ValueError("empty restriction")
-    n, d = getattr(g, "n", 1), g.d
+    n, d = g.n, g.d
     for pos, val in [*fix_a.items(), *fix_b.items()]:
         if not 0 <= pos < n:
             raise ValueError(f"dit position {pos} out of range for n = {n}")

@@ -1,5 +1,6 @@
 import cmath
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from bellpoly import (
     to_bell_inequality,
     to_correlator_inequality,
 )
+from bellpoly import games
 from bellpoly.games import scaled_functionals
 from bellpoly.tightness import facet_test
 from bellpoly.values import classical_value
@@ -135,7 +137,7 @@ def test_winning_b_on_arrays_equals_the_scalar_rule():
     for g in games:
         x, y, a = np.ix_(np.arange(g.ma), np.arange(g.mb), np.arange(g.d))
         B = g.winning_b(a, x, y)
-        assert B.shape == (g.ma, g.mb, g.d)
+        assert B.shape == (g.ma, g.mb, g.d) and not g.sign_shift.flags.writeable
         for i in range(g.ma):
             for j in range(g.mb):
                 rule = ([(g.f[i][j] - c) % g.d for c in range(g.d)] if isinstance(g, LinearGame)
@@ -163,6 +165,33 @@ def test_linear_game_validation():
         LinearGame(2, 1, 2, ((F(1, 2), F(-1, 2)),), ((0, 0),))  # negative weight
     with pytest.raises(ValueError):
         LinearGame(1, 1, 2, q, ((0, 0),))  # d too small
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LinearGame(2, 1, 1, [[1]], [[1.5]]), "winning value 1.5"),
+    (lambda: LinearGame(2.0, 1, 1, [[1]], [[1]]), "d 2.0"),
+    (lambda: LinearGame(2, 1.0, 1, [[1]], [[1]]), "ma 1.0"),
+    (lambda: LinearGame(2, 1, 1.0, [[1]], [[1]]), "mb 1.0"),
+    (lambda: LinearGame(2, 4, 4, [[1] * 4] * 4, [[0] * 4] * 4, n=2.0), "n 2.0"),
+    (lambda: LinearGame(2, 1, 1, [[1]], [["1"]]), "winning value '1'"),
+    (lambda: UniqueGame3(2.0, 1, [[1], [1]], [["e"], ["e"]]), "ma 2.0"),
+    (lambda: UniqueGame3(1, 1.0, [[1]], [["e"]]), "mb 1.0"),
+    (lambda: NLCSpec(2, 1, [0, 1.7], ["1/2", "1/2"]), "g entry 1.7"),
+    (lambda: NLCSpec(2.0, 1, [0, 1], ["1/2", "1/2"]), "d 2.0"),
+    (lambda: NLCSpec(2, 1.0, [0, 1], ["1/2", "1/2"]), "n 1.0"),
+], ids=["f", "d", "ma", "mb", "n", "f-str", "u3-ma", "u3-mb", "nlc-g", "nlc-d", "nlc-n"])
+def test_a_count_or_entry_that_is_not_an_integer_is_refused(make, message):
+    # each is read with operator.index: int() would truncate 1.5 to 1
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)} is not an integer$"):
+        make()
+
+
+def test_integer_like_counts_and_entries_are_read_as_ints():
+    g = LinearGame(np.int64(2), np.int64(1), 1, [[1]], [[np.int64(1)]], n=np.int64(1))
+    assert g == LinearGame(2, 1, 1, [[1]], [[1]])
+    assert [type(v) for v in (g.d, g.ma, g.mb, g.n, g.f[0][0])] == [int] * 5
+    spec = NLCSpec(np.int64(2), np.int64(1), [np.int64(0), 1], ["1/2", "1/2"])
+    assert [type(v) for v in (spec.d, spec.n, *spec.g)] == [int] * 4
 
 
 # ------------------------------------------------------------------ NLC games
@@ -311,6 +340,16 @@ def test_cosets_partition_the_permutations_by_shift():
             assert image == tuple((REFLECTIONS[name] - a) % 3 for a in range(3))
 
 
+def test_both_kinds_share_one_win_rule():
+    # one winning_b, on the shared base, reads each kind's (sign, shift) table
+    assert "winning_b" not in vars(LinearGame) and "winning_b" not in vars(UniqueGame3)
+    assert LinearGame.winning_b is UniqueGame3.winning_b
+    assert (LinearGame.COSETS, UniqueGame3.COSETS) == ((-1,), (1, -1))
+    for name in ("_PERM_IMAGES", "_PERM_INDEX", "_check_weight_table"):
+        assert not hasattr(games, name), name
+    assert not hasattr(LinearGame, "f_table") and not hasattr(UniqueGame3, "perm_indexes")
+
+
 def test_unique3_matrices_partition_weight(unique3_mixed, unique3_rotation):
     # each weighted cell is nonzero in exactly one block, its coset's, with
     # the cell's weight as its modulus
@@ -326,8 +365,10 @@ def test_unique3_matrices_partition_weight(unique3_mixed, unique3_rotation):
 
 
 def test_unique3_rotation_game_has_empty_reflection_block(unique3_rotation):
-    _, ref = fourier_blocks(unique3_rotation)[0]
-    assert not ref.any()
+    # both blocks at every k, rotations first; the empty coset's block is
+    # bitwise zero (weight 0, phase 0: no -0.0 part)
+    for rot, ref in fourier_blocks(unique3_rotation):
+        assert rot.any() and ref.tobytes() == np.zeros_like(ref).tobytes()
 
 
 def test_rotation_game_to_linear_preserves_value(unique3_rotation):

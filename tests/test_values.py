@@ -39,6 +39,7 @@ from tests.classical_reference import by_alice_maps
 from tests.conftest import (make_chsh_game, make_nlc2_and, make_nlc3_game, make_phi_ex_game,
                             make_unique3_frustrated, make_unique3_mixed, make_unique3_rotation,
                             rotation_game_to_linear)
+from tests.games_reference import winning_answer
 from tests.gen_norm_reference import ascent
 from tests.no_advantage_reference import extract
 
@@ -90,7 +91,7 @@ def test_classical_value_budget(phi_ex_game):
 
 def _fraction_sum(g, a_map, b_map):
     return sum((g.q[x][y] for x in range(g.ma) for y in range(g.mb)
-                if g.win(a_map[x], b_map[y], x, y)), F(0))
+                if b_map[y] == winning_answer(g, a_map[x], x, y)), F(0))
 
 
 def test_strategy_value_matches_direct_sum(chsh_game):
